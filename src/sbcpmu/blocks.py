@@ -13,10 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ModelParameterError
 from .signals import Phasor, SamplingSchedule, Waveform
@@ -53,9 +53,6 @@ class BlockResponse:
 
     def phase_at(self, t: float) -> float:
         return self.phase + self.time_slope_phase * t
-
-
-IDENTITY_RESPONSE = BlockResponse(magnitude=1.0, phase=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,9 @@ class PllDelayModel:
     All times are seconds.  ``min`` is a hard lower bound of the support.
     The default shifted-gamma family matches the hard lower bound and the
     positive skew seen in the delay histograms; truncated-normal and an
-    empirical histogram are available for sensitivity studies.
+    empirical histogram are available for sensitivity studies.  For
+    truncated-normal, ``mean``/``std`` locate the underlying normal, which may
+    lie outside ``[min, max]`` when ``std > 0``.
     """
 
     family: str = "shifted-gamma"
@@ -302,7 +301,10 @@ class PllDelayModel:
                 raise ModelParameterError("malformed histogram")
             object.__setattr__(self, "histogram", (edges, counts))
             return
-        if not (self.min <= self.mean <= self.max):
+        if self.family == "truncated-normal" and self.std > 0:
+            if not self.min < self.max:
+                raise ModelParameterError(f"need min < max, got {self.min} / {self.max}")
+        elif not (self.min <= self.mean <= self.max):
             raise ModelParameterError(
                 f"need min <= mean <= max, got {self.min} / {self.mean} / {self.max}"
             )
@@ -336,10 +338,37 @@ def pll_sample(model: PllDelayModel, rng: np.random.Generator, size=None):
         scale = model.std**2 / span
         draws = model.min + rng.gamma(shape, scale, size=size)
         return np.minimum(draws, model.max) if math.isfinite(model.max) else draws
-    # truncated-normal: mean/std parameterize the underlying normal
+    return _truncated_normal_sample(model, rng, size)
+
+
+_STANDARD_NORMAL = NormalDist()
+# inv_cdf needs 0 < p < 1; rounding in rng.uniform can land on either end
+_P_OPEN = (math.ulp(0.0), 1.0 - 2.0**-53)
+
+
+def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, size):
+    """Inverse-CDF draws of the normal(mean, std) restricted to [min, max].
+
+    An interval above the mean is mirrored below it first, and the CDF is
+    taken as ``erfc(-z/sqrt(2))/2``: that form keeps its relative precision in
+    the lower tail, where ``NormalDist.cdf`` (``(1 + erf)/2``) rounds to 0
+    beyond about 8 std, so a deep one-sided truncation stays resolved.
+    """
     a = (model.min - model.mean) / model.std
-    b = (model.max - model.mean) / model.std if math.isfinite(model.max) else math.inf
-    return stats.truncnorm.rvs(a, b, loc=model.mean, scale=model.std, size=size, random_state=rng)
+    b = (model.max - model.mean) / model.std
+    sign = 1.0
+    if a > 0:
+        a, b, sign = -b, -a, -1.0
+    p_lo, p_hi = (0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (a, b))
+    if not p_hi > p_lo:
+        raise ModelParameterError(
+            f"truncated-normal support [{model.min}, {model.max}] holds no representable "
+            f"mass of the normal with mean {model.mean} and std {model.std}"
+        )
+    u = np.clip(rng.uniform(p_lo, p_hi, size=size), *_P_OPEN)
+    z = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(u)
+    draws = np.clip(model.mean + sign * model.std * z, model.min, model.max)
+    return float(draws) if size is None else draws
 
 
 def pll_response(delay: float, omega: float, delay_std: float = 0.0) -> BlockResponse:
@@ -677,7 +706,6 @@ __all__ = [
     "BlockResponse",
     "ChainModel",
     "GaussianTerm",
-    "IDENTITY_RESPONSE",
     "PllDelayModel",
     "TimebaseModel",
     "aaf_cutoff_model",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -222,15 +223,13 @@ def _histogram_mode(samples: np.ndarray) -> float:
 
 def _qq_deviation(samples: np.ndarray) -> float:
     """Max |sample quantile - fitted normal quantile| over the 1-99% range."""
-    from scipy import stats
-
     mean = samples.mean()
     std = samples.std(ddof=1)
     if std == 0:
         return 0.0
     probs = np.linspace(0.01, 0.99, 99)
     sample_q = np.quantile(samples, probs)
-    normal_q = mean + std * stats.norm.ppf(probs)
+    normal_q = mean + std * np.vectorize(NormalDist().inv_cdf)(probs)
     return float(np.max(np.abs(sample_q - normal_q)))
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .blocks import (
     ChainModel,
+    chain_from_json,
     chain_to_json,
     load_profile,
     paper_profile,
@@ -299,8 +300,8 @@ def _characterize_delay(path, known_base: float) -> dict:
     return out
 
 
-def _merge_fragment_into_profile(fragment: dict, profile_path) -> None:
-    chain_json = chain_to_json(load_profile(profile_path))
+def _apply_fragment(fragment: dict, chain_json: dict) -> None:
+    """Write the fitted values of a ``characterize`` fragment into a profile's JSON form."""
     kind = fragment.get("kind")
     if kind == "sweep":
         gain = fragment["gain_err_ppm"]
@@ -339,8 +340,11 @@ def _merge_fragment_into_profile(fragment: dict, profile_path) -> None:
             }
     else:
         raise ConfigError(f"cannot merge fragment of kind {kind!r}")
-    from .blocks import chain_from_json
 
+
+def _merge_fragment_into_profile(fragment: dict, profile_path) -> None:
+    chain_json = chain_to_json(load_profile(profile_path))
+    _apply_fragment(fragment, chain_json)
     save_profile(chain_from_json(chain_json), profile_path)
 
 
@@ -417,7 +421,7 @@ def cmd_profile(args) -> int:
         chain = _resolve_profile(args.path)
         print(json.dumps(chain_to_json(chain), indent=2))
         return EXIT_OK
-    # merge
+    # merge: a characterize fragment (it has a "kind") or a partial profile
     base = chain_to_json(_resolve_profile(args.base))
     with open(args.fragment) as fh:
         fragment = json.load(fh)
@@ -429,9 +433,19 @@ def cmd_profile(args) -> int:
             else:
                 dst[key] = value
 
-    deep_merge(base, fragment)
-    from .blocks import chain_from_json
-
+    if "kind" in fragment:
+        try:
+            _apply_fragment(fragment, base)
+        except KeyError as exc:
+            raise ConfigError(f"{args.fragment}: fragment lacks field {exc}") from exc
+    else:
+        unknown = sorted(set(fragment) - set(base))
+        if unknown:
+            raise ConfigError(
+                f"{args.fragment}: unknown profile keys {unknown}; "
+                f"a profile has {sorted(base)}"
+            )
+        deep_merge(base, fragment)
     save_profile(chain_from_json(base), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

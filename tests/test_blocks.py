@@ -176,6 +176,8 @@ class TestPllDelay:
             PllDelayModel(min=5e-6, mean=1e-6, std=1e-6)
         with pytest.raises(ModelParameterError):
             PllDelayModel(family="weibull")
+        with pytest.raises(ModelParameterError):
+            PllDelayModel(family="truncated-normal", min=5e-6, max=5e-6, mean=1e-6, std=1e-6)
 
     def test_response_worst_delay(self):
         resp = pll_response(20e-6, OMEGA_50)
@@ -189,6 +191,62 @@ class TestPllDelay:
 
     def test_response_mean_delay(self):
         assert pll_response(7.93e-6, OMEGA_50).phase == pytest.approx(2.491e-3, rel=0.001)
+
+
+def truncnorm_moments(mean, std, lo, hi):
+    """Analytic mean and std of the normal(mean, std) truncated to [lo, hi]."""
+
+    def pdf(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+
+    a, b = (lo - mean) / std, (hi - mean) / std
+    # Phi(b) - Phi(a) through erfc, which keeps the upper tail's precision
+    mass = 0.5 * (math.erfc(a / math.sqrt(2)) - math.erfc(b / math.sqrt(2)))
+    d = (pdf(a) - pdf(b)) / mass
+    b_pdf_b = b * pdf(b) if math.isfinite(b) else 0.0
+    var = 1.0 + (a * pdf(a) - b_pdf_b) / mass - d * d
+    return mean + std * d, std * math.sqrt(var)
+
+
+class TestTruncatedNormal:
+    N = 200_000
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (4.0e-6, 9.0e-6),  # two-sided around the mean
+            (10.0e-6, math.inf),  # one-sided, min 4 std above the mean
+            (16.0e-6, math.inf),  # min 10 std above: 1 - Phi(10) rounds to 0
+        ],
+    )
+    def test_support_and_moments(self, lo, hi):
+        m = PllDelayModel(family="truncated-normal", min=lo, max=hi, mean=6.0e-6, std=1.0e-6)
+        draws = pll_sample(m, np.random.default_rng(11), size=self.N)
+        assert draws.shape == (self.N,)
+        assert np.all((draws >= lo) & (draws <= hi))
+        mean, std = truncnorm_moments(m.mean, m.std, lo, hi)
+        se_mean = std / math.sqrt(self.N)
+        assert abs(draws.mean() - mean) < 5 * se_mean
+        centered = draws - draws.mean()
+        se_var = math.sqrt((np.mean(centered**4) - np.mean(centered**2) ** 2) / self.N)
+        assert abs(draws.std(ddof=1) - std) < 5 * se_var / (2 * std)
+
+    def test_scalar_draw_is_float(self):
+        m = PllDelayModel(family="truncated-normal", min=4.0e-6, max=9.0e-6, mean=6.0e-6, std=1e-6)
+        x = pll_sample(m, np.random.default_rng(0))
+        assert type(x) is float
+        assert 4.0e-6 <= x <= 9.0e-6
+
+    def test_seeded_stream_repeats(self):
+        m = PllDelayModel(family="truncated-normal", min=2.0e-6, mean=6.0e-6, std=3e-6)
+        first = pll_sample(m, np.random.default_rng(5), size=1000)
+        again = pll_sample(m, np.random.default_rng(5), size=1000)
+        assert np.array_equal(first, again)
+
+    def test_no_representable_mass(self):
+        m = PllDelayModel(family="truncated-normal", min=1.0, max=2.0, mean=0.0, std=1e-3)
+        with pytest.raises(ModelParameterError, match="no representable mass"):
+            pll_sample(m, np.random.default_rng(0), size=3)
 
 
 class TestCombinedResponse:

@@ -168,6 +168,13 @@ class TestDelayStatistics:
         s = delay_statistics(rng.normal(5e-6, 1e-6, 5000))
         assert s.qq_deviation < 0.3e-6
 
+    def test_qq_deviation_exact_quantiles(self):
+        # two points: mean 0, std sqrt(2), sample quantiles 2p - 1; the gap to
+        # sqrt(2) * inverse-Phi(p) grows toward the ends of the 1-99 % range
+        phi_inv_099 = 2.326347874040841
+        s = delay_statistics([-1.0, 1.0])
+        assert s.qq_deviation == pytest.approx(math.sqrt(2) * phi_inv_099 - 0.98, rel=1e-12)
+
     def test_json_units(self):
         s = delay_statistics([4e-6, 5e-6, 6e-6])
         d = s.to_json()

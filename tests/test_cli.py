@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sbcpmu.blocks import chain_to_json, paper_profile
 from sbcpmu.cli import (
     ScenarioConfig,
     load_scenario_config,
@@ -207,3 +208,24 @@ class TestProfileCmd:
         assert merged["adc"]["gain_err_ppm"]["mean"] == -1000.0
         # untouched fields survive the merge
         assert merged["timebase"]["e_r_ppm"]["mean"] == -16.02
+
+    def test_merge_characterize_fragment(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        frag.write_text(json.dumps({"kind": "counter", "e_r_ppm_mean": -1.0}))
+        out = tmp_path / "merged.json"
+        assert main(["profile", "merge", str(base), str(frag), "--out", str(out)]) == 0
+        merged = json.loads(out.read_text())
+        assert merged["timebase"]["e_r_ppm"]["mean"] == -1.0
+        assert merged["adc"]["gain_err_ppm"]["mean"] == -4459.0
+
+    def test_merge_rejects_unknown_keys(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        frag.write_text(json.dumps({"e_r_ppm_mean": -1.0, "adc": {"bits": 12}}))
+        out = tmp_path / "merged.json"
+        assert main(["profile", "merge", str(base), str(frag), "--out", str(out)]) == 2
+        assert "e_r_ppm_mean" in capsys.readouterr().err
+        assert not out.exists()
