@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelParameterError
+from .errors import ConfigError, ModelParameterError
 from .signals import Phasor, SamplingSchedule, Waveform
 
 SQRT3 = math.sqrt(3.0)
@@ -678,9 +678,17 @@ def chain_from_json(obj: dict) -> ChainModel:
     )
 
 
-def load_profile(path) -> ChainModel:
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ``ConfigError`` naming the file and line."""
     with open(path) as fh:
-        return chain_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_profile(path) -> ChainModel:
+    return chain_from_json(read_json(path))
 
 
 def save_profile(chain: ChainModel, path) -> None:
@@ -722,6 +730,7 @@ __all__ = [
     "paper_profile",
     "pll_response",
     "pll_sample",
+    "read_json",
     "save_profile",
     "timebase_response",
 ]

@@ -80,13 +80,29 @@ def ols_fit(record: SweepRecord) -> OlsResult:
     y = record.v_out
     if np.ptp(x) == 0:
         raise ValueError("sweep input is constant; regressor matrix is rank deficient")
-    design = np.column_stack([np.ones_like(x), x])
-    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
+    # Centered normal equations with the regressor scaled to [-1, 1], so a
+    # sweep whose input spread is tiny next to 1 V keeps full precision (a
+    # least-squares solve on [1, x] treats that column as rank deficient).
+    x_mean = float(x.mean())
+    y_mean = float(y.mean())
+    u = x - x_mean
+    scale = float(np.max(np.abs(u)))
+    u /= scale
+    dy = y - y_mean
+    suu = float(u @ u)
+    gain = float(u @ dy) / suu / scale
+    offset = y_mean - gain * x_mean
+    resid = dy - (gain * scale) * u
     rss = float(resid @ resid)
     dof = x.size - 2
-    cov = rss / dof * np.linalg.inv(design.T @ design)
-    return OlsResult(offset=float(beta[0]), gain=float(beta[1]), covariance=cov, rss=rss, dof=dof)
+    var_gain = rss / dof / suu / scale / scale
+    cov = np.array(
+        [
+            [rss / dof / x.size + x_mean * x_mean * var_gain, -x_mean * var_gain],
+            [-x_mean * var_gain, var_gain],
+        ]
+    )
+    return OlsResult(offset=offset, gain=gain, covariance=cov, rss=rss, dof=dof)
 
 
 @dataclass(frozen=True)

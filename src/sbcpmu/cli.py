@@ -28,6 +28,7 @@ from .blocks import (
     chain_to_json,
     load_profile,
     paper_profile,
+    read_json,
     save_profile,
 )
 from .characterize import (
@@ -99,12 +100,9 @@ def _require(obj: dict, key: str, where: str):
 
 def load_scenario_config(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     signal = _require(raw, "signal", "")
     schedule = _require(raw, "schedule", "")
     run = _require(raw, "run", "")
@@ -382,8 +380,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"{rundir}: missing manifest.json (not a run directory?)")
     if not summary_path.exists():
         raise ConfigError(f"{rundir}: missing summary.csv")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     data = np.loadtxt(summary_path, delimiter=",", skiprows=1, ndmin=2)
     mean_tve = data[:, 1]
     grand = float(manifest.get("grand_mean_tve", mean_tve.mean()))
@@ -394,7 +391,8 @@ def cmd_report(args) -> int:
     lines.append(f"run: {manifest.get('scenario_hash', '?')[:12]}")
     lines.append(
         f"seed={manifest.get('seed')} trials={manifest.get('trials')} "
-        f"compensated={manifest.get('compensated')}"
+        f"compensated={manifest.get('compensated')} "
+        f"saturated_samples={manifest.get('saturated_samples')}"
     )
     lines.append(f"{'metric':<24}{'value':>14}{'limit':>12}  status")
     rows = [
@@ -416,6 +414,23 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _deep_merge(dst: dict, src: dict) -> None:
+    for key, value in src.items():
+        if isinstance(value, dict) and isinstance(dst.get(key), dict):
+            _deep_merge(dst[key], value)
+        else:
+            dst[key] = value
+
+
+def _dropped_keys(fragment: dict, kept, prefix=""):
+    """Dotted paths of the keys in ``fragment`` that ``kept`` does not have."""
+    for key, value in fragment.items():
+        if not isinstance(kept, dict) or key not in kept:
+            yield prefix + key
+        elif isinstance(value, dict):
+            yield from _dropped_keys(value, kept[key], f"{prefix}{key}.")
+
+
 def cmd_profile(args) -> int:
     if args.profile_cmd == "show":
         chain = _resolve_profile(args.path)
@@ -423,30 +438,29 @@ def cmd_profile(args) -> int:
         return EXIT_OK
     # merge: a characterize fragment (it has a "kind") or a partial profile
     base = chain_to_json(_resolve_profile(args.base))
-    with open(args.fragment) as fh:
-        fragment = json.load(fh)
-
-    def deep_merge(dst, src):
-        for key, value in src.items():
-            if isinstance(value, dict) and isinstance(dst.get(key), dict):
-                deep_merge(dst[key], value)
-            else:
-                dst[key] = value
+    fragment = read_json(args.fragment)
+    if not isinstance(fragment, dict):
+        raise ConfigError(f"{args.fragment}: a fragment must be a JSON object")
 
     if "kind" in fragment:
         try:
             _apply_fragment(fragment, base)
         except KeyError as exc:
             raise ConfigError(f"{args.fragment}: fragment lacks field {exc}") from exc
+        chain = chain_from_json(base)
     else:
-        unknown = sorted(set(fragment) - set(base))
+        _deep_merge(base, fragment)
+        chain = chain_from_json(base)
+        # a key the profile schema does not read is lost when the chain is
+        # rebuilt; reject it rather than drop it
+        rebuilt = chain_to_json(chain)
+        unknown = list(_dropped_keys(fragment, rebuilt))
         if unknown:
             raise ConfigError(
                 f"{args.fragment}: unknown profile keys {unknown}; "
-                f"a profile has {sorted(base)}"
+                f"a profile has {sorted(rebuilt)}"
             )
-        deep_merge(base, fragment)
-    save_profile(chain_from_json(base), args.out)
+    save_profile(chain, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -210,6 +211,7 @@ class McResult:
     grand_mean_mag_err: float  # mean |relative magnitude error|
     grand_mean_phase_err: float  # mean |phase error|, rad
     window_gap_s: float  # unestimated tail of each PPS interval
+    saturated_samples: int  # ADC end-code clips, summed over trials
 
     @property
     def trials(self) -> int:
@@ -256,7 +258,10 @@ def _mean_response_factor(
 
 
 def run_trial(scenario: McScenario, trial_index: int):
-    """Run one seeded trial; returns (t_in_pps, tve_trace, envelope_values, draw).
+    """Run one seeded trial.
+
+    Returns ``(t_in_pps, tve_trace, envelope_values, draw, saturated_samples)``,
+    the last being the number of samples the ADC clipped at its end codes.
 
     Seeding depends only on (base_seed, trial_index) so results are invariant
     under any execution order.
@@ -277,7 +282,7 @@ def run_trial(scenario: McScenario, trial_index: int):
     window = EstimationWindow(scenario.phasor.frequency)
     env = fourier_phasor(waveform, window, timestamp="center")
     trace = tve(env.values, scenario.phasor.value)
-    return env.times, trace, env.values, draw
+    return env.times, trace, env.values, draw, waveform.metadata["saturated_samples"]
 
 
 def monte_carlo(scenario: McScenario) -> McResult:
@@ -289,12 +294,14 @@ def monte_carlo(scenario: McScenario) -> McResult:
     t_in_pps = None
     traces = []
     envelopes = []
+    saturated = 0
     for i in range(scenario.trials):
-        times, trace, env, _ = run_trial(scenario, i)
+        times, trace, env, _, clipped = run_trial(scenario, i)
         if t_in_pps is None:
             t_in_pps = times
         traces.append(trace)
         envelopes.append(env)
+        saturated += clipped
     trial_env = np.vstack(envelopes)
     trial_tve = np.vstack(traces)
 
@@ -333,6 +340,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         grand_mean_mag_err=float(rel_mag.mean()),
         grand_mean_phase_err=float(phase_err.mean()),
         window_gap_s=float(scenario.pps_period - t_in_pps[-1]),
+        saturated_samples=saturated,
     )
 
 
@@ -342,16 +350,17 @@ def monte_carlo(scenario: McScenario) -> McResult:
 
 
 def write_run(result: McResult, outdir, manifest: dict) -> None:
-    """Emit trials.csv, summary.csv and manifest.json into a run directory."""
+    """Emit trials.npy, summary.csv and manifest.json into a run directory.
+
+    ``trials.npy`` holds ``trial_tve`` as a float64, C-order array of shape
+    ``(trials, len(t_in_pps))``: row ``i`` is trial ``i`` and column ``j``
+    belongs to row ``j`` of ``summary.csv``'s ``t_in_pps_s`` column.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "trials.csv", "w", newline="") as fh:
-        fh.write("t_in_pps_s,trial_id,tve\n")
-        for trial in range(result.trial_tve.shape[0]):
-            row = result.trial_tve[trial]
-            for t, v in zip(result.t_in_pps, row):
-                fh.write(f"{float(t)!r},{trial},{float(v)!r}\n")
+    trial_tve = np.ascontiguousarray(result.trial_tve, dtype=np.float64)
+    np.save(out / "trials.npy", trial_tve, allow_pickle=False)
 
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write("t_in_pps_s,mean_tve,band_lo,band_hi,model_tve,model_band\n")
@@ -373,6 +382,8 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
             "grand_mean_phase_err_rad": result.grand_mean_phase_err,
             "window_gap_s": result.window_gap_s,
             "trials": result.trials,
+            "saturated_samples": result.saturated_samples,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
     )
     with open(out / "manifest.json", "w") as fh:

@@ -55,6 +55,24 @@ class TestOls:
         design = np.column_stack([np.ones_like(x), x])
         assert np.max(np.abs(design.T @ resid)) < 1e-9 * np.linalg.norm(y)
 
+    def test_tiny_input_spread(self):
+        # an input spread far below 1 V is still full rank; a least-squares
+        # solve on [1, x] cut the x column and returned a gain of ~1e-267
+        x = np.array([0.0, 1.5191158452085168e-133, 2.4534253162517722e-231, 4.3e-261])
+        fit = ols_fit(SweepRecord(v_in=x, v_out=x))
+        assert fit.gain == pytest.approx(1.0, abs=1e-12)
+        assert fit.offset == pytest.approx(0.0, abs=1e-140)
+        assert fit.rss < 1e-280
+
+    def test_covariance_matches_normal_equations(self):
+        rng = np.random.default_rng(5)
+        x = 5.0 + rng.uniform(-1, 1, 50)
+        y = 0.9 * x + 0.2 + rng.normal(0, 0.01, 50)
+        fit = ols_fit(SweepRecord(v_in=x, v_out=y))
+        design = np.column_stack([np.ones_like(x), x])
+        expected = fit.rss / fit.dof * np.linalg.inv(design.T @ design)
+        assert np.allclose(fit.covariance, expected, rtol=1e-9, atol=0)
+
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):
             ols_fit(SweepRecord(v_in=[1, 1, 1], v_out=[0, 1, 2]))

@@ -68,11 +68,19 @@ class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):
         p = tmp_path / "cfg.json"
         write_config(p)
-        main(["simulate", "--config", str(p), "--out", str(tmp_path / "r1")])
-        main(["simulate", "--config", str(p), "--out", str(tmp_path / "r2")])
-        a = (tmp_path / "r1" / "trials.csv").read_bytes()
-        b = (tmp_path / "r2" / "trials.csv").read_bytes()
-        assert a == b
+        # the manifest records the output directory, so both runs write to the same one
+        out = tmp_path / "run"
+        names = ("trials.npy", "summary.csv", "manifest.json")
+        runs = []
+        for _ in range(2):
+            assert main(["simulate", "--config", str(p)]) == 0
+            runs.append({name: (out / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+        assert not (out / "trials.csv").exists()
+        trials = np.load(out / "trials.npy", allow_pickle=False)
+        summary_rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert trials.dtype == np.float64
+        assert trials.shape == (2, len(summary_rows))
 
     def test_report_reproducible(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -86,6 +94,25 @@ class TestSimulate:
 
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_malformed_chain_profile_exit(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        profile = tmp_path / "chain.json"
+        profile.write_text("{bad")
+        write_config(p, chain_profile=str(profile))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert f"{profile}: line 1:" in capsys.readouterr().err
+
+    def test_report_header_shows_clipping(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p, signal={"amplitude_v": 12.0, "frequency_hz": 50.0})
+        assert main(["simulate", "--config", str(p)]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["saturated_samples"] > 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run")]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header.endswith(f"saturated_samples={manifest['saturated_samples']}")
 
     def test_guard_violation_exit(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -187,6 +214,17 @@ class TestCharacterize:
         merged = json.loads(profile.read_text())
         assert merged["adc"]["offset_uv"]["mean"] == pytest.approx(1000.0, rel=1e-6)
 
+    def test_merge_into_malformed_profile_exit(self, tmp_path, capsys):
+        profile = tmp_path / "chain.json"
+        profile.write_text("{bad")
+        csv = tmp_path / "s.csv"
+        csv.write_text("v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+        out = tmp_path / "frag.json"
+        args = ["characterize", "sweep", "--input", str(csv), "--output", str(out)]
+        assert main(args + ["--merge-into", str(profile)]) == 2
+        assert f"{profile}: line 1:" in capsys.readouterr().err
+        assert profile.read_text() == "{bad"
+
 
 class TestReport:
     def test_empty_dir(self, tmp_path):
@@ -229,3 +267,49 @@ class TestProfileCmd:
         assert main(["profile", "merge", str(base), str(frag), "--out", str(out)]) == 2
         assert "e_r_ppm_mean" in capsys.readouterr().err
         assert not out.exists()
+
+    def merge(self, tmp_path, fragment):
+        frag = tmp_path / "frag.json"
+        frag.write_text(fragment if isinstance(fragment, str) else json.dumps(fragment))
+        out = tmp_path / "merged.json"
+        code = main(["profile", "merge", "paper", str(frag), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "fragment, path",
+        [
+            ({"adc": {"bitz": 12}}, "adc.bitz"),
+            ({"timebase": {"e_r_ppm": {"mean": -1.0, "sd": 2.0}}}, "timebase.e_r_ppm.sd"),
+        ],
+    )
+    def test_merge_rejects_unknown_nested_key(self, tmp_path, capsys, fragment, path):
+        code, out = self.merge(tmp_path, fragment)
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_accepts_new_pll_profile(self, tmp_path):
+        stats = {
+            "family": "shifted-gamma", "min_us": 3.0, "max_us": 9.0,
+            "mean_us": 4.0, "std_us": 0.7, "mode_us": 3.9, "mode_std_us": 0.7,
+        }
+        code, out = self.merge(tmp_path, {"pll": {"profiles": {"rt": stats}}})
+        assert code == 0
+        merged = json.loads(out.read_text())
+        assert merged["pll"]["profiles"]["rt"] == pytest.approx(stats)
+        assert set(merged["pll"]["profiles"]) >= {"idle", "vm", "rt"}
+
+    def test_merge_accepts_scalar_term(self, tmp_path):
+        code, out = self.merge(tmp_path, {"adc": {"gain_err_ppm": 5.0}})
+        assert code == 0
+        merged = json.loads(out.read_text())
+        assert merged["adc"]["gain_err_ppm"] == {"mean": 5.0, "std": 0.0}
+
+    def test_merge_malformed_fragment_exit(self, tmp_path, capsys):
+        code, out = self.merge(tmp_path, "{bad")
+        assert code == 2
+        assert "frag.json: line 1:" in capsys.readouterr().err
+        assert not out.exists()
+        code, out = self.merge(tmp_path, [{"adc": {}}])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestMonteCarlo:
     def test_trial_order_independence(self):
         # trial 3 run standalone equals trial 3 inside the full sweep
         full = monte_carlo(small_scenario())
-        _, trace, _, _ = run_trial(small_scenario(), 3)
+        _, trace, _, _, _ = run_trial(small_scenario(), 3)
         assert np.array_equal(full.trial_tve[3], trace)
 
     def test_zero_uncertainty_all_trials_identical(self):
@@ -152,25 +153,53 @@ class TestMonteCarlo:
         assert np.all(r.band_hi >= r.mean_tve)
         assert np.all(r.band_lo <= r.mean_tve)
 
+    def test_reference_scenario_does_not_clip(self):
+        assert monte_carlo(small_scenario(trials=3)).saturated_samples == 0
+
+    def test_clipping_is_counted(self):
+        # 12 V peaks against the paper profile's 10 V reference
+        over = small_scenario(trials=3, phasor=Phasor(12.0, 0.0, 50.0))
+        r = monte_carlo(over)
+        per_trial = [run_trial(over, i)[4] for i in range(3)]
+        assert all(n > 0 for n in per_trial)
+        assert r.saturated_samples == sum(per_trial)
+
 
 class TestWriteRun:
     def test_artifacts(self, tmp_path):
         r = monte_carlo(small_scenario(trials=2))
         write_run(r, tmp_path / "run", {"seed": 42})
-        trials = (tmp_path / "run" / "trials.csv").read_text().splitlines()
-        assert trials[0] == "t_in_pps_s,trial_id,tve"
-        assert len(trials) == 1 + 2 * r.t_in_pps.size
+        trials = np.load(tmp_path / "run" / "trials.npy", allow_pickle=False)
+        assert trials.dtype == np.float64
+        assert trials.shape == (2, r.t_in_pps.size)
+        assert trials.flags.c_contiguous
+        assert np.array_equal(trials, r.trial_tve)
+        assert trials.tobytes() == r.trial_tve.tobytes()
         summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
         assert summary[0] == "t_in_pps_s,mean_tve,band_lo,band_hi,model_tve,model_band"
+        assert trials.shape[1] == len(summary) - 1
+        assert not (tmp_path / "run" / "trials.csv").exists()
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["seed"] == 42
         assert manifest["trials"] == 2
         assert manifest["compensated"] is False
+        assert manifest["saturated_samples"] == 0
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+
+    def test_columns_follow_summary_times(self, tmp_path):
+        r = monte_carlo(small_scenario(trials=2))
+        write_run(r, tmp_path / "run", {})
+        summary = np.loadtxt(tmp_path / "run" / "summary.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(summary[:, 0], r.t_in_pps)
+        assert np.load(tmp_path / "run" / "trials.npy").shape[1] == summary.shape[0]
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
             write_run(monte_carlo(small_scenario(trials=2)), tmp_path / name, {"seed": 42})
-        for fname in ("trials.csv", "summary.csv", "manifest.json"):
+        for fname in ("trials.npy", "summary.csv", "manifest.json"):
             assert (tmp_path / "a" / fname).read_bytes() == (
                 tmp_path / "b" / fname
             ).read_bytes()
