@@ -158,14 +158,36 @@ def adc_convert(model: AdcModel, v_in, noise_draw=0.0):
 
     Returns ``(v_out, saturated)`` where ``saturated`` is a boolean mask.
     """
-    v = model.gain * np.asarray(v_in, dtype=float) + model.offset + noise_draw
-    q = model.quantum
-    code = np.rint(v / q)
-    code_min = -(1 << (model.bits - 1))
-    code_max = (1 << (model.bits - 1)) - 1
-    saturated = (code < code_min) | (code > code_max)
-    code = np.clip(code, code_min, code_max)
-    return code * q, saturated
+    v = np.array(v_in, dtype=float)
+    saturated = _convert(v, model.gain, model.offset, noise_draw, model)
+    # [()] turns the 0-d results of a scalar input back into scalars
+    return v[()], saturated[()]
+
+
+def _convert(v: np.ndarray, gain, offset, noise, quantizer: Optional[AdcModel]):
+    """The ADC transfer in place: ``v <- Q(gain*v + offset + noise)``.
+
+    ``gain`` and ``offset`` are scalars or per-row columns, ``noise`` is None,
+    a scalar or shaped like ``v``.  ``quantizer`` sets the code grid from its
+    ``bits`` and ``vref`` (its own gain and offset are not used); None is an
+    ideal converter.  Returns the end-code saturation mask, or None without a
+    quantizer.
+    """
+    np.multiply(gain, v, out=v)
+    v += offset
+    if noise is not None:
+        v += noise
+    if quantizer is None:
+        return None
+    q = quantizer.quantum
+    np.divide(v, q, out=v)
+    np.rint(v, out=v)
+    code_min = -(1 << (quantizer.bits - 1))
+    code_max = (1 << (quantizer.bits - 1)) - 1
+    saturated = (v < code_min) | (v > code_max)
+    np.clip(v, code_min, code_max, out=v)
+    v *= q
+    return saturated
 
 
 def adc_transfer(model: AdcModel, v_in, noise_draw=0.0):
@@ -428,6 +450,13 @@ class GaussianTerm:
             raise ValueError("std must be >= 0")
 
 
+def _aaf_factor(gain_ppm: float, phase_urad: float) -> complex:
+    """Complex AAF factor of a gain error (ppm) and a phase error (urad)."""
+    g = 1.0 + 1e-6 * gain_ppm
+    p = 1e-6 * phase_urad
+    return g * complex(math.cos(p), math.sin(p))
+
+
 @dataclass(frozen=True)
 class ChainModel:
     """The four parameterized error blocks plus noise terms.
@@ -455,9 +484,7 @@ class ChainModel:
 
     @property
     def aaf_factor(self) -> complex:
-        g = 1.0 + 1e-6 * self.aaf_gain_ppm.mean
-        p = 1e-6 * self.aaf_phase_urad.mean
-        return g * complex(math.cos(p), math.sin(p))
+        return _aaf_factor(self.aaf_gain_ppm.mean, self.aaf_phase_urad.mean)
 
     @property
     def adc_gain(self) -> float:
@@ -516,7 +543,6 @@ def acquire(
     chain: ChainModel,
     schedule: SamplingSchedule,
     rng: Optional[np.random.Generator] = None,
-    temperature: Optional[float] = None,
 ) -> Waveform:
     """Run a phasor through the full error chain.
 
@@ -532,37 +558,58 @@ def acquire(
     noise.
     """
     t_real = schedule.realized_instants()
-    aaf = chain.aaf_factor
-    # steady-state filtering: scale the envelope, shift the phase
-    amp = phasor.amplitude * abs(aaf)
-    ph = phasor.phase + math.atan2(aaf.imag, aaf.real)
-    y = amp * np.cos(phasor.omega * t_real + ph)
-
-    noise = 0.0
+    noise = None
     noise_rms = 1e-6 * chain.adc_noise_rms_uv
     if noise_rms > 0:
         if rng is None:
             raise ValueError("rng required for nonzero ADC noise")
-        noise = rng.normal(0.0, noise_rms, size=y.shape)
-
-    if chain.adc_bits is None:
-        v = chain.adc_gain * y + chain.adc_offset_v + noise
-        saturated = 0
-    else:
-        model = AdcModel(
-            gain=chain.adc_gain,
-            offset=chain.adc_offset_v,
-            bits=chain.adc_bits,
-            vref=chain.adc_vref_v,
-        )
-        v, sat = adc_convert(model, y, noise)
-        saturated = int(np.count_nonzero(sat))
-
+        noise = rng.normal(0.0, noise_rms, size=t_real.shape)
+    v, saturated = _acquire_rows(
+        phasor,
+        [chain.aaf_factor],
+        [chain.adc_gain],
+        [chain.adc_offset_v],
+        t_real[None, :],
+        noise,
+        _quantizer(chain),
+    )
     return Waveform(
         times=schedule.nominal_instants(),
-        values=v,
-        metadata={"saturated_samples": saturated},
+        values=v[0],
+        metadata={"saturated_samples": int(saturated[0])},
     )
+
+
+def _quantizer(chain: ChainModel) -> Optional[AdcModel]:
+    """The converter whose bits and vref quantize the chain's samples; None if ideal."""
+    if chain.adc_bits is None:
+        return None
+    return AdcModel(bits=chain.adc_bits, vref=chain.adc_vref_v)
+
+
+def _acquire_rows(phasor: Phasor, aaf, adc_gain, adc_offset_v, t_real, noise, quantizer):
+    """The forward chain on rows of realized instants, computed in place over ``t_real``.
+
+    Row ``r`` of ``t_real`` (rows x samples) is sampled through the AAF
+    factor ``aaf[r]`` and converted with gain ``adc_gain[r]`` and offset
+    ``adc_offset_v[r]``; ``noise`` is None or shaped like ``t_real``, and
+    ``quantizer`` is as for ``_quantizer``.  Returns ``(values,
+    clipped)``: the converted samples and each row's number of samples
+    clipped at the end codes.
+    """
+    # steady-state filtering: scale the envelope, shift the phase
+    amp = np.array([phasor.amplitude * abs(a) for a in aaf])[:, None]
+    ph = np.array([phasor.phase + math.atan2(a.imag, a.real) for a in aaf])[:, None]
+    y = np.multiply(phasor.omega, t_real, out=t_real)
+    y += ph
+    np.cos(y, out=y)
+    np.multiply(amp, y, out=y)
+    gain = np.asarray(adc_gain, dtype=float)[:, None]
+    offset = np.asarray(adc_offset_v, dtype=float)[:, None]
+    saturated = _convert(y, gain, offset, noise, quantizer)
+    if saturated is None:
+        return y, np.zeros(y.shape[0], dtype=np.int64)
+    return y, np.count_nonzero(saturated, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +621,57 @@ def _term_to_json(term: GaussianTerm) -> dict:
     return {"mean": term.mean, "std": term.std}
 
 
-def _term_from_json(obj) -> GaussianTerm:
-    if isinstance(obj, (int, float)):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(value) -> str:
+    """What a JSON value is, for error messages."""
+    if _is_number(value):
+        return "a number"
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+    return names.get(type(value), "null")
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {_kind(value)}")
+    return value
+
+
+def _section(obj: dict, key: str, path: str = "") -> dict:
+    """``obj[key]``, an empty object when absent; anything but an object is a ``ConfigError``."""
+    return _object(obj.get(key, {}), path + key)
+
+
+def _number(value, path: str):
+    if not _is_number(value):
+        raise ConfigError(f"{path}: expected a number, got {_kind(value)}")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected an array, got {_kind(value)}")
+    return value
+
+
+def _numbers(value, path: str) -> list:
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
+
+
+def _term_from_json(obj, path: str) -> GaussianTerm:
+    if _is_number(obj):
         return GaussianTerm(float(obj))
-    return GaussianTerm(float(obj["mean"]), float(obj.get("std", 0.0)))
+    obj = _object(obj, path)
+    if "mean" not in obj:
+        raise ConfigError(f"{path}.mean: missing")
+    mean = float(_number(obj["mean"], path + ".mean"))
+    std = float(_number(obj.get("std", 0.0), path + ".std"))
+    try:
+        return GaussianTerm(mean, std)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _pll_to_json(model: PllDelayModel) -> dict:
@@ -599,21 +693,33 @@ def _pll_to_json(model: PllDelayModel) -> dict:
     return out
 
 
-def _pll_from_json(obj: dict) -> PllDelayModel:
+def _pll_from_json(obj, path: str) -> PllDelayModel:
+    obj = _object(obj, path)
+
+    def us(key, default=None):
+        if key not in obj:
+            return default
+        return _number(obj[key], f"{path}.{key}") * 1e-6
+
     hist = None
     if "histogram" in obj:
+        h = _section(obj, "histogram", path + ".")
+        where = path + ".histogram."
+        for key in ("bin_edges_us", "counts"):
+            if key not in h:
+                raise ConfigError(f"{where}{key}: missing")
         hist = (
-            tuple(e * 1e-6 for e in obj["histogram"]["bin_edges_us"]),
-            tuple(obj["histogram"]["counts"]),
+            tuple(e * 1e-6 for e in _numbers(h["bin_edges_us"], where + "bin_edges_us")),
+            tuple(_numbers(h["counts"], where + "counts")),
         )
     return PllDelayModel(
         family=obj.get("family", "shifted-gamma"),
-        min=obj.get("min_us", 0.0) * 1e-6,
-        max=obj.get("max_us", math.inf) * 1e-6 if "max_us" in obj else math.inf,
-        mean=obj.get("mean_us", 0.0) * 1e-6,
-        std=obj.get("std_us", 0.0) * 1e-6,
-        mode=obj["mode_us"] * 1e-6 if "mode_us" in obj else None,
-        mode_std=obj["mode_std_us"] * 1e-6 if "mode_std_us" in obj else None,
+        min=us("min_us", 0.0),
+        max=us("max_us", math.inf),
+        mean=us("mean_us", 0.0),
+        std=us("std_us", 0.0),
+        mode=us("mode_us"),
+        mode_std=us("mode_std_us"),
         histogram=hist,
     )
 
@@ -649,31 +755,50 @@ def chain_to_json(chain: ChainModel) -> dict:
     }
 
 
-def chain_from_json(obj: dict) -> ChainModel:
-    aaf = obj.get("aaf", {})
-    adc = obj.get("adc", {})
-    tb = obj.get("timebase", {})
-    pll = obj.get("pll", {})
-    e_r = _term_from_json(tb.get("e_r_ppm", 0.0))
+def chain_from_json(obj) -> ChainModel:
+    """Build a chain from its profile form; a value of the wrong shape is a ``ConfigError``.
+
+    The error names the dotted key path of the first bad value.
+    """
+    obj = _object(obj, "profile")
+    aaf = _section(obj, "aaf")
+    adc = _section(obj, "adc")
+    tb = _section(obj, "timebase")
+    pll = _section(obj, "pll")
+    e_r = _term_from_json(tb.get("e_r_ppm", 0.0), "timebase.e_r_ppm")
+    rows = _array(tb.get("by_temperature_c", []), "timebase.by_temperature_c")
+    for i, row in enumerate(rows):
+        where = f"timebase.by_temperature_c[{i}]"
+        if len(_numbers(row, where)) != 3:
+            raise ConfigError(f"{where}: expected [temperature_c, mean_ppm, std_ppm]")
     timebase = TimebaseModel(
         overall_mean_ppm=e_r.mean,
         overall_std_ppm=e_r.std,
-        e_r_by_temperature=tuple(tuple(r) for r in tb.get("by_temperature_c", [])),
-        estimator_std_ppm=tb.get("estimator_std_ppm", 0.0),
-        board_std_ppm=tb.get("board_std_ppm", 0.0),
+        e_r_by_temperature=tuple(tuple(r) for r in rows),
+        estimator_std_ppm=_number(tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"),
+        board_std_ppm=_number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
     )
+    within = adc.get("gain_err_within_device_ppm")
+    bits = adc.get("bits")
+    if bits is not None and not (_is_number(bits) and isinstance(bits, int)):
+        raise ConfigError(f"adc.bits: expected an integer or null, got {bits!r}")
+    profiles = _section(pll, "profiles", "pll.")
     return ChainModel(
-        aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0)),
-        aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0)),
-        adc_gain_ppm=_term_from_json(adc.get("gain_err_ppm", 0.0)),
-        adc_gain_within_device_ppm=adc.get("gain_err_within_device_ppm"),
-        adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0)),
-        adc_bits=adc.get("bits"),
-        adc_vref_v=adc.get("vref_v", 10.0),
-        adc_noise_rms_uv=adc.get("noise_rms_uv", 0.0),
+        aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
+        aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0), "aaf.phase_err_urad"),
+        adc_gain_ppm=_term_from_json(adc.get("gain_err_ppm", 0.0), "adc.gain_err_ppm"),
+        adc_gain_within_device_ppm=(
+            None if within is None else _number(within, "adc.gain_err_within_device_ppm")
+        ),
+        adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
+        adc_bits=bits,
+        adc_vref_v=_number(adc.get("vref_v", 10.0), "adc.vref_v"),
+        adc_noise_rms_uv=_number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv"),
         timebase=timebase,
-        pll=_pll_from_json(pll.get("delay", {})) if pll.get("delay") else PllDelayModel(),
-        pll_profiles={k: _pll_from_json(v) for k, v in pll.get("profiles", {}).items()},
+        pll=_pll_from_json(pll["delay"], "pll.delay") if pll.get("delay") else PllDelayModel(),
+        pll_profiles={
+            k: _pll_from_json(v, f"pll.profiles.{k}") for k, v in profiles.items()
+        },
         name=obj.get("name", "chain"),
     )
 
@@ -688,7 +813,12 @@ def read_json(path):
 
 
 def load_profile(path) -> ChainModel:
-    return chain_from_json(read_json(path))
+    """Read a chain profile; a profile of the wrong shape is a ``ConfigError`` naming the file."""
+    obj = read_json(path)
+    try:
+        return chain_from_json(obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def save_profile(chain: ChainModel, path) -> None:

@@ -394,6 +394,10 @@ def cmd_report(args) -> int:
         f"compensated={manifest.get('compensated')} "
         f"saturated_samples={manifest.get('saturated_samples')}"
     )
+    lines.append(
+        f"max_guard_margin={manifest.get('max_guard_margin')} "
+        f"max_trial_saturated_samples={manifest.get('max_trial_saturated_samples')}"
+    )
     lines.append(f"{'metric':<24}{'value':>14}{'limit':>12}  status")
     rows = [
         ("TVE grand mean", f"{grand * 100:.4f} %", f"{TVE_LIMIT * 100:.0f} %", grand <= TVE_LIMIT),

@@ -65,39 +65,69 @@ def fourier_phasor(
     be "trapezoid" for sensitivity checks.  ``timestamp`` selects whether
     envelope samples are attributed to the window start or center.
     """
-    if rule not in ("left", "trapezoid"):
-        raise ValueError(f"unknown integration rule {rule!r}")
-    if timestamp not in ("start", "center"):
-        raise ValueError(f"unknown timestamp convention {timestamp!r}")
+    plan = _FourierPlan.build(waveform.times, window, rule, timestamp)
+    return ComplexEnvelope(times=plan.times, values=plan.rows(waveform.values[None, :])[0])
 
-    t = waveform.times
-    s = waveform.values
-    if t.size < 2:
-        raise EstimationError("waveform too short to estimate a phasor")
-    dt = np.diff(t)
-    step = float(np.median(dt))
-    t_p = window.window_length
-    n_win = round(t_p / step)
-    if n_win < MIN_WINDOW_SAMPLES:
-        raise EstimationError(
-            f"unresolvable window: {n_win} samples per cycle (need >= {MIN_WINDOW_SAMPLES})"
+
+@dataclass(frozen=True)
+class _FourierPlan:
+    """The sliding one-cycle estimator on one sample grid, applied to rows of samples.
+
+    Everything that depends only on the grid (the demodulating exponential,
+    the sample intervals, the window length and the envelope timestamps) is
+    computed once by ``build``; ``rows`` then estimates any number of signals
+    sampled on that grid.
+    """
+
+    demodulator: np.ndarray  # exp(-j*omega_n*t)
+    dt: np.ndarray
+    n_win: int
+    t_p: float
+    rule: str
+    times: np.ndarray  # envelope timestamps
+
+    @classmethod
+    def build(cls, t, window: EstimationWindow, rule: str, timestamp: str) -> "_FourierPlan":
+        if rule not in ("left", "trapezoid"):
+            raise ValueError(f"unknown integration rule {rule!r}")
+        if timestamp not in ("start", "center"):
+            raise ValueError(f"unknown timestamp convention {timestamp!r}")
+        if t.size < 2:
+            raise EstimationError("waveform too short to estimate a phasor")
+        dt = np.diff(t)
+        step = float(np.median(dt))
+        t_p = window.window_length
+        n_win = round(t_p / step)
+        if n_win < MIN_WINDOW_SAMPLES:
+            raise EstimationError(
+                f"unresolvable window: {n_win} samples per cycle (need >= {MIN_WINDOW_SAMPLES})"
+            )
+        if t.size < n_win:
+            raise EstimationError("waveform spans less than one estimation window")
+        omega_n = 2.0 * math.pi * window.harmonic_order * window.nominal_frequency
+        # window j integrates the n_win sample intervals starting at sample j
+        starts = t[: t.size - n_win]
+        return cls(
+            demodulator=np.exp(-1j * omega_n * t),
+            dt=dt,
+            n_win=n_win,
+            t_p=t_p,
+            rule=rule,
+            times=starts + (0.5 * t_p if timestamp == "center" else 0.0),
         )
-    if t.size < n_win:
-        raise EstimationError("waveform spans less than one estimation window")
 
-    omega_n = 2.0 * math.pi * window.harmonic_order * window.nominal_frequency
-    demod = s * np.exp(-1j * omega_n * t)
-    if rule == "left":
-        terms = demod[:-1] * dt
-    else:
-        terms = 0.5 * (demod[:-1] + demod[1:]) * dt
-    csum = np.concatenate(([0.0 + 0.0j], np.cumsum(terms)))
-    # window j integrates the n_win sample intervals starting at sample j
-    n_windows = t.size - n_win
-    coeffs = (2.0 / t_p) * (csum[n_win : n_windows + n_win] - csum[:n_windows])
-    starts = t[:n_windows]
-    times = starts + (0.5 * t_p if timestamp == "center" else 0.0)
-    return ComplexEnvelope(times=times, values=coeffs)
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """Envelope coefficients (rows x windows) of real samples (rows x grid points)."""
+        demod = values * self.demodulator
+        if self.rule == "left":
+            terms = np.multiply(demod[:, :-1], self.dt, out=demod[:, :-1])
+        else:
+            terms = 0.5 * (demod[:, :-1] + demod[:, 1:]) * self.dt
+        csum = np.empty(demod.shape, dtype=complex)
+        csum[:, 0] = 0.0
+        np.cumsum(terms, axis=1, out=csum[:, 1:])
+        n_windows, n_win = self.times.size, self.n_win
+        return (2.0 / self.t_p) * (csum[:, n_win : n_windows + n_win] - csum[:, :n_windows])
 
 
 def tve(measured, reference):

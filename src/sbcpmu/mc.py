@@ -11,16 +11,24 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockResponse, ChainModel, GaussianTerm, acquire, pll_sample
+from .blocks import (
+    BlockResponse,
+    ChainModel,
+    GaussianTerm,
+    _aaf_factor,
+    _acquire_rows,
+    _quantizer,
+    pll_sample,
+)
 from .errors import ScheduleGuardError
-from .estimate import EstimationWindow, fourier_phasor, tve, fe
-from .signals import Phasor, build_schedule
+from .estimate import EstimationWindow, _FourierPlan, fe, tve
+from .signals import Phasor, build_schedule, guard_margin, interval_instants
 
 DEFAULT_COVERAGE_FACTOR = 3.3
 
@@ -110,7 +118,8 @@ def model_curve(
 
     The worst-case band takes all uncertainty terms with the same sign; with
     ``compensated=True`` the means are removed (ideal compensation) and only
-    the uncertainty band remains.
+    the uncertainty band remains.  At a given ``temperature`` the time-base
+    mean and std are interpolated there, as the Monte Carlo draws them.
     """
     t = np.asarray(t_grid, dtype=float)
     m_r = 1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean)
@@ -121,7 +130,7 @@ def model_curve(
     u_r = 1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std)
     u_p = (
         1e-6 * chain.aaf_phase_urad.std
-        + omega * t * 1e-6 * chain.timebase.overall_std_ppm
+        + omega * t * 1e-6 * chain.timebase.std_ppm(temperature)
         + omega * chain.pll.std
     )
     expected = _tve_of_exponent(m_r, m_p)
@@ -212,21 +221,15 @@ class McResult:
     grand_mean_phase_err: float  # mean |phase error|, rad
     window_gap_s: float  # unestimated tail of each PPS interval
     saturated_samples: int  # ADC end-code clips, summed over trials
+    max_guard_margin: float  # max over trials of the pulse-count margin |R-1|*N_s
+    max_trial_saturated_samples: int  # most ADC end-code clips in one trial
 
     @property
     def trials(self) -> int:
         return self.trial_tve.shape[0]
 
 
-def _draw_trial(scenario: McScenario, rng: np.random.Generator) -> TrialDraw:
-    chain = scenario.chain
-    if scenario.temperature_c is None:
-        e_r = GaussianTerm(chain.timebase.overall_mean_ppm, chain.timebase.overall_std_ppm)
-    else:
-        e_r = GaussianTerm(
-            chain.timebase.mean_ppm(scenario.temperature_c),
-            chain.timebase.std_ppm(scenario.temperature_c),
-        )
+def _draw_trial(chain: ChainModel, e_r: GaussianTerm, rng: np.random.Generator) -> TrialDraw:
     return TrialDraw(
         aaf_gain_ppm=rng.normal(chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
         aaf_phase_urad=rng.normal(chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
@@ -234,16 +237,6 @@ def _draw_trial(scenario: McScenario, rng: np.random.Generator) -> TrialDraw:
         adc_offset_uv=rng.normal(chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
         e_r_ppm=rng.normal(e_r.mean, e_r.std),
         delay_s=float(pll_sample(chain.pll, rng)),
-    )
-
-
-def _trial_chain(chain: ChainModel, draw: TrialDraw) -> ChainModel:
-    return replace(
-        chain,
-        aaf_gain_ppm=GaussianTerm(draw.aaf_gain_ppm),
-        aaf_phase_urad=GaussianTerm(draw.aaf_phase_urad),
-        adc_gain_ppm=GaussianTerm(draw.adc_gain_ppm),
-        adc_offset_uv=GaussianTerm(draw.adc_offset_uv),
     )
 
 
@@ -257,58 +250,155 @@ def _mean_response_factor(
     return m_r * np.exp(1j * m_p)
 
 
+# Trials per block.  A block's complex temporaries (about 1.3 MB each at
+# 5 kHz and 1 s PPS intervals) stay near the cache; the engine never holds a
+# complex array of every trial.
+BLOCK_TRIALS = 16
+
+
+@dataclass
+class _Block:
+    """The outcome of one block of consecutive trials."""
+
+    envelopes: np.ndarray  # rows x windows, compensated if the scenario is
+    draws: list
+    guard_margins: np.ndarray  # |R-1|*N_s per trial
+    clipped: np.ndarray  # ADC end-code clips per trial
+
+
+class _Engine:
+    """One scenario's trials, run a block at a time.
+
+    What does not change between trials is computed once: the nominal sample
+    grid and its demodulating exponential, the time-base statistics at the
+    scenario's temperature, the quantizer and the compensation factor.
+    """
+
+    def __init__(self, scenario: McScenario):
+        self.scenario = scenario
+        chain = scenario.chain
+        nominal = build_schedule(scenario.nominal_rate, 1.0, [0.0], scenario.pps_period)
+        self.sample_period = nominal.sample_period
+        self.samples = nominal.samples_per_interval
+        self.plan = _FourierPlan.build(
+            nominal.nominal_instants(),
+            EstimationWindow(scenario.phasor.frequency),
+            rule="left",
+            timestamp="center",
+        )
+        self.e_r = GaussianTerm(
+            chain.timebase.mean_ppm(scenario.temperature_c),
+            chain.timebase.std_ppm(scenario.temperature_c),
+        )
+        self.noise_rms = 1e-6 * chain.adc_noise_rms_uv
+        self.quantizer = _quantizer(chain)
+        self.compensation = None
+        if scenario.compensate:
+            self.compensation = _mean_response_factor(
+                chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
+            )
+
+    def run(self, start: int, stop: int) -> _Block:
+        """Trials ``start`` to ``stop - 1``; each is seeded by (base_seed, trial index) alone."""
+        scenario = self.scenario
+        rows = stop - start
+        draws = []
+        ratios = np.empty(rows)
+        margins = np.empty(rows)
+        noise = np.empty((rows, self.samples)) if self.noise_rms > 0 else None
+        for r, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng([scenario.base_seed, i])
+            draw = _draw_trial(scenario.chain, self.e_r, rng)
+            ratios[r] = ratio = 1.0 + 1e-6 * draw.e_r_ppm
+            try:
+                margins[r] = guard_margin(ratio, self.samples)
+            except ScheduleGuardError as exc:
+                raise ScheduleGuardError(
+                    f"trial {i} aborted: {exc}; draw = {draw.to_json()}"
+                ) from exc
+            if noise is not None:
+                noise[r] = rng.normal(0.0, self.noise_rms, size=self.samples)
+            draws.append(draw)
+        t_real = interval_instants(
+            self.sample_period, ratios[:, None], [d.delay_s for d in draws], self.samples
+        )
+        values, clipped = _acquire_rows(
+            scenario.phasor,
+            [_aaf_factor(d.aaf_gain_ppm, d.aaf_phase_urad) for d in draws],
+            [1.0 + 1e-6 * d.adc_gain_ppm for d in draws],
+            [1e-6 * d.adc_offset_uv for d in draws],
+            t_real,
+            noise,
+            self.quantizer,
+        )
+        envelopes = self.plan.rows(values)
+        if self.compensation is not None:
+            np.divide(envelopes, self.compensation, out=envelopes)
+        return _Block(envelopes, draws, margins, clipped)
+
+
 def run_trial(scenario: McScenario, trial_index: int):
-    """Run one seeded trial.
+    """Run one seeded trial: the Monte Carlo engine on a block of one.
 
     Returns ``(t_in_pps, tve_trace, envelope_values, draw, saturated_samples)``,
     the last being the number of samples the ADC clipped at its end codes.
+    With ``scenario.compensate`` the envelope and its TVE are compensated, so
+    the trace equals row ``trial_index`` of ``monte_carlo(scenario).trial_tve``.
 
     Seeding depends only on (base_seed, trial_index) so results are invariant
     under any execution order.
     """
-    rng = np.random.default_rng([scenario.base_seed, trial_index])
-    draw = _draw_trial(scenario, rng)
-    ratio = 1.0 + 1e-6 * draw.e_r_ppm
-    try:
-        schedule = build_schedule(
-            scenario.nominal_rate, ratio, [draw.delay_s], scenario.pps_period
-        )
-    except ScheduleGuardError as exc:
-        raise ScheduleGuardError(
-            f"trial {trial_index} aborted: {exc}; draw = {draw.to_json()}"
-        ) from exc
-    chain = _trial_chain(scenario.chain, draw)
-    waveform = acquire(scenario.phasor, chain, schedule, rng)
-    window = EstimationWindow(scenario.phasor.frequency)
-    env = fourier_phasor(waveform, window, timestamp="center")
-    trace = tve(env.values, scenario.phasor.value)
-    return env.times, trace, env.values, draw, waveform.metadata["saturated_samples"]
+    engine = _Engine(scenario)
+    block = engine.run(trial_index, trial_index + 1)
+    env = block.envelopes[0]
+    trace = tve(env, scenario.phasor.value)
+    return engine.plan.times, trace, env, block.draws[0], int(block.clipped[0])
+
+
+def _error_rows(env, ref, tve_rows, mag_rows, phase_rows) -> None:
+    """Write the TVE, |relative magnitude error| and |phase error| of envelope rows.
+
+    ``env`` is overwritten.
+    """
+    tve_rows[:] = tve(env, ref)
+    np.abs(env, out=mag_rows)
+    mag_rows /= abs(ref)
+    mag_rows -= 1.0
+    np.abs(mag_rows, out=mag_rows)
+    np.divide(env, ref, out=env)
+    np.arctan2(env.imag, env.real, out=phase_rows)  # np.angle, in place
+    np.abs(phase_rows, out=phase_rows)
 
 
 def monte_carlo(scenario: McScenario) -> McResult:
-    """Run all trials, aggregate the TVE statistics and overlay the model curve."""
+    """Run all trials, aggregate the TVE statistics and overlay the model curve.
+
+    Trials run in blocks of ``BLOCK_TRIALS``; each block's TVE, relative
+    magnitude error and phase error go straight into rows of the result
+    arrays, so memory stays bounded by the float64 per-trial traces.
+    """
     omega = scenario.phasor.omega
     ref = scenario.phasor.value
     chain = scenario.chain
 
-    t_in_pps = None
-    traces = []
-    envelopes = []
-    saturated = 0
-    for i in range(scenario.trials):
-        times, trace, env, _, clipped = run_trial(scenario, i)
-        if t_in_pps is None:
-            t_in_pps = times
-        traces.append(trace)
-        envelopes.append(env)
-        saturated += clipped
-    trial_env = np.vstack(envelopes)
-    trial_tve = np.vstack(traces)
-
-    if scenario.compensate:
-        comp = _mean_response_factor(chain, omega, t_in_pps, scenario.temperature_c)
-        trial_env = trial_env / comp[None, :]
-        trial_tve = np.abs(trial_env - ref) / abs(ref)
+    engine = _Engine(scenario)
+    t_in_pps = engine.plan.times
+    shape = (scenario.trials, t_in_pps.size)
+    trial_tve = np.empty(shape)
+    rel_mag = np.empty(shape)
+    phase_err = np.empty(shape)
+    guard_margins = np.empty(scenario.trials)
+    clipped = np.empty(scenario.trials, dtype=np.int64)
+    for start in range(0, scenario.trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, scenario.trials)
+        block = engine.run(start, stop)
+        rows = slice(start, stop)
+        _error_rows(block.envelopes, ref, trial_tve[rows], rel_mag[rows], phase_err[rows])
+        guard_margins[start:stop] = block.guard_margins
+        clipped[start:stop] = block.clipped
+    grand_mean_mag_err = float(rel_mag.mean())
+    grand_mean_phase_err = float(phase_err.mean())
+    del rel_mag, phase_err
 
     mean_tve = trial_tve.mean(axis=0)
     k = scenario.coverage_factor
@@ -317,9 +407,6 @@ def monte_carlo(scenario: McScenario) -> McResult:
         chain, omega, t_in_pps, compensated=scenario.compensate,
         temperature=scenario.temperature_c,
     )
-
-    rel_mag = np.abs(np.abs(trial_env) / abs(ref) - 1.0)
-    phase_err = np.abs(np.angle(trial_env / ref))
 
     fe_hz = fe(
         scenario.phasor.frequency,
@@ -337,10 +424,12 @@ def monte_carlo(scenario: McScenario) -> McResult:
         compensated=scenario.compensate,
         fe_hz=fe_hz,
         grand_mean_tve=float(trial_tve.mean()),
-        grand_mean_mag_err=float(rel_mag.mean()),
-        grand_mean_phase_err=float(phase_err.mean()),
+        grand_mean_mag_err=grand_mean_mag_err,
+        grand_mean_phase_err=grand_mean_phase_err,
         window_gap_s=float(scenario.pps_period - t_in_pps[-1]),
-        saturated_samples=saturated,
+        saturated_samples=int(clipped.sum()),
+        max_guard_margin=float(guard_margins.max()),
+        max_trial_saturated_samples=int(clipped.max()),
     )
 
 
@@ -383,6 +472,8 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
             "window_gap_s": result.window_gap_s,
             "trials": result.trials,
             "saturated_samples": result.saturated_samples,
+            "max_trial_saturated_samples": result.max_trial_saturated_samples,
+            "max_guard_margin": result.max_guard_margin,
             "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
     )

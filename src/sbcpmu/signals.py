@@ -157,13 +157,7 @@ class SamplingSchedule:
         if len(self.delays) == 0:
             raise ValueError("at least one PPS interval is required")
         object.__setattr__(self, "delays", tuple(float(d) for d in self.delays))
-        guard = abs(self.deviation_ratio - 1.0) * self.samples_per_interval
-        if guard >= 1.0:
-            raise ScheduleGuardError(
-                "N_s pulse-count approximation invalid: "
-                f"|R-1|*N_s = {guard:.3g} >= 1 "
-                f"(R={self.deviation_ratio!r}, N_s={self.samples_per_interval})"
-            )
+        guard_margin(self.deviation_ratio, self.samples_per_interval)
 
     @property
     def sample_period(self) -> float:
@@ -179,16 +173,37 @@ class SamplingSchedule:
 
     def nominal_instants(self) -> np.ndarray:
         """Sample times as the device believes them: k*T + n*T_s."""
-        n = np.arange(self.samples_per_interval) * self.sample_period
         k = np.arange(self.intervals) * self.pps_period
-        return (k[:, None] + n[None, :]).ravel()
+        return interval_instants(self.sample_period, 1.0, k, self.samples_per_interval).ravel()
 
     def realized_instants(self) -> np.ndarray:
         """Physical sampling times: k*T + n*T_s*R + tau_k."""
-        n = np.arange(self.samples_per_interval) * self.sample_period * self.deviation_ratio
         k = np.arange(self.intervals) * self.pps_period
-        tau = np.asarray(self.delays)
-        return ((k + tau)[:, None] + n[None, :]).ravel()
+        starts = k + np.asarray(self.delays)
+        return interval_instants(
+            self.sample_period, self.deviation_ratio, starts, self.samples_per_interval
+        ).ravel()
+
+
+def guard_margin(deviation_ratio: float, samples_per_interval: int) -> float:
+    """The pulse-count margin |R-1|*N_s; raises ``ScheduleGuardError`` unless it is < 1."""
+    guard = abs(deviation_ratio - 1.0) * samples_per_interval
+    if guard >= 1.0:
+        raise ScheduleGuardError(
+            "N_s pulse-count approximation invalid: "
+            f"|R-1|*N_s = {guard:.3g} >= 1 "
+            f"(R={deviation_ratio!r}, N_s={samples_per_interval})"
+        )
+    return guard
+
+
+def interval_instants(sample_period: float, deviation_ratio, starts, samples: int) -> np.ndarray:
+    """Sample instants start + n*T_s*R, one row of ``samples`` per entry of ``starts``.
+
+    ``deviation_ratio`` is a scalar, or a column with one ratio per row.
+    """
+    n = np.arange(samples) * sample_period * deviation_ratio
+    return np.asarray(starts)[:, None] + n
 
 
 def build_schedule(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sbcpmu.characterize import (
     GroupedSamples,
@@ -85,6 +85,10 @@ class TestOls:
     @settings(max_examples=50)
     def test_oracle_property(self, xs, g, b):
         x = np.asarray(xs)
+        # y = g*x + b rounds each y by ~1e-14; below this spread of x that
+        # rounding, not the fit, decides the recovered slope
+        # (test_tiny_input_spread covers the fit itself at a tiny spread)
+        assume(np.ptp(x) > 1e-5)
         y = g * x + b
         fit = ols_fit(SweepRecord(v_in=x, v_out=y))
         assert fit.gain == pytest.approx(g, abs=1e-7)

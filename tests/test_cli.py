@@ -103,16 +103,42 @@ class TestSimulate:
         assert main(["simulate", "--config", str(p)]) == 2
         assert f"{profile}: line 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile_json, key_path",
+        [
+            ({"adc": {"gain_err_ppm": {"std": 1.0}}}, "adc.gain_err_ppm.mean: missing"),
+            ([1, 2], "profile: expected an object, got an array"),
+        ],
+    )
+    def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
+        p = tmp_path / "cfg.json"
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(profile_json))
+        write_config(p, chain_profile=str(profile))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert f"{profile}: {key_path}" in capsys.readouterr().err
+
     def test_report_header_shows_clipping(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, signal={"amplitude_v": 12.0, "frequency_hz": 50.0})
         assert main(["simulate", "--config", str(p)]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["saturated_samples"] > 0
+        assert 0 < manifest["max_trial_saturated_samples"] <= manifest["saturated_samples"]
+        assert 0 < manifest["max_guard_margin"] < 1
         capsys.readouterr()
         assert main(["report", str(tmp_path / "run")]) == 0
-        header = capsys.readouterr().out.splitlines()[1]
-        assert header.endswith(f"saturated_samples={manifest['saturated_samples']}")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith(f"saturated_samples={manifest['saturated_samples']}")
+        assert lines[2] == (
+            f"max_guard_margin={manifest['max_guard_margin']} "
+            f"max_trial_saturated_samples={manifest['max_trial_saturated_samples']}"
+        )
+        assert [line.split("  ")[0] for line in lines[4:]] == [
+            "TVE grand mean",
+            "TVE max of mean trace",
+            "FE",
+        ]
 
     def test_guard_violation_exit(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 import json
 import math
 import platform
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from sbcpmu.blocks import (
     identity_chain,
     paper_profile,
 )
+from sbcpmu.errors import ScheduleGuardError
 from sbcpmu.mc import (
+    BLOCK_TRIALS,
     McScenario,
     UncertaintyBudget,
     budget,
@@ -99,6 +103,50 @@ class TestModelCurve:
         assert np.all(c.band_hi >= c.expected - 1e-15)
         assert np.all(c.band_lo <= c.expected + 1e-15)
 
+    def test_band_at_temperature_follows_interpolated_std(self):
+        # the Monte Carlo draws e_r with the std interpolated at 35 C (1.675
+        # ppm between the 30 and 40 C rows), not the all-conditions 3.67 ppm
+        chain = paper_profile()
+        t = np.linspace(0, 1, 11)
+        c = model_curve(chain, OMEGA_50, t, compensated=True, temperature=35.0)
+        assert chain.timebase.std_ppm(35.0) == pytest.approx(1.675)
+        u_r = 1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std)
+        u_p = (
+            1e-6 * chain.aaf_phase_urad.std
+            + OMEGA_50 * t * 1e-6 * chain.timebase.std_ppm(35.0)
+            + OMEGA_50 * chain.pll.std
+        )
+        assert np.allclose(c.band_hi, np.abs(np.exp(u_r + 1j * u_p) - 1.0), rtol=1e-12, atol=0)
+        overall = model_curve(chain, OMEGA_50, t, compensated=True)
+        assert c.band_hi[-1] < overall.band_hi[-1]
+
+    def test_curve_without_temperature_unchanged(self):
+        # the all-conditions curve, written out with the overall e_r statistics
+        chain = paper_profile()
+        t = np.linspace(0, 1, 101)
+        c = model_curve(chain, OMEGA_50, t)
+        tb = chain.timebase
+        m_r = 1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean)
+        m_p = (
+            1e-6 * chain.aaf_phase_urad.mean
+            + OMEGA_50 * t * (1e-6 * tb.overall_mean_ppm)
+            + OMEGA_50 * chain.pll.mean
+        )
+        u_r = 1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std)
+        u_p = (
+            1e-6 * chain.aaf_phase_urad.std
+            + OMEGA_50 * t * 1e-6 * tb.overall_std_ppm
+            + OMEGA_50 * chain.pll.std
+        )
+        corners = [
+            np.abs(np.exp(m_r + sr * u_r + 1j * (m_p + sp * u_p)) - 1.0)
+            for sr in (-1.0, 1.0)
+            for sp in (-1.0, 1.0)
+        ]
+        assert np.array_equal(c.expected, np.abs(np.exp(m_r + 1j * m_p) - 1.0))
+        assert np.array_equal(c.band_hi, np.max(corners, axis=0))
+        assert np.array_equal(c.band_lo, np.min(corners, axis=0))
+
 
 def small_scenario(**kw):
     args = dict(
@@ -163,6 +211,85 @@ class TestMonteCarlo:
         per_trial = [run_trial(over, i)[4] for i in range(3)]
         assert all(n > 0 for n in per_trial)
         assert r.saturated_samples == sum(per_trial)
+        assert r.max_trial_saturated_samples == max(per_trial)
+
+    def test_max_guard_margin(self):
+        s = small_scenario()
+        r = monte_carlo(s)
+        ratios = [1.0 + 1e-6 * run_trial(s, i)[3].e_r_ppm for i in range(s.trials)]
+        assert r.max_guard_margin == max(abs(x - 1.0) * 5000 for x in ratios)
+        assert 0 < r.max_guard_margin < 1
+
+    def test_guard_violation_names_trial_and_draw(self):
+        chain = replace(paper_profile(), timebase=TimebaseModel(500.0, 0.0))
+        with pytest.raises(
+            ScheduleGuardError,
+            match=r"^trial 0 aborted: N_s pulse-count approximation invalid: "
+            r"\|R-1\|\*N_s = 2\.5 >= 1 \(R=1\.0005, N_s=5000\); draw = \{'aaf_gain_ppm': ",
+        ):
+            monte_carlo(small_scenario(chain=chain))
+
+
+def _equivalence_scenarios():
+    paper = paper_profile()
+    histogram = ((4e-6, 5e-6, 6e-6, 8e-6), (3, 5, 2))
+    return {
+        "uncompensated": small_scenario(),
+        "compensated": small_scenario(compensate=True),
+        "temperature": small_scenario(temperature_c=35.0, compensate=True),
+        "adc-noise": small_scenario(chain=replace(paper, adc_noise_rms_uv=300.0)),
+        "ideal-adc": small_scenario(chain=replace(paper, adc_bits=None)),
+        "truncated-normal": small_scenario(
+            chain=replace(
+                paper,
+                pll=PllDelayModel(
+                    family="truncated-normal", min=4e-6, max=9e-6, mean=6e-6, std=1e-6
+                ),
+            )
+        ),
+        "empirical-histogram": small_scenario(
+            chain=replace(
+                paper, pll=PllDelayModel(family="empirical-histogram", histogram=histogram)
+            )
+        ),
+        # 10.3 V peaks clip in every trial, on both sides of the block boundary
+        "clipping-across-blocks": small_scenario(
+            trials=BLOCK_TRIALS + 3, phasor=Phasor(10.3, 0.3, 50.0)
+        ),
+    }
+
+
+class TestEngineEquivalence:
+    """Every row of the blocked engine equals the trial run alone, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_equivalence_scenarios()))
+    def test_rows_equal_single_trials(self, name):
+        scenario = _equivalence_scenarios()[name]
+        r = monte_carlo(scenario)
+        clipped = []
+        for i in range(scenario.trials):
+            times, trace, _, _, n = run_trial(scenario, i)
+            assert np.array_equal(times, r.t_in_pps)
+            assert trace.tobytes() == r.trial_tve[i].tobytes(), f"trial {i}"
+            clipped.append(n)
+        assert r.saturated_samples == sum(clipped)
+        assert r.max_trial_saturated_samples == max(clipped)
+        if name == "clipping-across-blocks":
+            assert min(clipped) > 0
+
+
+class TestMemory:
+    def test_peak_is_bounded_by_the_traces(self):
+        # 256 reference trials: the engine keeps the float64 result rows plus
+        # one block of temporaries, never every trial's complex envelope
+        scenario = small_scenario(trials=256, base_seed=0)
+        tracemalloc.start()
+        try:
+            r = monte_carlo(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * r.trial_tve.nbytes
 
 
 class TestWriteRun:
@@ -184,6 +311,8 @@ class TestWriteRun:
         assert manifest["trials"] == 2
         assert manifest["compensated"] is False
         assert manifest["saturated_samples"] == 0
+        assert manifest["max_trial_saturated_samples"] == 0
+        assert manifest["max_guard_margin"] == r.max_guard_margin
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
