@@ -780,8 +780,11 @@ def chain_from_json(obj) -> ChainModel:
     )
     within = adc.get("gain_err_within_device_ppm")
     bits = adc.get("bits")
-    if bits is not None and not (_is_number(bits) and isinstance(bits, int)):
-        raise ConfigError(f"adc.bits: expected an integer or null, got {bits!r}")
+    if bits is not None and not (_is_number(bits) and isinstance(bits, int) and bits >= 1):
+        raise ConfigError(f"adc.bits: expected an integer >= 1 or null, got {bits!r}")
+    vref = _number(adc.get("vref_v", 10.0), "adc.vref_v")
+    if not vref > 0:
+        raise ConfigError(f"adc.vref_v: expected a number > 0, got {vref!r}")
     profiles = _section(pll, "profiles", "pll.")
     return ChainModel(
         aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
@@ -792,7 +795,7 @@ def chain_from_json(obj) -> ChainModel:
         ),
         adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
         adc_bits=bits,
-        adc_vref_v=_number(adc.get("vref_v", 10.0), "adc.vref_v"),
+        adc_vref_v=vref,
         adc_noise_rms_uv=_number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv"),
         timebase=timebase,
         pll=_pll_from_json(pll["delay"], "pll.delay") if pll.get("delay") else PllDelayModel(),

@@ -9,7 +9,9 @@ estimator noise, channel-to-channel and board-to-board dispersion.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
@@ -377,64 +379,227 @@ def variance_decomposition(grouped: GroupedSamples, ddof: int = 0) -> Decomposit
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, required: Sequence[str]):
+# Each reader checks the header by name with ``csv``, so column order is free,
+# parses the columns it uses with ``np.loadtxt`` and groups the rows with
+# ``np.unique``.  Groups come in order of first appearance and keep the rows'
+# file order, so every downstream sum adds its terms in file order.  Label
+# columns are parsed as unsized ``str``: a fixed width would cut long labels
+# and merge their groups.  Errors are found on whole columns; only then is the
+# file read again, row by row, for the line number to report.
+
+
+def _read_header(path, required: Sequence[str]) -> dict:
+    """Column index by name; a missing required column is a ``ConfigError``."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
-        return header, list(reader)
+        header = next(csv.reader(fh), [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
+    return {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+
+
+def _read_columns(path, index: dict, names: Sequence[str], dtype) -> dict:
+    """Columns ``names`` of every data row, parsed as ``dtype`` (``float`` or ``str``).
+
+    A cell that does not parse, a row without one of the columns and a file
+    without data rows are each a ``ConfigError``.  Blank lines are skipped.
+    """
+    with warnings.catch_warnings():
+        # loadtxt warns on blank lines and on a file without data rows
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
+                comments=None, quotechar='"', dtype=dtype, ndmin=2,
+            )
+        except ValueError as exc:
+            # loadtxt's own row numbers start at 0 or 1 by error, and again in
+            # each chunk of a text column
+            raise _unreadable(path, index, names, dtype) or ConfigError(f"{path}: {exc}") from exc
+    if table.shape[0] == 0:
+        raise ConfigError(f"{path}: no data rows")
+    return dict(zip(names, table.T))
+
+
+def _data_rows(path):
+    """(line number, fields) of each data row: the rows after the header, blank lines skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def _bad_cell(path, line: int, name: str, what: str, cell) -> ConfigError:
+    return ConfigError(f"{path}: line {line}: {name} must be {what}, got {cell!r}")
+
+
+def _unreadable(path, index: dict, names: Sequence[str], dtype) -> Optional[ConfigError]:
+    """The error at the first row without one of the columns, or with a cell that is not a number."""
+    for line, row in _data_rows(path):
+        for name in names:
+            if index[name] >= len(row):
+                return ConfigError(f"{path}: line {line}: no {name} column ({len(row)} fields)")
+            if dtype is float:
+                try:
+                    float(row[index[name]])
+                except ValueError:
+                    return _bad_cell(path, line, name, "a number", row[index[name]])
+    return None
+
+
+def _row_line(path, row: int) -> int:
+    """Line number of data row ``row`` (counted from 0)."""
+    return next(itertools.islice(_data_rows(path), row, None))[0]
+
+
+def _check(path, name: str, ok: np.ndarray, what: str, cells: np.ndarray) -> None:
+    """A ``ConfigError`` naming the line of the first data row where ``ok`` is not set."""
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise _bad_cell(path, _row_line(path, row), name, what, cells[row].item())
+
+
+def _floats(path, name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``float()`` of the text ``cells`` where ``rows`` is set, NaN elsewhere."""
+    out = np.full(cells.size, np.nan)
+    try:
+        out[rows] = cells[rows].astype(np.float64)
+    except ValueError:
+        for row in np.flatnonzero(rows):
+            try:
+                float(cells[row])
+            except ValueError:
+                raise _bad_cell(
+                    path, _row_line(path, row), name, "a number", str(cells[row])
+                ) from None
+        raise
+    return out
+
+
+def _factorize(values: np.ndarray):
+    """Codes numbering the distinct values in order of first appearance, and those values."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], distinct[order].tolist()
+
+
+def _group(*factors) -> dict:
+    """Row indexes per distinct tuple of labels, in order of first appearance.
+
+    Each factor is a ``(codes, labels)`` pair as ``_factorize`` returns it.
+    Each group's row indexes are in file order.
+    """
+    code = np.zeros_like(factors[0][0])
+    for codes, labels in factors:
+        code = code * len(labels) + codes
+    group, _ = _factorize(code)
+    groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    return {tuple(labels[codes[rows[0]]] for codes, labels in factors): rows for rows in groups}
 
 
 def read_sweep_csv(path) -> dict:
-    """Parse `v_in,v_out,channel,device` rows into SweepRecords keyed by (device, channel)."""
-    _, rows = _read_rows(path, ["v_in", "v_out", "channel", "device"])
-    buckets: dict = {}
-    for row in rows:
-        key = (row["device"], row["channel"])
-        buckets.setdefault(key, ([], []))
-        buckets[key][0].append(float(row["v_in"]))
-        buckets[key][1].append(float(row["v_out"]))
-    return {
-        key: SweepRecord(v_in=vi, v_out=vo, device=key[0], channel=key[1])
-        for key, (vi, vo) in buckets.items()
-    }
+    """Parse `v_in,v_out,channel,device` rows into SweepRecords keyed by (device, channel).
 
-
-def read_counter_csv(path) -> list:
-    """Parse `count,device,temperature_c` rows (temperature may be blank)."""
-    _, rows = _read_rows(path, ["count", "device"])
-    out = []
-    for row in rows:
-        temp = row.get("temperature_c")
-        out.append(
-            {
-                "count": float(row["count"]),
-                "device": row["device"],
-                "temperature_c": float(temp) if temp not in (None, "") else None,
-            }
-        )
+    Keys come in order of first appearance and each record keeps its rows'
+    file order.  Voltages must be finite; a channel needs at least 3 points.
+    """
+    index = _read_header(path, ["v_in", "v_out", "channel", "device"])
+    volts = _read_columns(path, index, ["v_in", "v_out"], float)
+    labels = _read_columns(path, index, ["device", "channel"], str)
+    for name, values in volts.items():
+        _check(path, name, np.isfinite(values), "a finite number", values)
+    out = {}
+    groups = _group(_factorize(labels["device"]), _factorize(labels["channel"]))
+    for (device, channel), rows in groups.items():
+        try:
+            out[device, channel] = SweepRecord(
+                v_in=volts["v_in"][rows], v_out=volts["v_out"][rows],
+                device=device, channel=channel,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: device {device!r} channel {channel!r}: {exc}") from exc
     return out
+
+
+def _temperatures(path, cells: np.ndarray):
+    """``_factorize`` of a temperature column, with the value of each spelling (blank: None)."""
+    codes, spellings = _factorize(cells)
+    values = []
+    for text in spellings:
+        try:
+            value = float(text) if text != "" else None
+        except ValueError:
+            value = math.nan
+        if value is not None and not math.isfinite(value):
+            _check(path, "temperature_c", cells != text, "a finite number or blank", cells)
+        values.append(value)
+    return codes, values
+
+
+def read_counter_csv(path) -> dict:
+    """Parse `count,device,temperature_c` rows into counts keyed by (temperature_c, device).
+
+    The temperature column may be absent and a cell may be blank; either is
+    a temperature of None.  Keys come in order of first appearance and each
+    float64 array keeps its rows' file order.  A count must be finite and > 0.
+    """
+    index = _read_header(path, ["count", "device"])
+    counts = _read_columns(path, index, ["count"], float)["count"]
+    _check(path, "count", np.isfinite(counts) & (counts > 0), "a finite number > 0", counts)
+    if "temperature_c" in index:
+        labels = _read_columns(path, index, ["device", "temperature_c"], str)
+        spelling, values = _temperatures(path, labels["temperature_c"])
+    else:
+        labels = _read_columns(path, index, ["device"], str)
+        spelling, values = np.zeros(counts.size, dtype=np.intp), [None]
+    # spellings of one value ("20", "20.0", and "0" with "-0") are one
+    # temperature; a key holds the value its group's first row spells
+    ids: dict = {}
+    same = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.intp)
+    groups = _group((same[spelling], list(ids)), _factorize(labels["device"]))
+    return {
+        (values[spelling[rows[0]]], device): counts[rows]
+        for (_, device), rows in groups.items()
+    }
 
 
 def read_delay_csv(path, known_base: float = 100e6) -> dict:
     """Parse delay captures into arrays of seconds keyed by stress profile.
 
     Accepts either a `count` column (edge counts against ``known_base``) or a
-    direct `delay_us` column, plus a `profile` column.
+    direct `delay_us` column, plus a `profile` column.  With both columns, a
+    row with a blank `delay_us` uses its count.  Keys come in order of first
+    appearance and each array keeps its rows' file order.
     """
-    header, rows = _read_rows(path, ["profile"])
-    if "count" not in header and "delay_us" not in header:
+    index = _read_header(path, ["profile"])
+    sources = [c for c in ("delay_us", "count") if c in index]
+    if not sources:
         raise ConfigError(f"{path}: need a `count` or `delay_us` column")
-    buckets: dict = {}
-    for row in rows:
-        if row.get("delay_us") not in (None, ""):
-            delay = float(row["delay_us"]) * 1e-6
-        else:
-            delay, _ = edge_separation(int(float(row["count"])), known_base)
-        buckets.setdefault(row["profile"], []).append(delay)
-    return {k: np.asarray(v) for k, v in buckets.items()}
+    profile = _read_columns(path, index, ["profile"], str)["profile"]
+    if len(sources) == 2:
+        # only here can a row lack its delay_us, so only here are they parsed as text
+        cells = _read_columns(path, index, sources, str)
+        use_count = cells["delay_us"] == ""
+        values = np.where(
+            use_count,
+            _floats(path, "count", cells["count"], use_count),
+            _floats(path, "delay_us", cells["delay_us"], ~use_count),
+        )
+    else:
+        values = _read_columns(path, index, sources, float)[sources[0]]
+        use_count = np.full(values.size, sources == ["count"])
+    _check(path, "delay_us", use_count | np.isfinite(values), "a finite number", values)
+    _check(
+        path, "count", ~use_count | (np.isfinite(values) & (values >= 0)),
+        "a finite number >= 0", values,
+    )
+    # whole edges, as int() counts them; + 0.0 because int() has no -0.0 for a "-0"
+    delay = np.where(use_count, (np.trunc(values) + 0.0) / known_base, values * 1e-6)
+    return {key: delay[rows] for (key,), rows in _group(_factorize(profile)).items()}
 
 
 __all__ = [

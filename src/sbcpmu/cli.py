@@ -141,9 +141,14 @@ def _resolve_profile(name: str) -> ChainModel:
     return load_profile(path)
 
 
-def scenario_hash(cfg: ScenarioConfig) -> str:
-    canonical = json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
+def _json_sha256(obj) -> str:
+    """SHA-256 of the canonical (sorted keys, compact) JSON form of ``obj``."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def scenario_hash(cfg: ScenarioConfig) -> str:
+    return _json_sha256(cfg.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,8 @@ def cmd_simulate(args) -> int:
         "scenario": cfg.to_json(),
         "scenario_hash": scenario_hash(cfg),
         "chain_name": chain.name,
+        # a changed profile under the same name shows as another hash
+        "chain_sha256": _json_sha256(chain_to_json(chain)),
     }
     write_run(result, cfg.output_dir, manifest)
     print(f"run written to {cfg.output_dir}")
@@ -241,14 +248,10 @@ def _characterize_sweep(path) -> dict:
 
 
 def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
-    rows = read_counter_csv(path)
     nominal_period = 1.0 / nominal_rate
-    cells: dict = {}
-    for row in rows:
-        cells.setdefault((row["temperature_c"], row["device"]), []).append(row["count"])
     cell_results = {
         key: one_counter_estimate(counts, known_base, nominal_period)
-        for key, counts in cells.items()
+        for key, counts in read_counter_csv(path).items()
     }
     all_r = np.concatenate([res.r_values for res in cell_results.values()])
     any_result = next(iter(cell_results.values()))
@@ -388,7 +391,10 @@ def cmd_report(args) -> int:
     fe_hz = float(manifest.get("fe_hz", math.nan))
 
     lines = []
-    lines.append(f"run: {manifest.get('scenario_hash', '?')[:12]}")
+    lines.append(
+        f"run: {manifest.get('scenario_hash', '?')[:12]} "
+        f"chain_sha256={manifest.get('chain_sha256', '?')[:12]}"
+    )
     lines.append(
         f"seed={manifest.get('seed')} trials={manifest.get('trials')} "
         f"compensated={manifest.get('compensated')} "

@@ -306,11 +306,8 @@ def test_criterion_9_table_round_trips(tmp_path):
                     rows.append(f"{int(c)},board{b},{temp}")
         path = tmp_path / "counter.csv"
         path.write_text("\n".join(rows) + "\n")
-        cells = {}
-        for row in read_counter_csv(path):
-            cells.setdefault((row["temperature_c"], row["device"]), []).append(row["count"])
         groups = {}
-        for (temp, _b), counts in cells.items():
+        for (temp, _b), counts in read_counter_csv(path).items():
             est = one_counter_estimate(counts, known_base, 1 / rate)
             groups.setdefault(str(temp), []).append((est.r_mean - 1) * 1e6)
         dec = variance_decomposition(GroupedSamples(groups), ddof=0)

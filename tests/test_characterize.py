@@ -1,8 +1,10 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sbcpmu.characterize import (
     GroupedSamples,
@@ -280,9 +282,10 @@ class TestCsvReaders:
     def test_counter_optional_temperature(self, tmp_path):
         p = tmp_path / "counts.csv"
         p.write_text("count,device,temperature_c\n2000,dev0,20\n1999,dev0,\n")
-        rows = read_counter_csv(p)
-        assert rows[0]["temperature_c"] == 20.0
-        assert rows[1]["temperature_c"] is None
+        cells = read_counter_csv(p)
+        assert list(cells) == [(20.0, "dev0"), (None, "dev0")]
+        assert cells[20.0, "dev0"].tolist() == [2000.0]
+        assert cells[None, "dev0"].tolist() == [1999.0]
 
     def test_delay_count_or_us(self, tmp_path):
         p = tmp_path / "delay.csv"
@@ -295,3 +298,174 @@ class TestCsvReaders:
         r.write_text("profile\nidle\n")
         with pytest.raises(ConfigError):
             read_delay_csv(r)
+
+
+# ---------------------------------------------------------------------------
+# The columnar readers against a row-by-row csv.DictReader reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def reference_sweep(path):
+    buckets = {}
+    for row in _reference_rows(path):
+        v_in, v_out = buckets.setdefault((row["device"], row["channel"]), ([], []))
+        v_in.append(float(row["v_in"]))
+        v_out.append(float(row["v_out"]))
+    return {key: (np.asarray(vi), np.asarray(vo)) for key, (vi, vo) in buckets.items()}
+
+
+def reference_counter(path):
+    cells = {}
+    for row in _reference_rows(path):
+        temp = row.get("temperature_c")
+        key = (float(temp) if temp not in (None, "") else None, row["device"])
+        cells.setdefault(key, []).append(float(row["count"]))
+    return {key: np.asarray(counts) for key, counts in cells.items()}
+
+
+def reference_delay(path, known_base):
+    buckets = {}
+    for row in _reference_rows(path):
+        if row.get("delay_us") not in (None, ""):
+            delay = float(row["delay_us"]) * 1e-6
+        else:
+            delay = int(float(row["count"])) / known_base
+        buckets.setdefault(row["profile"], []).append(delay)
+    return {key: np.asarray(v) for key, v in buckets.items()}
+
+
+# labels that need quoting, keep padding, are empty, non-ASCII, or share a long prefix
+LABELS = ["dev0", "dev1", "", " pad ", "a,b", 'say "hi"', "é", "board-long-name-0", "board-long-name-1"]
+NUMBERS = st.floats(-1e3, 1e3, allow_nan=False).map(repr) | st.integers(-999, 999).map(str)
+COUNTS = st.integers(1, 10**7).map(str) | st.floats(0.5, 1e7).map(repr)
+# one temperature spelled several ways, a negative zero and blank cells
+TEMPERATURES = ["", "20", "20.0", "2e1", " 35 ", "-0", "0", "-5.5"]
+
+
+@st.composite
+def csv_text(draw, columns, rows):
+    """``rows`` (dicts by column) as CSV text: the columns plus an unused one in
+    random order, random quoting, LF or CRLF line ends and blank lines."""
+    header = draw(st.permutations(columns + ["note"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def cell(text):
+        if "," in text or '"' in text or draw(st.booleans()):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(cell(name) for name in header)]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(cell(row.get(name, "n")) for name in header))
+    return eol.join(lines) + eol
+
+
+def assert_same_groups(got: dict, want: dict):
+    # repr tells a -0.0 key from 0.0
+    assert [repr(k) for k in got] == [repr(k) for k in want]
+    for g, w in zip(got.values(), want.values()):
+        assert g.dtype == w.dtype == np.float64
+        assert g.tobytes() == w.tobytes()
+
+
+FILE_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestColumnarReaders:
+    @FILE_SETTINGS
+    @given(data=st.data())
+    def test_sweep_matches_reference(self, tmp_path, data):
+        keys = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(LABELS), st.sampled_from(["ch0", "ch1", "channel-7"])),
+                min_size=1, max_size=4, unique=True,
+            )
+        )
+        rows = [
+            {"device": d, "channel": c, "v_in": data.draw(NUMBERS), "v_out": data.draw(NUMBERS)}
+            for d, c in keys
+            for _ in range(data.draw(st.integers(3, 5)))
+        ]
+        rows = data.draw(st.permutations(rows))  # groups interleave
+        path = tmp_path / "sweep.csv"
+        path.write_text(data.draw(csv_text(["v_in", "v_out", "channel", "device"], rows)), newline="")
+        got = read_sweep_csv(path)
+        want = reference_sweep(path)
+        assert_same_groups(
+            {k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in want.items()}
+        )
+        assert_same_groups(
+            {k: r.v_out for k, r in got.items()}, {k: vo for k, (_, vo) in want.items()}
+        )
+        assert all((r.device, r.channel) == k for k, r in got.items())
+
+    @FILE_SETTINGS
+    @given(data=st.data(), with_temperature=st.booleans())
+    def test_counter_matches_reference(self, tmp_path, data, with_temperature):
+        columns = ["count", "device"] + (["temperature_c"] if with_temperature else [])
+        rows = data.draw(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "count": COUNTS,
+                        "device": st.sampled_from(LABELS),
+                        "temperature_c": st.sampled_from(TEMPERATURES),
+                    }
+                ),
+                min_size=1, max_size=30,
+            )
+        )
+        path = tmp_path / "counter.csv"
+        path.write_text(data.draw(csv_text(columns, rows)), newline="")
+        assert_same_groups(read_counter_csv(path), reference_counter(path))
+
+    @FILE_SETTINGS
+    @given(
+        data=st.data(),
+        columns=st.sampled_from([["delay_us"], ["count"], ["delay_us", "count"]]),
+    )
+    def test_delay_matches_reference(self, tmp_path, data, columns):
+        counts = st.integers(0, 10**6).map(str) | st.floats(0, 1e6).map(repr) | st.just("-0")
+        rows = []
+        for _ in range(data.draw(st.integers(1, 30))):
+            row = {"profile": data.draw(st.sampled_from(LABELS))}
+            if "delay_us" in columns:
+                # with both columns, a blank delay_us falls back to the count
+                blank = "count" in columns and data.draw(st.booleans())
+                row["delay_us"] = "" if blank else data.draw(NUMBERS)
+            if "count" in columns:
+                row["count"] = data.draw(counts)
+            rows.append(row)
+        path = tmp_path / "delay.csv"
+        path.write_text(data.draw(csv_text(["profile"] + columns, rows)), newline="")
+        assert_same_groups(read_delay_csv(path, 1e8), reference_delay(path, 1e8))
+
+
+class TestMemory:
+    def test_sweep_peak_is_bounded_by_the_voltages(self, tmp_path):
+        # 4 devices x 4 channels x 6250 points, about 3 MB of text; a list of
+        # one dict per row peaked at 31x the float64 voltages, the columns at 9x
+        path = tmp_path / "sweep.csv"
+        v = np.linspace(-9.9, 9.9, 6250)
+        with open(path, "w") as fh:
+            fh.write("v_in,v_out,channel,device\n")
+            for d in range(4):
+                for c in range(4):
+                    np.savetxt(fh, np.column_stack([v, 1.001 * v]), fmt=f"%.6f,%.9f,ch{c},D{d}")
+        tracemalloc.start()
+        try:
+            records = read_sweep_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = sum(r.v_in.nbytes + r.v_out.nbytes for r in records.values())
+        assert payload == 16 * 16 * v.size
+        assert peak <= 12 * payload

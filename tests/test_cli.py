@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,8 @@ class TestSimulate:
         [
             ({"adc": {"gain_err_ppm": {"std": 1.0}}}, "adc.gain_err_ppm.mean: missing"),
             ([1, 2], "profile: expected an object, got an array"),
+            ({"adc": {"bits": 0}}, "adc.bits: expected an integer >= 1 or null, got 0"),
+            ({"adc": {"vref_v": -1}}, "adc.vref_v: expected a number > 0, got -1"),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
@@ -117,6 +120,31 @@ class TestSimulate:
         write_config(p, chain_profile=str(profile))
         assert main(["simulate", "--config", str(p)]) == 2
         assert f"{profile}: {key_path}" in capsys.readouterr().err
+
+    def test_manifest_hashes_resolved_chain(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert main(["simulate", "--config", str(p)]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        canonical = json.dumps(
+            chain_to_json(paper_profile()), sort_keys=True, separators=(",", ":")
+        )
+        assert manifest["chain_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"run: {manifest['scenario_hash'][:12]} "
+            f"chain_sha256={manifest['chain_sha256'][:12]}"
+        )
+        # the same profile name with other contents gives another hash
+        profile = tmp_path / "chain.json"
+        edited = chain_to_json(paper_profile())
+        edited["adc"]["noise_rms_uv"] = 1.0
+        profile.write_text(json.dumps(edited))
+        write_config(p, chain_profile=str(profile))
+        assert main(["simulate", "--config", str(p)]) == 0
+        again = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert again["chain_sha256"] != manifest["chain_sha256"]
 
     def test_report_header_shows_clipping(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -216,6 +244,61 @@ class TestCharacterize:
         out = tmp_path / "frag.json"
         assert main(["characterize", "sweep", "--input", str(csv), "--output", str(out)]) == 2
         assert "missing required columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            (
+                "sweep",
+                "v_in,v_out,channel,device\n0,0,ch0,dev0\n1,abc,ch0,dev0\n2,2,ch0,dev0\n",
+                "line 3: v_out must be a number, got 'abc'",
+            ),
+            (
+                "sweep",
+                "v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0\n2,2,ch0,dev0\n",
+                "line 3: no device column (3 fields)",
+            ),
+            ("sweep", "v_in,v_out,channel,device\n", "no data rows"),
+            (
+                "sweep",
+                "v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0,dev0\n",
+                "device 'dev0' channel 'ch0': need at least 3 sweep points",
+            ),
+            (
+                "counter",
+                "count,device,temperature_c\n2000,dev0,20\n2000,dev0,hot\n",
+                "line 3: temperature_c must be a finite number or blank, got 'hot'",
+            ),
+            ("counter", "count,device,temperature_c\n", "no data rows"),
+            (
+                "counter",
+                "count,device,temperature_c\n2000,dev0,20\n0,dev0,20\n",
+                "line 3: count must be a finite number > 0, got 0.0",
+            ),
+            (
+                "counter",
+                "count,device\n-3,dev0\n",
+                "line 2: count must be a finite number > 0, got -3.0",
+            ),
+            (
+                "delay",
+                "count,delay_us,profile\n-659,,idle\n",
+                "line 2: count must be a finite number >= 0, got -659.0",
+            ),
+            (
+                "delay",
+                "count,delay_us,profile\n659,,idle\n,fast,idle\n",
+                "line 3: delay_us must be a number, got 'fast'",
+            ),
+        ],
+    )
+    def test_malformed_csv_exit(self, tmp_path, capsys, kind, text, message):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        out = tmp_path / "frag.json"
+        assert main(["characterize", kind, "--input", str(csv), "--output", str(out)]) == 2
+        assert f"error: {csv}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_merge_into_profile(self, tmp_path):
         profile = tmp_path / "chain.json"
