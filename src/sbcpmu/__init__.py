@@ -9,94 +9,45 @@ characterization procedures that produce the model parameters.
 
 __version__ = "0.1.0"
 
-from .blocks import (
-    AafModel,
-    AdcModel,
-    BlockResponse,
-    ChainModel,
-    GaussianTerm,
-    PllDelayModel,
-    TimebaseModel,
-    aaf_response,
-    acquire,
-    combined_response,
-    identity_chain,
-    load_profile,
-    paper_profile,
-    pll_response,
-    save_profile,
-    timebase_response,
-)
-from .characterize import (
-    delay_statistics,
-    ols_fit,
-    one_counter_estimate,
-    sweep_plan,
-    variance_decomposition,
-)
-from .errors import (
-    ConfigError,
-    EstimationError,
-    ModelParameterError,
-    SbcPmuError,
-    ScheduleGuardError,
-)
-from .estimate import EstimationWindow, compensate, fe, fourier_phasor, tve
-from .mc import McScenario, budget, model_curve, monte_carlo, write_run
-from .signals import (
-    ComplexEnvelope,
-    Phasor,
-    SamplingSchedule,
-    Waveform,
-    build_schedule,
-    ideal_envelope,
-    synthesize,
-    wrap_phase,
-)
+import importlib
 
-__all__ = [
-    "AafModel",
-    "AdcModel",
-    "BlockResponse",
-    "ChainModel",
-    "ComplexEnvelope",
-    "ConfigError",
-    "EstimationError",
-    "EstimationWindow",
-    "GaussianTerm",
-    "McScenario",
-    "ModelParameterError",
-    "Phasor",
-    "PllDelayModel",
-    "SamplingSchedule",
-    "SbcPmuError",
-    "ScheduleGuardError",
-    "TimebaseModel",
-    "Waveform",
-    "aaf_response",
-    "acquire",
-    "budget",
-    "build_schedule",
-    "combined_response",
-    "compensate",
-    "delay_statistics",
-    "fe",
-    "fourier_phasor",
-    "ideal_envelope",
-    "identity_chain",
-    "load_profile",
-    "model_curve",
-    "monte_carlo",
-    "ols_fit",
-    "one_counter_estimate",
-    "paper_profile",
-    "pll_response",
-    "save_profile",
-    "sweep_plan",
-    "synthesize",
-    "timebase_response",
-    "tve",
-    "variance_decomposition",
-    "wrap_phase",
-    "write_run",
-]
+# The public names, by the submodule that defines them.  Nothing below is
+# imported until first use (PEP 562), so ``import sbcpmu`` loads no numpy and
+# a command that needs one submodule pays for that one alone.
+_EXPORTS = {
+    "blocks": (
+        "AafModel", "AdcModel", "BlockResponse", "ChainModel", "GaussianTerm",
+        "PllDelayModel", "TimebaseModel", "aaf_response", "acquire", "combined_response",
+        "identity_chain", "load_profile", "paper_profile", "pll_response", "save_profile",
+        "timebase_response",
+    ),
+    "characterize": (
+        "delay_statistics", "ols_fit", "one_counter_estimate", "sweep_plan",
+        "variance_decomposition",
+    ),
+    "errors": (
+        "ConfigError", "EstimationError", "ModelParameterError", "SbcPmuError",
+        "ScheduleGuardError",
+    ),
+    "estimate": ("EstimationWindow", "compensate", "fe", "fourier_phasor", "tve"),
+    "mc": ("McScenario", "budget", "model_curve", "monte_carlo", "write_run"),
+    "signals": (
+        "ComplexEnvelope", "Phasor", "SamplingSchedule", "Waveform", "build_schedule",
+        "ideal_envelope", "synthesize", "wrap_phase",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

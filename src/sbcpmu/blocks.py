@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelParameterError
+from .errors import ConfigError, ModelParameterError, read_json
 from .signals import Phasor, SamplingSchedule, Waveform
 
 SQRT3 = math.sqrt(3.0)
@@ -494,16 +494,6 @@ class ChainModel:
     def adc_offset_v(self) -> float:
         return 1e-6 * self.adc_offset_uv.mean
 
-    def adc_model(self) -> AdcModel:
-        return AdcModel(
-            gain=self.adc_gain,
-            offset=self.adc_offset_v,
-            bits=self.adc_bits if self.adc_bits is not None else 24,
-            vref=self.adc_vref_v,
-            noise_rms=1e-6 * self.adc_noise_rms_uv,
-            gain_rel_std=1e-6 * self.adc_gain_ppm.std,
-        )
-
     def sequence_gain_std_ppm(self) -> float:
         """Gain dispersion across uncorrelated sub-sequences of one device."""
         if self.adc_gain_within_device_ppm is not None:
@@ -806,15 +796,6 @@ def chain_from_json(obj) -> ChainModel:
     )
 
 
-def read_json(path):
-    """Parse a JSON file; malformed JSON is a ``ConfigError`` naming the file and line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def load_profile(path) -> ChainModel:
     """Read a chain profile; a profile of the wrong shape is a ``ConfigError`` naming the file."""
     obj = read_json(path)
@@ -863,7 +844,6 @@ __all__ = [
     "paper_profile",
     "pll_response",
     "pll_sample",
-    "read_json",
     "save_profile",
     "timebase_response",
 ]

@@ -9,6 +9,7 @@ estimator noise, channel-to-channel and board-to-board dispersion.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import warnings
@@ -180,13 +181,6 @@ def one_counter_estimate(
         per_measurement_error=per_meas,
         required_averages=required,
     )
-
-
-def edge_separation(count: int, known_base: float):
-    """Two-signal edge-separation delay: (delay, resolution) in seconds."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return count / known_base, 1.0 / known_base
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +379,37 @@ def variance_decomposition(grouped: GroupedSamples, ddof: int = 0) -> Decomposit
 # file order, so every downstream sum adds its terms in file order.  Label
 # columns are parsed as unsized ``str``: a fixed width would cut long labels
 # and merge their groups.  Errors are found on whole columns; only then is the
-# file read again, row by row, for the line number to report.
+# file read again, row by row, for the line number to report.  Files are read
+# as UTF-8 whatever the locale.
+
+
+def _utf8(reader):
+    """``reader`` with a file that is not UTF-8 text reported as a ``ConfigError``."""
+
+    @functools.wraps(reader)
+    def read(path, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as fh:
+                # a newline byte never sits inside a multi-byte UTF-8 character
+                line = next(n for n, raw in enumerate(fh, 1) if not _decodes(raw))
+            raise ConfigError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+
+    return read
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _read_header(path, required: Sequence[str]) -> dict:
     """Column index by name; a missing required column is a ``ConfigError``."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
     missing = [c for c in required if c not in header]
     if missing:
@@ -410,7 +429,7 @@ def _read_columns(path, index: dict, names: Sequence[str], dtype) -> dict:
         try:
             table = np.loadtxt(
                 path, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
-                comments=None, quotechar='"', dtype=dtype, ndmin=2,
+                comments=None, quotechar='"', dtype=dtype, ndmin=2, encoding="utf-8",
             )
         except ValueError as exc:
             # loadtxt's own row numbers start at 0 or 1 by error, and again in
@@ -423,7 +442,7 @@ def _read_columns(path, index: dict, names: Sequence[str], dtype) -> dict:
 
 def _data_rows(path):
     """(line number, fields) of each data row: the rows after the header, blank lines skipped."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
@@ -501,6 +520,7 @@ def _group(*factors) -> dict:
     return {tuple(labels[codes[rows[0]]] for codes, labels in factors): rows for rows in groups}
 
 
+@_utf8
 def read_sweep_csv(path) -> dict:
     """Parse `v_in,v_out,channel,device` rows into SweepRecords keyed by (device, channel).
 
@@ -540,6 +560,7 @@ def _temperatures(path, cells: np.ndarray):
     return codes, values
 
 
+@_utf8
 def read_counter_csv(path) -> dict:
     """Parse `count,device,temperature_c` rows into counts keyed by (temperature_c, device).
 
@@ -567,6 +588,7 @@ def read_counter_csv(path) -> dict:
     }
 
 
+@_utf8
 def read_delay_csv(path, known_base: float = 100e6) -> dict:
     """Parse delay captures into arrays of seconds keyed by stress profile.
 
@@ -611,7 +633,6 @@ __all__ = [
     "SweepPlan",
     "SweepRecord",
     "delay_statistics",
-    "edge_separation",
     "ols_fit",
     "one_counter_estimate",
     "read_counter_csv",

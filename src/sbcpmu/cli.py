@@ -11,39 +11,52 @@ Exit codes: 0 success, 2 config error, 3 model-guard violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import csv
+import importlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .blocks import (
-    ChainModel,
-    chain_from_json,
-    chain_to_json,
-    load_profile,
-    paper_profile,
-    read_json,
-    save_profile,
-)
-from .characterize import (
-    GroupedSamples,
-    delay_statistics,
-    ols_fit,
-    one_counter_estimate,
-    read_counter_csv,
-    read_delay_csv,
-    read_sweep_csv,
-    variance_decomposition,
-)
-from .errors import ConfigError, ModelParameterError, ScheduleGuardError
-from .mc import McScenario, monte_carlo, write_run
-from .signals import Phasor
+from .errors import ConfigError, ModelParameterError, ScheduleGuardError, read_json
+
+if TYPE_CHECKING:
+    from .blocks import ChainModel
+
+# Names this module calls, by the submodule that defines them.  A command binds
+# the names of the submodules it uses into this module when it runs, so each
+# process imports only what its command needs (``report`` needs none).  A name
+# bound before, such as a wrapper set on this module, is the one that is called.
+_LAZY = {
+    "blocks": (
+        "chain_from_json", "chain_to_json", "load_profile", "paper_profile", "save_profile",
+    ),
+    "characterize": (
+        "GroupedSamples", "delay_statistics", "ols_fit", "one_counter_estimate",
+        "read_counter_csv", "read_delay_csv", "read_sweep_csv", "variance_decomposition",
+    ),
+    "mc": ("McScenario", "monte_carlo", "write_run"),
+    "signals": ("Phasor",),
+}
+_SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_SUBMODULE[name])
+    return globals()[name]
+
 
 TVE_LIMIT = 0.01  # steady-state standard limit, fraction
 FE_LIMIT_HZ = 5e-3
@@ -133,6 +146,7 @@ def load_scenario_config(path) -> ScenarioConfig:
 
 
 def _resolve_profile(name: str) -> ChainModel:
+    _bind("blocks")
     if name == "paper":
         return paper_profile()
     path = Path(name)
@@ -143,6 +157,8 @@ def _resolve_profile(name: str) -> ChainModel:
 
 def _json_sha256(obj) -> str:
     """SHA-256 of the canonical (sorted keys, compact) JSON form of ``obj``."""
+    import hashlib  # simulate alone hashes
+
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -157,6 +173,7 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 
 
 def cmd_simulate(args) -> int:
+    _bind("blocks", "signals", "mc")
     cfg = load_scenario_config(args.config)
     overrides = {}
     if args.trials is not None:
@@ -210,6 +227,8 @@ def cmd_simulate(args) -> int:
 
 
 def _characterize_sweep(path) -> dict:
+    import numpy as np
+
     records = read_sweep_csv(path)
     per_channel = {}
     gains_by_device: dict = {}
@@ -248,6 +267,8 @@ def _characterize_sweep(path) -> dict:
 
 
 def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
+    import numpy as np
+
     nominal_period = 1.0 / nominal_rate
     cell_results = {
         key: one_counter_estimate(counts, known_base, nominal_period)
@@ -350,6 +371,7 @@ def _merge_fragment_into_profile(fragment: dict, profile_path) -> None:
 
 
 def cmd_characterize(args) -> int:
+    _bind("blocks", "characterize")
     if args.kind == "sweep":
         fragment = _characterize_sweep(args.input)
     elif args.kind == "counter":
@@ -375,6 +397,35 @@ def _fmt_status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _mean_tve(path) -> list:
+    """The ``mean_tve`` column of a ``summary.csv``; a malformed file is a ``ConfigError``."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if "mean_tve" not in header:
+            raise ConfigError(f"{path}: line 1: no mean_tve column in the header")
+        header_line, column = reader.line_num, header.index("mean_tve")
+        values = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if column >= len(row):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: no mean_tve column ({len(row)} fields)"
+                )
+            try:
+                value = float(row[column])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: mean_tve must be a finite number, "
+                    f"got {row[column]!r}"
+                )
+            values.append(value)
+    if not values:
+        raise ConfigError(f"{path}: line {header_line}: no data rows after the header")
+    return values
+
+
 def cmd_report(args) -> int:
     rundir = Path(args.rundir)
     manifest_path = rundir / "manifest.json"
@@ -384,10 +435,9 @@ def cmd_report(args) -> int:
     if not summary_path.exists():
         raise ConfigError(f"{rundir}: missing summary.csv")
     manifest = read_json(manifest_path)
-    data = np.loadtxt(summary_path, delimiter=",", skiprows=1, ndmin=2)
-    mean_tve = data[:, 1]
-    grand = float(manifest.get("grand_mean_tve", mean_tve.mean()))
-    worst = float(mean_tve.max())
+    mean_tve = _mean_tve(summary_path)
+    grand = float(manifest.get("grand_mean_tve", math.fsum(mean_tve) / len(mean_tve)))
+    worst = max(mean_tve)
     fe_hz = float(manifest.get("fe_hz", math.nan))
 
     lines = []
@@ -442,6 +492,7 @@ def _dropped_keys(fragment: dict, kept, prefix=""):
 
 
 def cmd_profile(args) -> int:
+    _bind("blocks")
     if args.profile_cmd == "show":
         chain = _resolve_profile(args.path)
         print(json.dumps(chain_to_json(chain), indent=2))

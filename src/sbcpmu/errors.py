@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the JSON reader that raises it.
 
 The CLI maps these onto exit codes: ConfigError -> 2, guard/model
-violations -> 3, I/O problems -> 4.
+violations -> 3, I/O problems -> 4.  This module imports only the standard
+library, so a command that reads JSON and no arrays stays free of numpy.
 """
+
+import json
 
 
 class SbcPmuError(Exception):
@@ -23,3 +26,12 @@ class EstimationError(SbcPmuError):
 
 class ConfigError(SbcPmuError):
     """Scenario/profile configuration is malformed or inconsistent."""
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ``ConfigError`` naming the file and line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

@@ -9,6 +9,7 @@ recovered envelope rather than being silently corrected.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +96,8 @@ class _FourierPlan:
         if t.size < 2:
             raise EstimationError("waveform too short to estimate a phasor")
         dt = np.diff(t)
-        step = float(np.median(dt))
+        # statistics.median gives np.median's value without loading numpy.ma
+        step = statistics.median(dt.tolist())
         t_p = window.window_length
         n_win = round(t_p / step)
         if n_win < MIN_WINDOW_SAMPLES:

@@ -451,14 +451,14 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
     trial_tve = np.ascontiguousarray(result.trial_tve, dtype=np.float64)
     np.save(out / "trials.npy", trial_tve, allow_pickle=False)
 
+    columns = (
+        result.t_in_pps, result.mean_tve, result.band_lo, result.band_hi,
+        result.model_tve, result.model_band,
+    )
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write("t_in_pps_s,mean_tve,band_lo,band_hi,model_tve,model_band\n")
-        for i, t in enumerate(result.t_in_pps):
-            fh.write(
-                f"{float(t)!r},{float(result.mean_tve[i])!r},{float(result.band_lo[i])!r},"
-                f"{float(result.band_hi[i])!r},{float(result.model_tve[i])!r},"
-                f"{float(result.model_band[i])!r}\n"
-            )
+        fh.write("".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n" for a, b, c, d, e, f in rows))
 
     payload = dict(manifest)
     payload.update(

@@ -10,7 +10,6 @@ from sbcpmu.characterize import (
     GroupedSamples,
     SweepRecord,
     delay_statistics,
-    edge_separation,
     ols_fit,
     one_counter_estimate,
     read_counter_csv,
@@ -154,13 +153,6 @@ class TestOneCounter:
             one_counter_estimate([], 100e6, 2e-5)
         with pytest.raises(ValueError):
             one_counter_estimate([0], 100e6, 2e-5)
-
-
-class TestEdgeSeparation:
-    def test_values(self):
-        assert edge_separation(659, 100e6) == (6.59e-6, 1e-8)
-        assert edge_separation(0, 100e6)[0] == 0.0
-        assert edge_separation(2094, 100e6)[0] == pytest.approx(20.94e-6)
 
 
 class TestDelayStatistics:

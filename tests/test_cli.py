@@ -300,6 +300,22 @@ class TestCharacterize:
         assert f"error: {csv}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("sweep", b"v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0,d\xe4v0\n"),
+            ("counter", b"count,device,temperature_c\n2000,dev0,20\n2000,d\xe4v0,20\n"),
+            ("delay", b"count,profile\n659,idle\n659,l\xe4st\n"),
+        ],
+    )
+    def test_not_utf8_csv_exit(self, tmp_path, capsys, kind, text):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes(text)
+        out = tmp_path / "frag.json"
+        assert main(["characterize", kind, "--input", str(csv), "--output", str(out)]) == 2
+        assert f"error: {csv}: line 3: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_merge_into_profile(self, tmp_path):
         profile = tmp_path / "chain.json"
         assert main(["profile", "show", "paper"]) == 0
@@ -338,6 +354,35 @@ class TestCharacterize:
 class TestReport:
     def test_empty_dir(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "summary, message",
+        [
+            (
+                "t_in_pps_s,mean_tve\n0.0,0.001\n0.1,abc\n",
+                "line 3: mean_tve must be a finite number, got 'abc'",
+            ),
+            ("t_in_pps_s,mean_tve\n0.0,0.001\n0.1\n", "line 3: no mean_tve column (1 fields)"),
+            ("t_in_pps_s,mean_tve\n0.0,nan\n", "line 2: mean_tve must be a finite number, got 'nan'"),
+            ("t_in_pps_s,mean_tve\n\n0.0,-inf\n", "line 3: mean_tve must be a finite number"),
+            ("t_in_pps_s,mean_tve\n", "line 1: no data rows after the header"),
+            ("t_in_pps_s,tve\n0.0,0.001\n", "line 1: no mean_tve column in the header"),
+        ],
+    )
+    def test_malformed_summary_exit(self, tmp_path, capsys, summary, message):
+        (tmp_path / "manifest.json").write_text("{}")
+        (tmp_path / "summary.csv").write_text(summary)
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"error: {tmp_path / 'summary.csv'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_grand_mean_without_manifest_value(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"fe_hz": 8e-4}')
+        (tmp_path / "summary.csv").write_text("t_in_pps_s,mean_tve\n0,0.001\n0.5,0.002\n1,0.004\n")
+        assert main(["report", str(tmp_path)]) == 0
+        rows = (tmp_path / "report.txt").read_text().splitlines()
+        assert rows[-3].split() == ["TVE", "grand", "mean", "0.2333", "%", "1", "%", "PASS"]
+        assert rows[-2].split()[5:7] == ["0.4000", "%"]
 
 
 class TestProfileCmd:
