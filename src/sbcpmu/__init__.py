@@ -17,7 +17,7 @@ import importlib
 _EXPORTS = {
     "blocks": (
         "AafModel", "AdcModel", "BlockResponse", "ChainModel", "GaussianTerm",
-        "PllDelayModel", "TimebaseModel", "aaf_response", "acquire", "combined_response",
+        "PllDelayModel", "TimebaseModel", "aaf_response", "acquire", "expected_response",
         "identity_chain", "load_profile", "paper_profile", "pll_response", "save_profile",
         "timebase_response",
     ),

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from statistics import NormalDist
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -130,22 +130,18 @@ def aaf_response(model: AafModel, omega: float) -> BlockResponse:
 
 @dataclass(frozen=True)
 class AdcModel:
-    """Static ADC transfer: gain, offset, bipolar quantizer and system noise."""
+    """Static ADC transfer: gain, offset and bipolar quantizer."""
 
     gain: float = 1.0
     offset: float = 0.0
     bits: int = 16
     vref: float = 10.0
-    noise_rms: float = 0.0
-    gain_rel_std: float = 0.0
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
         if self.vref <= 0:
             raise ValueError("vref must be > 0")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be >= 0")
 
     @property
     def quantum(self) -> float:
@@ -188,27 +184,6 @@ def _convert(v: np.ndarray, gain, offset, noise, quantizer: Optional[AdcModel]):
     np.clip(v, code_min, code_max, out=v)
     v *= q
     return saturated
-
-
-def adc_transfer(model: AdcModel, v_in, noise_draw=0.0):
-    """Quantized output voltage for a given input (saturating at end codes)."""
-    out, _ = adc_convert(model, v_in, noise_draw)
-    if np.ndim(v_in) == 0:
-        return float(out)
-    return out
-
-
-def adc_response(model: AdcModel) -> BlockResponse:
-    """Phasor-domain response of the converter: a pure real gain.
-
-    The offset has no phasor-domain meaning and is excluded; the one-cycle
-    Fourier estimator rejects it exactly.
-    """
-    return BlockResponse(
-        magnitude=model.gain,
-        phase=0.0,
-        rel_magnitude_std=model.gain_rel_std,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +240,16 @@ def timebase_response(
     omega: float,
     t: float,
     temperature: Optional[float] = None,
-    per_temperature_std: bool = False,
 ) -> BlockResponse:
-    """Phase-ramp response of the PWM block at elapsed time t within a PPS interval."""
+    """Phase-ramp response of the PWM block at elapsed time t within a PPS interval.
+
+    The mean and std of e_r are taken at ``temperature``, as the Monte Carlo
+    draws them; without one they are the all-conditions statistics.
+    """
     if t < 0:
         raise ValueError("t must be >= 0 (elapsed time since the PPS reset)")
     e_r = 1e-6 * model.mean_ppm(temperature)
-    u_r = 1e-6 * (model.std_ppm(temperature) if per_temperature_std else model.overall_std_ppm)
+    u_r = 1e-6 * model.std_ppm(temperature)
     return BlockResponse(
         magnitude=1.0,
         phase=omega * e_r * t,
@@ -407,37 +385,6 @@ def pll_response(delay: float, omega: float, delay_std: float = 0.0) -> BlockRes
 # ---------------------------------------------------------------------------
 
 
-def combined_response(
-    blocks: Sequence[BlockResponse], mode: str = "worst-case"
-) -> BlockResponse:
-    """Combine block factors into one system response.
-
-    Magnitudes multiply, phases and time slopes add.  Uncertainties combine
-    as same-sign (worst-case) sums by default, or in quadrature for
-    standard-uncertainty reporting.
-    """
-    if not blocks:
-        raise ValueError("need at least one block")
-    if mode not in ("worst-case", "quadrature"):
-        raise ValueError(f"unknown combination mode {mode!r}")
-    magnitude = math.prod(b.magnitude for b in blocks)
-    phase = sum(b.phase for b in blocks)
-    slope = sum(b.time_slope_phase for b in blocks)
-    if mode == "worst-case":
-        rel_std = sum(b.rel_magnitude_std for b in blocks)
-        phase_std = sum(b.phase_std for b in blocks)
-    else:
-        rel_std = math.hypot(*(b.rel_magnitude_std for b in blocks))
-        phase_std = math.hypot(*(b.phase_std for b in blocks))
-    return BlockResponse(
-        magnitude=magnitude,
-        phase=phase,
-        rel_magnitude_std=rel_std,
-        phase_std=phase_std,
-        time_slope_phase=slope,
-    )
-
-
 @dataclass(frozen=True)
 class GaussianTerm:
     """Mean and standard deviation of one scalar error parameter."""
@@ -500,32 +447,44 @@ class ChainModel:
             return self.adc_gain_within_device_ppm
         return self.adc_gain_ppm.std
 
-    def response(
-        self,
-        omega: float,
-        t: float = 0.0,
-        delay: Optional[float] = None,
-        temperature: Optional[float] = None,
-        mode: str = "worst-case",
-    ) -> BlockResponse:
-        """Expected combined system response at elapsed time t within a PPS interval."""
-        tau = self.pll.mean if delay is None else delay
-        blocks = [
-            BlockResponse(
-                magnitude=1.0 + 1e-6 * self.aaf_gain_ppm.mean,
-                phase=1e-6 * self.aaf_phase_urad.mean,
-                rel_magnitude_std=1e-6 * self.aaf_gain_ppm.std,
-                phase_std=1e-6 * self.aaf_phase_urad.std,
-            ),
-            BlockResponse(
-                magnitude=self.adc_gain,
-                phase=0.0,
-                rel_magnitude_std=1e-6 * self.adc_gain_ppm.std,
-            ),
-            timebase_response(self.timebase, omega, t, temperature=temperature),
-            pll_response(tau, omega, delay_std=self.pll.std),
-        ]
-        return combined_response(blocks, mode=mode)
+
+class ExpectedResponse(NamedTuple):
+    """The expected combined response ``exp(log_magnitude + 1j * phase)``.
+
+    ``phase`` and ``phase_std`` hold one value per elapsed time.  The stds
+    are worst-case sums: every block's std taken with the same sign.
+    """
+
+    log_magnitude: float
+    phase: np.ndarray
+    log_magnitude_std: float
+    phase_std: np.ndarray
+
+
+def expected_response(
+    chain: ChainModel, omega: float, t, temperature: Optional[float] = None
+) -> ExpectedResponse:
+    """The chain's expected response at elapsed times ``t`` within a PPS interval.
+
+    The AAF and ADC gain errors add in the log-magnitude.  The AAF phase,
+    the time-base ramp ``omega*e_r*t`` and the mean PLL delay phase
+    ``omega*tau`` add in the phase.  At a ``temperature`` the time-base mean
+    and std are interpolated there, as the Monte Carlo draws them.  The
+    trials apply the two gains as ``(1+a)(1+b)``, which differs from
+    ``exp(a+b)`` by about ``(a*a + b*b)/2``: about 1e-5 on the paper profile.
+    """
+    t = np.asarray(t, dtype=float)
+    e_r = 1e-6 * chain.timebase.mean_ppm(temperature)
+    return ExpectedResponse(
+        log_magnitude=1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean),
+        phase=1e-6 * chain.aaf_phase_urad.mean + omega * t * e_r + omega * chain.pll.mean,
+        log_magnitude_std=1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std),
+        phase_std=(
+            1e-6 * chain.aaf_phase_urad.std
+            + omega * t * 1e-6 * chain.timebase.std_ppm(temperature)
+            + omega * chain.pll.std
+        ),
+    )
 
 
 def acquire(
@@ -827,6 +786,7 @@ __all__ = [
     "AdcModel",
     "BlockResponse",
     "ChainModel",
+    "ExpectedResponse",
     "GaussianTerm",
     "PllDelayModel",
     "TimebaseModel",
@@ -834,11 +794,9 @@ __all__ = [
     "aaf_response",
     "acquire",
     "adc_convert",
-    "adc_response",
-    "adc_transfer",
     "chain_from_json",
     "chain_to_json",
-    "combined_response",
+    "expected_response",
     "identity_chain",
     "load_profile",
     "paper_profile",

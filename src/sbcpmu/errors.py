@@ -29,9 +29,19 @@ class ConfigError(SbcPmuError):
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON is a ``ConfigError`` naming the file and line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    """Parse a JSON file as UTF-8 whatever the locale.
+
+    A file that is not UTF-8 text, or not JSON, is a ``ConfigError`` naming
+    the file and line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

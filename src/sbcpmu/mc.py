@@ -1,7 +1,7 @@
-"""Uncertainty propagation and the Monte Carlo validation engine.
+"""Uncertainty budgets, the model curve and the Monte Carlo validation engine.
 
-Analytic propagation of block uncertainties to the output phasor, the
-expected system-response curve with its worst-case band over one PPS
+Per-block uncertainty budgets, the TVE of the expected system response
+(``blocks.expected_response``) with its worst-case band over one PPS
 interval, and the seeded Monte Carlo that replays the error chain trial by
 trial and compares the measured TVE statistics against the model.
 """
@@ -18,12 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blocks import (
-    BlockResponse,
     ChainModel,
     GaussianTerm,
     _aaf_factor,
     _acquire_rows,
     _quantizer,
+    expected_response,
     pll_sample,
 )
 from .errors import ScheduleGuardError
@@ -31,21 +31,6 @@ from .estimate import EstimationWindow, _FourierPlan, fe, tve
 from .signals import Phasor, build_schedule, guard_margin, interval_instants
 
 DEFAULT_COVERAGE_FACTOR = 3.3
-
-
-def propagate_output(response: BlockResponse, reference: Phasor):
-    """Standard uncertainty of output amplitude and phase for a given reference."""
-    if reference.amplitude <= 0:
-        raise ValueError("reference amplitude must be > 0")
-    u_amp = response.rel_magnitude_std * reference.amplitude
-    return u_amp, response.phase_std
-
-
-def expanded(u: float, k: float) -> float:
-    """Expanded uncertainty k*u."""
-    if u < 0 or k <= 0:
-        raise ValueError("need u >= 0 and k > 0")
-    return k * u
 
 
 @dataclass(frozen=True)
@@ -122,17 +107,9 @@ def model_curve(
     mean and std are interpolated there, as the Monte Carlo draws them.
     """
     t = np.asarray(t_grid, dtype=float)
-    m_r = 1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean)
-    e_r = 1e-6 * chain.timebase.mean_ppm(temperature)
-    m_p = 1e-6 * chain.aaf_phase_urad.mean + omega * t * e_r + omega * chain.pll.mean
+    m_r, m_p, u_r, u_p = expected_response(chain, omega, t, temperature)
     if compensated:
         m_r, m_p = 0.0, np.zeros_like(t)
-    u_r = 1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std)
-    u_p = (
-        1e-6 * chain.aaf_phase_urad.std
-        + omega * t * 1e-6 * chain.timebase.std_ppm(temperature)
-        + omega * chain.pll.std
-    )
     expected = _tve_of_exponent(m_r, m_p)
     corners = [
         _tve_of_exponent(m_r + sr * u_r, m_p + sp * u_p)
@@ -240,16 +217,6 @@ def _draw_trial(chain: ChainModel, e_r: GaussianTerm, rng: np.random.Generator) 
     )
 
 
-def _mean_response_factor(
-    chain: ChainModel, omega: float, times: np.ndarray, temperature: Optional[float]
-) -> np.ndarray:
-    """Expected complex system response at each elapsed time within the interval."""
-    e_r = 1e-6 * chain.timebase.mean_ppm(temperature)
-    m_p = 1e-6 * chain.aaf_phase_urad.mean + omega * times * e_r + omega * chain.pll.mean
-    m_r = math.exp(1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean))
-    return m_r * np.exp(1j * m_p)
-
-
 # Trials per block.  A block's complex temporaries (about 1.3 MB each at
 # 5 kHz and 1 s PPS intervals) stay near the cache; the engine never holds a
 # complex array of every trial.
@@ -294,9 +261,10 @@ class _Engine:
         self.quantizer = _quantizer(chain)
         self.compensation = None
         if scenario.compensate:
-            self.compensation = _mean_response_factor(
+            mean = expected_response(
                 chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
             )
+            self.compensation = math.exp(mean.log_magnitude) * np.exp(1j * mean.phase)
 
     def run(self, start: int, stop: int) -> _Block:
         """Trials ``start`` to ``stop - 1``; each is seeded by (base_seed, trial index) alone."""
@@ -490,10 +458,8 @@ __all__ = [
     "TrialDraw",
     "UncertaintyBudget",
     "budget",
-    "expanded",
     "model_curve",
     "monte_carlo",
-    "propagate_output",
     "run_trial",
     "write_run",
 ]

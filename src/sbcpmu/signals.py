@@ -82,17 +82,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.times.size
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "Waveform":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(times=data[:, 0], values=data[:, 1])
-
 
 @dataclass(frozen=True)
 class ComplexEnvelope:
@@ -121,17 +110,6 @@ class ComplexEnvelope:
     @property
     def angle(self) -> np.ndarray:
         return np.angle(self.values)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,re,im\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "ComplexEnvelope":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(times=data[:, 0], values=data[:, 1] + 1j * data[:, 2])
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import pytest
 from sbcpmu.blocks import (
     AafModel,
     AdcModel,
-    BlockResponse,
     ChainModel,
     GaussianTerm,
     PllDelayModel,
@@ -15,11 +14,9 @@ from sbcpmu.blocks import (
     aaf_response,
     acquire,
     adc_convert,
-    adc_response,
-    adc_transfer,
     chain_from_json,
     chain_to_json,
-    combined_response,
+    expected_response,
     identity_chain,
     paper_profile,
     pll_response,
@@ -78,19 +75,19 @@ class TestAaf:
 class TestAdc:
     def test_zero_input(self):
         model = AdcModel(bits=16, vref=10.0)
-        assert adc_transfer(model, 0.0) == 0.0
+        assert adc_convert(model, 0.0)[0] == 0.0
 
     def test_paper_gain_offset(self):
         model = AdcModel(gain=1 - 4459e-6, offset=-269e-6, bits=24, vref=10.0)
         # pre-quantization value from Table-like gain/offset at 10 V
         expected = 10 * (1 - 4459e-6) - 269e-6
         assert expected == pytest.approx(9.955141, abs=5e-7)
-        assert adc_transfer(model, 10.0) == pytest.approx(expected, abs=model.quantum)
+        assert adc_convert(model, 10.0)[0] == pytest.approx(expected, abs=model.quantum)
 
     def test_quantization_noise_rms(self):
         model = AdcModel(bits=12, vref=10.0)
         v = np.linspace(-9.9, 9.9, 200001)
-        out = adc_transfer(model, v)
+        out = adc_convert(model, v)[0]
         resid = out - v
         assert np.std(resid) == pytest.approx(model.quantum / math.sqrt(12), rel=0.05)
 
@@ -99,16 +96,6 @@ class TestAdc:
         out, sat = adc_convert(model, np.array([0.0, 2.0, -3.0]))
         assert list(sat) == [False, True, True]
         assert out[1] == pytest.approx(1.0, abs=2 * model.quantum)
-
-    def test_response_gain_only(self):
-        resp = adc_response(AdcModel(gain=1 - 4459e-6, offset=-269e-6, gain_rel_std=134e-6))
-        assert resp.phase == 0.0
-        assert tve(complex(resp.magnitude), 1 + 0j) == pytest.approx(0.4459e-2, rel=1e-3)
-        assert resp.rel_magnitude_std == 134e-6
-
-    def test_identity_response(self):
-        resp = adc_response(AdcModel())
-        assert resp.magnitude == 1.0 and resp.phase == 0.0
 
 
 class TestTimebase:
@@ -132,6 +119,15 @@ class TestTimebase:
     def test_reset_instant(self):
         resp = timebase_response(self.make(), OMEGA_50, 0.0)
         assert resp.phase == 0.0 and resp.phase_std == 0.0
+
+    def test_band_at_temperature_follows_interpolated_std(self):
+        # the Monte Carlo draws e_r with the std interpolated at 35 C (1.675
+        # ppm between the 30 and 40 C rows), not the all-conditions 3.67 ppm
+        tb = paper_profile().timebase
+        resp = timebase_response(tb, OMEGA_50, 1.0, temperature=35.0)
+        assert tb.std_ppm(35.0) == pytest.approx(1.675)
+        assert resp.phase_std == pytest.approx(OMEGA_50 * 1e-6 * tb.std_ppm(35.0), rel=1e-12)
+        assert resp.phase == pytest.approx(OMEGA_50 * 1e-6 * tb.mean_ppm(35.0), rel=1e-12)
 
     def test_temperature_interpolation(self):
         m = self.make()
@@ -249,41 +245,24 @@ class TestTruncatedNormal:
             pll_sample(m, np.random.default_rng(0), size=3)
 
 
-class TestCombinedResponse:
-    def test_identity(self):
-        one = BlockResponse(1.0, 0.0)
-        r = combined_response([one])
-        assert r.magnitude == 1.0 and r.phase == 0.0
-
-    def test_permutation_invariant(self):
-        blocks = [
-            BlockResponse(0.99995, -0.01, 5.8e-6, 5.8e-4),
-            BlockResponse(1 - 4459e-6, 0.0, 134e-6, 0.0),
-            BlockResponse(1.0, -5.03e-3, 0.0, 1.15e-3, time_slope_phase=-5.03e-3),
-        ]
-        a = combined_response(blocks)
-        b = combined_response(blocks[::-1])
-        assert a.magnitude == pytest.approx(b.magnitude)
-        assert a.phase == pytest.approx(b.phase)
-        assert a.rel_magnitude_std == pytest.approx(b.rel_magnitude_std)
-        assert a.time_slope_phase == pytest.approx(b.time_slope_phase)
-
-    def test_table_means_endpoints(self):
-        # exponent-form means: magnitude (-9.81-4459) ppm, phase at t=0
-        # is (-4429 - 2*pi*50*7.93) urad; at t=1 s the ramp adds -5033 urad
-        m_r = (-9.81 - 4459) * 1e-6
-        p0 = -4429e-6 + OMEGA_50 * -7.93e-6
-        p1 = p0 + OMEGA_50 * -16.02e-6
-        assert tve(np.exp(m_r + 1j * p0), 1.0) == pytest.approx(0.82e-2, abs=2e-4)
-        assert tve(np.exp(m_r + 1j * p1), 1.0) == pytest.approx(1.28e-2, abs=2e-4)
-
-    def test_worst_case_vs_quadrature(self):
-        blocks = [BlockResponse(1.0, 0.0, 3e-6, 4e-6), BlockResponse(1.0, 0.0, 4e-6, 3e-6)]
-        wc = combined_response(blocks, mode="worst-case")
-        quad = combined_response(blocks, mode="quadrature")
-        assert wc.rel_magnitude_std == pytest.approx(7e-6)
-        assert quad.rel_magnitude_std == pytest.approx(5e-6)
-        assert wc.phase_std >= quad.phase_std
+class TestExpectedResponse:
+    @pytest.mark.parametrize("temperature", [None, 35.0])
+    def test_sums_the_block_responses(self, temperature):
+        # log-magnitudes and phases add; the stds add with the same sign
+        chain = paper_profile()
+        t = np.array([0.0, 0.25, 1.0])
+        r = expected_response(chain, OMEGA_50, t, temperature)
+        for i, ti in enumerate(t):
+            tb = timebase_response(chain.timebase, OMEGA_50, ti, temperature)
+            pll = pll_response(chain.pll.mean, OMEGA_50, chain.pll.std)
+            aaf_phase = chain.aaf_phase_urad
+            assert r.phase[i] == pytest.approx(1e-6 * aaf_phase.mean + tb.phase + pll.phase)
+            assert r.phase_std[i] == pytest.approx(
+                1e-6 * aaf_phase.std + tb.phase_std + pll.phase_std
+            )
+        gains = (chain.aaf_gain_ppm, chain.adc_gain_ppm)
+        assert r.log_magnitude == pytest.approx(1e-6 * sum(g.mean for g in gains))
+        assert r.log_magnitude_std == pytest.approx(1e-6 * sum(g.std for g in gains))
 
 
 class TestAcquire:
@@ -304,7 +283,7 @@ class TestAcquire:
         assert np.mean(np.angle(env.values)) == pytest.approx(-10e-3, rel=0.01)
 
     def test_forward_matches_analytic_tve(self):
-        # fixed-parameter chain: measured TVE equals the response-based TVE
+        # fixed-parameter chain: measured TVE equals the TVE of the expected response
         chain = ChainModel(
             aaf_gain_ppm=GaussianTerm(-9.81),
             aaf_phase_urad=GaussianTerm(-4429.0),
@@ -320,11 +299,10 @@ class TestAcquire:
         p = Phasor(10.0, 0.0, 50.0)
         env = fourier_phasor(acquire(p, chain, schedule), EstimationWindow(50.0))
         measured = tve(env.values, p.value)
-        t = env.times
-        expected = np.array(
-            [tve(chain.response(p.omega, ti, delay=7.93e-6).factor, 1 + 0j) for ti in t[:: len(t) // 8]]
-        )
-        assert np.allclose(measured[:: len(t) // 8], expected, atol=1e-4)
+        every = len(env.times) // 8
+        log_mag, phase, _, _ = expected_response(chain, p.omega, env.times[::every])
+        expected = np.abs(np.exp(log_mag + 1j * phase) - 1.0)
+        assert np.allclose(measured[::every], expected, atol=1e-4)
 
     def test_pure_phase_blocks_keep_magnitude(self):
         chain = ChainModel(
@@ -355,6 +333,15 @@ class TestProfiles:
         assert chain.pll.mean == pytest.approx(-7.93e-6)
         assert set(chain.pll_profiles) == {"idle", "cpu", "io", "hdd", "vm"}
         assert chain.pll_profiles["vm"].max == pytest.approx(20.94e-6)
+
+    def test_table_means_endpoints(self):
+        # exponent-form means: magnitude (-9.81-4459) ppm, phase at t=0
+        # is (-4429 - 2*pi*50*7.93) urad; at t=1 s the ramp adds -5033 urad
+        m_r = (-9.81 - 4459) * 1e-6
+        p0 = -4429e-6 + OMEGA_50 * -7.93e-6
+        p1 = p0 + OMEGA_50 * -16.02e-6
+        assert tve(np.exp(m_r + 1j * p0), 1.0) == pytest.approx(0.82e-2, abs=2e-4)
+        assert tve(np.exp(m_r + 1j * p1), 1.0) == pytest.approx(1.28e-2, abs=2e-4)
 
     def test_json_round_trip(self):
         chain = paper_profile()

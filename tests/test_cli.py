@@ -401,6 +401,12 @@ class TestProfileCmd:
         # untouched fields survive the merge
         assert merged["timebase"]["e_r_ppm"]["mean"] == -16.02
 
+    def test_show_not_utf8_profile_exit(self, tmp_path, capsys):
+        profile = tmp_path / "latin1.json"
+        profile.write_bytes(b'{\n  "name": "pr\xe4zise"\n}\n')
+        assert main(["profile", "show", str(profile)]) == 2
+        assert f"error: {profile}: line 2: not UTF-8 text" in capsys.readouterr().err
+
     def test_merge_characterize_fragment(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps(chain_to_json(paper_profile())))

@@ -5,8 +5,10 @@ numpy, ``report`` loads none at all, and each subcommand loads only the
 submodules it uses.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +112,13 @@ def test_public_names_resolve():
     assert run_python(code).split() == ["[]", "True"]
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         sbcpmu.no_such_name
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(sbcpmu.__path__)])
+def test_submodule_public_names_resolve(module):
+    # a name deleted from a submodule must leave its __all__ too
+    mod = importlib.import_module(f"sbcpmu.{module}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
 @pytest.mark.parametrize("source", ["sbcpmu.cli", "sbcpmu.mc"])

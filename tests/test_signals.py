@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from sbcpmu.errors import ScheduleGuardError
 from sbcpmu.signals import (
-    ComplexEnvelope,
     Phasor,
     Waveform,
     build_schedule,
@@ -122,23 +121,6 @@ class TestIdealEnvelope:
 
 
 class TestCsv:
-    def test_waveform_round_trip(self, tmp_path):
-        w = Waveform(times=[0.0, 1e-4, 2e-4], values=[1.0, -0.5, 0.25])
-        path = tmp_path / "w.csv"
-        w.to_csv(path)
-        assert path.read_text().splitlines()[0] == "time_s,value"
-        back = Waveform.from_csv(path)
-        assert np.array_equal(back.times, w.times)
-        assert np.array_equal(back.values, w.values)
-
-    def test_envelope_round_trip(self, tmp_path):
-        e = ComplexEnvelope(times=[0.0, 0.02], values=[1 + 2j, 3 - 4j])
-        path = tmp_path / "e.csv"
-        e.to_csv(path)
-        assert path.read_text().splitlines()[0] == "time_s,re,im"
-        back = ComplexEnvelope.from_csv(path)
-        assert np.array_equal(back.values, e.values)
-
     def test_non_monotonic_rejected(self):
         with pytest.raises(ValueError):
             Waveform(times=[0.0, 2.0, 1.0], values=[0.0, 0.0, 0.0])
