@@ -18,7 +18,18 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ModelParameterError, read_json
+from .errors import (
+    ConfigError,
+    ModelParameterError,
+    integer,
+    number,
+    numbers,
+    of_type,
+    positive,
+    read_json,
+    reject_unknown_keys,
+    section,
+)
 from .signals import Phasor, SamplingSchedule, Waveform
 
 SQRT3 = math.sqrt(3.0)
@@ -198,7 +209,10 @@ class TimebaseModel:
     ``e_r_by_temperature`` holds (temperature_c, mean_ppm, std_ppm) rows on a
     strictly increasing temperature grid.  ``overall_mean_ppm`` and
     ``overall_std_ppm`` are the all-conditions statistics used when no
-    temperature is supplied.
+    temperature is supplied.  ``estimator_std_ppm`` (the one-counter
+    estimator's scatter) and ``board_std_ppm`` (the board-to-board scatter)
+    are recorded characterization results: the Monte Carlo does not draw from
+    them, and nothing in the model reads them.
     """
 
     overall_mean_ppm: float
@@ -570,53 +584,13 @@ def _term_to_json(term: GaussianTerm) -> dict:
     return {"mean": term.mean, "std": term.std}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _kind(value) -> str:
-    """What a JSON value is, for error messages."""
-    if _is_number(value):
-        return "a number"
-    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
-    return names.get(type(value), "null")
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {_kind(value)}")
-    return value
-
-
-def _section(obj: dict, key: str, path: str = "") -> dict:
-    """``obj[key]``, an empty object when absent; anything but an object is a ``ConfigError``."""
-    return _object(obj.get(key, {}), path + key)
-
-
-def _number(value, path: str):
-    if not _is_number(value):
-        raise ConfigError(f"{path}: expected a number, got {_kind(value)}")
-    return value
-
-
-def _array(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected an array, got {_kind(value)}")
-    return value
-
-
-def _numbers(value, path: str) -> list:
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
-
-
 def _term_from_json(obj, path: str) -> GaussianTerm:
-    if _is_number(obj):
-        return GaussianTerm(float(obj))
-    obj = _object(obj, path)
+    if not isinstance(obj, dict):
+        return GaussianTerm(float(number(obj, path)))
     if "mean" not in obj:
         raise ConfigError(f"{path}.mean: missing")
-    mean = float(_number(obj["mean"], path + ".mean"))
-    std = float(_number(obj.get("std", 0.0), path + ".std"))
+    mean = float(number(obj["mean"], path + ".mean"))
+    std = float(number(obj.get("std", 0.0), path + ".std"))
     try:
         return GaussianTerm(mean, std)
     except ValueError as exc:
@@ -643,26 +617,26 @@ def _pll_to_json(model: PllDelayModel) -> dict:
 
 
 def _pll_from_json(obj, path: str) -> PllDelayModel:
-    obj = _object(obj, path)
+    obj = of_type(obj, path, dict)
 
     def us(key, default=None):
         if key not in obj:
             return default
-        return _number(obj[key], f"{path}.{key}") * 1e-6
+        return number(obj[key], f"{path}.{key}") * 1e-6
 
     hist = None
     if "histogram" in obj:
-        h = _section(obj, "histogram", path + ".")
+        h = section(obj, "histogram", path + ".")
         where = path + ".histogram."
         for key in ("bin_edges_us", "counts"):
             if key not in h:
                 raise ConfigError(f"{where}{key}: missing")
         hist = (
-            tuple(e * 1e-6 for e in _numbers(h["bin_edges_us"], where + "bin_edges_us")),
-            tuple(_numbers(h["counts"], where + "counts")),
+            tuple(e * 1e-6 for e in numbers(h["bin_edges_us"], where + "bin_edges_us")),
+            tuple(numbers(h["counts"], where + "counts")),
         )
     return PllDelayModel(
-        family=obj.get("family", "shifted-gamma"),
+        family=of_type(obj.get("family", "shifted-gamma"), path + ".family", str),
         min=us("min_us", 0.0),
         max=us("max_us", math.inf),
         mean=us("mean_us", 0.0),
@@ -707,52 +681,47 @@ def chain_to_json(chain: ChainModel) -> dict:
 def chain_from_json(obj) -> ChainModel:
     """Build a chain from its profile form; a value of the wrong shape is a ``ConfigError``.
 
-    The error names the dotted key path of the first bad value.
+    The error names the dotted key path of the first bad value or unknown key.
     """
-    obj = _object(obj, "profile")
-    aaf = _section(obj, "aaf")
-    adc = _section(obj, "adc")
-    tb = _section(obj, "timebase")
-    pll = _section(obj, "pll")
+    obj = of_type(obj, "profile", dict)
+    aaf = section(obj, "aaf")
+    adc = section(obj, "adc")
+    tb = section(obj, "timebase")
+    pll = section(obj, "pll")
     e_r = _term_from_json(tb.get("e_r_ppm", 0.0), "timebase.e_r_ppm")
-    rows = _array(tb.get("by_temperature_c", []), "timebase.by_temperature_c")
+    rows = of_type(tb.get("by_temperature_c", []), "timebase.by_temperature_c", list)
     for i, row in enumerate(rows):
         where = f"timebase.by_temperature_c[{i}]"
-        if len(_numbers(row, where)) != 3:
+        if len(numbers(row, where)) != 3:
             raise ConfigError(f"{where}: expected [temperature_c, mean_ppm, std_ppm]")
     timebase = TimebaseModel(
         overall_mean_ppm=e_r.mean,
         overall_std_ppm=e_r.std,
         e_r_by_temperature=tuple(tuple(r) for r in rows),
-        estimator_std_ppm=_number(tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"),
-        board_std_ppm=_number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
+        estimator_std_ppm=number(tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"),
+        board_std_ppm=number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
     )
-    within = adc.get("gain_err_within_device_ppm")
-    bits = adc.get("bits")
-    if bits is not None and not (_is_number(bits) and isinstance(bits, int) and bits >= 1):
-        raise ConfigError(f"adc.bits: expected an integer >= 1 or null, got {bits!r}")
-    vref = _number(adc.get("vref_v", 10.0), "adc.vref_v")
-    if not vref > 0:
-        raise ConfigError(f"adc.vref_v: expected a number > 0, got {vref!r}")
-    profiles = _section(pll, "profiles", "pll.")
-    return ChainModel(
+    profiles = section(pll, "profiles", "pll.")
+    chain = ChainModel(
         aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
         aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0), "aaf.phase_err_urad"),
         adc_gain_ppm=_term_from_json(adc.get("gain_err_ppm", 0.0), "adc.gain_err_ppm"),
-        adc_gain_within_device_ppm=(
-            None if within is None else _number(within, "adc.gain_err_within_device_ppm")
+        adc_gain_within_device_ppm=number(
+            adc.get("gain_err_within_device_ppm"), "adc.gain_err_within_device_ppm", null=True
         ),
         adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
-        adc_bits=bits,
-        adc_vref_v=vref,
-        adc_noise_rms_uv=_number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv"),
+        adc_bits=integer(adc.get("bits"), "adc.bits", 1, null=True),
+        adc_vref_v=positive(adc.get("vref_v", 10.0), "adc.vref_v"),
+        adc_noise_rms_uv=number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv"),
         timebase=timebase,
-        pll=_pll_from_json(pll["delay"], "pll.delay") if pll.get("delay") else PllDelayModel(),
+        pll=_pll_from_json(pll["delay"], "pll.delay") if "delay" in pll else PllDelayModel(),
         pll_profiles={
             k: _pll_from_json(v, f"pll.profiles.{k}") for k, v in profiles.items()
         },
-        name=obj.get("name", "chain"),
+        name=of_type(obj.get("name", "chain"), "name", str),
     )
+    reject_unknown_keys(obj, chain_to_json(chain))
+    return chain
 
 
 def load_profile(path) -> ChainModel:

@@ -16,12 +16,23 @@ import importlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import ConfigError, ModelParameterError, ScheduleGuardError, read_json
+from .errors import (
+    ConfigError,
+    EstimationError,
+    ModelParameterError,
+    ScheduleGuardError,
+    integer,
+    number,
+    of_type,
+    positive,
+    read_json,
+    reject_unknown_keys,
+    section,
+)
 
 if TYPE_CHECKING:
     from .blocks import ChainModel
@@ -72,77 +83,60 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    chain_profile: str
-    amplitude_v: float
-    frequency_hz: float
-    rate_hz: float
-    pps_period_s: float
-    trials: int
-    seed: int
-    duration_s: float
-    channels: int
-    compensation: str
-    temperature_c: Optional[float]
-    output_dir: str
+def scenario_from_json(raw) -> dict:
+    """The normalized form of a scenario config: every key, defaults filled in, floats as floats.
 
-    def to_json(self) -> dict:
-        return {
-            "chain_profile": self.chain_profile,
-            "signal": {"amplitude_v": self.amplitude_v, "frequency_hz": self.frequency_hz},
-            "schedule": {"rate_hz": self.rate_hz, "pps_period_s": self.pps_period_s},
-            "run": {
-                "trials": self.trials,
-                "seed": self.seed,
-                "duration_s": self.duration_s,
-                "channels": self.channels,
-            },
-            "compensation": self.compensation,
-            "temperature_c": self.temperature_c,
-            "output_dir": self.output_dir,
-        }
+    A bad value, a missing required key or an unknown key is a ``ConfigError`` naming its path.
+    """
+    raw = of_type(raw, "config", dict)
+    for path in ("chain_profile", "signal.amplitude_v", "signal.frequency_hz",
+                 "schedule.rate_hz", "run.trials", "run.seed"):
+        where, _, key = path.rpartition(".")
+        if key not in (section(raw, where) if where else raw):
+            raise ConfigError(f"{path}: missing")
+    signal, schedule, run = (section(raw, key) for key in ("signal", "schedule", "run"))
+    pps_period_s = float(positive(schedule.get("pps_period_s", 1.0), "schedule.pps_period_s"))
+    duration_s = float(positive(run.get("duration_s", 30.0), "run.duration_s"))
+    if duration_s < pps_period_s:
+        raise ConfigError(f"run.duration_s: expected >= schedule.pps_period_s, got {duration_s}")
+    compensation = raw.get("compensation", "off")
+    if compensation not in ("on", "off"):
+        raise ConfigError(f"compensation: expected 'on' or 'off', got {compensation!r}")
+    temperature_c = number(raw.get("temperature_c"), "temperature_c", null=True)
+    scenario = {
+        "chain_profile": of_type(raw["chain_profile"], "chain_profile", str),
+        "signal": {
+            "amplitude_v": float(positive(signal["amplitude_v"], "signal.amplitude_v")),
+            "frequency_hz": float(positive(signal["frequency_hz"], "signal.frequency_hz")),
+        },
+        "schedule": {
+            "rate_hz": float(positive(schedule["rate_hz"], "schedule.rate_hz")),
+            "pps_period_s": pps_period_s,
+        },
+        "run": {
+            "trials": integer(run["trials"], "run.trials", 1),
+            "seed": integer(run["seed"], "run.seed", 0),
+            "duration_s": duration_s,
+            "channels": integer(run.get("channels", 8), "run.channels", 1),
+        },
+        "compensation": compensation,
+        "temperature_c": None if temperature_c is None else float(temperature_c),
+        "output_dir": of_type(raw.get("output_dir", "run"), "output_dir", str),
+    }
+    reject_unknown_keys(raw, scenario)
+    return scenario
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"config: missing field {where}.{key}" if where else
-                          f"config: missing field {key}")
-    return obj[key]
-
-
-def load_scenario_config(path) -> ScenarioConfig:
+def load_scenario_config(path) -> dict:
+    """Read a scenario config; a bad one is a ``ConfigError`` naming the file."""
     try:
         raw = read_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    signal = _require(raw, "signal", "")
-    schedule = _require(raw, "schedule", "")
-    run = _require(raw, "run", "")
-    cfg = ScenarioConfig(
-        chain_profile=str(_require(raw, "chain_profile", "")),
-        amplitude_v=float(_require(signal, "amplitude_v", "signal")),
-        frequency_hz=float(_require(signal, "frequency_hz", "signal")),
-        rate_hz=float(_require(schedule, "rate_hz", "schedule")),
-        pps_period_s=float(schedule.get("pps_period_s", 1.0)),
-        trials=int(_require(run, "trials", "run")),
-        seed=int(_require(run, "seed", "run")),
-        duration_s=float(run.get("duration_s", 30.0)),
-        channels=int(run.get("channels", 8)),
-        compensation=str(raw.get("compensation", "off")),
-        temperature_c=(
-            float(raw["temperature_c"]) if raw.get("temperature_c") is not None else None
-        ),
-        output_dir=str(raw.get("output_dir", "run")),
-    )
-    if cfg.compensation not in ("on", "off"):
-        raise ConfigError(f"config: compensation must be 'on' or 'off', got {cfg.compensation!r}")
-    if cfg.amplitude_v <= 0 or cfg.frequency_hz <= 0 or cfg.rate_hz <= 0:
-        raise ConfigError("config: signal/schedule values must be strictly positive")
-    if cfg.trials < 1:
-        raise ConfigError("config: run.trials must be >= 1")
-    _resolve_profile(cfg.chain_profile)  # existence check up front
-    return cfg
+    try:
+        return scenario_from_json(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _resolve_profile(name: str) -> ChainModel:
@@ -163,8 +157,8 @@ def _json_sha256(obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def scenario_hash(cfg: ScenarioConfig) -> str:
-    return _json_sha256(cfg.to_json())
+def scenario_hash(scenario: dict) -> str:
+    return _json_sha256(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -175,47 +169,49 @@ def scenario_hash(cfg: ScenarioConfig) -> str:
 def cmd_simulate(args) -> int:
     _bind("blocks", "signals", "mc")
     cfg = load_scenario_config(args.config)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.compensate is not None:
-        overrides["compensation"] = args.compensate
-    if args.temperature_c is not None:
-        overrides["temperature_c"] = args.temperature_c
-    if overrides:
-        from dataclasses import replace
+    for obj, key, flag in (
+        (cfg["run"], "trials", args.trials),
+        (cfg["run"], "seed", args.seed),
+        (cfg, "output_dir", args.out),
+        (cfg, "compensation", args.compensate),
+        (cfg, "temperature_c", args.temperature_c),
+    ):
+        if flag is not None:
+            obj[key] = flag
+    cfg = scenario_from_json(cfg)  # a flag is checked as the file is
 
-        cfg = replace(cfg, **overrides)
-
-    chain = _resolve_profile(cfg.chain_profile)
+    chain = _resolve_profile(cfg["chain_profile"])
+    # the time base is not extrapolated beyond the profile's temperature grid
+    temperature_c = cfg["temperature_c"]
+    grid = [row[0] for row in chain.timebase.e_r_by_temperature]
+    if temperature_c is not None and not (grid and grid[0] <= temperature_c <= grid[-1]):
+        span = f"[{grid[0]}, {grid[-1]}]" if grid else "(empty)"
+        raise ConfigError(f"temperature_c: {temperature_c} is off timebase.by_temperature_c {span}")
+    signal, schedule, run = cfg["signal"], cfg["schedule"], cfg["run"]
     scenario = McScenario(
         chain=chain,
-        phasor=Phasor(cfg.amplitude_v, 0.0, cfg.frequency_hz),
-        nominal_rate=cfg.rate_hz,
-        pps_period=cfg.pps_period_s,
-        trials=cfg.trials,
-        base_seed=cfg.seed,
-        duration=cfg.duration_s,
-        channels=cfg.channels,
-        compensate=cfg.compensation == "on",
-        temperature_c=cfg.temperature_c,
+        phasor=Phasor(signal["amplitude_v"], 0.0, signal["frequency_hz"]),
+        nominal_rate=schedule["rate_hz"],
+        pps_period=schedule["pps_period_s"],
+        trials=run["trials"],
+        base_seed=run["seed"],
+        duration=run["duration_s"],
+        channels=run["channels"],
+        compensate=cfg["compensation"] == "on",
+        temperature_c=temperature_c,
     )
     result = monte_carlo(scenario)
     manifest = {
         "version": __version__,
-        "seed": cfg.seed,
-        "scenario": cfg.to_json(),
+        "seed": run["seed"],
+        "scenario": cfg,
         "scenario_hash": scenario_hash(cfg),
         "chain_name": chain.name,
         # a changed profile under the same name shows as another hash
         "chain_sha256": _json_sha256(chain_to_json(chain)),
     }
-    write_run(result, cfg.output_dir, manifest)
-    print(f"run written to {cfg.output_dir}")
+    write_run(result, cfg["output_dir"], manifest)
+    print(f"run written to {cfg['output_dir']}")
     print(f"grand mean TVE: {result.grand_mean_tve * 100:.4f} %")
     print(f"FE (expected): {result.fe_hz * 1e6:.1f} uHz")
     return EXIT_OK
@@ -482,15 +478,6 @@ def _deep_merge(dst: dict, src: dict) -> None:
             dst[key] = value
 
 
-def _dropped_keys(fragment: dict, kept, prefix=""):
-    """Dotted paths of the keys in ``fragment`` that ``kept`` does not have."""
-    for key, value in fragment.items():
-        if not isinstance(kept, dict) or key not in kept:
-            yield prefix + key
-        elif isinstance(value, dict):
-            yield from _dropped_keys(value, kept[key], f"{prefix}{key}.")
-
-
 def cmd_profile(args) -> int:
     _bind("blocks")
     if args.profile_cmd == "show":
@@ -503,24 +490,16 @@ def cmd_profile(args) -> int:
     if not isinstance(fragment, dict):
         raise ConfigError(f"{args.fragment}: a fragment must be a JSON object")
 
-    if "kind" in fragment:
-        try:
+    try:
+        if "kind" in fragment:
             _apply_fragment(fragment, base)
-        except KeyError as exc:
-            raise ConfigError(f"{args.fragment}: fragment lacks field {exc}") from exc
+        else:
+            _deep_merge(base, fragment)
         chain = chain_from_json(base)
-    else:
-        _deep_merge(base, fragment)
-        chain = chain_from_json(base)
-        # a key the profile schema does not read is lost when the chain is
-        # rebuilt; reject it rather than drop it
-        rebuilt = chain_to_json(chain)
-        unknown = list(_dropped_keys(fragment, rebuilt))
-        if unknown:
-            raise ConfigError(
-                f"{args.fragment}: unknown profile keys {unknown}; "
-                f"a profile has {sorted(rebuilt)}"
-            )
+    except KeyError as exc:
+        raise ConfigError(f"{args.fragment}: fragment lacks field {exc}") from exc
+    except ConfigError as exc:  # the base loaded, so the fragment is at fault
+        raise ConfigError(f"{args.fragment}: {exc}") from exc
     save_profile(chain, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -577,7 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EstimationError) as exc:  # an unresolvable window is a bad scenario
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ScheduleGuardError, ModelParameterError) as exc:

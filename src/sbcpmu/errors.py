@@ -1,11 +1,15 @@
-"""Exception hierarchy shared across the package, and the JSON reader that raises it.
+"""Exception hierarchy shared across the package, and the strict JSON reader that raises it.
 
-The CLI maps these onto exit codes: ConfigError -> 2, guard/model
-violations -> 3, I/O problems -> 4.  This module imports only the standard
-library, so a command that reads JSON and no arrays stays free of numpy.
+The CLI maps these onto exit codes: ConfigError and EstimationError -> 2,
+guard/model violations -> 3, I/O problems -> 4.  Chain profiles and scenario
+configs are read with the one set of validators below, each raising a
+``ConfigError`` that names the dotted key path of the bad value.  This module
+imports only the standard library, so a command that reads JSON and no
+arrays stays free of numpy.
 """
 
 import json
+import sys
 
 
 class SbcPmuError(Exception):
@@ -45,3 +49,73 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(value) -> str:
+    """What a JSON value is, for error messages."""
+    if _is_number(value):
+        return "a number"
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean"}
+    return names.get(type(value), "null")
+
+
+def of_type(value, path: str, kind: type):
+    """``value`` if it is a JSON object, array or string: ``kind`` is dict, list or str."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected {_kind(kind())}, got {_kind(value)}")
+    return value
+
+
+def section(obj: dict, key: str, path: str = "") -> dict:
+    """``obj[key]``, an empty object when absent; anything but an object is a ``ConfigError``."""
+    return of_type(obj.get(key, {}), path + key, dict)
+
+
+def number(value, path: str, null: bool = False):
+    """A finite JSON number; with ``null``, a JSON null is accepted and returned as None."""
+    if value is None and null:
+        return None
+    if not _is_number(value):
+        expected = "a number or null" if null else "a number"
+        raise ConfigError(f"{path}: expected {expected}, got {_kind(value)}")
+    # Python's json reads NaN, Infinity and integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return value
+
+
+def positive(value, path: str):
+    if not number(value, path) > 0:
+        raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
+    return value
+
+
+def integer(value, path: str, low: int, null: bool = False):
+    """A JSON integer ``>= low``; a number with a fraction part, even ``.0``, is not one."""
+    if value is None and null:
+        return None
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        expected = f"an integer >= {low}" + (" or null" if null else "")
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return value
+
+
+def numbers(value, path: str) -> list:
+    return [number(v, f"{path}[{i}]") for i, v in enumerate(of_type(value, path, list))]
+
+
+def reject_unknown_keys(raw: dict, known: dict, prefix: str = "") -> None:
+    """Raise a ``ConfigError`` at the first key of ``raw`` that ``known`` lacks.
+
+    ``known`` is the form a reader built from ``raw``: a key it lacks, a typo
+    most likely, was not read and would be dropped in silence.
+    """
+    for key, value in raw.items():
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key; expected one of {sorted(known)}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            reject_unknown_keys(value, known[key], f"{prefix}{key}.")

@@ -27,13 +27,10 @@ class EstimationWindow:
     """One-cycle estimation window at the nominal line frequency."""
 
     nominal_frequency: float
-    harmonic_order: int = 1
 
     def __post_init__(self):
         if self.nominal_frequency <= 0:
             raise ValueError("nominal_frequency must be > 0")
-        if self.harmonic_order < 1:
-            raise ValueError("harmonic_order must be >= 1")
 
     @property
     def window_length(self) -> float:
@@ -53,20 +50,14 @@ class CompensatedPhasor:
             raise ValueError("residual errors must be finite")
 
 
-def fourier_phasor(
-    waveform: Waveform,
-    window: EstimationWindow,
-    rule: str = "left",
-    timestamp: str = "center",
-) -> ComplexEnvelope:
-    """Sliding one-cycle Fourier coefficient of harmonic n.
+def fourier_phasor(waveform: Waveform, window: EstimationWindow) -> ComplexEnvelope:
+    """Sliding one-cycle Fourier coefficient of the fundamental.
 
-    c_n(t) = (2/T_p) * sum s(t_i) * exp(-j*2*pi*n*f*t_i) * dt over one
-    window, a rectangular-rule approximation of the integral; ``rule`` may
-    be "trapezoid" for sensitivity checks.  ``timestamp`` selects whether
-    envelope samples are attributed to the window start or center.
+    c(t) = (2/T_p) * sum s(t_i) * exp(-j*2*pi*f*t_i) * dt over one window,
+    a left rectangular-rule approximation of the integral.  Each envelope
+    sample is attributed to the center of its window.
     """
-    plan = _FourierPlan.build(waveform.times, window, rule, timestamp)
+    plan = _FourierPlan.build(waveform.times, window)
     return ComplexEnvelope(times=plan.times, values=plan.rows(waveform.values[None, :])[0])
 
 
@@ -80,19 +71,14 @@ class _FourierPlan:
     sampled on that grid.
     """
 
-    demodulator: np.ndarray  # exp(-j*omega_n*t)
+    demodulator: np.ndarray  # exp(-j*omega*t)
     dt: np.ndarray
     n_win: int
     t_p: float
-    rule: str
-    times: np.ndarray  # envelope timestamps
+    times: np.ndarray  # envelope timestamps, at the window centers
 
     @classmethod
-    def build(cls, t, window: EstimationWindow, rule: str, timestamp: str) -> "_FourierPlan":
-        if rule not in ("left", "trapezoid"):
-            raise ValueError(f"unknown integration rule {rule!r}")
-        if timestamp not in ("start", "center"):
-            raise ValueError(f"unknown timestamp convention {timestamp!r}")
+    def build(cls, t, window: EstimationWindow) -> "_FourierPlan":
         if t.size < 2:
             raise EstimationError("waveform too short to estimate a phasor")
         dt = np.diff(t)
@@ -106,25 +92,21 @@ class _FourierPlan:
             )
         if t.size < n_win:
             raise EstimationError("waveform spans less than one estimation window")
-        omega_n = 2.0 * math.pi * window.harmonic_order * window.nominal_frequency
+        omega = 2.0 * math.pi * window.nominal_frequency
         # window j integrates the n_win sample intervals starting at sample j
         starts = t[: t.size - n_win]
         return cls(
-            demodulator=np.exp(-1j * omega_n * t),
+            demodulator=np.exp(-1j * omega * t),
             dt=dt,
             n_win=n_win,
             t_p=t_p,
-            rule=rule,
-            times=starts + (0.5 * t_p if timestamp == "center" else 0.0),
+            times=starts + 0.5 * t_p,
         )
 
     def rows(self, values: np.ndarray) -> np.ndarray:
         """Envelope coefficients (rows x windows) of real samples (rows x grid points)."""
         demod = values * self.demodulator
-        if self.rule == "left":
-            terms = np.multiply(demod[:, :-1], self.dt, out=demod[:, :-1])
-        else:
-            terms = 0.5 * (demod[:, :-1] + demod[:, 1:]) * self.dt
+        terms = np.multiply(demod[:, :-1], self.dt, out=demod[:, :-1])
         csum = np.empty(demod.shape, dtype=complex)
         csum[:, 0] = 0.0
         np.cumsum(terms, axis=1, out=csum[:, 1:])

@@ -148,7 +148,6 @@ class McScenario:
     channels: int = 8
     compensate: bool = False
     temperature_c: Optional[float] = None
-    coverage_factor: float = DEFAULT_COVERAGE_FACTOR
 
     def __post_init__(self):
         if self.trials < 1:
@@ -190,7 +189,6 @@ class McResult:
     band_hi: np.ndarray
     model_tve: np.ndarray
     model_band: np.ndarray
-    coverage_factor: float
     compensated: bool
     fe_hz: float
     grand_mean_tve: float
@@ -248,10 +246,7 @@ class _Engine:
         self.sample_period = nominal.sample_period
         self.samples = nominal.samples_per_interval
         self.plan = _FourierPlan.build(
-            nominal.nominal_instants(),
-            EstimationWindow(scenario.phasor.frequency),
-            rule="left",
-            timestamp="center",
+            nominal.nominal_instants(), EstimationWindow(scenario.phasor.frequency)
         )
         self.e_r = GaussianTerm(
             chain.timebase.mean_ppm(scenario.temperature_c),
@@ -369,7 +364,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     del rel_mag, phase_err
 
     mean_tve = trial_tve.mean(axis=0)
-    k = scenario.coverage_factor
+    k = DEFAULT_COVERAGE_FACTOR
     spread = trial_tve.std(axis=0, ddof=1) if scenario.trials > 1 else np.zeros_like(mean_tve)
     curve = model_curve(
         chain, omega, t_in_pps, compensated=scenario.compensate,
@@ -388,7 +383,6 @@ def monte_carlo(scenario: McScenario) -> McResult:
         band_hi=mean_tve + k * spread,
         model_tve=curve.expected,
         model_band=curve.band_hi,
-        coverage_factor=k,
         compensated=scenario.compensate,
         fe_hz=fe_hz,
         grand_mean_tve=float(trial_tve.mean()),
@@ -432,7 +426,7 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
     payload.update(
         {
             "compensated": result.compensated,
-            "coverage_factor": result.coverage_factor,
+            "coverage_factor": DEFAULT_COVERAGE_FACTOR,
             "fe_hz": result.fe_hz,
             "grand_mean_tve": result.grand_mean_tve,
             "grand_mean_mag_err": result.grand_mean_mag_err,

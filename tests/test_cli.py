@@ -1,16 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from sbcpmu.blocks import chain_to_json, paper_profile
-from sbcpmu.cli import (
-    ScenarioConfig,
-    load_scenario_config,
-    main,
-    scenario_hash,
-)
+from sbcpmu.cli import load_scenario_config, main, scenario_hash
 
 
 def write_config(path, **overrides):
@@ -33,10 +29,32 @@ class TestConfig:
         write_config(p)
         cfg = load_scenario_config(p)
         q = tmp_path / "cfg2.json"
-        q.write_text(json.dumps(cfg.to_json()))
+        q.write_text(json.dumps(cfg))
         again = load_scenario_config(q)
         assert again == cfg
         assert scenario_hash(again) == scenario_hash(cfg)
+
+    def test_normalized_form(self, tmp_path):
+        # integers where floats belong and absent defaults give the same form
+        p = tmp_path / "cfg.json"
+        write_config(
+            p,
+            signal={"amplitude_v": 10, "frequency_hz": 50},
+            schedule={"rate_hz": 5000},
+            run={"trials": 2, "seed": 7},
+            temperature_c=35,
+        )
+        cfg = load_scenario_config(p)
+        assert cfg == {
+            "chain_profile": "paper",
+            "signal": {"amplitude_v": 10.0, "frequency_hz": 50.0},
+            "schedule": {"rate_hz": 5000.0, "pps_period_s": 1.0},
+            "run": {"trials": 2, "seed": 7, "duration_s": 30.0, "channels": 8},
+            "compensation": "off",
+            "temperature_c": 35.0,
+            "output_dir": str(tmp_path / "run"),
+        }
+        assert all(isinstance(v, float) for v in cfg["signal"].values())
 
     def test_missing_field(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -96,6 +114,67 @@ class TestSimulate:
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "key_path, value, flags, message",
+        [
+            ("run.trials", "abc", [], "run.trials: expected an integer >= 1, got 'abc'"),
+            ("run.trials", 2.7, [], "run.trials: expected an integer >= 1, got 2.7"),
+            ("run.trials", True, [], "run.trials: expected an integer >= 1, got True"),
+            ("run.seed", -1, [], "run.seed: expected an integer >= 0, got -1"),
+            (
+                "run.duration_s", 0.5, [],
+                "run.duration_s: expected >= schedule.pps_period_s, got 0.5",
+            ),
+            (
+                "schedule.pps_period_s", 0, [],
+                "schedule.pps_period_s: expected a number > 0, got 0",
+            ),
+            (
+                "signal.amplitude_v", math.nan, [],
+                "signal.amplitude_v: expected a finite number, got nan",
+            ),
+            pytest.param(
+                "signal.amplitude_v", 10**400, [],
+                "signal.amplitude_v: expected a finite number, got 1000",
+                id="amplitude-beyond-float",
+            ),
+            ("compensaton", "on", [], "compensaton: unknown key"),
+            ("run.trails", 3, [], "run.trails: unknown key"),
+            (None, None, ["--trials", "0"], "run.trials: expected an integer >= 1, got 0"),
+            (
+                None, None, ["--temperature-c", "nan"],
+                "temperature_c: expected a finite number, got nan",
+            ),
+            (
+                None, None, ["--temperature-c", "200"],
+                "temperature_c: 200.0 is off timebase.by_temperature_c [0.0, 50.0]",
+            ),
+            # 100 Hz sampling gives 2 samples per 50 Hz cycle
+            ("schedule.rate_hz", 100.0, [], "unresolvable window: 2 samples per cycle"),
+        ],
+    )
+    def test_bad_scenario_exit(self, tmp_path, capsys, key_path, value, flags, message):
+        p = tmp_path / "cfg.json"
+        cfg = write_config(p)
+        if key_path is not None:
+            *parents, key = key_path.split(".")
+            obj = cfg
+            for parent in parents:
+                obj = obj[parent]
+            obj[key] = value
+            p.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(p), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_temperature_without_grid_exit(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"timebase": {"e_r_ppm": {"mean": -16.0, "std": 3.0}}}))
+        write_config(p, chain_profile=str(profile), temperature_c=20.0)
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert "is off timebase.by_temperature_c (empty)" in capsys.readouterr().err
+
     def test_malformed_chain_profile_exit(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         profile = tmp_path / "chain.json"
@@ -111,6 +190,11 @@ class TestSimulate:
             ([1, 2], "profile: expected an object, got an array"),
             ({"adc": {"bits": 0}}, "adc.bits: expected an integer >= 1 or null, got 0"),
             ({"adc": {"vref_v": -1}}, "adc.vref_v: expected a number > 0, got -1"),
+            ({"adc": {"bitz": 12}}, "adc.bitz: unknown key"),
+            (
+                {"adc": {"gain_err_ppm": {"mean": math.nan}}},
+                "adc.gain_err_ppm.mean: expected a finite number, got nan",
+            ),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
@@ -447,6 +531,28 @@ class TestProfileCmd:
         assert code == 2
         assert path in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_key_every_load_path(self, tmp_path, capsys):
+        profile = tmp_path / "chain.json"
+        shown = chain_to_json(paper_profile())
+        shown["adc"]["bitz"] = 12
+        profile.write_text(json.dumps(shown))
+        frag = tmp_path / "frag.json"
+        frag.write_text(json.dumps({"adc": {"noise_rms_uv": 1.0}}))
+        csv = tmp_path / "s.csv"
+        csv.write_text("v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+        out = tmp_path / "out.json"
+        for argv in (
+            ["profile", "show", str(profile)],
+            ["profile", "merge", str(profile), str(frag), "--out", str(out)],
+            [
+                "characterize", "sweep", "--input", str(csv), "--output", str(out),
+                "--merge-into", str(profile),
+            ],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert f"{profile}: adc.bitz: unknown key" in capsys.readouterr().err
 
     def test_merge_accepts_new_pll_profile(self, tmp_path):
         stats = {

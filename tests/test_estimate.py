@@ -53,10 +53,8 @@ class TestFourierPhasor:
         assert slope == pytest.approx(-5.03e-3, rel=0.01)
 
     def test_window_center_timestamps(self):
-        env = fourier_phasor(tone(), EstimationWindow(50.0), timestamp="center")
+        env = fourier_phasor(tone(), EstimationWindow(50.0))
         assert env.times[0] == pytest.approx(0.01)
-        start = fourier_phasor(tone(), EstimationWindow(50.0), timestamp="start")
-        assert start.times[0] == pytest.approx(0.0)
 
     def test_discretization_bound(self):
         # rectangular-rule amplitude error <= (pi*f/F_s)^2/6 on a pure tone
@@ -74,11 +72,6 @@ class TestFourierPhasor:
         w = tone(duration=0.01)
         with pytest.raises(EstimationError):
             fourier_phasor(w, EstimationWindow(50.0))
-
-    def test_trapezoid_close_to_left(self):
-        a = fourier_phasor(tone(), EstimationWindow(50.0), rule="left")
-        b = fourier_phasor(tone(), EstimationWindow(50.0), rule="trapezoid")
-        assert np.allclose(a.values, b.values, atol=1e-3)
 
 
 class TestTve:
