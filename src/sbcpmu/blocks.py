@@ -702,6 +702,9 @@ def chain_from_json(obj) -> ChainModel:
         board_std_ppm=number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
     )
     profiles = section(pll, "profiles", "pll.")
+    noise_rms_uv = number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv")
+    if noise_rms_uv < 0:
+        raise ConfigError(f"adc.noise_rms_uv: expected a number >= 0, got {noise_rms_uv!r}")
     chain = ChainModel(
         aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
         aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0), "aaf.phase_err_urad"),
@@ -712,7 +715,7 @@ def chain_from_json(obj) -> ChainModel:
         adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
         adc_bits=integer(adc.get("bits"), "adc.bits", 1, null=True),
         adc_vref_v=positive(adc.get("vref_v", 10.0), "adc.vref_v"),
-        adc_noise_rms_uv=number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv"),
+        adc_noise_rms_uv=noise_rms_uv,
         timebase=timebase,
         pll=_pll_from_json(pll["delay"], "pll.delay") if "delay" in pll else PllDelayModel(),
         pll_profiles={

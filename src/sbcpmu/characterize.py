@@ -3,7 +3,8 @@
 Covers the static ADC sweep (OLS gain/offset with covariance and slew-rate
 planning), counter-based time-base and delay measurements, descriptive delay
 statistics, and the nested variance decompositions used to separate
-estimator noise, channel-to-channel and board-to-board dispersion.
+estimator noise, channel-to-channel and board-to-board dispersion.  The
+results are plain values: ``sbcpmu.cli`` turns them into fragments.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +34,6 @@ class SweepRecord:
 
     v_in: np.ndarray
     v_out: np.ndarray
-    channel: str = ""
-    device: str = ""
 
     def __post_init__(self):
         v_in = np.asarray(self.v_in, dtype=float)
@@ -64,17 +63,6 @@ class OlsResult:
     @property
     def gain_std(self) -> float:
         return math.sqrt(self.covariance[1, 1])
-
-    def to_json(self) -> dict:
-        return {
-            "offset_v": self.offset,
-            "gain": self.gain,
-            "offset_std_v": self.offset_std,
-            "gain_std": self.gain_std,
-            "covariance_v2": [list(row) for row in self.covariance],
-            "rss_v2": self.rss,
-            "dof": self.dof,
-        }
 
 
 def ols_fit(record: SweepRecord) -> OlsResult:
@@ -146,15 +134,6 @@ class OneCounterResult:
     per_measurement_error: float  # T_k / T_s, relative
     required_averages: int
 
-    def to_json(self) -> dict:
-        return {
-            "e_r_ppm": (self.r_mean - 1.0) * 1e6,
-            "r_mean": self.r_mean,
-            "per_measurement_error_ppm": self.per_measurement_error * 1e6,
-            "required_averages": self.required_averages,
-            "n": int(self.r_values.size),
-        }
-
 
 def one_counter_estimate(
     counts: Sequence[float], known_base: float, nominal_period: float
@@ -200,18 +179,6 @@ class StatSummary:
     mode: float
     mode_std: float
     qq_deviation: float
-
-    def to_json(self, scale: float = 1e6, unit: str = "us") -> dict:
-        return {
-            "n": self.n,
-            f"min_{unit}": self.minimum * scale,
-            f"max_{unit}": self.maximum * scale,
-            f"mean_{unit}": self.mean * scale,
-            f"std_{unit}": self.std * scale,
-            f"mode_{unit}": self.mode * scale,
-            f"mode_std_{unit}": self.mode_std * scale,
-            f"qq_deviation_{unit}": self.qq_deviation * scale,
-        }
 
 
 def _histogram_mode(samples: np.ndarray) -> float:
@@ -270,27 +237,6 @@ def delay_statistics(samples: Sequence[float]) -> StatSummary:
 
 
 @dataclass(frozen=True)
-class GroupedSamples:
-    """Values grouped by a nesting factor (device, temperature, ...).
-
-    ``estimator_stds`` optionally carries the per-value estimator standard
-    deviations (e.g. from the OLS covariance) in the same layout.
-    """
-
-    groups: Mapping[str, np.ndarray]
-    estimator_stds: Optional[Mapping[str, np.ndarray]] = None
-
-    def __post_init__(self):
-        groups = {k: np.asarray(v, dtype=float) for k, v in self.groups.items()}
-        if not groups or any(v.size == 0 for v in groups.values()):
-            raise ValueError("every group must be nonempty")
-        object.__setattr__(self, "groups", groups)
-        if self.estimator_stds is not None:
-            stds = {k: np.asarray(v, dtype=float) for k, v in self.estimator_stds.items()}
-            object.__setattr__(self, "estimator_stds", stds)
-
-
-@dataclass(frozen=True)
 class DecompositionResult:
     """Law-of-total-variance split of a nested sample.
 
@@ -304,30 +250,25 @@ class DecompositionResult:
     within_std: float
     total_std: float
     between_std: float
-    group_means: Mapping[str, float] = field(default_factory=dict)
     ordering_ok: bool = True
 
-    def to_json(self, scale: float = 1.0, unit: str = "") -> dict:
-        suffix = f"_{unit}" if unit else ""
-        return {
-            f"grand_mean{suffix}": self.grand_mean * scale,
-            f"estimator_std{suffix}": self.estimator_std * scale,
-            f"within_std{suffix}": self.within_std * scale,
-            f"between_std{suffix}": self.between_std * scale,
-            f"total_std{suffix}": self.total_std * scale,
-            "ordering_ok": self.ordering_ok,
-        }
 
-
-def variance_decomposition(grouped: GroupedSamples, ddof: int = 0) -> DecompositionResult:
+def variance_decomposition(
+    groups: Mapping, estimator_stds: Optional[Mapping] = None, ddof: int = 0
+) -> DecompositionResult:
     """Split total variance into within-group and between-group parts.
 
-    With ``ddof=0`` and equal group sizes the identity
-    total = mean(within variances) + var(group means) matches the pooled
-    population variance exactly; ``ddof=1`` gives unbiased components for
-    small numbers of groups.
+    ``groups`` maps each level of a nesting factor (device, temperature, ...)
+    to its values; every group must be nonempty.  ``estimator_stds``
+    optionally carries the per-value estimator standard deviations (e.g. from
+    the OLS covariance) under the same keys.  With ``ddof=0`` and equal group
+    sizes the identity total = mean(within variances) + var(group means)
+    matches the pooled population variance exactly; ``ddof=1`` gives unbiased
+    components for small numbers of groups.
     """
-    groups = grouped.groups
+    groups = {k: np.asarray(v, dtype=float) for k, v in groups.items()}
+    if not groups or any(v.size == 0 for v in groups.values()):
+        raise ValueError("every group must be nonempty")
     names = list(groups)
     if len(names) < 2:
         raise ValueError("between-group variance undefined with a single group")
@@ -351,8 +292,8 @@ def variance_decomposition(grouped: GroupedSamples, ddof: int = 0) -> Decomposit
     total = within + between
 
     estimator = 0.0
-    if grouped.estimator_stds is not None:
-        flat = np.concatenate([np.ravel(grouped.estimator_stds[k]) for k in names])
+    if estimator_stds is not None:
+        flat = np.concatenate([np.asarray(estimator_stds[k], dtype=float).ravel() for k in names])
         estimator = float(np.sqrt(np.mean(flat**2)))
 
     within_std = math.sqrt(within)
@@ -363,7 +304,6 @@ def variance_decomposition(grouped: GroupedSamples, ddof: int = 0) -> Decomposit
         within_std=within_std,
         total_std=total_std,
         between_std=math.sqrt(between),
-        group_means=dict(zip(names, means.tolist())),
         ordering_ok=(estimator <= within_std + 1e-12) and (within_std <= total_std + 1e-12),
     )
 
@@ -390,21 +330,12 @@ def _utf8(reader):
     def read(path, *args, **kwargs):
         try:
             return reader(path, *args, **kwargs)
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError:
             with open(path, "rb") as fh:
-                # a newline byte never sits inside a multi-byte UTF-8 character
-                line = next(n for n, raw in enumerate(fh, 1) if not _decodes(raw))
-            raise ConfigError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+                utf8(fh.read(), path)  # raises the error naming the line
+            raise
 
     return read
-
-
-def _decodes(raw: bytes) -> bool:
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def _read_header(path, required: Sequence[str]) -> dict:
@@ -536,10 +467,7 @@ def read_sweep_csv(path) -> dict:
     groups = _group(_factorize(labels["device"]), _factorize(labels["channel"]))
     for (device, channel), rows in groups.items():
         try:
-            out[device, channel] = SweepRecord(
-                v_in=volts["v_in"][rows], v_out=volts["v_out"][rows],
-                device=device, channel=channel,
-            )
+            out[device, channel] = SweepRecord(volts["v_in"][rows], volts["v_out"][rows])
         except ValueError as exc:
             raise ConfigError(f"{path}: device {device!r} channel {channel!r}: {exc}") from exc
     return out
@@ -626,7 +554,6 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
 
 __all__ = [
     "DecompositionResult",
-    "GroupedSamples",
     "OlsResult",
     "OneCounterResult",
     "StatSummary",

@@ -46,7 +46,7 @@ _LAZY = {
         "chain_from_json", "chain_to_json", "load_profile", "paper_profile", "save_profile",
     ),
     "characterize": (
-        "GroupedSamples", "delay_statistics", "ols_fit", "one_counter_estimate",
+        "delay_statistics", "ols_fit", "one_counter_estimate",
         "read_counter_csv", "read_delay_csv", "read_sweep_csv", "variance_decomposition",
     ),
     "mc": ("McScenario", "monte_carlo", "write_run"),
@@ -222,100 +222,106 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The fragment format lives in this section alone: the ``_characterize_*``
+# builders write it from the result types of ``sbcpmu.characterize``, and
+# ``_apply_fragment`` reads back the keys a merge uses.
+
+
 def _characterize_sweep(path) -> dict:
     import numpy as np
 
-    records = read_sweep_csv(path)
     per_channel = {}
-    gains_by_device: dict = {}
-    offsets_by_device: dict = {}
+    # per device: gain errors in ppm and offsets in uV, with their OLS stds
+    gains: dict = {}
+    offsets: dict = {}
     gain_stds: dict = {}
     offset_stds: dict = {}
-    for (device, channel), record in sorted(records.items()):
+    for (device, channel), record in sorted(read_sweep_csv(path).items()):
         fit = ols_fit(record)
-        per_channel[f"{device}/{channel}"] = fit.to_json()
-        gains_by_device.setdefault(device, []).append((fit.gain - 1.0) * 1e6)
-        offsets_by_device.setdefault(device, []).append(fit.offset * 1e6)
+        per_channel[f"{device}/{channel}"] = {
+            "offset_v": fit.offset,
+            "gain": fit.gain,
+            "offset_std_v": fit.offset_std,
+            "gain_std": fit.gain_std,
+            "covariance_v2": [list(row) for row in fit.covariance],
+            "rss_v2": fit.rss,
+            "dof": fit.dof,
+        }
+        gains.setdefault(device, []).append((fit.gain - 1.0) * 1e6)
+        offsets.setdefault(device, []).append(fit.offset * 1e6)
         gain_stds.setdefault(device, []).append(fit.gain_std * 1e6)
         offset_stds.setdefault(device, []).append(fit.offset_std * 1e6)
     out = {"kind": "sweep", "per_channel": per_channel}
-    if len(gains_by_device) >= 2:
-        gain_dec = variance_decomposition(
-            GroupedSamples(gains_by_device, estimator_stds=gain_stds)
-        )
-        offset_dec = variance_decomposition(
-            GroupedSamples(offsets_by_device, estimator_stds=offset_stds)
-        )
-        out["gain_err_ppm"] = gain_dec.to_json()
-        out["offset_uv"] = offset_dec.to_json()
-    else:
-        gains = np.concatenate([np.asarray(v) for v in gains_by_device.values()])
-        offsets = np.concatenate([np.asarray(v) for v in offsets_by_device.values()])
-        out["gain_err_ppm"] = {
-            "grand_mean": float(gains.mean()),
-            "total_std": float(gains.std(ddof=1)) if gains.size > 1 else 0.0,
-        }
-        out["offset_uv"] = {
-            "grand_mean": float(offsets.mean()),
-            "total_std": float(offsets.std(ddof=1)) if offsets.size > 1 else 0.0,
-        }
+    for key, values, stds in (
+        ("gain_err_ppm", gains, gain_stds), ("offset_uv", offsets, offset_stds)
+    ):
+        if len(values) >= 2:
+            dec = variance_decomposition(values, stds)
+            out[key] = {
+                "grand_mean": dec.grand_mean,
+                "estimator_std": dec.estimator_std,
+                "within_std": dec.within_std,
+                "between_std": dec.between_std,
+                "total_std": dec.total_std,
+                "ordering_ok": dec.ordering_ok,
+            }
+        else:
+            (one,) = map(np.asarray, values.values())
+            out[key] = {
+                "grand_mean": float(one.mean()),
+                "total_std": float(one.std(ddof=1)) if one.size > 1 else 0.0,
+            }
     return out
 
 
 def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
     import numpy as np
 
-    nominal_period = 1.0 / nominal_rate
-    cell_results = {
-        key: one_counter_estimate(counts, known_base, nominal_period)
+    results = {
+        key: one_counter_estimate(counts, known_base, 1.0 / nominal_rate)
         for key, counts in read_counter_csv(path).items()
     }
-    all_r = np.concatenate([res.r_values for res in cell_results.values()])
-    any_result = next(iter(cell_results.values()))
+    all_r = np.concatenate([res.r_values for res in results.values()])
+    first = next(iter(results.values()))
     out = {
         "kind": "counter",
         "e_r_ppm_mean": float((all_r.mean() - 1.0) * 1e6),
-        "per_measurement_error_ppm": any_result.per_measurement_error * 1e6,
-        "required_averages": any_result.required_averages,
+        "per_measurement_error_ppm": first.per_measurement_error * 1e6,
+        "required_averages": first.required_averages,
     }
-    temps = sorted({t for t, _ in cell_results if t is not None})
-    if temps:
-        by_temperature = []
-        temp_means = {}
-        for temp in temps:
-            device_means = {
-                dev: [float((res.r_values.mean() - 1.0) * 1e6)]
-                for (t, dev), res in cell_results.items()
-                if t == temp
-            }
-            entry = {"temperature_c": temp}
-            flat = np.concatenate([np.asarray(v) for v in device_means.values()])
-            entry["e_r_ppm_mean"] = float(flat.mean())
-            if len(device_means) >= 2:
-                entry["e_r_ppm_board_std"] = float(
-                    np.std([v[0] for v in device_means.values()], ddof=1)
-                )
-            by_temperature.append(entry)
-            temp_means[str(temp)] = [entry["e_r_ppm_mean"]]
-        out["by_temperature_c"] = by_temperature
-        if len(temp_means) >= 2:
-            board_groups = {}
-            for (t, dev), res in cell_results.items():
-                if t is not None:
-                    board_groups.setdefault(str(t), []).append(
-                        float((res.r_values.mean() - 1.0) * 1e6)
-                    )
-            dec = variance_decomposition(GroupedSamples(board_groups), ddof=1)
-            out["e_r_ppm_total_std"] = dec.total_std
+    # each board's mean e_r in ppm by temperature, in file order
+    boards: dict = {}
+    for (temperature, _), res in results.items():
+        if temperature is not None:
+            boards.setdefault(temperature, []).append(float((res.r_values.mean() - 1.0) * 1e6))
+    if boards:
+        out["by_temperature_c"] = []
+        for temperature in sorted(boards):
+            means = boards[temperature]
+            entry = {"temperature_c": temperature, "e_r_ppm_mean": float(np.mean(means))}
+            if len(means) >= 2:
+                entry["e_r_ppm_board_std"] = float(np.std(means, ddof=1))
+            out["by_temperature_c"].append(entry)
+    if len(boards) >= 2:
+        out["e_r_ppm_total_std"] = variance_decomposition(boards, ddof=1).total_std
     return out
 
 
 def _characterize_delay(path, known_base: float) -> dict:
-    by_profile = read_delay_csv(path, known_base=known_base)
-    out = {"kind": "delay", "profiles": {}}
-    for profile, samples in sorted(by_profile.items()):
-        out["profiles"][profile] = delay_statistics(samples).to_json()
-    return out
+    profiles = {}
+    for profile, samples in sorted(read_delay_csv(path, known_base=known_base).items()):
+        s = delay_statistics(samples)
+        profiles[profile] = {
+            "n": s.n,
+            "min_us": s.minimum * 1e6,
+            "max_us": s.maximum * 1e6,
+            "mean_us": s.mean * 1e6,
+            "std_us": s.std * 1e6,
+            "mode_us": s.mode * 1e6,
+            "mode_std_us": s.mode_std * 1e6,
+            "qq_deviation_us": s.qq_deviation * 1e6,
+        }
+    return {"kind": "delay", "profiles": profiles}
 
 
 def _apply_fragment(fragment: dict, chain_json: dict) -> None:
@@ -347,26 +353,44 @@ def _apply_fragment(fragment: dict, chain_json: dict) -> None:
     elif kind == "delay":
         profiles = chain_json.setdefault("pll", {}).setdefault("profiles", {})
         for name, stats in fragment["profiles"].items():
-            profiles[name] = {
-                "family": "shifted-gamma",
-                "min_us": stats["min_us"],
-                "max_us": stats["max_us"],
-                "mean_us": stats["mean_us"],
-                "std_us": stats["std_us"],
-                "mode_us": stats["mode_us"],
-                "mode_std_us": stats["mode_std_us"],
-            }
+            profiles[name] = {"family": "shifted-gamma"}
+            for key in ("min_us", "max_us", "mean_us", "std_us", "mode_us", "mode_std_us"):
+                profiles[name][key] = stats[key]
     else:
         raise ConfigError(f"cannot merge fragment of kind {kind!r}")
 
 
-def _merge_fragment_into_profile(fragment: dict, profile_path) -> None:
-    chain_json = chain_to_json(load_profile(profile_path))
-    _apply_fragment(fragment, chain_json)
-    save_profile(chain_from_json(chain_json), profile_path)
+def _deep_merge(dst: dict, src: dict) -> None:
+    for key, value in src.items():
+        if isinstance(value, dict) and isinstance(dst.get(key), dict):
+            _deep_merge(dst[key], value)
+        else:
+            dst[key] = value
+
+
+def _merged(base: dict, fragment, where) -> ChainModel:
+    """The chain whose profile form is ``base`` with ``fragment`` merged into it.
+
+    A fragment with a ``kind`` is one ``characterize`` wrote; any other JSON
+    object is a partial profile.  A bad fragment is a ``ConfigError`` naming ``where``.
+    """
+    if not isinstance(fragment, dict):
+        raise ConfigError(f"{where}: a fragment must be a JSON object")
+    try:
+        if "kind" in fragment:
+            _apply_fragment(fragment, base)
+        else:
+            _deep_merge(base, fragment)
+        return chain_from_json(base)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: fragment lacks field {exc}") from exc
+    except ConfigError as exc:  # the base loaded, so the fragment is at fault
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def cmd_characterize(args) -> int:
+    positive(args.known_base_hz, "--known-base-hz")
+    positive(args.nominal_rate_hz, "--nominal-rate-hz")
     _bind("blocks", "characterize")
     if args.kind == "sweep":
         fragment = _characterize_sweep(args.input)
@@ -378,7 +402,8 @@ def cmd_characterize(args) -> int:
         json.dump(fragment, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.merge_into:
-        _merge_fragment_into_profile(fragment, args.merge_into)
+        chain = _merged(chain_to_json(load_profile(args.merge_into)), fragment, args.output)
+        save_profile(chain, args.merge_into)
         print(f"merged {args.kind} fragment into {args.merge_into}")
     print(f"wrote {args.output}")
     return EXIT_OK
@@ -470,36 +495,15 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _deep_merge(dst: dict, src: dict) -> None:
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _deep_merge(dst[key], value)
-        else:
-            dst[key] = value
-
-
 def cmd_profile(args) -> int:
     _bind("blocks")
     if args.profile_cmd == "show":
         chain = _resolve_profile(args.path)
         print(json.dumps(chain_to_json(chain), indent=2))
         return EXIT_OK
-    # merge: a characterize fragment (it has a "kind") or a partial profile
+    # merge: a characterize fragment or a partial profile
     base = chain_to_json(_resolve_profile(args.base))
-    fragment = read_json(args.fragment)
-    if not isinstance(fragment, dict):
-        raise ConfigError(f"{args.fragment}: a fragment must be a JSON object")
-
-    try:
-        if "kind" in fragment:
-            _apply_fragment(fragment, base)
-        else:
-            _deep_merge(base, fragment)
-        chain = chain_from_json(base)
-    except KeyError as exc:
-        raise ConfigError(f"{args.fragment}: fragment lacks field {exc}") from exc
-    except ConfigError as exc:  # the base loaded, so the fragment is at fault
-        raise ConfigError(f"{args.fragment}: {exc}") from exc
+    chain = _merged(base, read_json(args.fragment), args.fragment)
     save_profile(chain, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -32,6 +32,15 @@ class ConfigError(SbcPmuError):
     """Scenario/profile configuration is malformed or inconsistent."""
 
 
+def utf8(raw: bytes, path) -> str:
+    """``raw`` decoded as UTF-8; bytes that are not UTF-8 are a ``ConfigError`` naming the line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_json(path):
     """Parse a JSON file as UTF-8 whatever the locale.
 
@@ -39,16 +48,13 @@ def read_json(path):
     the file and line.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
+        text = utf8(fh.read(), path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python's int-string digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _is_number(value) -> bool:

@@ -19,7 +19,6 @@ from sbcpmu.blocks import (
     timebase_response,
 )
 from sbcpmu.characterize import (
-    GroupedSamples,
     SweepRecord,
     delay_statistics,
     ols_fit,
@@ -207,7 +206,7 @@ def test_criterion_8_property_suite():
 
     # law of total variance identity
     groups = {f"g{i}": rng.normal(i, 1.0, 40) for i in range(3)}
-    dec = variance_decomposition(GroupedSamples(groups))
+    dec = variance_decomposition(groups)
     pooled = np.concatenate(list(groups.values()))
     if abs(dec.total_std**2 - pooled.var(ddof=0)) > 1e-12 * pooled.var(ddof=0):
         failures.append("total-variance")
@@ -270,7 +269,7 @@ def test_criterion_9_table_round_trips(tmp_path):
                 y = (1 + g) * x + rng.normal(0, noise_v, x.size)
                 gains.append((ols_fit(SweepRecord(v_in=x, v_out=y)).gain - 1) * 1e6)
             groups[f"dev{d}"] = gains
-        dec = variance_decomposition(GroupedSamples(groups), ddof=1)
+        dec = variance_decomposition(groups, ddof=1)
         recovered.append((dec.within_std, dec.total_std))
         grand_means.append(dec.grand_mean)
     recovered = np.array(recovered)
@@ -310,7 +309,7 @@ def test_criterion_9_table_round_trips(tmp_path):
         for (temp, _b), counts in read_counter_csv(path).items():
             est = one_counter_estimate(counts, known_base, 1 / rate)
             groups.setdefault(str(temp), []).append((est.r_mean - 1) * 1e6)
-        dec = variance_decomposition(GroupedSamples(groups), ddof=0)
+        dec = variance_decomposition(groups, ddof=0)
         got_totals.append(dec.total_std)
         got_grand.append(dec.grand_mean)
     sigma_r_t = float(np.sqrt(np.mean(np.array(got_totals) ** 2)))

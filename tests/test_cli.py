@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sbcpmu.blocks import chain_to_json, paper_profile
+from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
 from sbcpmu.cli import load_scenario_config, main, scenario_hash
 
 
@@ -167,6 +168,16 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_integer_beyond_digit_limit_exit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError past Python's int-string digit limit
+        p = tmp_path / "cfg.json"
+        cfg = write_config(p)
+        cfg["run"]["trials"] = "TRIALS"
+        p.write_text(json.dumps(cfg).replace('"TRIALS"', "9" * 5001))
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert f"error: {p}: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_temperature_without_grid_exit(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         profile = tmp_path / "chain.json"
@@ -194,6 +205,10 @@ class TestSimulate:
             (
                 {"adc": {"gain_err_ppm": {"mean": math.nan}}},
                 "adc.gain_err_ppm.mean: expected a finite number, got nan",
+            ),
+            (
+                {"adc": {"bits": 16, "noise_rms_uv": -5.0}},
+                "adc.noise_rms_uv: expected a number >= 0, got -5.0",
             ),
         ],
     )
@@ -321,6 +336,104 @@ class TestCharacterize:
         assert main(["characterize", "delay", "--input", str(csv), "--output", str(out)]) == 0
         frag = json.loads(out.read_text())
         assert frag["profiles"]["idle"]["mean_us"] == pytest.approx(6.59, abs=0.15)
+        assert frag["profiles"]["idle"]["n"] == 1000
+
+    def test_sweep_decomposition(self, tmp_path):
+        # 2 devices x 2 channels: the fragment carries the nested decomposition
+        rows = {
+            ("dev0", "ch0"): ([-1.0, 0.0, 1.0, 2.0], [-0.998, 0.0011, 1.0003, 2.001]),
+            ("dev0", "ch1"): ([-1.0, 0.0, 1.0, 2.0], [-1.0012, -0.0004, 0.9991, 1.9987]),
+            ("dev1", "ch0"): ([-1.0, 0.0, 1.0, 2.0], [-1.003, 0.0021, 1.0042, 2.0051]),
+            ("dev1", "ch1"): ([-1.0, 0.0, 1.0, 2.0], [-0.9969, 0.0017, 0.9988, 2.0031]),
+        }
+        csv = tmp_path / "s.csv"
+        csv.write_text(
+            "v_in,v_out,channel,device\n"
+            + "".join(
+                f"{x},{y},{ch},{dev}\n" for (dev, ch), xy in rows.items() for x, y in zip(*xy)
+            )
+        )
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "sweep", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--merge-into", str(profile)]) == 0
+        frag = json.loads(out.read_text())
+        fits = [ols_fit(SweepRecord(*xy)) for xy in rows.values()]
+        for key, value, std in (
+            ("gain_err_ppm", lambda f: (f.gain - 1.0) * 1e6, lambda f: f.gain_std * 1e6),
+            ("offset_uv", lambda f: f.offset * 1e6, lambda f: f.offset_std * 1e6),
+        ):
+            # rows of devices, columns of channels: equal group sizes, ddof 0
+            values = np.array([value(f) for f in fits]).reshape(2, 2)
+            stds = np.array([std(f) for f in fits])
+            assert frag[key] == {
+                "grand_mean": pytest.approx(values.mean(), rel=1e-12),
+                "estimator_std": pytest.approx(math.sqrt(np.mean(stds**2)), rel=1e-12),
+                "within_std": pytest.approx(math.sqrt(values.var(axis=1).mean()), rel=1e-9),
+                "between_std": pytest.approx(math.sqrt(values.mean(axis=1).var()), rel=1e-9),
+                "total_std": pytest.approx(math.sqrt(values.var()), rel=1e-9),
+                "ordering_ok": True,
+            }
+        merged = json.loads(profile.read_text())["adc"]
+        assert merged["gain_err_ppm"] == {
+            "mean": frag["gain_err_ppm"]["grand_mean"],
+            "std": frag["gain_err_ppm"]["total_std"],
+        }
+        assert merged["gain_err_within_device_ppm"] == frag["gain_err_ppm"]["within_std"]
+
+    def test_counter_by_temperature(self, tmp_path):
+        # 2 temperatures x 2 boards, the hotter one first in the file
+        counts = {
+            (40.0, "b0"): [2000, 2001, 2001, 2000],
+            (40.0, "b1"): [1999, 2000, 2000, 2000],
+            (20.0, "b0"): [2001, 2002, 2001, 2001],
+            (20.0, "b1"): [2000, 2000, 2001, 2000],
+        }
+        csv = tmp_path / "c.csv"
+        csv.write_text(
+            "count,device,temperature_c\n"
+            + "".join(f"{c},{dev},{t}\n" for (t, dev), cs in counts.items() for c in cs)
+        )
+        out = tmp_path / "frag.json"
+        assert main(["characterize", "counter", "--input", str(csv), "--output", str(out)]) == 0
+        frag = json.loads(out.read_text())
+        boards = {}
+        for (t, _), cs in counts.items():
+            res = one_counter_estimate(cs, 100e6, 1.0 / 50e3)
+            boards.setdefault(t, []).append(float((res.r_values.mean() - 1.0) * 1e6))
+        assert frag["by_temperature_c"] == [
+            {
+                "temperature_c": t,
+                "e_r_ppm_mean": float(np.mean(boards[t])),
+                "e_r_ppm_board_std": float(np.std(boards[t], ddof=1)),
+            }
+            for t in (20.0, 40.0)
+        ]
+        # unbiased nested split over the temperatures: within plus between
+        means = np.array([boards[20.0], boards[40.0]])
+        total = math.sqrt(means.var(axis=1, ddof=1).mean() + means.mean(axis=1).var(ddof=1))
+        assert frag["e_r_ppm_total_std"] == pytest.approx(total, rel=1e-12)
+        assert total > 0
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--known-base-hz", "0", "expected a number > 0, got 0.0"),
+            ("--known-base-hz", "nan", "expected a finite number, got nan"),
+            ("--known-base-hz", "-1e8", "expected a number > 0, got -100000000.0"),
+            ("--nominal-rate-hz", "0", "expected a number > 0, got 0.0"),
+            ("--nominal-rate-hz", "inf", "expected a finite number, got inf"),
+        ],
+    )
+    def test_bad_rate_flag_exit(self, tmp_path, capsys, flag, value, message):
+        csv = tmp_path / "c.csv"
+        csv.write_text("count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n")
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(out)]
+        assert main(argv + [f"{flag}={value}"]) == 2
+        assert f"error: {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schema_mismatch_exit(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
