@@ -16,7 +16,7 @@ import importlib
 # a command that needs one submodule pays for that one alone.
 _EXPORTS = {
     "blocks": (
-        "AafModel", "AdcModel", "BlockResponse", "ChainModel", "GaussianTerm",
+        "AafModel", "BlockResponse", "ChainModel", "GaussianTerm",
         "PllDelayModel", "TimebaseModel", "aaf_response", "acquire", "expected_response",
         "identity_chain", "load_profile", "paper_profile", "pll_response", "save_profile",
         "timebase_response",

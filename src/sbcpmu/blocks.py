@@ -139,58 +139,37 @@ def aaf_response(model: AafModel, omega: float) -> BlockResponse:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdcModel:
-    """Static ADC transfer: gain, offset and bipolar quantizer."""
-
-    gain: float = 1.0
-    offset: float = 0.0
-    bits: int = 16
-    vref: float = 10.0
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if self.vref <= 0:
-            raise ValueError("vref must be > 0")
-
-    @property
-    def quantum(self) -> float:
-        """LSB size over the bipolar full scale [-vref, +vref)."""
-        return 2.0 * self.vref / (1 << self.bits)
-
-
-def adc_convert(model: AdcModel, v_in, noise_draw=0.0):
-    """Apply gain/offset/noise, quantize, and report end-code saturation.
+def adc_convert(chain: ChainModel, v_in):
+    """Convert with the chain's mean ADC gain and offset, and report end-code saturation.
 
     Returns ``(v_out, saturated)`` where ``saturated`` is a boolean mask.
     """
     v = np.array(v_in, dtype=float)
-    saturated = _convert(v, model.gain, model.offset, noise_draw, model)
+    saturated = _convert(v, chain.adc_gain_ppm.mean, chain.adc_offset_uv.mean, None, chain)
     # [()] turns the 0-d results of a scalar input back into scalars
     return v[()], saturated[()]
 
 
-def _convert(v: np.ndarray, gain, offset, noise, quantizer: Optional[AdcModel]):
-    """The ADC transfer in place: ``v <- Q(gain*v + offset + noise)``.
+def _convert(v: np.ndarray, gain_ppm, offset_uv, noise, chain: ChainModel):
+    """The ADC transfer in place: ``v <- Q((1 + gain_ppm/1e6)*v + offset_uv/1e6 + noise)``.
 
-    ``gain`` and ``offset`` are scalars or per-row columns, ``noise`` is None,
-    a scalar or shaped like ``v``.  ``quantizer`` sets the code grid from its
-    ``bits`` and ``vref`` (its own gain and offset are not used); None is an
-    ideal converter.  Returns the end-code saturation mask, or None without a
-    quantizer.
+    ``gain_ppm`` and ``offset_uv`` are scalars or per-row columns, ``noise`` is
+    None or volts shaped like ``v``.  The code grid is the chain's: ``adc_bits``
+    over the bipolar full scale ``[-adc_vref_v, +adc_vref_v)``, or no
+    quantization when ``adc_bits`` is None.  Returns the end-code saturation
+    mask, all clear for an ideal converter.
     """
-    np.multiply(gain, v, out=v)
-    v += offset
+    np.multiply(1.0 + 1e-6 * gain_ppm, v, out=v)
+    v += 1e-6 * offset_uv
     if noise is not None:
         v += noise
-    if quantizer is None:
-        return None
-    q = quantizer.quantum
+    if chain.adc_bits is None:
+        return np.zeros(v.shape, dtype=bool)
+    q = 2.0 * chain.adc_vref_v / (1 << chain.adc_bits)
     np.divide(v, q, out=v)
     np.rint(v, out=v)
-    code_min = -(1 << (quantizer.bits - 1))
-    code_max = (1 << (quantizer.bits - 1)) - 1
+    code_min = -(1 << (chain.adc_bits - 1))
+    code_max = (1 << (chain.adc_bits - 1)) - 1
     saturated = (v < code_min) | (v > code_max)
     np.clip(v, code_min, code_max, out=v)
     v *= q
@@ -411,13 +390,6 @@ class GaussianTerm:
             raise ValueError("std must be >= 0")
 
 
-def _aaf_factor(gain_ppm: float, phase_urad: float) -> complex:
-    """Complex AAF factor of a gain error (ppm) and a phase error (urad)."""
-    g = 1.0 + 1e-6 * gain_ppm
-    p = 1e-6 * phase_urad
-    return g * complex(math.cos(p), math.sin(p))
-
-
 @dataclass(frozen=True)
 class ChainModel:
     """The four parameterized error blocks plus noise terms.
@@ -443,17 +415,12 @@ class ChainModel:
     pll_profiles: Mapping[str, PllDelayModel] = field(default_factory=dict)
     name: str = "chain"
 
-    @property
-    def aaf_factor(self) -> complex:
-        return _aaf_factor(self.aaf_gain_ppm.mean, self.aaf_phase_urad.mean)
-
-    @property
-    def adc_gain(self) -> float:
-        return 1.0 + 1e-6 * self.adc_gain_ppm.mean
-
-    @property
-    def adc_offset_v(self) -> float:
-        return 1e-6 * self.adc_offset_uv.mean
+    def __post_init__(self):
+        # float64 holds the code grid exactly up to 2**53 codes
+        if self.adc_bits is not None and not 1 <= self.adc_bits <= 53:
+            raise ModelParameterError(f"adc_bits must be in [1, 53] or None, got {self.adc_bits}")
+        if not self.adc_vref_v > 0:
+            raise ModelParameterError(f"adc_vref_v must be > 0, got {self.adc_vref_v}")
 
     def sequence_gain_std_ppm(self) -> float:
         """Gain dispersion across uncorrelated sub-sequences of one device."""
@@ -520,21 +487,17 @@ def acquire(
     the schedule.  ``rng`` is only needed when the chain has nonzero ADC
     noise.
     """
-    t_real = schedule.realized_instants()
-    noise = None
-    noise_rms = 1e-6 * chain.adc_noise_rms_uv
-    if noise_rms > 0:
-        if rng is None:
-            raise ValueError("rng required for nonzero ADC noise")
-        noise = rng.normal(0.0, noise_rms, size=t_real.shape)
+    if rng is None and chain.adc_noise_rms_uv > 0:
+        raise ValueError("rng required for nonzero ADC noise")
     v, saturated = _acquire_rows(
         phasor,
-        [chain.aaf_factor],
-        [chain.adc_gain],
-        [chain.adc_offset_v],
-        t_real[None, :],
-        noise,
-        _quantizer(chain),
+        chain,
+        [chain.aaf_gain_ppm.mean],
+        [chain.aaf_phase_urad.mean],
+        [chain.adc_gain_ppm.mean],
+        [chain.adc_offset_uv.mean],
+        schedule.realized_instants()[None, :],
+        [rng],
     )
     return Waveform(
         times=schedule.nominal_instants(),
@@ -543,35 +506,36 @@ def acquire(
     )
 
 
-def _quantizer(chain: ChainModel) -> Optional[AdcModel]:
-    """The converter whose bits and vref quantize the chain's samples; None if ideal."""
-    if chain.adc_bits is None:
-        return None
-    return AdcModel(bits=chain.adc_bits, vref=chain.adc_vref_v)
-
-
-def _acquire_rows(phasor: Phasor, aaf, adc_gain, adc_offset_v, t_real, noise, quantizer):
+def _acquire_rows(
+    phasor: Phasor, chain: ChainModel, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv,
+    t_real, rngs,
+):
     """The forward chain on rows of realized instants, computed in place over ``t_real``.
 
-    Row ``r`` of ``t_real`` (rows x samples) is sampled through the AAF
-    factor ``aaf[r]`` and converted with gain ``adc_gain[r]`` and offset
-    ``adc_offset_v[r]``; ``noise`` is None or shaped like ``t_real``, and
-    ``quantizer`` is as for ``_quantizer``.  Returns ``(values,
-    clipped)``: the converted samples and each row's number of samples
-    clipped at the end codes.
+    Row ``r`` of ``t_real`` (rows x samples) is scaled by the AAF gain error
+    ``aaf_gain_ppm[r]``, shifted by its phase error ``aaf_phase_urad[r]`` and
+    converted with the ADC gain error ``adc_gain_ppm[r]`` and offset
+    ``adc_offset_uv[r]`` on the chain's code grid, with the chain's ADC noise
+    drawn from ``rngs[r]`` (not used for a noise-free chain).  Returns
+    ``(values, clipped)``: the converted samples and each row's number of
+    samples clipped at the end codes.
     """
+    aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv = (
+        np.asarray(values, dtype=float)[:, None]
+        for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv)
+    )
     # steady-state filtering: scale the envelope, shift the phase
-    amp = np.array([phasor.amplitude * abs(a) for a in aaf])[:, None]
-    ph = np.array([phasor.phase + math.atan2(a.imag, a.real) for a in aaf])[:, None]
+    amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
+    ph = phasor.phase + 1e-6 * aaf_phase_urad
     y = np.multiply(phasor.omega, t_real, out=t_real)
     y += ph
     np.cos(y, out=y)
     np.multiply(amp, y, out=y)
-    gain = np.asarray(adc_gain, dtype=float)[:, None]
-    offset = np.asarray(adc_offset_v, dtype=float)[:, None]
-    saturated = _convert(y, gain, offset, noise, quantizer)
-    if saturated is None:
-        return y, np.zeros(y.shape[0], dtype=np.int64)
+    noise = None
+    if chain.adc_noise_rms_uv > 0:
+        noise_rms = 1e-6 * chain.adc_noise_rms_uv
+        noise = np.array([rng.normal(0.0, noise_rms, size=y.shape[1]) for rng in rngs])
+    saturated = _convert(y, adc_gain_ppm, adc_offset_uv, noise, chain)
     return y, np.count_nonzero(saturated, axis=1)
 
 
@@ -631,20 +595,24 @@ def _pll_from_json(obj, path: str) -> PllDelayModel:
         for key in ("bin_edges_us", "counts"):
             if key not in h:
                 raise ConfigError(f"{where}{key}: missing")
+        counts = of_type(h["counts"], where + "counts", list)
         hist = (
             tuple(e * 1e-6 for e in numbers(h["bin_edges_us"], where + "bin_edges_us")),
-            tuple(numbers(h["counts"], where + "counts")),
+            tuple(integer(c, f"{where}counts[{i}]", 0) for i, c in enumerate(counts)),
         )
-    return PllDelayModel(
-        family=of_type(obj.get("family", "shifted-gamma"), path + ".family", str),
-        min=us("min_us", 0.0),
-        max=us("max_us", math.inf),
-        mean=us("mean_us", 0.0),
-        std=us("std_us", 0.0),
-        mode=us("mode_us"),
-        mode_std=us("mode_std_us"),
-        histogram=hist,
-    )
+    try:
+        return PllDelayModel(
+            family=of_type(obj.get("family", "shifted-gamma"), path + ".family", str),
+            min=us("min_us", 0.0),
+            max=us("max_us", math.inf),
+            mean=us("mean_us", 0.0),
+            std=us("std_us", 0.0),
+            mode=us("mode_us"),
+            mode_std=us("mode_std_us"),
+            histogram=hist,
+        )
+    except ModelParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def chain_to_json(chain: ChainModel) -> dict:
@@ -694,35 +662,43 @@ def chain_from_json(obj) -> ChainModel:
         where = f"timebase.by_temperature_c[{i}]"
         if len(numbers(row, where)) != 3:
             raise ConfigError(f"{where}: expected [temperature_c, mean_ppm, std_ppm]")
-    timebase = TimebaseModel(
-        overall_mean_ppm=e_r.mean,
-        overall_std_ppm=e_r.std,
-        e_r_by_temperature=tuple(tuple(r) for r in rows),
-        estimator_std_ppm=number(tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"),
-        board_std_ppm=number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
-    )
+    try:
+        timebase = TimebaseModel(
+            overall_mean_ppm=e_r.mean,
+            overall_std_ppm=e_r.std,
+            e_r_by_temperature=tuple(tuple(r) for r in rows),
+            estimator_std_ppm=number(
+                tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"
+            ),
+            board_std_ppm=number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
+        )
+    except ModelParameterError as exc:
+        raise ConfigError(f"timebase: {exc}") from exc
     profiles = section(pll, "profiles", "pll.")
     noise_rms_uv = number(adc.get("noise_rms_uv", 0.0), "adc.noise_rms_uv")
     if noise_rms_uv < 0:
         raise ConfigError(f"adc.noise_rms_uv: expected a number >= 0, got {noise_rms_uv!r}")
-    chain = ChainModel(
-        aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
-        aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0), "aaf.phase_err_urad"),
-        adc_gain_ppm=_term_from_json(adc.get("gain_err_ppm", 0.0), "adc.gain_err_ppm"),
-        adc_gain_within_device_ppm=number(
-            adc.get("gain_err_within_device_ppm"), "adc.gain_err_within_device_ppm", null=True
-        ),
-        adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
-        adc_bits=integer(adc.get("bits"), "adc.bits", 1, null=True),
-        adc_vref_v=positive(adc.get("vref_v", 10.0), "adc.vref_v"),
-        adc_noise_rms_uv=noise_rms_uv,
-        timebase=timebase,
-        pll=_pll_from_json(pll["delay"], "pll.delay") if "delay" in pll else PllDelayModel(),
-        pll_profiles={
-            k: _pll_from_json(v, f"pll.profiles.{k}") for k, v in profiles.items()
-        },
-        name=of_type(obj.get("name", "chain"), "name", str),
-    )
+    try:
+        chain = ChainModel(
+            aaf_gain_ppm=_term_from_json(aaf.get("gain_err_ppm", 0.0), "aaf.gain_err_ppm"),
+            aaf_phase_urad=_term_from_json(aaf.get("phase_err_urad", 0.0), "aaf.phase_err_urad"),
+            adc_gain_ppm=_term_from_json(adc.get("gain_err_ppm", 0.0), "adc.gain_err_ppm"),
+            adc_gain_within_device_ppm=number(
+                adc.get("gain_err_within_device_ppm"), "adc.gain_err_within_device_ppm", null=True
+            ),
+            adc_offset_uv=_term_from_json(adc.get("offset_uv", 0.0), "adc.offset_uv"),
+            adc_bits=integer(adc.get("bits"), "adc.bits", 1, null=True),
+            adc_vref_v=positive(adc.get("vref_v", 10.0), "adc.vref_v"),
+            adc_noise_rms_uv=noise_rms_uv,
+            timebase=timebase,
+            pll=_pll_from_json(pll["delay"], "pll.delay") if "delay" in pll else PllDelayModel(),
+            pll_profiles={
+                k: _pll_from_json(v, f"pll.profiles.{k}") for k, v in profiles.items()
+            },
+            name=of_type(obj.get("name", "chain"), "name", str),
+        )
+    except ModelParameterError as exc:
+        raise ConfigError(f"adc: {exc}") from exc
     reject_unknown_keys(obj, chain_to_json(chain))
     return chain
 
@@ -755,7 +731,6 @@ def identity_chain(bits: Optional[int] = None) -> ChainModel:
 
 __all__ = [
     "AafModel",
-    "AdcModel",
     "BlockResponse",
     "ChainModel",
     "ExpectedResponse",

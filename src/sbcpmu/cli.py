@@ -181,12 +181,6 @@ def cmd_simulate(args) -> int:
     cfg = scenario_from_json(cfg)  # a flag is checked as the file is
 
     chain = _resolve_profile(cfg["chain_profile"])
-    # the time base is not extrapolated beyond the profile's temperature grid
-    temperature_c = cfg["temperature_c"]
-    grid = [row[0] for row in chain.timebase.e_r_by_temperature]
-    if temperature_c is not None and not (grid and grid[0] <= temperature_c <= grid[-1]):
-        span = f"[{grid[0]}, {grid[-1]}]" if grid else "(empty)"
-        raise ConfigError(f"temperature_c: {temperature_c} is off timebase.by_temperature_c {span}")
     signal, schedule, run = cfg["signal"], cfg["schedule"], cfg["run"]
     scenario = McScenario(
         chain=chain,
@@ -198,7 +192,7 @@ def cmd_simulate(args) -> int:
         duration=run["duration_s"],
         channels=run["channels"],
         compensate=cfg["compensation"] == "on",
-        temperature_c=temperature_c,
+        temperature_c=cfg["temperature_c"],
     )
     result = monte_carlo(scenario)
     manifest = {
@@ -325,11 +319,15 @@ def _characterize_delay(path, known_base: float) -> dict:
 
 
 def _apply_fragment(fragment: dict, chain_json: dict) -> None:
-    """Write the fitted values of a ``characterize`` fragment into a profile's JSON form."""
+    """Write the fitted values of a ``characterize`` fragment into a profile's JSON form.
+
+    An object or array the merge reads that has the wrong JSON type is a
+    ``ConfigError`` naming its fragment key; the profile reader checks the numbers.
+    """
     kind = fragment.get("kind")
     if kind == "sweep":
-        gain = fragment["gain_err_ppm"]
-        offset = fragment["offset_uv"]
+        gain = of_type(fragment["gain_err_ppm"], "gain_err_ppm", dict)
+        offset = of_type(fragment["offset_uv"], "offset_uv", dict)
         chain_json["adc"]["gain_err_ppm"] = {
             "mean": gain["grand_mean"],
             "std": gain.get("total_std", 0.0),
@@ -346,13 +344,16 @@ def _apply_fragment(fragment: dict, chain_json: dict) -> None:
         if "e_r_ppm_total_std" in fragment:
             tb["e_r_ppm"]["std"] = fragment["e_r_ppm_total_std"]
         if "by_temperature_c" in fragment:
+            rows = of_type(fragment["by_temperature_c"], "by_temperature_c", list)
+            entries = (of_type(e, f"by_temperature_c[{i}]", dict) for i, e in enumerate(rows))
             tb["by_temperature_c"] = [
                 [e["temperature_c"], e["e_r_ppm_mean"], e.get("e_r_ppm_board_std", 0.0)]
-                for e in fragment["by_temperature_c"]
+                for e in entries
             ]
     elif kind == "delay":
         profiles = chain_json.setdefault("pll", {}).setdefault("profiles", {})
-        for name, stats in fragment["profiles"].items():
+        for name, stats in of_type(fragment["profiles"], "profiles", dict).items():
+            stats = of_type(stats, f"profiles.{name}", dict)
             profiles[name] = {"family": "shifted-gamma"}
             for key in ("min_us", "max_us", "mean_us", "std_us", "mode_us", "mode_std_us"):
                 profiles[name][key] = stats[key]

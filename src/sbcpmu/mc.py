@@ -20,13 +20,11 @@ import numpy as np
 from .blocks import (
     ChainModel,
     GaussianTerm,
-    _aaf_factor,
     _acquire_rows,
-    _quantizer,
     expected_response,
     pll_sample,
 )
-from .errors import ScheduleGuardError
+from .errors import ConfigError, ScheduleGuardError
 from .estimate import EstimationWindow, _FourierPlan, fe, tve
 from .signals import Phasor, build_schedule, guard_margin, interval_instants
 
@@ -154,6 +152,14 @@ class McScenario:
             raise ValueError("trials must be >= 1")
         if self.duration < self.pps_period:
             raise ValueError("duration must cover at least one PPS period")
+        # the time base is not extrapolated beyond the profile's temperature grid
+        grid = [row[0] for row in self.chain.timebase.e_r_by_temperature]
+        temperature = self.temperature_c
+        if temperature is not None and not (grid and grid[0] <= temperature <= grid[-1]):
+            span = f"[{grid[0]}, {grid[-1]}]" if grid else "(empty)"
+            raise ConfigError(
+                f"temperature_c: {temperature} is off timebase.by_temperature_c {span}"
+            )
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ class _Engine:
 
     What does not change between trials is computed once: the nominal sample
     grid and its demodulating exponential, the time-base statistics at the
-    scenario's temperature, the quantizer and the compensation factor.
+    scenario's temperature and the compensation factor.
     """
 
     def __init__(self, scenario: McScenario):
@@ -252,8 +258,6 @@ class _Engine:
             chain.timebase.mean_ppm(scenario.temperature_c),
             chain.timebase.std_ppm(scenario.temperature_c),
         )
-        self.noise_rms = 1e-6 * chain.adc_noise_rms_uv
-        self.quantizer = _quantizer(chain)
         self.compensation = None
         if scenario.compensate:
             mean = expected_response(
@@ -266,11 +270,12 @@ class _Engine:
         scenario = self.scenario
         rows = stop - start
         draws = []
+        rngs = []
         ratios = np.empty(rows)
         margins = np.empty(rows)
-        noise = np.empty((rows, self.samples)) if self.noise_rms > 0 else None
         for r, i in enumerate(range(start, stop)):
             rng = np.random.default_rng([scenario.base_seed, i])
+            rngs.append(rng)
             draw = _draw_trial(scenario.chain, self.e_r, rng)
             ratios[r] = ratio = 1.0 + 1e-6 * draw.e_r_ppm
             try:
@@ -279,20 +284,19 @@ class _Engine:
                 raise ScheduleGuardError(
                     f"trial {i} aborted: {exc}; draw = {draw.to_json()}"
                 ) from exc
-            if noise is not None:
-                noise[r] = rng.normal(0.0, self.noise_rms, size=self.samples)
             draws.append(draw)
         t_real = interval_instants(
             self.sample_period, ratios[:, None], [d.delay_s for d in draws], self.samples
         )
         values, clipped = _acquire_rows(
             scenario.phasor,
-            [_aaf_factor(d.aaf_gain_ppm, d.aaf_phase_urad) for d in draws],
-            [1.0 + 1e-6 * d.adc_gain_ppm for d in draws],
-            [1e-6 * d.adc_offset_uv for d in draws],
+            scenario.chain,
+            [d.aaf_gain_ppm for d in draws],
+            [d.aaf_phase_urad for d in draws],
+            [d.adc_gain_ppm for d in draws],
+            [d.adc_offset_uv for d in draws],
             t_real,
-            noise,
-            self.quantizer,
+            rngs,  # each trial's ADC noise follows its parameter draws
         )
         envelopes = self.plan.rows(values)
         if self.compensation is not None:

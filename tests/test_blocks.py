@@ -5,7 +5,6 @@ import pytest
 
 from sbcpmu.blocks import (
     AafModel,
-    AdcModel,
     ChainModel,
     GaussianTerm,
     PllDelayModel,
@@ -72,30 +71,47 @@ class TestAaf:
             AafModel(1e3, 1e-6, resistor_tolerance=1.5)
 
 
+def quantum(chain):
+    return 2 * chain.adc_vref_v / 2**chain.adc_bits
+
+
 class TestAdc:
     def test_zero_input(self):
-        model = AdcModel(bits=16, vref=10.0)
-        assert adc_convert(model, 0.0)[0] == 0.0
+        chain = ChainModel(adc_bits=16, adc_vref_v=10.0)
+        assert adc_convert(chain, 0.0)[0] == 0.0
 
     def test_paper_gain_offset(self):
-        model = AdcModel(gain=1 - 4459e-6, offset=-269e-6, bits=24, vref=10.0)
+        chain = ChainModel(
+            adc_gain_ppm=GaussianTerm(-4459.0),
+            adc_offset_uv=GaussianTerm(-269.0),
+            adc_bits=24,
+            adc_vref_v=10.0,
+        )
         # pre-quantization value from Table-like gain/offset at 10 V
         expected = 10 * (1 - 4459e-6) - 269e-6
         assert expected == pytest.approx(9.955141, abs=5e-7)
-        assert adc_convert(model, 10.0)[0] == pytest.approx(expected, abs=model.quantum)
+        assert adc_convert(chain, 10.0)[0] == pytest.approx(expected, abs=quantum(chain))
 
     def test_quantization_noise_rms(self):
-        model = AdcModel(bits=12, vref=10.0)
+        chain = ChainModel(adc_bits=12, adc_vref_v=10.0)
         v = np.linspace(-9.9, 9.9, 200001)
-        out = adc_convert(model, v)[0]
+        out = adc_convert(chain, v)[0]
         resid = out - v
-        assert np.std(resid) == pytest.approx(model.quantum / math.sqrt(12), rel=0.05)
+        assert np.std(resid) == pytest.approx(quantum(chain) / math.sqrt(12), rel=0.05)
 
     def test_saturation_flag(self):
-        model = AdcModel(bits=8, vref=1.0)
-        out, sat = adc_convert(model, np.array([0.0, 2.0, -3.0]))
+        chain = ChainModel(adc_bits=8, adc_vref_v=1.0)
+        out, sat = adc_convert(chain, np.array([0.0, 2.0, -3.0]))
         assert list(sat) == [False, True, True]
-        assert out[1] == pytest.approx(1.0, abs=2 * model.quantum)
+        assert out[1] == pytest.approx(1.0, abs=2 * quantum(chain))
+
+    @pytest.mark.parametrize(
+        "fields", [{"adc_bits": 0}, {"adc_bits": 54}, {"adc_vref_v": 0.0}, {"adc_vref_v": -1.0}]
+    )
+    def test_chain_rejects_infeasible_converter(self, fields):
+        # float64 holds the code grid exactly up to 2**53 codes
+        with pytest.raises(ModelParameterError):
+            ChainModel(**{"adc_bits": 16, **fields})
 
 
 class TestTimebase:

@@ -210,6 +210,24 @@ class TestSimulate:
                 {"adc": {"bits": 16, "noise_rms_uv": -5.0}},
                 "adc.noise_rms_uv: expected a number >= 0, got -5.0",
             ),
+            ({"pll": {"delay": {"family": "gauss"}}}, "pll.delay: unknown delay family 'gauss'"),
+            (
+                {"timebase": {"by_temperature_c": [[10.0, -19.0, 2.0], [0.0, -19.9, 2.0]]}},
+                "timebase: temperature grid must be strictly increasing",
+            ),
+            ({"pll": {"delay": {"mode_us": 100}}}, "pll.delay: need min <= mode <= mean"),
+            (
+                {"pll": {"delay": {"family": "empirical-histogram", "histogram": {
+                    "bin_edges_us": [4, 5, 6, 8], "counts": [3, -1, 2]}}}},
+                "pll.delay.histogram.counts[1]: expected an integer >= 0, got -1",
+            ),
+            (
+                {"pll": {"delay": {"family": "empirical-histogram", "histogram": {
+                    "bin_edges_us": [4, 5, 6, 8], "counts": [3, 2.7, 2]}}}},
+                "pll.delay.histogram.counts[1]: expected an integer >= 0, got 2.7",
+            ),
+            ({"adc": {"bits": 2000}}, "adc: adc_bits must be in [1, 53] or None, got 2000"),
+            ({"adc": {"bits": 54}}, "adc: adc_bits must be in [1, 53] or None, got 54"),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
@@ -683,6 +701,26 @@ class TestProfileCmd:
         assert code == 0
         merged = json.loads(out.read_text())
         assert merged["adc"]["gain_err_ppm"] == {"mean": 5.0, "std": 0.0}
+
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            (
+                {"kind": "sweep", "gain_err_ppm": 5, "offset_uv": {"grand_mean": 1}},
+                "gain_err_ppm: expected an object, got a number",
+            ),
+            ({"kind": "delay", "profiles": [1]}, "profiles: expected an object, got an array"),
+            (
+                {"kind": "counter", "e_r_ppm_mean": 1, "by_temperature_c": [1]},
+                "by_temperature_c[0]: expected an object, got a number",
+            ),
+        ],
+    )
+    def test_merge_wrong_fragment_type_exit(self, tmp_path, capsys, fragment, message):
+        code, out = self.merge(tmp_path, fragment)
+        assert code == 2
+        assert f"frag.json: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_merge_malformed_fragment_exit(self, tmp_path, capsys):
         code, out = self.merge(tmp_path, "{bad")

@@ -13,10 +13,12 @@ from sbcpmu.blocks import (
     GaussianTerm,
     PllDelayModel,
     TimebaseModel,
+    acquire,
     identity_chain,
     paper_profile,
 )
-from sbcpmu.errors import ScheduleGuardError
+from sbcpmu.errors import ConfigError, ScheduleGuardError
+from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.mc import (
     BLOCK_TRIALS,
     McScenario,
@@ -27,7 +29,7 @@ from sbcpmu.mc import (
     run_trial,
     write_run,
 )
-from sbcpmu.signals import Phasor
+from sbcpmu.signals import Phasor, build_schedule
 
 OMEGA_50 = 2 * math.pi * 50
 
@@ -210,6 +212,12 @@ class TestMonteCarlo:
         ):
             monte_carlo(small_scenario(chain=chain))
 
+    def test_temperature_off_grid_raises(self):
+        # the time base is not extrapolated: 200 C is off the paper grid [0, 50]
+        message = r"^temperature_c: 200\.0 is off timebase\.by_temperature_c \[0\.0, 50\.0\]$"
+        with pytest.raises(ConfigError, match=message):
+            small_scenario(temperature_c=200.0)
+
 
 def zero_variance_chain():
     """The paper profile's means with every std 0, an ideal ADC and no noise."""
@@ -240,6 +248,25 @@ class TestModelAgreement:
         # which about 1e-5 is the convention gap: the trials apply the gains
         # as (1+a)(1+b) while the compensation divides by exp(a+b).
         assert np.max(np.abs(r.mean_tve - r.model_tve)) <= 2e-5
+
+
+class TestAcquireMatchesEngine:
+    """``acquire`` and the engine run the same forward chain: one trial agrees bit for bit."""
+
+    @pytest.mark.parametrize("bits", [None, 16])
+    def test_mean_trial(self, bits):
+        chain = replace(zero_variance_chain(), adc_bits=bits)
+        scenario = small_scenario(chain=chain, trials=1)
+        phasor = scenario.phasor
+        schedule = build_schedule(
+            scenario.nominal_rate, chain.timebase.deviation_ratio(), [chain.pll.mean],
+            scenario.pps_period,
+        )
+        window = EstimationWindow(phasor.frequency)
+        env = fourier_phasor(acquire(phasor, chain, schedule), window)
+        times, trace, _, _, _ = run_trial(scenario, 0)
+        assert np.array_equal(env.times, times)
+        assert tve(env.values, phasor.value).tobytes() == trace.tobytes()
 
 
 def _equivalence_scenarios():
