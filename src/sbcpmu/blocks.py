@@ -209,18 +209,32 @@ class TimebaseModel:
             raise ModelParameterError("stds must be >= 0")
         object.__setattr__(self, "e_r_by_temperature", rows)
 
+    def check_temperature(self, temperature: Optional[float]) -> None:
+        """Raise a ``ConfigError`` unless ``temperature`` is None or on the grid's span.
+
+        The statistics are not extrapolated: ``np.interp`` would clamp an
+        off-grid temperature to the nearest end of the grid in silence.
+        """
+        grid = [r[0] for r in self.e_r_by_temperature]
+        if temperature is not None and not (grid and grid[0] <= temperature <= grid[-1]):
+            span = f"[{grid[0]}, {grid[-1]}]" if grid else "(empty)"
+            raise ConfigError(
+                f"temperature_c: {temperature} is off timebase.by_temperature_c {span}"
+            )
+
     def _interp(self, temperature: float, column: int) -> float:
+        self.check_temperature(temperature)
         grid = np.array([r[0] for r in self.e_r_by_temperature])
         vals = np.array([r[column] for r in self.e_r_by_temperature])
         return float(np.interp(temperature, grid, vals))
 
     def mean_ppm(self, temperature: Optional[float] = None) -> float:
-        if temperature is None or not self.e_r_by_temperature:
+        if temperature is None:
             return self.overall_mean_ppm
         return self._interp(temperature, 1)
 
     def std_ppm(self, temperature: Optional[float] = None) -> float:
-        if temperature is None or not self.e_r_by_temperature:
+        if temperature is None:
             return self.overall_std_ppm
         return self._interp(temperature, 2)
 
@@ -297,6 +311,12 @@ class PllDelayModel:
         if self.family == "truncated-normal" and self.std > 0:
             if not self.min < self.max:
                 raise ModelParameterError(f"need min < max, got {self.min} / {self.max}")
+            p_lo, p_hi, _ = _truncated_normal_bounds(self)
+            if not p_hi > p_lo:
+                raise ModelParameterError(
+                    f"truncated-normal support [{self.min}, {self.max}] holds no representable "
+                    f"mass of the normal with mean {self.mean} and std {self.std}"
+                )
         elif not (self.min <= self.mean <= self.max):
             raise ModelParameterError(
                 f"need min <= mean <= max, got {self.min} / {self.mean} / {self.max}"
@@ -339,13 +359,14 @@ _STANDARD_NORMAL = NormalDist()
 _P_OPEN = (math.ulp(0.0), 1.0 - 2.0**-53)
 
 
-def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, size):
-    """Inverse-CDF draws of the normal(mean, std) restricted to [min, max].
+def _truncated_normal_bounds(model: PllDelayModel):
+    """The standard-normal CDF at the support's ends, and the mirror sign.
 
-    An interval above the mean is mirrored below it first, and the CDF is
-    taken as ``erfc(-z/sqrt(2))/2``: that form keeps its relative precision in
-    the lower tail, where ``NormalDist.cdf`` (``(1 + erf)/2``) rounds to 0
-    beyond about 8 std, so a deep one-sided truncation stays resolved.
+    An interval above the mean is mirrored below it first (sign -1), and the
+    CDF is taken as ``erfc(-z/sqrt(2))/2``: that form keeps its relative
+    precision in the lower tail, where ``NormalDist.cdf`` (``(1 + erf)/2``)
+    rounds to 0 beyond about 8 std, so a deep one-sided truncation stays
+    resolved.  ``PllDelayModel`` rejects a support where ``p_hi > p_lo`` fails.
     """
     a = (model.min - model.mean) / model.std
     b = (model.max - model.mean) / model.std
@@ -353,11 +374,12 @@ def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, siz
     if a > 0:
         a, b, sign = -b, -a, -1.0
     p_lo, p_hi = (0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (a, b))
-    if not p_hi > p_lo:
-        raise ModelParameterError(
-            f"truncated-normal support [{model.min}, {model.max}] holds no representable "
-            f"mass of the normal with mean {model.mean} and std {model.std}"
-        )
+    return p_lo, p_hi, sign
+
+
+def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, size):
+    """Inverse-CDF draws of the normal(mean, std) restricted to [min, max]."""
+    p_lo, p_hi, sign = _truncated_normal_bounds(model)
     u = np.clip(rng.uniform(p_lo, p_hi, size=size), *_P_OPEN)
     z = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(u)
     draws = np.clip(model.mean + sign * model.std * z, model.min, model.max)

@@ -24,7 +24,7 @@ from .blocks import (
     expected_response,
     pll_sample,
 )
-from .errors import ConfigError, ScheduleGuardError
+from .errors import ScheduleGuardError
 from .estimate import EstimationWindow, _FourierPlan, fe, tve
 from .signals import Phasor, build_schedule, guard_margin, interval_instants
 
@@ -152,14 +152,7 @@ class McScenario:
             raise ValueError("trials must be >= 1")
         if self.duration < self.pps_period:
             raise ValueError("duration must cover at least one PPS period")
-        # the time base is not extrapolated beyond the profile's temperature grid
-        grid = [row[0] for row in self.chain.timebase.e_r_by_temperature]
-        temperature = self.temperature_c
-        if temperature is not None and not (grid and grid[0] <= temperature <= grid[-1]):
-            span = f"[{grid[0]}, {grid[-1]}]" if grid else "(empty)"
-            raise ConfigError(
-                f"temperature_c: {temperature} is off timebase.by_temperature_c {span}"
-            )
+        self.chain.timebase.check_temperature(self.temperature_c)
 
 
 @dataclass(frozen=True)
@@ -337,12 +330,32 @@ def _error_rows(env, ref, tve_rows, mag_rows, phase_rows) -> None:
     np.abs(phase_rows, out=phase_rows)
 
 
+def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The ddof-1 std of each column of ``rows`` about its column ``mean``, a row at a time.
+
+    Squared deviations are added row by row, the order in which
+    ``np.add.reduce(axis=0)`` adds the rows of a C-contiguous array, so the
+    result equals ``rows.std(axis=0, ddof=1)`` bit for bit without its
+    full-size temporary.
+    """
+    acc = np.zeros_like(mean)
+    d = np.empty_like(mean)
+    for row in rows:
+        np.subtract(row, mean, out=d)
+        d *= d
+        acc += d
+    acc /= rows.shape[0] - 1
+    return np.sqrt(acc, out=acc)
+
+
 def monte_carlo(scenario: McScenario) -> McResult:
     """Run all trials, aggregate the TVE statistics and overlay the model curve.
 
-    Trials run in blocks of ``BLOCK_TRIALS``; each block's TVE, relative
-    magnitude error and phase error go straight into rows of the result
-    arrays, so memory stays bounded by the float64 per-trial traces.
+    Trials run in blocks of ``BLOCK_TRIALS``.  Each block's TVE goes straight
+    into rows of ``trial_tve``; its relative magnitude and phase errors pass
+    through one block of scratch rows and are summed as the trials run.  The
+    column std of the traces is then taken a row at a time, so memory is the
+    float64 per-trial traces plus one block of scratch.
     """
     omega = scenario.phasor.omega
     ref = scenario.phasor.value
@@ -350,26 +363,25 @@ def monte_carlo(scenario: McScenario) -> McResult:
 
     engine = _Engine(scenario)
     t_in_pps = engine.plan.times
-    shape = (scenario.trials, t_in_pps.size)
-    trial_tve = np.empty(shape)
-    rel_mag = np.empty(shape)
-    phase_err = np.empty(shape)
+    trial_tve = np.empty((scenario.trials, t_in_pps.size))
+    mag_rows = np.empty((min(BLOCK_TRIALS, scenario.trials), t_in_pps.size))
+    phase_rows = np.empty_like(mag_rows)
+    mag_err_sum = phase_err_sum = 0.0
     guard_margins = np.empty(scenario.trials)
     clipped = np.empty(scenario.trials, dtype=np.int64)
     for start in range(0, scenario.trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, scenario.trials)
         block = engine.run(start, stop)
-        rows = slice(start, stop)
-        _error_rows(block.envelopes, ref, trial_tve[rows], rel_mag[rows], phase_err[rows])
+        n = stop - start
+        _error_rows(block.envelopes, ref, trial_tve[start:stop], mag_rows[:n], phase_rows[:n])
+        mag_err_sum += float(mag_rows[:n].sum())
+        phase_err_sum += float(phase_rows[:n].sum())
         guard_margins[start:stop] = block.guard_margins
         clipped[start:stop] = block.clipped
-    grand_mean_mag_err = float(rel_mag.mean())
-    grand_mean_phase_err = float(phase_err.mean())
-    del rel_mag, phase_err
 
     mean_tve = trial_tve.mean(axis=0)
     k = DEFAULT_COVERAGE_FACTOR
-    spread = trial_tve.std(axis=0, ddof=1) if scenario.trials > 1 else np.zeros_like(mean_tve)
+    spread = _column_std(trial_tve, mean_tve) if scenario.trials > 1 else np.zeros_like(mean_tve)
     curve = model_curve(
         chain, omega, t_in_pps, compensated=scenario.compensate,
         temperature=scenario.temperature_c,
@@ -390,8 +402,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
         compensated=scenario.compensate,
         fe_hz=fe_hz,
         grand_mean_tve=float(trial_tve.mean()),
-        grand_mean_mag_err=grand_mean_mag_err,
-        grand_mean_phase_err=grand_mean_phase_err,
+        grand_mean_mag_err=mag_err_sum / trial_tve.size,
+        grand_mean_phase_err=phase_err_sum / trial_tve.size,
         window_gap_s=float(scenario.pps_period - t_in_pps[-1]),
         saturated_samples=int(clipped.sum()),
         max_guard_margin=float(guard_margins.max()),

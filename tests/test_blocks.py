@@ -22,7 +22,7 @@ from sbcpmu.blocks import (
     pll_sample,
     timebase_response,
 )
-from sbcpmu.errors import ModelParameterError
+from sbcpmu.errors import ConfigError, ModelParameterError
 from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.signals import Phasor, build_schedule, synthesize
 
@@ -149,9 +149,20 @@ class TestTimebase:
         m = self.make()
         assert m.mean_ppm(0.0) == -19.9
         assert m.mean_ppm(25.0) == pytest.approx((-19.9 - 12.5) / 2)
-        # clamped outside the grid
-        assert m.mean_ppm(-40.0) == -19.9
-        assert m.mean_ppm(90.0) == -12.5
+        assert m.mean_ppm(50.0) == -12.5
+        # not extrapolated: np.interp would clamp to the nearest grid end
+        off_grid = r"is off timebase\.by_temperature_c \[0\.0, 50\.0\]$"
+        for temperature in (-40.0, 90.0, math.nan):
+            for stat in (m.mean_ppm, m.std_ppm):
+                with pytest.raises(ConfigError, match=off_grid):
+                    stat(temperature)
+
+    def test_temperature_without_grid_raises(self):
+        m = TimebaseModel(overall_mean_ppm=-16.02, overall_std_ppm=3.67)
+        assert m.mean_ppm() == -16.02 and m.std_ppm() == 3.67
+        message = r"^temperature_c: 20\.0 is off timebase\.by_temperature_c \(empty\)$"
+        with pytest.raises(ConfigError, match=message):
+            m.mean_ppm(20.0)
 
     def test_bad_grid(self):
         with pytest.raises(ModelParameterError):
@@ -256,9 +267,21 @@ class TestTruncatedNormal:
         assert np.array_equal(first, again)
 
     def test_no_representable_mass(self):
-        m = PllDelayModel(family="truncated-normal", min=1.0, max=2.0, mean=0.0, std=1e-3)
+        # rejected when built, before any draw
         with pytest.raises(ModelParameterError, match="no representable mass"):
-            pll_sample(m, np.random.default_rng(0), size=3)
+            PllDelayModel(family="truncated-normal", min=1.0, max=2.0, mean=0.0, std=1e-3)
+        # mirrored: the same support below the mean
+        with pytest.raises(ModelParameterError, match="no representable mass"):
+            PllDelayModel(family="truncated-normal", min=-2.0, max=-1.0, mean=0.0, std=1e-3)
+
+    def test_no_representable_mass_in_profile(self):
+        profile = chain_to_json(paper_profile())
+        profile["pll"]["delay"] = {
+            "family": "truncated-normal", "min_us": 100, "max_us": 101, "mean_us": 0, "std_us": 1,
+        }
+        with pytest.raises(ConfigError, match=r"^pll\.delay: truncated-normal support .* "
+                           r"holds no representable mass"):
+            chain_from_json(profile)
 
 
 class TestExpectedResponse:

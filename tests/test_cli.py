@@ -10,6 +10,13 @@ from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
 from sbcpmu.cli import load_scenario_config, main, scenario_hash
 
 
+# a truncated-normal PLL delay whose support lies 100 std above the mean:
+# no float64 normal CDF separates its ends
+IMPOSSIBLE_TRUNCATED_NORMAL = {
+    "family": "truncated-normal", "min_us": 100, "max_us": 101, "mean_us": 0, "std_us": 1,
+}
+
+
 def write_config(path, **overrides):
     cfg = {
         "chain_profile": "paper",
@@ -228,6 +235,11 @@ class TestSimulate:
             ),
             ({"adc": {"bits": 2000}}, "adc: adc_bits must be in [1, 53] or None, got 2000"),
             ({"adc": {"bits": 54}}, "adc: adc_bits must be in [1, 53] or None, got 54"),
+            pytest.param(
+                {"pll": {"delay": IMPOSSIBLE_TRUNCATED_NORMAL}},
+                "pll.delay: truncated-normal support [",
+                id="truncated-normal-without-mass",
+            ),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
@@ -621,6 +633,17 @@ class TestProfileCmd:
         profile.write_bytes(b'{\n  "name": "pr\xe4zise"\n}\n')
         assert main(["profile", "show", str(profile)]) == 2
         assert f"error: {profile}: line 2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_show_impossible_delay_exit(self, tmp_path, capsys):
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"pll": {"delay": IMPOSSIBLE_TRUNCATED_NORMAL}}))
+        assert main(["profile", "show", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {profile}: pll.delay: truncated-normal support [")
+        assert "holds no representable mass of the normal with mean 0.0 and std 1e-06" in (
+            captured.err
+        )
 
     def test_merge_characterize_fragment(self, tmp_path):
         base = tmp_path / "base.json"

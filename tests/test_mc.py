@@ -14,13 +14,16 @@ from sbcpmu.blocks import (
     PllDelayModel,
     TimebaseModel,
     acquire,
+    expected_response,
     identity_chain,
     paper_profile,
+    timebase_response,
 )
 from sbcpmu.errors import ConfigError, ScheduleGuardError
 from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.mc import (
     BLOCK_TRIALS,
+    DEFAULT_COVERAGE_FACTOR,
     McScenario,
     UncertaintyBudget,
     budget,
@@ -218,6 +221,21 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match=message):
             small_scenario(temperature_c=200.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda chain: expected_response(chain, OMEGA_50, [0.5], 200.0),
+            lambda chain: model_curve(chain, OMEGA_50, [0.5], temperature=200.0),
+            lambda chain: timebase_response(chain.timebase, OMEGA_50, 0.5, temperature=200.0),
+        ],
+        ids=["expected_response", "model_curve", "timebase_response"],
+    )
+    def test_library_calls_off_grid_raise(self, call):
+        # the library does not clamp 200 C to the 50 C end of the grid either
+        message = r"^temperature_c: 200\.0 is off timebase\.by_temperature_c \[0\.0, 50\.0\]$"
+        with pytest.raises(ConfigError, match=message):
+            call(paper_profile())
+
 
 def zero_variance_chain():
     """The paper profile's means with every std 0, an ideal ADC and no noise."""
@@ -317,18 +335,69 @@ class TestEngineEquivalence:
             assert min(clipped) > 0
 
 
+class TestStreamedAggregates:
+    """The aggregates reduced while the trials run match numpy on the kept traces."""
+
+    # The grand magnitude and phase errors are summed a block at a time, where
+    # numpy sums the full array pairwise: the two orders agree to a few ulps
+    # (2 at most measured on these scenarios).
+    ULPS = 8
+
+    @pytest.mark.parametrize("compensate", [False, True], ids=["plain", "compensated"])
+    @pytest.mark.parametrize("trials", [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 33])
+    def test_match_full_array_reference(self, trials, compensate):
+        scenario = small_scenario(
+            trials=trials, base_seed=12345, phasor=Phasor(10.0, 0.3, 50.0),
+            compensate=compensate, temperature_c=35.0,
+        )
+        r = monte_carlo(scenario)
+        mean = r.trial_tve.mean(axis=0)
+        std = r.trial_tve.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(mean)
+        k = DEFAULT_COVERAGE_FACTOR
+        assert r.mean_tve.tobytes() == mean.tobytes()
+        assert r.band_hi.tobytes() == (mean + k * std).tobytes()
+        assert r.band_lo.tobytes() == np.maximum(mean - k * std, 0.0).tobytes()
+        assert r.grand_mean_tve == float(r.trial_tve.mean())
+
+        # full-size error arrays, rebuilt trial by trial from the envelopes
+        ref = scenario.phasor.value
+        env = np.array([run_trial(scenario, i)[2] for i in range(trials)])
+        rel_mag = np.abs(np.abs(env) / abs(ref) - 1.0)
+        phase_err = np.abs(np.angle(env / ref))
+        for got, want in (
+            (r.grand_mean_mag_err, float(rel_mag.mean())),
+            (r.grand_mean_phase_err, float(phase_err.mean())),
+        ):
+            assert abs(got - want) <= self.ULPS * math.ulp(want), (got, want)
+
+
+def _traced_peak(scenario):
+    """``monte_carlo(scenario)`` and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        r = monte_carlo(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return r, peak
+
+
 class TestMemory:
+    # tracemalloc peaks over the traces, measured at 5 kHz and 1 s intervals:
+    # 1.71x at 256 trials and 1.19x at 960
     def test_peak_is_bounded_by_the_traces(self):
         # 256 reference trials: the engine keeps the float64 result rows plus
         # one block of temporaries, never every trial's complex envelope
-        scenario = small_scenario(trials=256, base_seed=0)
-        tracemalloc.start()
-        try:
-            r = monte_carlo(scenario)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * r.trial_tve.nbytes
+        r, peak = _traced_peak(small_scenario(trials=256, base_seed=0))
+        assert peak <= 2 * r.trial_tve.nbytes
+
+    @pytest.mark.parametrize("trials", [4 * BLOCK_TRIALS, 16 * BLOCK_TRIALS])
+    def test_scratch_does_not_grow_with_trials(self, trials):
+        # beyond the traces, one block's temporaries: about 5.8 complex
+        # (BLOCK_TRIALS, points) buffers at any trial count
+        r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
+        block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
+        assert peak - r.trial_tve.nbytes <= 7 * block
 
 
 class TestWriteRun:
