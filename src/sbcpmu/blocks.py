@@ -272,6 +272,11 @@ def timebase_response(
 _PLL_FAMILIES = ("shifted-gamma", "truncated-normal", "empirical-histogram")
 
 
+def _us(seconds: float) -> str:
+    """A time in µs to 6 significant digits, free of the seconds' float noise."""
+    return f"{seconds * 1e6:.6g}"
+
+
 @dataclass(frozen=True)
 class PllDelayModel:
     """Random synchronization delay of the software PLL.
@@ -308,23 +313,27 @@ class PllDelayModel:
                 raise ModelParameterError("malformed histogram")
             object.__setattr__(self, "histogram", (edges, counts))
             return
+        # messages give times in µs, as profiles write them
+        lo, hi, mean = _us(self.min), _us(self.max), _us(self.mean)
         if self.family == "truncated-normal" and self.std > 0:
             if not self.min < self.max:
-                raise ModelParameterError(f"need min < max, got {self.min} / {self.max}")
+                raise ModelParameterError(f"need min < max, got {lo} / {hi} µs")
             p_lo, p_hi, _ = _truncated_normal_bounds(self)
             if not p_hi > p_lo:
                 raise ModelParameterError(
-                    f"truncated-normal support [{self.min}, {self.max}] holds no representable "
-                    f"mass of the normal with mean {self.mean} and std {self.std}"
+                    f"truncated-normal support [{lo}, {hi}] µs holds no representable "
+                    f"mass of the normal with mean {mean} µs and std {_us(self.std)} µs"
                 )
         elif not (self.min <= self.mean <= self.max):
-            raise ModelParameterError(
-                f"need min <= mean <= max, got {self.min} / {self.mean} / {self.max}"
-            )
+            raise ModelParameterError(f"need min <= mean <= max, got {lo} / {mean} / {hi} µs")
         if self.mode is not None and not (self.min <= self.mode <= self.mean):
-            raise ModelParameterError("need min <= mode <= mean")
+            raise ModelParameterError(
+                f"need min <= mode <= mean, got {lo} / {_us(self.mode)} / {mean} µs"
+            )
         if self.family == "shifted-gamma" and self.std > 0 and self.mean <= self.min:
-            raise ModelParameterError("shifted-gamma needs mean > min when std > 0")
+            raise ModelParameterError(
+                f"shifted-gamma needs mean > min when std > 0, got {mean} / {lo} µs"
+            )
 
     @property
     def degenerate(self) -> bool:

@@ -58,7 +58,9 @@ def fourier_phasor(waveform: Waveform, window: EstimationWindow) -> ComplexEnvel
     sample is attributed to the center of its window.
     """
     plan = _FourierPlan.build(waveform.times, window)
-    return ComplexEnvelope(times=plan.times, values=plan.rows(waveform.values[None, :])[0])
+    demod = np.empty((1, waveform.times.size), dtype=complex)
+    values = plan.rows(waveform.values[None, :], demod, np.empty_like(demod))
+    return ComplexEnvelope(times=plan.times, values=values[0])
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ class _FourierPlan:
     Everything that depends only on the grid (the demodulating exponential,
     the sample intervals, the window length and the envelope timestamps) is
     computed once by ``build``; ``rows`` then estimates any number of signals
-    sampled on that grid.
+    sampled on that grid, in two complex buffers the caller owns.
     """
 
     demodulator: np.ndarray  # exp(-j*omega*t)
@@ -103,15 +105,23 @@ class _FourierPlan:
             times=starts + 0.5 * t_p,
         )
 
-    def rows(self, values: np.ndarray) -> np.ndarray:
-        """Envelope coefficients (rows x windows) of real samples (rows x grid points)."""
-        demod = values * self.demodulator
+    def rows(self, values: np.ndarray, demod: np.ndarray, csum: np.ndarray) -> np.ndarray:
+        """Envelope coefficients (rows x windows) of real samples (rows x grid points).
+
+        ``demod`` and ``csum`` are complex scratch shaped like ``values``.  The
+        envelope is written over the first ``windows`` columns of ``demod`` and
+        returned as a view of them; nothing else is allocated.
+        """
+        np.multiply(values, self.demodulator, out=demod)
         terms = np.multiply(demod[:, :-1], self.dt, out=demod[:, :-1])
-        csum = np.empty(demod.shape, dtype=complex)
         csum[:, 0] = 0.0
         np.cumsum(terms, axis=1, out=csum[:, 1:])
         n_windows, n_win = self.times.size, self.n_win
-        return (2.0 / self.t_p) * (csum[:, n_win : n_windows + n_win] - csum[:, :n_windows])
+        env = np.subtract(
+            csum[:, n_win : n_windows + n_win], csum[:, :n_windows], out=demod[:, :n_windows]
+        )
+        env *= 2.0 / self.t_p
+        return env
 
 
 def tve(measured, reference):

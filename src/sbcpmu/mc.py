@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,7 +28,7 @@ from .blocks import (
 )
 from .errors import ScheduleGuardError
 from .estimate import EstimationWindow, _FourierPlan, fe, tve
-from .signals import Phasor, build_schedule, guard_margin, interval_instants
+from .signals import Phasor, build_schedule, guard_margin
 
 DEFAULT_COVERAGE_FACTOR = 3.3
 
@@ -214,24 +216,39 @@ def _draw_trial(chain: ChainModel, e_r: GaussianTerm, rng: np.random.Generator) 
     )
 
 
-# Trials per block.  A block's complex temporaries (about 1.3 MB each at
-# 5 kHz and 1 s PPS intervals) stay near the cache; the engine never holds a
-# complex array of every trial.
+# Trials per block.  A block's complex buffers (about 1.3 MB each at 5 kHz and
+# 1 s PPS intervals) stay near the cache; the engine never holds a complex
+# array of every trial.
 BLOCK_TRIALS = 16
 
 
 @dataclass
-class _Block:
-    """The outcome of one block of consecutive trials."""
+class _Draws:
+    """One block of consecutive trials, drawn: what the kernel needs to run it."""
 
-    envelopes: np.ndarray  # rows x windows, compensated if the scenario is
+    start: int
+    stop: int
     draws: list
+    rngs: list  # each trial's generator, for its ADC noise
+    ratios: np.ndarray  # time-base deviation ratio R per trial
     guard_margins: np.ndarray  # |R-1|*N_s per trial
-    clipped: np.ndarray  # ADC end-code clips per trial
+
+
+class _Workspace:
+    """The buffers one block of trials computes in, allocated once and reused.
+
+    ``real`` holds the sample instants, then the converted samples, then the
+    per-trial errors; ``demod`` and ``csum`` are the Fourier plan's buffers.
+    """
+
+    def __init__(self, rows: int, samples: int):
+        self.real = np.empty((rows, samples))
+        self.demod = np.empty((rows, samples), dtype=complex)
+        self.csum = np.empty_like(self.demod)
 
 
 class _Engine:
-    """One scenario's trials, run a block at a time.
+    """One scenario's trials, a block at a time: drawn in order, then run by a kernel.
 
     What does not change between trials is computed once: the nominal sample
     grid and its demodulating exponential, the time-base statistics at the
@@ -242,8 +259,8 @@ class _Engine:
         self.scenario = scenario
         chain = scenario.chain
         nominal = build_schedule(scenario.nominal_rate, 1.0, [0.0], scenario.pps_period)
-        self.sample_period = nominal.sample_period
         self.samples = nominal.samples_per_interval
+        self.n_ts = np.arange(self.samples) * nominal.sample_period  # n*T_s
         self.plan = _FourierPlan.build(
             nominal.nominal_instants(), EstimationWindow(scenario.phasor.frequency)
         )
@@ -258,7 +275,7 @@ class _Engine:
             )
             self.compensation = math.exp(mean.log_magnitude) * np.exp(1j * mean.phase)
 
-    def run(self, start: int, stop: int) -> _Block:
+    def draw(self, start: int, stop: int) -> _Draws:
         """Trials ``start`` to ``stop - 1``; each is seeded by (base_seed, trial index) alone."""
         scenario = self.scenario
         rows = stop - start
@@ -278,23 +295,33 @@ class _Engine:
                     f"trial {i} aborted: {exc}; draw = {draw.to_json()}"
                 ) from exc
             draws.append(draw)
-        t_real = interval_instants(
-            self.sample_period, ratios[:, None], [d.delay_s for d in draws], self.samples
-        )
+        return _Draws(start, stop, draws, rngs, ratios, margins)
+
+    def envelopes(self, block: _Draws, ws: _Workspace):
+        """The block's envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
+
+        The realized instants start + n*T_s*R, the forward chain, the Fourier
+        estimate and, if the scenario compensates, the compensation all run in
+        ``ws``.
+        """
+        draws = block.draws
+        rows = len(draws)
+        t_real = np.multiply(self.n_ts, block.ratios[:, None], out=ws.real[:rows])
+        t_real += np.array([d.delay_s for d in draws])[:, None]
         values, clipped = _acquire_rows(
-            scenario.phasor,
-            scenario.chain,
+            self.scenario.phasor,
+            self.scenario.chain,
             [d.aaf_gain_ppm for d in draws],
             [d.aaf_phase_urad for d in draws],
             [d.adc_gain_ppm for d in draws],
             [d.adc_offset_uv for d in draws],
             t_real,
-            rngs,  # each trial's ADC noise follows its parameter draws
+            block.rngs,  # each trial's ADC noise follows its parameter draws
         )
-        envelopes = self.plan.rows(values)
+        env = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
-            np.divide(envelopes, self.compensation, out=envelopes)
-        return _Block(envelopes, draws, margins, clipped)
+            np.divide(env, self.compensation, out=env)
+        return env, clipped
 
 
 def run_trial(scenario: McScenario, trial_index: int):
@@ -309,25 +336,43 @@ def run_trial(scenario: McScenario, trial_index: int):
     under any execution order.
     """
     engine = _Engine(scenario)
-    block = engine.run(trial_index, trial_index + 1)
-    env = block.envelopes[0]
+    block = engine.draw(trial_index, trial_index + 1)
+    env, clipped = engine.envelopes(block, _Workspace(1, engine.samples))
+    env = env[0]
     trace = tve(env, scenario.phasor.value)
-    return engine.plan.times, trace, env, block.draws[0], int(block.clipped[0])
+    return engine.plan.times, trace, env, block.draws[0], int(clipped[0])
 
 
-def _error_rows(env, ref, tve_rows, mag_rows, phase_rows) -> None:
-    """Write the TVE, |relative magnitude error| and |phase error| of envelope rows.
+def _error_rows(env, ref, tve_rows, ws: _Workspace):
+    """Write the TVE of envelope rows into ``tve_rows``; return their summed errors.
 
-    ``env`` is overwritten.
+    The sums are of |relative magnitude error| and |phase error| over the
+    block.  ``env`` is overwritten and ``ws`` used as scratch; nothing is
+    allocated.
     """
-    tve_rows[:] = tve(env, ref)
-    np.abs(env, out=mag_rows)
-    mag_rows /= abs(ref)
-    mag_rows -= 1.0
-    np.abs(mag_rows, out=mag_rows)
+    rows, windows = env.shape
+    diff = np.subtract(env, ref, out=ws.csum[:rows, :windows])
+    np.abs(diff, out=tve_rows)
+    tve_rows /= abs(ref)
+    # a contiguous view, so .sum() adds in the order it would for a fresh array
+    err = ws.real.reshape(-1)[: rows * windows].reshape(rows, windows)
+    np.abs(env, out=err)
+    err /= abs(ref)
+    err -= 1.0
+    np.abs(err, out=err)
+    mag_sum = float(err.sum())
     np.divide(env, ref, out=env)
-    np.arctan2(env.imag, env.real, out=phase_rows)  # np.angle, in place
-    np.abs(phase_rows, out=phase_rows)
+    np.arctan2(env.imag, env.real, out=err)  # np.angle, in place
+    np.abs(err, out=err)
+    return mag_sum, float(err.sum())
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -351,33 +396,62 @@ def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
 def monte_carlo(scenario: McScenario) -> McResult:
     """Run all trials, aggregate the TVE statistics and overlay the model curve.
 
-    Trials run in blocks of ``BLOCK_TRIALS``.  Each block's TVE goes straight
-    into rows of ``trial_tve``; its relative magnitude and phase errors pass
-    through one block of scratch rows and are summed as the trials run.  The
-    column std of the traces is then taken a row at a time, so memory is the
-    float64 per-trial traces plus one block of scratch.
+    Trials run in blocks of ``BLOCK_TRIALS``.  The calling thread draws each
+    block's parameters in trial order, so a guard violation names the lowest
+    failing trial.  The blocks' kernels (forward chain, Fourier estimate,
+    compensation and errors) run on one worker thread per CPU the process may
+    use, at most two blocks per worker in flight.  Each kernel writes its TVE
+    rows straight into ``trial_tve`` and returns its summed magnitude and
+    phase errors, which are added in block order, so every result is bit for
+    bit the same for any number of workers.  The column std of the traces is
+    then taken a row at a time.  Memory is the float64 per-trial traces plus
+    one block workspace per worker.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     omega = scenario.phasor.omega
     ref = scenario.phasor.value
     chain = scenario.chain
+    if ref == 0:
+        raise ValueError("reference phasor must be nonzero")
 
     engine = _Engine(scenario)
     t_in_pps = engine.plan.times
     trial_tve = np.empty((scenario.trials, t_in_pps.size))
-    mag_rows = np.empty((min(BLOCK_TRIALS, scenario.trials), t_in_pps.size))
-    phase_rows = np.empty_like(mag_rows)
-    mag_err_sum = phase_err_sum = 0.0
     guard_margins = np.empty(scenario.trials)
     clipped = np.empty(scenario.trials, dtype=np.int64)
-    for start in range(0, scenario.trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, scenario.trials)
-        block = engine.run(start, stop)
-        n = stop - start
-        _error_rows(block.envelopes, ref, trial_tve[start:stop], mag_rows[:n], phase_rows[:n])
-        mag_err_sum += float(mag_rows[:n].sum())
-        phase_err_sum += float(phase_rows[:n].sum())
-        guard_margins[start:stop] = block.guard_margins
-        clipped[start:stop] = block.clipped
+    starts = range(0, scenario.trials, BLOCK_TRIALS)
+    workers = min(_available_cpus(), len(starts))
+    # list.pop and list.append are atomic, and at most ``workers`` kernels
+    # run at once, so a kernel always finds a free workspace
+    rows = min(BLOCK_TRIALS, scenario.trials)
+    free = [_Workspace(rows, engine.samples) for _ in range(workers)]
+
+    def kernel(block: _Draws):
+        ws = free.pop()
+        try:
+            env, clipped[block.start : block.stop] = engine.envelopes(block, ws)
+            return _error_rows(env, ref, trial_tve[block.start : block.stop], ws)
+        finally:
+            free.append(ws)
+
+    def submitted(pool):
+        """Draw the blocks in order and submit their kernels; yield the futures in block order."""
+        pending = deque()
+        for start in starts:
+            block = engine.draw(start, min(start + BLOCK_TRIALS, scenario.trials))
+            guard_margins[block.start : block.stop] = block.guard_margins
+            if len(pending) == 2 * workers:
+                yield pending.popleft()
+            pending.append(pool.submit(kernel, block))
+        yield from pending
+
+    mag_err_sum = phase_err_sum = 0.0
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in submitted(pool):
+            mag, phase = future.result()
+            mag_err_sum += mag
+            phase_err_sum += phase
 
     mean_tve = trial_tve.mean(axis=0)
     k = DEFAULT_COVERAGE_FACTOR

@@ -202,6 +202,32 @@ class TestPllDelay:
         with pytest.raises(ModelParameterError):
             PllDelayModel(family="truncated-normal", min=5e-6, max=5e-6, mean=1e-6, std=1e-6)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (
+                dict(family="truncated-normal", min=5e-6, max=5e-6, mean=1e-6, std=1e-6),
+                "need min < max, got 5 / 5 µs",
+            ),
+            (dict(min=5e-6, max=9e-6, mean=1e-6), "need min <= mean <= max, got 5 / 1 / 9 µs"),
+            (dict(min=100e-6, mean=99e-6), "need min <= mean <= max, got 100 / 99 / inf µs"),
+            (
+                dict(min=1e-6, mean=5e-6, std=1e-6, mode=7e-6),
+                "need min <= mode <= mean, got 1 / 7 / 5 µs",
+            ),
+            (
+                dict(min=100e-6, mean=100e-6, std=1e-6),
+                "shifted-gamma needs mean > min when std > 0, got 100 / 100 µs",
+            ),
+        ],
+        ids=["min-max", "mean-outside", "mean-below-min", "mode", "shifted-gamma"],
+    )
+    def test_messages_give_microseconds(self, kw, message):
+        # as the profile writes them, without the seconds' float noise
+        with pytest.raises(ModelParameterError) as info:
+            PllDelayModel(**kw)
+        assert str(info.value) == message
+
     def test_response_worst_delay(self):
         resp = pll_response(20e-6, OMEGA_50)
         assert resp.magnitude == 1.0

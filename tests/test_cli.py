@@ -640,9 +640,9 @@ class TestProfileCmd:
         assert main(["profile", "show", str(profile)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {profile}: pll.delay: truncated-normal support [")
-        assert "holds no representable mass of the normal with mean 0.0 and std 1e-06" in (
-            captured.err
+        assert captured.err == (
+            f"error: {profile}: pll.delay: truncated-normal support [100, 101] µs holds no "
+            "representable mass of the normal with mean 0 µs and std 1 µs\n"
         )
 
     def test_merge_characterize_fragment(self, tmp_path):
