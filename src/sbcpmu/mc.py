@@ -367,12 +367,18 @@ def _error_rows(env, ref, tve_rows, ws: _Workspace):
     return mag_sum, float(err.sum())
 
 
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
+# kernel threads per run: the count benchmarked; more were never measured, and
+# each holds a block workspace beyond ``trial_tve``
+_MAX_WORKERS = 2
+
+
+def _workers(blocks: int) -> int:
+    """Kernel threads for a run of ``blocks`` blocks: at most ``_MAX_WORKERS``, one per usable CPU."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus, blocks)
 
 
 def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -399,13 +405,13 @@ def monte_carlo(scenario: McScenario) -> McResult:
     Trials run in blocks of ``BLOCK_TRIALS``.  The calling thread draws each
     block's parameters in trial order, so a guard violation names the lowest
     failing trial.  The blocks' kernels (forward chain, Fourier estimate,
-    compensation and errors) run on one worker thread per CPU the process may
-    use, at most two blocks per worker in flight.  Each kernel writes its TVE
-    rows straight into ``trial_tve`` and returns its summed magnitude and
-    phase errors, which are added in block order, so every result is bit for
-    bit the same for any number of workers.  The column std of the traces is
-    then taken a row at a time.  Memory is the float64 per-trial traces plus
-    one block workspace per worker.
+    compensation and errors) run on a pool of ``_MAX_WORKERS`` (two) worker
+    threads, fewer if the process may use fewer CPUs or the run has fewer
+    blocks.  Each kernel writes its TVE rows straight into ``trial_tve`` and
+    returns its summed magnitude and phase errors, which are added in block
+    order, so every result is bit for bit the same for any number of workers.
+    The column std of the traces is then taken a row at a time.  Memory is
+    the float64 per-trial traces plus one block workspace per worker.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -421,7 +427,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     guard_margins = np.empty(scenario.trials)
     clipped = np.empty(scenario.trials, dtype=np.int64)
     starts = range(0, scenario.trials, BLOCK_TRIALS)
-    workers = min(_available_cpus(), len(starts))
+    workers = _workers(len(starts))
     # list.pop and list.append are atomic, and at most ``workers`` kernels
     # run at once, so a kernel always finds a free workspace
     rows = min(BLOCK_TRIALS, scenario.trials)
@@ -436,7 +442,12 @@ def monte_carlo(scenario: McScenario) -> McResult:
             free.append(ws)
 
     def submitted(pool):
-        """Draw the blocks in order and submit their kernels; yield the futures in block order."""
+        """Draw the blocks in order and submit their kernels; yield the futures in block order.
+
+        A held block of draws is about 20 kB, so at most
+        ``2 * workers`` are in flight: ``pool.map`` would draw every block
+        before the first kernel ends, and the scratch would grow with trials.
+        """
         pending = deque()
         for start in starts:
             block = engine.draw(start, min(start + BLOCK_TRIALS, scenario.trials))

@@ -25,7 +25,7 @@ from sbcpmu.errors import ConfigError, ScheduleGuardError
 from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.mc import (
     BLOCK_TRIALS,
-    _available_cpus,
+    _workers,
     DEFAULT_COVERAGE_FACTOR,
     McScenario,
     UncertaintyBudget,
@@ -397,7 +397,7 @@ class TestWorkers:
 
         def run(workers):
             # more workers than this host has CPUs is allowed, and harmless
-            monkeypatch.setattr("sbcpmu.mc._available_cpus", lambda: workers)
+            monkeypatch.setattr("sbcpmu.mc._workers", lambda blocks: workers)
             r = monte_carlo(scenario)
             return {f.name: _bits(getattr(r, f.name)) for f in fields(r)}
 
@@ -411,6 +411,13 @@ class TestWorkers:
             assert run(3) == want
         finally:
             sys.setswitchinterval(interval)
+
+
+    def test_workers_stay_at_the_measured_count(self, monkeypatch):
+        # a larger host gets no more workspaces than the benchmarked two
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert _workers(60) == 2
+        assert _workers(1) == 1
 
 
 def _traced_peak(scenario):
@@ -439,7 +446,7 @@ class TestMemory:
         # (BLOCK_TRIALS, points) buffers per worker at any trial count
         r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
         block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
-        workers = min(_available_cpus(), -(-trials // BLOCK_TRIALS))
+        workers = _workers(-(-trials // BLOCK_TRIALS))
         assert peak - r.trial_tve.nbytes <= workers * 3.5 * block
 
 
