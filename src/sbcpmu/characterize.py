@@ -314,61 +314,72 @@ def variance_decomposition(
 
 
 # Each reader checks the header by name with ``csv``, so column order is free,
-# parses the columns it uses with ``np.loadtxt`` and groups the rows with
-# ``np.unique``.  Groups come in order of first appearance and keep the rows'
-# file order, so every downstream sum adds its terms in file order.  Label
-# columns are parsed as unsized ``str``: a fixed width would cut long labels
-# and merge their groups.  Errors are found on whole columns; only then is the
-# file read again, row by row, for the line number to report.  Files are read
-# as UTF-8 whatever the locale.
+# and parses every column it uses in one structured ``np.loadtxt`` pass:
+# numbers as float64, labels as raw bytes (read as latin-1, each byte reaches
+# its cell unchanged).  ``loadtxt`` cuts a label longer than its cell silently,
+# so while a label fills its cell the file is parsed again, with cells as wide
+# as its longest line (only a quoted label spanning lines fills those) or twice
+# as wide as before.  Groups come in order of first appearance and keep the
+# rows' file order, so every downstream sum adds its terms in file order.
+# Errors are found on whole columns; only then is the file read again, row by
+# row, for the line number.
 
-
-def _utf8(reader):
-    """``reader`` with a file that is not UTF-8 text reported as a ``ConfigError``."""
-
-    @functools.wraps(reader)
-    def read(path, *args, **kwargs):
-        try:
-            return reader(path, *args, **kwargs)
-        except UnicodeDecodeError:
-            with open(path, "rb") as fh:
-                utf8(fh.read(), path)  # raises the error naming the line
-            raise
-
-    return read
+_LABEL_BYTES = 8
 
 
 def _read_header(path, required: Sequence[str]) -> dict:
-    """Column index by name; a missing required column is a ``ConfigError``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
+    """Column index by name; a missing required column is a ``ConfigError``.
+
+    A leading byte-order mark is dropped.  The whole file must be UTF-8 text
+    without a NUL byte (it would end a raw-bytes label): else a ``ConfigError``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), [])
+            nul = any("\x00" in text for text in iter(functools.partial(fh.read, 1 << 20), ""))
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            utf8(fh.read(), path)  # raises the error naming the line
+        raise
+    if nul:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        line = raw.count(b"\n", 0, raw.index(b"\x00")) + 1
+        raise ConfigError(f"{path}: line {line}: NUL byte")
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
     return {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
 
 
-def _read_columns(path, index: dict, names: Sequence[str], dtype) -> dict:
-    """Columns ``names`` of every data row, parsed as ``dtype`` (``float`` or ``str``).
+def _read_table(path, index: dict, numbers: Sequence[str], labels: Sequence[str]) -> dict:
+    """Columns ``numbers`` (float64) and ``labels`` (raw bytes) of every data row.
 
     A cell that does not parse, a row without one of the columns and a file
     without data rows are each a ``ConfigError``.  Blank lines are skipped.
     """
-    with warnings.catch_warnings():
-        # loadtxt warns on blank lines and on a file without data rows
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
-                comments=None, quotechar='"', dtype=dtype, ndmin=2, encoding="utf-8",
-            )
-        except ValueError as exc:
-            # loadtxt's own row numbers start at 0 or 1 by error, and again in
-            # each chunk of a text column
-            raise _unreadable(path, index, names, dtype) or ConfigError(f"{path}: {exc}") from exc
-    if table.shape[0] == 0:
+    names = [*numbers, *labels]
+    width = _LABEL_BYTES
+    while True:
+        dtype = [(n, "f8") for n in numbers] + [(n, f"S{width}") for n in labels]
+        with warnings.catch_warnings():
+            # loadtxt warns on blank lines and on a file without data rows
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                table = np.loadtxt(
+                    path, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
+                    comments=None, quotechar='"', dtype=dtype, ndmin=1, encoding="latin-1",
+                )
+            except ValueError as exc:
+                # loadtxt's own row numbers start at 0 or 1 by error
+                raise _unreadable(path, index, names, numbers) or ConfigError(f"{path}: {exc}") from exc
+        if not any((np.char.str_len(table[n]) == width).any() for n in labels):
+            break
+        with open(path, encoding="latin-1") as fh:  # one character per byte, line ends kept
+            width = max(2 * width, max(map(len, fh)))
+    if table.size == 0:
         raise ConfigError(f"{path}: no data rows")
-    return dict(zip(names, table.T))
+    return {n: table[n] for n in names}
 
 
 def _data_rows(path):
@@ -385,13 +396,13 @@ def _bad_cell(path, line: int, name: str, what: str, cell) -> ConfigError:
     return ConfigError(f"{path}: line {line}: {name} must be {what}, got {cell!r}")
 
 
-def _unreadable(path, index: dict, names: Sequence[str], dtype) -> Optional[ConfigError]:
-    """The error at the first row without one of the columns, or with a cell that is not a number."""
+def _unreadable(path, index: dict, names: Sequence[str], numbers) -> Optional[ConfigError]:
+    """The error at the first row without one of the columns, or with a ``numbers`` cell that is not a number."""
     for line, row in _data_rows(path):
         for name in names:
             if index[name] >= len(row):
                 return ConfigError(f"{path}: line {line}: no {name} column ({len(row)} fields)")
-            if dtype is float:
+            if name in numbers:
                 try:
                     float(row[index[name]])
                 except ValueError:
@@ -408,33 +419,22 @@ def _check(path, name: str, ok: np.ndarray, what: str, cells: np.ndarray) -> Non
     """A ``ConfigError`` naming the line of the first data row where ``ok`` is not set."""
     if not ok.all():
         row = int(np.argmin(ok))
-        raise _bad_cell(path, _row_line(path, row), name, what, cells[row].item())
-
-
-def _floats(path, name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``float()`` of the text ``cells`` where ``rows`` is set, NaN elsewhere."""
-    out = np.full(cells.size, np.nan)
-    try:
-        out[rows] = cells[rows].astype(np.float64)
-    except ValueError:
-        for row in np.flatnonzero(rows):
-            try:
-                float(cells[row])
-            except ValueError:
-                raise _bad_cell(
-                    path, _row_line(path, row), name, "a number", str(cells[row])
-                ) from None
-        raise
-    return out
+        cell = cells[row].item()
+        cell = cell.decode() if isinstance(cell, bytes) else cell
+        raise _bad_cell(path, _row_line(path, row), name, what, cell)
 
 
 def _factorize(values: np.ndarray):
-    """Codes numbering the distinct values in order of first appearance, and those values."""
-    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    """Codes numbering the distinct values in order of first appearance, and those values (bytes decoded)."""
+    keys = values.view(np.uint64) if values.dtype == "S8" else values  # these sort faster
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return rank[inverse.ravel()], distinct[order].tolist()
+    distinct = values[first[order]].tolist()
+    if values.dtype.kind == "S":
+        distinct = [label.decode() for label in distinct]
+    return rank[inverse.ravel()], distinct
 
 
 def _group(*factors) -> dict:
@@ -451,7 +451,6 @@ def _group(*factors) -> dict:
     return {tuple(labels[codes[rows[0]]] for codes, labels in factors): rows for rows in groups}
 
 
-@_utf8
 def read_sweep_csv(path) -> dict:
     """Parse `v_in,v_out,channel,device` rows into SweepRecords keyed by (device, channel).
 
@@ -459,15 +458,14 @@ def read_sweep_csv(path) -> dict:
     file order.  Voltages must be finite; a channel needs at least 3 points.
     """
     index = _read_header(path, ["v_in", "v_out", "channel", "device"])
-    volts = _read_columns(path, index, ["v_in", "v_out"], float)
-    labels = _read_columns(path, index, ["device", "channel"], str)
-    for name, values in volts.items():
-        _check(path, name, np.isfinite(values), "a finite number", values)
+    cols = _read_table(path, index, ["v_in", "v_out"], ["device", "channel"])
+    for name in ("v_in", "v_out"):
+        _check(path, name, np.isfinite(cols[name]), "a finite number", cols[name])
     out = {}
-    groups = _group(_factorize(labels["device"]), _factorize(labels["channel"]))
+    groups = _group(_factorize(cols["device"]), _factorize(cols["channel"]))
     for (device, channel), rows in groups.items():
         try:
-            out[device, channel] = SweepRecord(volts["v_in"][rows], volts["v_out"][rows])
+            out[device, channel] = SweepRecord(cols["v_in"][rows], cols["v_out"][rows])
         except ValueError as exc:
             raise ConfigError(f"{path}: device {device!r} channel {channel!r}: {exc}") from exc
     return out
@@ -479,16 +477,14 @@ def _temperatures(path, cells: np.ndarray):
     values = []
     for text in spellings:
         try:
-            value = float(text) if text != "" else None
+            values.append(float(text) if text != "" else None)
         except ValueError:
-            value = math.nan
-        if value is not None and not math.isfinite(value):
-            _check(path, "temperature_c", cells != text, "a finite number or blank", cells)
-        values.append(value)
+            values.append(math.nan)
+    ok = np.array([v is None or math.isfinite(v) for v in values])
+    _check(path, "temperature_c", ok[codes], "a finite number or blank", cells)
     return codes, values
 
 
-@_utf8
 def read_counter_csv(path) -> dict:
     """Parse `count,device,temperature_c` rows into counts keyed by (temperature_c, device).
 
@@ -497,26 +493,24 @@ def read_counter_csv(path) -> dict:
     float64 array keeps its rows' file order.  A count must be finite and > 0.
     """
     index = _read_header(path, ["count", "device"])
-    counts = _read_columns(path, index, ["count"], float)["count"]
+    cols = _read_table(path, index, ["count"], [c for c in ("device", "temperature_c") if c in index])
+    counts = cols["count"]
     _check(path, "count", np.isfinite(counts) & (counts > 0), "a finite number > 0", counts)
-    if "temperature_c" in index:
-        labels = _read_columns(path, index, ["device", "temperature_c"], str)
-        spelling, values = _temperatures(path, labels["temperature_c"])
+    if "temperature_c" in cols:
+        spelling, values = _temperatures(path, cols["temperature_c"])
     else:
-        labels = _read_columns(path, index, ["device"], str)
         spelling, values = np.zeros(counts.size, dtype=np.intp), [None]
     # spellings of one value ("20", "20.0", and "0" with "-0") are one
     # temperature; a key holds the value its group's first row spells
     ids: dict = {}
     same = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.intp)
-    groups = _group((same[spelling], list(ids)), _factorize(labels["device"]))
+    groups = _group((same[spelling], list(ids)), _factorize(cols["device"]))
     return {
         (values[spelling[rows[0]]], device): counts[rows]
         for (_, device), rows in groups.items()
     }
 
 
-@_utf8
 def read_delay_csv(path, known_base: float = 100e6) -> dict:
     """Parse delay captures into arrays of seconds keyed by stress profile.
 
@@ -529,18 +523,24 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
     sources = [c for c in ("delay_us", "count") if c in index]
     if not sources:
         raise ConfigError(f"{path}: need a `count` or `delay_us` column")
-    profile = _read_columns(path, index, ["profile"], str)["profile"]
     if len(sources) == 2:
         # only here can a row lack its delay_us, so only here are they parsed as text
-        cells = _read_columns(path, index, sources, str)
-        use_count = cells["delay_us"] == ""
-        values = np.where(
-            use_count,
-            _floats(path, "count", cells["count"], use_count),
-            _floats(path, "delay_us", cells["delay_us"], ~use_count),
-        )
+        cols = _read_table(path, index, [], ["profile", *sources])
+        use_count = cols["delay_us"] == b""
+        cells = np.where(use_count, cols["count"], cols["delay_us"])
+        try:
+            values = cells.astype(np.float64)
+        except ValueError:
+            for row, cell in enumerate(cells.tolist()):
+                try:
+                    float(cell)
+                except ValueError:
+                    name = "count" if use_count[row] else "delay_us"
+                    raise _bad_cell(path, _row_line(path, row), name, "a number", cell.decode())
+            raise
     else:
-        values = _read_columns(path, index, sources, float)[sources[0]]
+        cols = _read_table(path, index, sources, ["profile"])
+        values = cols[sources[0]]
         use_count = np.full(values.size, sources == ["count"])
     _check(path, "delay_us", use_count | np.isfinite(values), "a finite number", values)
     _check(
@@ -549,7 +549,7 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
     )
     # whole edges, as int() counts them; + 0.0 because int() has no -0.0 for a "-0"
     delay = np.where(use_count, (np.trunc(values) + 0.0) / known_base, values * 1e-6)
-    return {key: delay[rows] for (key,), rows in _group(_factorize(profile)).items()}
+    return {key: delay[rows] for (key,), rows in _group(_factorize(cols["profile"])).items()}
 
 
 __all__ = [

@@ -230,9 +230,17 @@ def _characterize_sweep(path) -> dict:
     offsets: dict = {}
     gain_stds: dict = {}
     offset_stds: dict = {}
+    owners: dict = {}  # per_channel key -> (device, channel)
     for (device, channel), record in sorted(read_sweep_csv(path).items()):
+        key = f"{device}/{channel}"
+        if key in owners:  # a "/" inside a label
+            raise ConfigError(
+                f"{path}: device {owners[key][0]!r} channel {owners[key][1]!r} and device "
+                f"{device!r} channel {channel!r} share the per_channel key {key!r}"
+            )
+        owners[key] = device, channel
         fit = ols_fit(record)
-        per_channel[f"{device}/{channel}"] = {
+        per_channel[key] = {
             "offset_v": fit.offset,
             "gain": fit.gain,
             "offset_std_v": fit.offset_std,

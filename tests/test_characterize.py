@@ -433,17 +433,78 @@ class TestColumnarReaders:
         assert_same_groups(read_delay_csv(path, 1e8), reference_delay(path, 1e8))
 
 
-class TestMemory:
-    def test_sweep_peak_is_bounded_by_the_voltages(self, tmp_path):
-        # 4 devices x 4 channels x 6250 points, about 3 MB of text; a list of
-        # one dict per row peaked at 31x the float64 voltages, the columns at 9x
+# labels around the 8-byte cell the readers parse first: 7, 8 and 9 bytes, 8
+# bytes in 7 characters, and two 9-byte labels that share their first 8 bytes
+WIDE_LABELS = ["abcdefg", "abcdefgh", "abcdefghi", "\u00e4bcdefg", "abcdefgh1", "abcdefgh2"]
+# a quoted label spanning lines, longer than any line of its file
+SPANNING_LABEL = "x" * 30 + "\n" + "y" * 30
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class TestLabelWidths:
+    @pytest.mark.parametrize("labels", [WIDE_LABELS, ["abcdefg", "abcdefgh"], ["abcdefgh1", "abcdefgh2"]])
+    def test_sweep(self, tmp_path, labels):
+        rows = [(v, v + i, label, labels[-1 - i]) for v in range(3) for i, label in enumerate(labels)]
         path = tmp_path / "sweep.csv"
+        write_rows(path, ["v_in", "v_out", "channel", "device"], rows)
+        got = read_sweep_csv(path)
+        want = reference_sweep(path)
+        assert len(got) == len(labels)
+        assert_same_groups({k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in want.items()})
+        assert_same_groups({k: r.v_out for k, r in got.items()}, {k: vo for k, (_, vo) in want.items()})
+
+    def test_counter(self, tmp_path):
+        rows = [(2000 + i, label, t) for t in ("20", "20.0", "") for i, label in enumerate(WIDE_LABELS)]
+        path = tmp_path / "counter.csv"
+        write_rows(path, ["count", "device", "temperature_c"], rows)
+        got = read_counter_csv(path)
+        assert len(got) == 2 * len(WIDE_LABELS)
+        assert_same_groups(got, reference_counter(path))
+
+    @pytest.mark.parametrize("columns", [["delay_us"], ["delay_us", "count"]])
+    def test_delay(self, tmp_path, columns):
+        # with both columns the numbers are parsed as text, and 10-byte cells
+        # such as 1234.56789 take the wider cells too
+        rows = []
+        for i, label in enumerate(WIDE_LABELS * 2):
+            delay_us = "1234.56789" if i % 2 or columns == ["delay_us"] else ""
+            rows.append([label, delay_us, str(600 + i)][: len(columns) + 1])
+        path = tmp_path / "delay.csv"
+        write_rows(path, ["profile", *columns], rows)
+        got = read_delay_csv(path, 1e8)
+        assert list(got) == WIDE_LABELS
+        assert_same_groups(got, reference_delay(path, 1e8))
+
+    def test_label_spanning_lines(self, tmp_path):
+        rows = [(v, v, label, "dev0") for v in range(3) for label in (SPANNING_LABEL, "ch0")]
+        path = tmp_path / "sweep.csv"
+        write_rows(path, ["v_in", "v_out", "channel", "device"], rows)
+        assert max(map(len, path.read_text().splitlines())) < len(SPANNING_LABEL)
+        got = read_sweep_csv(path)
+        assert list(got) == [("dev0", SPANNING_LABEL), ("dev0", "ch0")]
+        assert_same_groups(
+            {k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in reference_sweep(path).items()}
+        )
+
+
+class TestMemory:
+    @staticmethod
+    def sweep_peak(path, device, channel) -> float:
+        """Traced peak of ``read_sweep_csv`` over the float64 voltages it returns."""
+        # 4 devices x 4 channels x 6250 points, about 3 MB of text
         v = np.linspace(-9.9, 9.9, 6250)
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("v_in,v_out,channel,device\n")
             for d in range(4):
                 for c in range(4):
-                    np.savetxt(fh, np.column_stack([v, 1.001 * v]), fmt=f"%.6f,%.9f,ch{c},D{d}")
+                    fmt = f"%.6f,%.9f,{channel(c)},{device(d)}"
+                    np.savetxt(fh, np.column_stack([v, 1.001 * v]), fmt=fmt, encoding="utf-8")
         tracemalloc.start()
         try:
             records = read_sweep_csv(path)
@@ -451,5 +512,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         payload = sum(r.v_in.nbytes + r.v_out.nbytes for r in records.values())
-        assert payload == 16 * 16 * v.size
-        assert peak <= 12 * payload
+        assert len(records) == 16 and payload == 16 * 16 * v.size
+        return peak / payload
+
+    def test_sweep_peak_is_bounded_by_the_voltages(self, tmp_path):
+        # a list of one dict per row peaked at 31x the float64 voltages,
+        # float and unsized-str columns at 9.2x, one structured pass at 6.3x
+        ratio = self.sweep_peak(tmp_path / "sweep.csv", lambda d: f"D{d}", lambda c: f"ch{c}")
+        assert ratio <= 7
+
+    def test_sweep_peak_with_wide_labels(self, tmp_path):
+        # 19- and 9-byte labels, not ASCII, take the wider second pass:
+        # 16.3x the voltages, where unsized-str columns peaked at 20.1x
+        ratio = self.sweep_peak(
+            tmp_path / "sweep.csv", lambda d: f"Ger\u00e4t-\u00dcbersicht-{d}", lambda c: f"Kanal-\u00e4{c}"
+        )
+        assert ratio <= 17

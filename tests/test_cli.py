@@ -533,6 +533,9 @@ class TestCharacterize:
             ("sweep", b"v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0,d\xe4v0\n"),
             ("counter", b"count,device,temperature_c\n2000,dev0,20\n2000,d\xe4v0,20\n"),
             ("delay", b"count,profile\n659,idle\n659,l\xe4st\n"),
+            # in a number cell, and in a column no reader uses
+            ("sweep", b"v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1\xe4,ch0,dev0\n"),
+            ("delay", b"delay_us,profile,note\n6.5,idle,ok\n6.5,idle,n\xe4\n"),
         ],
     )
     def test_not_utf8_csv_exit(self, tmp_path, capsys, kind, text):
@@ -541,6 +544,51 @@ class TestCharacterize:
         out = tmp_path / "frag.json"
         assert main(["characterize", kind, "--input", str(csv), "--output", str(out)]) == 2
         assert f"error: {csv}: line 3: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["sweep", "counter", "delay"])
+    def test_nul_byte_csv_exit(self, tmp_path, capsys, kind):
+        # a NUL would end a raw-bytes label early and merge two groups
+        header = {"sweep": "v_in,v_out,channel,device", "counter": "count,device", "delay": "count,profile"}
+        row = {"sweep": "1,1,ch0,dev", "counter": "2000,dev", "delay": "659,dev"}[kind]
+        csv = tmp_path / "nul.csv"
+        csv.write_text(f"{header[kind]}\n{row}0\n{row}0\n{row}0\n{row}\x000\n")
+        out = tmp_path / "frag.json"
+        assert main(["characterize", kind, "--input", str(csv), "--output", str(out)]) == 2
+        assert f"error: {csv}: line 5: NUL byte" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("sweep", "v_in,v_out,channel,device\n0,0.1,ch0,dev0\n1,1.1,ch0,dev0\n2,2.2,ch0,dev0\n"),
+            ("counter", "temperature_c,device,count\n20,dev0,2000\n20,dev0,1999\n,dev1,2001\n"),
+            ("delay", "delay_us,profile\n6.5,idle\n7.25,idle\n4.0,cpu\n4.5,cpu\n"),
+        ],
+    )
+    def test_byte_order_mark_csv(self, tmp_path, kind, text):
+        # Excel's "CSV UTF-8" starts the file with a BOM; the first column keeps its name
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        for csv in (plain, bom):
+            argv = ["characterize", kind, "--input", str(csv), "--output", str(csv.with_suffix(".json"))]
+            assert main(argv) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_sweep_per_channel_key_clash_exit(self, tmp_path, capsys):
+        # device "a/b" channel "c" and device "a" channel "b/c" would both be "a/b/c"
+        rows = "".join(f"{v},{v},c,a/b\n{v},{2 * v},b/c,a\n" for v in range(3))
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("v_in,v_out,channel,device\n" + rows)
+        out = tmp_path / "frag.json"
+        assert main(["characterize", "sweep", "--input", str(csv), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"error: {csv}: device 'a' channel 'b/c' and device 'a/b' channel 'c' "
+            "share the per_channel key 'a/b/c'"
+        ) in err
         assert not out.exists()
 
     def test_merge_into_profile(self, tmp_path):
