@@ -146,6 +146,8 @@ def adc_convert(chain: ChainModel, v_in):
     """
     v = np.array(v_in, dtype=float)
     saturated = _convert(v, chain.adc_gain_ppm.mean, chain.adc_offset_uv.mean, None, chain)
+    if saturated is None:
+        saturated = np.zeros(v.shape, dtype=bool)
     # [()] turns the 0-d results of a scalar input back into scalars
     return v[()], saturated[()]
 
@@ -157,21 +159,25 @@ def _convert(v: np.ndarray, gain_ppm, offset_uv, noise, chain: ChainModel):
     None or volts shaped like ``v``.  The code grid is the chain's: ``adc_bits``
     over the bipolar full scale ``[-adc_vref_v, +adc_vref_v)``, or no
     quantization when ``adc_bits`` is None.  Returns the end-code saturation
-    mask, all clear for an ideal converter.
+    mask, or None when no sample saturated (always, for an ideal converter):
+    when the smallest and largest rounded codes lie on the grid, two
+    reductions stand in for the mask and the clip.
     """
     np.multiply(1.0 + 1e-6 * gain_ppm, v, out=v)
     v += 1e-6 * offset_uv
     if noise is not None:
         v += noise
     if chain.adc_bits is None:
-        return np.zeros(v.shape, dtype=bool)
+        return None
     q = 2.0 * chain.adc_vref_v / (1 << chain.adc_bits)
     np.divide(v, q, out=v)
     np.rint(v, out=v)
     code_min = -(1 << (chain.adc_bits - 1))
     code_max = (1 << (chain.adc_bits - 1)) - 1
-    saturated = (v < code_min) | (v > code_max)
-    np.clip(v, code_min, code_max, out=v)
+    saturated = None
+    if not (v.min() >= code_min and v.max() <= code_max):
+        saturated = (v < code_min) | (v > code_max)
+        np.clip(v, code_min, code_max, out=v)
     v *= q
     return saturated
 
@@ -520,54 +526,85 @@ def acquire(
     """
     if rng is None and chain.adc_noise_rms_uv > 0:
         raise ValueError("rng required for nonzero ADC noise")
-    v, saturated = _acquire_rows(
+    # one row per PPS interval, each started at k*T + tau_k
+    rows, samples = schedule.intervals, schedule.samples_per_interval
+    starts = np.arange(rows) * schedule.pps_period + np.asarray(schedule.delays)
+    a, b = _table_shape(samples)
+    v, clipped = _acquire_rows(
         phasor,
         chain,
-        [chain.aaf_gain_ppm.mean],
-        [chain.aaf_phase_urad.mean],
-        [chain.adc_gain_ppm.mean],
-        [chain.adc_offset_uv.mean],
-        schedule.realized_instants()[None, :],
-        [rng],
+        chain.aaf_gain_ppm.mean,
+        chain.aaf_phase_urad.mean,
+        chain.adc_gain_ppm.mean,
+        chain.adc_offset_uv.mean,
+        starts,
+        schedule.sample_period * schedule.deviation_ratio,
+        samples,
+        [rng] * rows,  # the intervals' noise, drawn in turn, is one draw over all samples
+        np.empty((rows, a * b)),
+        np.empty(rows * a * b),
     )
     return Waveform(
         times=schedule.nominal_instants(),
-        values=v[0],
-        metadata={"saturated_samples": int(saturated[0])},
+        values=v.ravel(),
+        metadata={"saturated_samples": int(clipped.sum())},
     )
+
+
+def _table_shape(samples: int) -> tuple:
+    """``(A, B)`` with ``B = ceil(sqrt(samples))`` and ``A*B >= samples``: sample ``n`` is ``a*B + b``."""
+    b = math.isqrt(samples - 1) + 1
+    return -(-samples // b), b
 
 
 def _acquire_rows(
     phasor: Phasor, chain: ChainModel, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv,
-    t_real, rngs,
+    starts, steps, samples: int, rngs, out: np.ndarray, scratch: np.ndarray,
 ):
-    """The forward chain on rows of realized instants, computed in place over ``t_real``.
+    """The forward chain on rows of ``samples`` instants ``starts[r] + n*steps[r]``, computed in ``out``.
 
-    Row ``r`` of ``t_real`` (rows x samples) is scaled by the AAF gain error
-    ``aaf_gain_ppm[r]``, shifted by its phase error ``aaf_phase_urad[r]`` and
-    converted with the ADC gain error ``adc_gain_ppm[r]`` and offset
-    ``adc_offset_uv[r]`` on the chain's code grid, with the chain's ADC noise
-    drawn from ``rngs[r]`` (not used for a noise-free chain).  Returns
-    ``(values, clipped)``: the converted samples and each row's number of
-    samples clipped at the end codes.
+    Row ``r`` is scaled by the AAF gain error ``aaf_gain_ppm[r]``, shifted by
+    its phase error ``aaf_phase_urad[r]`` and converted with the ADC gain
+    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]`` on the chain's
+    code grid, with the chain's ADC noise drawn from ``rngs[r]`` (not used
+    for a noise-free chain).  Each parameter is one value per row or one for
+    every row.
+
+    The sampled phase is linear in ``n``.  With ``n = a*B + b``
+    (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
+    ``P[a] = amp*exp(j*(omega*(start + a*B*step) + ph))`` and
+    ``Q[b] = exp(j*omega*b*step)``: two tables of about ``sqrt(samples)``
+    entries per row stand in for a cosine per sample.  ``out`` (C-contiguous,
+    rows x A*B) and ``scratch`` (contiguous floats, at least as many) are
+    overwritten.  Returns ``(values, clipped)``: the converted samples, a
+    rows x ``samples`` view of ``out``, and each row's number of samples
+    clipped at the end codes.
     """
-    aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv = (
-        np.asarray(values, dtype=float)[:, None]
-        for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv)
+    aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
+        np.asarray(values, dtype=float).reshape(-1, 1)
+        for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
     )
+    rows = out.shape[0]
+    a, b = _table_shape(samples)
     # steady-state filtering: scale the envelope, shift the phase
     amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
     ph = phasor.phase + 1e-6 * aaf_phase_urad
-    y = np.multiply(phasor.omega, t_real, out=t_real)
-    y += ph
-    np.cos(y, out=y)
-    np.multiply(amp, y, out=y)
+    p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
+    q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
+    y = out.reshape(rows, a, b)
+    np.multiply(p.real[:, :, None], q.real[:, None, :], out=y)
+    im = scratch.reshape(-1)[: y.size].reshape(y.shape)
+    np.multiply(p.imag[:, :, None], q.imag[:, None, :], out=im)
+    y -= im
+    v = out[:, :samples]
     noise = None
     if chain.adc_noise_rms_uv > 0:
         noise_rms = 1e-6 * chain.adc_noise_rms_uv
-        noise = np.array([rng.normal(0.0, noise_rms, size=y.shape[1]) for rng in rngs])
-    saturated = _convert(y, adc_gain_ppm, adc_offset_uv, noise, chain)
-    return y, np.count_nonzero(saturated, axis=1)
+        noise = np.array([rng.normal(0.0, noise_rms, size=samples) for rng in rngs])
+    saturated = _convert(v, adc_gain_ppm, adc_offset_uv, noise, chain)
+    if saturated is None:
+        return v, np.zeros(rows, dtype=np.intp)
+    return v, np.count_nonzero(saturated, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ results are plain values: ``sbcpmu.cli`` turns them into fragments.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
@@ -327,16 +328,20 @@ def variance_decomposition(
 _LABEL_BYTES = 8
 
 
-def _read_header(path, required: Sequence[str]) -> dict:
-    """Column index by name; a missing required column is a ``ConfigError``.
+def _read_header(path, required: Sequence[str]):
+    """Column index by name, and whether a line after the header holds a carriage return.
 
-    A leading byte-order mark is dropped.  The whole file must be UTF-8 text
-    without a NUL byte (it would end a raw-bytes label): else a ``ConfigError``.
+    A missing required column is a ``ConfigError``.  A leading byte-order
+    mark is dropped.  The whole file must be UTF-8 text without a NUL byte
+    (it would end a raw-bytes label): else a ``ConfigError``.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
-            nul = any("\x00" in text for text in iter(functools.partial(fh.read, 1 << 20), ""))
+            nul = cr = False
+            for text in iter(functools.partial(fh.read, 1 << 20), ""):
+                nul = nul or "\x00" in text
+                cr = cr or "\r" in text
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             utf8(fh.read(), path)  # raises the error naming the line
@@ -349,14 +354,24 @@ def _read_header(path, required: Sequence[str]) -> dict:
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
-    return {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    return {name: i for i, name in enumerate(header)}, cr  # a repeated name: the last wins
 
 
-def _read_table(path, index: dict, numbers: Sequence[str], labels: Sequence[str]) -> dict:
+def _raw_text(path):
+    """``path`` as text of one character per byte, line ends untranslated."""
+    return open(path, encoding="latin-1", newline="")
+
+
+def _read_table(path, index: dict, cr: bool, numbers: Sequence[str], labels: Sequence[str]) -> dict:
     """Columns ``numbers`` (float64) and ``labels`` (raw bytes) of every data row.
 
     A cell that does not parse, a row without one of the columns and a file
     without data rows are each a ``ConfigError``.  Blank lines are skipped.
+    ``np.loadtxt`` reads a path with universal newlines, which would turn a
+    quoted label's CRLF into LF, where ``csv`` keeps it.  So a file holding a
+    carriage return (``cr``) is handed over open through ``_raw_text``; any
+    other is handed over by path, which ``loadtxt`` reads in blocks rather
+    than a line at a time.
     """
     names = [*numbers, *labels]
     width = _LABEL_BYTES
@@ -366,16 +381,17 @@ def _read_table(path, index: dict, numbers: Sequence[str], labels: Sequence[str]
             # loadtxt warns on blank lines and on a file without data rows
             warnings.simplefilter("ignore", UserWarning)
             try:
-                table = np.loadtxt(
-                    path, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
-                    comments=None, quotechar='"', dtype=dtype, ndmin=1, encoding="latin-1",
-                )
+                with _raw_text(path) if cr else contextlib.nullcontext(path) as source:
+                    table = np.loadtxt(
+                        source, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
+                        comments=None, quotechar='"', dtype=dtype, ndmin=1, encoding="latin-1",
+                    )
             except ValueError as exc:
                 # loadtxt's own row numbers start at 0 or 1 by error
                 raise _unreadable(path, index, names, numbers) or ConfigError(f"{path}: {exc}") from exc
         if not any((np.char.str_len(table[n]) == width).any() for n in labels):
             break
-        with open(path, encoding="latin-1") as fh:  # one character per byte, line ends kept
+        with _raw_text(path) as fh:
             width = max(2 * width, max(map(len, fh)))
     if table.size == 0:
         raise ConfigError(f"{path}: no data rows")
@@ -457,8 +473,8 @@ def read_sweep_csv(path) -> dict:
     Keys come in order of first appearance and each record keeps its rows'
     file order.  Voltages must be finite; a channel needs at least 3 points.
     """
-    index = _read_header(path, ["v_in", "v_out", "channel", "device"])
-    cols = _read_table(path, index, ["v_in", "v_out"], ["device", "channel"])
+    index, cr = _read_header(path, ["v_in", "v_out", "channel", "device"])
+    cols = _read_table(path, index, cr, ["v_in", "v_out"], ["device", "channel"])
     for name in ("v_in", "v_out"):
         _check(path, name, np.isfinite(cols[name]), "a finite number", cols[name])
     out = {}
@@ -492,8 +508,8 @@ def read_counter_csv(path) -> dict:
     a temperature of None.  Keys come in order of first appearance and each
     float64 array keeps its rows' file order.  A count must be finite and > 0.
     """
-    index = _read_header(path, ["count", "device"])
-    cols = _read_table(path, index, ["count"], [c for c in ("device", "temperature_c") if c in index])
+    index, cr = _read_header(path, ["count", "device"])
+    cols = _read_table(path, index, cr, ["count"], [c for c in ("device", "temperature_c") if c in index])
     counts = cols["count"]
     _check(path, "count", np.isfinite(counts) & (counts > 0), "a finite number > 0", counts)
     if "temperature_c" in cols:
@@ -519,13 +535,13 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
     row with a blank `delay_us` uses its count.  Keys come in order of first
     appearance and each array keeps its rows' file order.
     """
-    index = _read_header(path, ["profile"])
+    index, cr = _read_header(path, ["profile"])
     sources = [c for c in ("delay_us", "count") if c in index]
     if not sources:
         raise ConfigError(f"{path}: need a `count` or `delay_us` column")
     if len(sources) == 2:
         # only here can a row lack its delay_us, so only here are they parsed as text
-        cols = _read_table(path, index, [], ["profile", *sources])
+        cols = _read_table(path, index, cr, [], ["profile", *sources])
         use_count = cols["delay_us"] == b""
         cells = np.where(use_count, cols["count"], cols["delay_us"])
         try:
@@ -539,7 +555,7 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
                     raise _bad_cell(path, _row_line(path, row), name, "a number", cell.decode())
             raise
     else:
-        cols = _read_table(path, index, sources, ["profile"])
+        cols = _read_table(path, index, cr, sources, ["profile"])
         values = cols[sources[0]]
         use_count = np.full(values.size, sources == ["count"])
     _check(path, "delay_us", use_count | np.isfinite(values), "a finite number", values)

@@ -239,7 +239,10 @@ def _characterize_sweep(path) -> dict:
                 f"{device!r} channel {channel!r} share the per_channel key {key!r}"
             )
         owners[key] = device, channel
-        fit = ols_fit(record)
+        try:
+            fit = ols_fit(record)
+        except ValueError as exc:  # a constant v_in
+            raise ConfigError(f"{path}: device {device!r} channel {channel!r}: {exc}") from exc
         per_channel[key] = {
             "offset_v": fit.offset,
             "gain": fit.gain,
@@ -312,7 +315,10 @@ def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
 def _characterize_delay(path, known_base: float) -> dict:
     profiles = {}
     for profile, samples in sorted(read_delay_csv(path, known_base=known_base).items()):
-        s = delay_statistics(samples)
+        try:
+            s = delay_statistics(samples)
+        except ValueError as exc:  # a profile of one sample
+            raise ConfigError(f"{path}: profile {profile!r}: {exc}") from exc
         profiles[profile] = {
             "n": s.n,
             "min_us": s.minimum * 1e6,

@@ -67,16 +67,15 @@ def fourier_phasor(waveform: Waveform, window: EstimationWindow) -> ComplexEnvel
 class _FourierPlan:
     """The sliding one-cycle estimator on one sample grid, applied to rows of samples.
 
-    Everything that depends only on the grid (the demodulating exponential,
-    the sample intervals, the window length and the envelope timestamps) is
-    computed once by ``build``; ``rows`` then estimates any number of signals
-    sampled on that grid, in two complex buffers the caller owns.
+    Everything that depends only on the grid (the weights, the window length
+    and the envelope timestamps) is computed once by ``build``; ``rows`` then
+    estimates any number of signals sampled on that grid, in two complex
+    buffers the caller owns.  A weight folds the demodulating exponential,
+    the sample interval and the ``2/T_p`` scale into one factor per sample.
     """
 
-    demodulator: np.ndarray  # exp(-j*omega*t)
-    dt: np.ndarray
+    weights: np.ndarray  # exp(-j*omega*t)*dt*2/T_p, one per sample interval
     n_win: int
-    t_p: float
     times: np.ndarray  # envelope timestamps, at the window centers
 
     @classmethod
@@ -98,10 +97,8 @@ class _FourierPlan:
         # window j integrates the n_win sample intervals starting at sample j
         starts = t[: t.size - n_win]
         return cls(
-            demodulator=np.exp(-1j * omega * t),
-            dt=dt,
+            weights=np.exp(-1j * omega * t[:-1]) * dt * (2.0 / t_p),
             n_win=n_win,
-            t_p=t_p,
             times=starts + 0.5 * t_p,
         )
 
@@ -112,16 +109,13 @@ class _FourierPlan:
         envelope is written over the first ``windows`` columns of ``demod`` and
         returned as a view of them; nothing else is allocated.
         """
-        np.multiply(values, self.demodulator, out=demod)
-        terms = np.multiply(demod[:, :-1], self.dt, out=demod[:, :-1])
+        terms = np.multiply(values[:, :-1], self.weights, out=demod[:, :-1])
         csum[:, 0] = 0.0
         np.cumsum(terms, axis=1, out=csum[:, 1:])
         n_windows, n_win = self.times.size, self.n_win
-        env = np.subtract(
+        return np.subtract(
             csum[:, n_win : n_windows + n_win], csum[:, :n_windows], out=demod[:, :n_windows]
         )
-        env *= 2.0 / self.t_p
-        return env
 
 
 def tve(measured, reference):

@@ -23,6 +23,7 @@ from .blocks import (
     ChainModel,
     GaussianTerm,
     _acquire_rows,
+    _table_shape,
     expected_response,
     pll_sample,
 )
@@ -237,12 +238,15 @@ class _Draws:
 class _Workspace:
     """The buffers one block of trials computes in, allocated once and reused.
 
-    ``real`` holds the sample instants, then the converted samples, then the
-    per-trial errors; ``demod`` and ``csum`` are the Fourier plan's buffers.
+    ``real`` (rows x A*B, see ``blocks._table_shape``) holds the converted
+    samples, then the per-trial errors, and at the end of a run the column
+    statistics' scratch; ``demod`` and ``csum`` are the Fourier plan's
+    buffers, and ``demod`` is the forward chain's scratch before that.
     """
 
     def __init__(self, rows: int, samples: int):
-        self.real = np.empty((rows, samples))
+        a, b = _table_shape(samples)
+        self.real = np.empty((rows, a * b))
         self.demod = np.empty((rows, samples), dtype=complex)
         self.csum = np.empty_like(self.demod)
 
@@ -251,7 +255,7 @@ class _Engine:
     """One scenario's trials, a block at a time: drawn in order, then run by a kernel.
 
     What does not change between trials is computed once: the nominal sample
-    grid and its demodulating exponential, the time-base statistics at the
+    period, the Fourier plan's weights, the time-base statistics at the
     scenario's temperature and the compensation factor.
     """
 
@@ -260,7 +264,7 @@ class _Engine:
         chain = scenario.chain
         nominal = build_schedule(scenario.nominal_rate, 1.0, [0.0], scenario.pps_period)
         self.samples = nominal.samples_per_interval
-        self.n_ts = np.arange(self.samples) * nominal.sample_period  # n*T_s
+        self.sample_period = nominal.sample_period
         self.plan = _FourierPlan.build(
             nominal.nominal_instants(), EstimationWindow(scenario.phasor.frequency)
         )
@@ -273,7 +277,8 @@ class _Engine:
             mean = expected_response(
                 chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
             )
-            self.compensation = math.exp(mean.log_magnitude) * np.exp(1j * mean.phase)
+            # K = 1/Lambda: the envelopes are multiplied by it
+            self.compensation = math.exp(-mean.log_magnitude) * np.exp(-1j * mean.phase)
 
     def draw(self, start: int, stop: int) -> _Draws:
         """Trials ``start`` to ``stop - 1``; each is seeded by (base_seed, trial index) alone."""
@@ -300,14 +305,12 @@ class _Engine:
     def envelopes(self, block: _Draws, ws: _Workspace):
         """The block's envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
 
-        The realized instants start + n*T_s*R, the forward chain, the Fourier
+        The forward chain at the realized instants delay + n*T_s*R, the Fourier
         estimate and, if the scenario compensates, the compensation all run in
         ``ws``.
         """
         draws = block.draws
         rows = len(draws)
-        t_real = np.multiply(self.n_ts, block.ratios[:, None], out=ws.real[:rows])
-        t_real += np.array([d.delay_s for d in draws])[:, None]
         values, clipped = _acquire_rows(
             self.scenario.phasor,
             self.scenario.chain,
@@ -315,12 +318,16 @@ class _Engine:
             [d.aaf_phase_urad for d in draws],
             [d.adc_gain_ppm for d in draws],
             [d.adc_offset_uv for d in draws],
-            t_real,
+            [d.delay_s for d in draws],
+            self.sample_period * block.ratios,
+            self.samples,
             block.rngs,  # each trial's ADC noise follows its parameter draws
+            ws.real[:rows],
+            ws.demod[:rows].view(float),
         )
         env = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
-            np.divide(env, self.compensation, out=env)
+            np.multiply(env, self.compensation, out=env)
         return env, clipped
 
 
@@ -381,22 +388,34 @@ def _workers(blocks: int) -> int:
     return min(_MAX_WORKERS, cpus, blocks)
 
 
-def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """The ddof-1 std of each column of ``rows`` about its column ``mean``, a row at a time.
+def _column_stats(rows: np.ndarray, mean: np.ndarray, std, scratch: np.ndarray) -> None:
+    """Write each column's mean of ``rows`` into ``mean`` and, unless ``std`` is None, its ddof-1 std.
 
-    Squared deviations are added row by row, the order in which
-    ``np.add.reduce(axis=0)`` adds the rows of a C-contiguous array, so the
-    result equals ``rows.std(axis=0, ddof=1)`` bit for bit without its
-    full-size temporary.
+    ``rows`` is a slice of at least two columns of a C-contiguous array (one
+    column alone would be summed pairwise).  Each column is then summed row
+    by row, the order in which ``np.add.reduce(axis=0)`` adds the rows of the
+    whole array, so the results equal ``mean(axis=0)`` and
+    ``std(axis=0, ddof=1)`` of the whole array bit for bit.  The squared
+    deviations are formed a chunk of rows at a time in ``scratch``
+    (contiguous floats, at least two rows' worth), below the running sum
+    in its first row, so the std needs no full-size temporary.
     """
-    acc = np.zeros_like(mean)
-    d = np.empty_like(mean)
-    for row in rows:
-        np.subtract(row, mean, out=d)
+    n, columns = rows.shape
+    np.add.reduce(rows, axis=0, out=mean)
+    mean /= n
+    if std is None:
+        return
+    buf = scratch.reshape(-1)[: scratch.size // columns * columns].reshape(-1, columns)
+    buf[0] = 0.0
+    chunk = buf.shape[0] - 1
+    for start in range(0, n, chunk):
+        d = buf[1 : 1 + min(chunk, n - start)]
+        np.subtract(rows[start : start + chunk], mean, out=d)
         d *= d
-        acc += d
-    acc /= rows.shape[0] - 1
-    return np.sqrt(acc, out=acc)
+        np.add.reduce(buf[: 1 + d.shape[0]], axis=0, out=std)
+        buf[0] = std
+    std /= n - 1
+    np.sqrt(std, out=std)
 
 
 def monte_carlo(scenario: McScenario) -> McResult:
@@ -410,8 +429,10 @@ def monte_carlo(scenario: McScenario) -> McResult:
     blocks.  Each kernel writes its TVE rows straight into ``trial_tve`` and
     returns its summed magnitude and phase errors, which are added in block
     order, so every result is bit for bit the same for any number of workers.
-    The column std of the traces is then taken a row at a time.  Memory is
-    the float64 per-trial traces plus one block workspace per worker.
+    The column mean and std of the traces are then taken on the same workers,
+    a slice of columns each, while the calling thread takes the grand mean.
+    Memory is the float64 per-trial traces plus one block workspace per
+    worker.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -457,16 +478,33 @@ def monte_carlo(scenario: McScenario) -> McResult:
             pending.append(pool.submit(kernel, block))
         yield from pending
 
+    windows = t_in_pps.size
+    mean_tve = np.empty(windows)
+    spread = np.zeros(windows)
+
+    def column_stats(columns: slice):
+        ws = free.pop()
+        try:
+            std = spread[columns] if scenario.trials > 1 else None
+            _column_stats(trial_tve[:, columns], mean_tve[columns], std, ws.real)
+        finally:
+            free.append(ws)
+
+    # slices of at least two columns, unless there is only one
+    parts = max(1, min(workers, windows // 2))
+    edges = [windows * i // parts for i in range(parts + 1)]
     mag_err_sum = phase_err_sum = 0.0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in submitted(pool):
             mag, phase = future.result()
             mag_err_sum += mag
             phase_err_sum += phase
+        stats = [pool.submit(column_stats, slice(*edges[i : i + 2])) for i in range(parts)]
+        grand_mean_tve = float(trial_tve.mean())
+        for future in stats:
+            future.result()
 
-    mean_tve = trial_tve.mean(axis=0)
     k = DEFAULT_COVERAGE_FACTOR
-    spread = _column_std(trial_tve, mean_tve) if scenario.trials > 1 else np.zeros_like(mean_tve)
     curve = model_curve(
         chain, omega, t_in_pps, compensated=scenario.compensate,
         temperature=scenario.temperature_c,
@@ -486,7 +524,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         model_band=curve.band_hi,
         compensated=scenario.compensate,
         fe_hz=fe_hz,
-        grand_mean_tve=float(trial_tve.mean()),
+        grand_mean_tve=grand_mean_tve,
         grand_mean_mag_err=mag_err_sum / trial_tve.size,
         grand_mean_phase_err=phase_err_sum / trial_tve.size,
         window_gap_s=float(scenario.pps_period - t_in_pps[-1]),

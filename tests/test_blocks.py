@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcpmu.blocks import (
+    _acquire_rows,
+    _table_shape,
     AafModel,
     ChainModel,
     GaussianTerm,
@@ -23,7 +26,7 @@ from sbcpmu.blocks import (
     timebase_response,
 )
 from sbcpmu.errors import ConfigError, ModelParameterError
-from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
+from sbcpmu.estimate import MIN_WINDOW_SAMPLES, EstimationWindow, fourier_phasor, tve
 from sbcpmu.signals import Phasor, build_schedule, synthesize
 
 OMEGA_50 = 2 * math.pi * 50
@@ -386,6 +389,114 @@ class TestAcquire:
         schedule = build_schedule(5000.0, 1.0, [0.0], 1.0)
         w = acquire(Phasor(5.0, 0.0, 50.0), chain, schedule)
         assert w.metadata["saturated_samples"] > 0
+
+
+def _cosine_ld(amp, ph, omega, starts, steps, samples):
+    """``amp*cos(omega*(start + n*step) + ph)`` in long double, one row per start."""
+    ld = np.longdouble
+    amp, ph, starts, steps = (np.asarray(x, dtype=ld).reshape(-1, 1) for x in (amp, ph, starts, steps))
+    return amp * np.cos(ld(omega) * (starts + np.arange(samples, dtype=ld) * steps) + ph)
+
+
+def _ulps_of_phase(got, want, amp, omega, t_max):
+    """The largest error of ``got`` in units of ``ulp(omega*t_max)*amp``."""
+    return float(np.max(np.abs(got - want)) / (np.spacing(omega * t_max) * amp))
+
+
+# Measured over 600 random draws of each test: at most 2.0.  The phase omega*t is rounded to
+# float64 once, in each table, as a direct cosine would round it.
+PHASE_ULPS = 4
+# a perfect square, a prime and the shortest window
+SAMPLE_COUNTS = [4900, 4999, MIN_WINDOW_SAMPLES]
+TABLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class TestPhaseTables:
+    """With an ideal ADC, the phase-table sinusoid is ``amp*cos(...)`` to a few ulps of the phase."""
+
+    @TABLE_SETTINGS
+    @given(
+        samples=st.sampled_from(SAMPLE_COUNTS),
+        rows=st.lists(
+            st.tuples(
+                st.floats(-0.99, 0.99),  # (R - 1)*N_s: every feasible ratio
+                st.floats(-1e-3, 1e-3),  # start, s
+                st.floats(-1e4, 1e4),  # AAF gain, ppm
+                st.floats(-1e5, 1e5),  # AAF phase, urad
+            ),
+            min_size=1, max_size=3,
+        ),
+        amplitude=st.floats(0.01, 100.0),
+        phase=st.floats(-math.pi, math.pi),
+        frequency=st.sampled_from([50.0, 60.0, 49.5]),
+    )
+    def test_rows_match_long_double(self, samples, rows, amplitude, phase, frequency):
+        p = Phasor(amplitude, phase, frequency)
+        guard, starts, gains, phases = (np.array(c) for c in zip(*rows))
+        steps = (1.0 / samples) * (1.0 + guard / samples)  # one PPS interval of about 1 s
+        a, b = _table_shape(samples)
+        assert a * b >= samples > (a - 1) * b
+        got, clipped = _acquire_rows(
+            p, identity_chain(), gains, phases, 0.0, 0.0, starts, steps, samples,
+            [None] * len(rows), np.empty((len(rows), a * b)), np.empty(len(rows) * a * b),
+        )
+        assert got.shape == (len(rows), samples)
+        assert not clipped.any()
+        amp = p.amplitude * (1.0 + 1e-6 * gains)
+        want = _cosine_ld(amp, p.phase + 1e-6 * phases, p.omega, starts, steps, samples)
+        t_max = np.max(np.abs(starts) + (samples - 1) * steps)
+        assert _ulps_of_phase(got, want, amp.max(), p.omega, t_max) <= PHASE_ULPS
+
+    @TABLE_SETTINGS
+    @given(
+        samples=st.sampled_from(SAMPLE_COUNTS),
+        guard=st.floats(-0.99, 0.99),
+        delays=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=4),
+        amplitude=st.floats(0.01, 100.0),
+        phase=st.floats(-math.pi, math.pi),
+    )
+    def test_acquire_intervals_match_long_double(self, samples, guard, delays, amplitude, phase):
+        # one row per PPS interval, each started at k*T + tau_k
+        p = Phasor(amplitude, phase, 50.0)
+        chain = ChainModel(aaf_gain_ppm=GaussianTerm(-50.0), aaf_phase_urad=GaussianTerm(-1e4))
+        ratio = 1.0 + guard / samples
+        schedule = build_schedule(samples, ratio, delays, 1.0)
+        got = acquire(p, chain, schedule).values.reshape(len(delays), samples)
+        amp = p.amplitude * (1.0 + 1e-6 * -50.0)
+        starts = np.arange(len(delays), dtype=np.longdouble) + np.array(delays, dtype=np.longdouble)
+        step = np.longdouble(1.0 / samples) * np.longdouble(ratio)
+        want = _cosine_ld(amp, p.phase + 1e-6 * -1e4, p.omega, starts, step, samples)
+        t_max = float(np.max(np.abs(starts)) + (samples - 1) * step)
+        assert _ulps_of_phase(got, want, amp, p.omega, t_max) <= PHASE_ULPS
+
+    def test_fast_path_matches_mask_path(self):
+        # In a block where one row clips, every row takes the mask path; the
+        # row that does not clip, run alone, takes the fast path.
+        chain = ChainModel(adc_bits=12, adc_vref_v=10.0)
+        p = Phasor(9.9, 0.3, 50.0)
+        samples = 5000
+        a, b = _table_shape(samples)
+
+        def run(adc_gains):
+            rows = len(adc_gains)
+            values, clipped = _acquire_rows(
+                p, chain, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples, [None] * rows,
+                np.empty((rows, a * b)), np.empty(rows * a * b),
+            )
+            return values.copy(), clipped
+
+        both, clipped = run([0.0, 2e4])  # +2 % gain: 10.1 V peaks against 10 V
+        alone, alone_clipped = run([0.0])
+        assert both[0].tobytes() == alone[0].tobytes()
+        assert clipped[0] == alone_clipped[0] == 0
+        # the clipping row, counted from its unclipped codes
+        unclipped, _ = _acquire_rows(
+            p, identity_chain(), 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples, [None],
+            np.empty((1, a * b)), np.empty(a * b),
+        )
+        codes = np.rint(unclipped[0] / (20.0 / 4096))
+        assert clipped[1] == np.count_nonzero((codes < -2048) | (codes > 2047)) > 0
+        assert np.abs(both[1]).max() <= 10.0
 
 
 class TestProfiles:

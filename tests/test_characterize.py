@@ -492,6 +492,18 @@ class TestLabelWidths:
             {k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in reference_sweep(path).items()}
         )
 
+    def test_quoted_crlf_label(self, tmp_path):
+        # the label's own CRLF survives, as csv.DictReader keeps it
+        rows = [(v, v, label, "dev0") for v in range(3) for label in ("x\r\ny", "x\ny", "ch0")]
+        path = tmp_path / "sweep.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\r\n").writerows([["v_in", "v_out", "channel", "device"], *rows])
+        got = read_sweep_csv(path)
+        want = reference_sweep(path)
+        assert list(want) == [("dev0", "x\r\ny"), ("dev0", "x\ny"), ("dev0", "ch0")]
+        assert_same_groups({k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in want.items()})
+        assert_same_groups({k: r.v_out for k, r in got.items()}, {k: vo for k, (_, vo) in want.items()})
+
 
 class TestMemory:
     @staticmethod

@@ -492,6 +492,12 @@ class TestCharacterize:
                 "device 'dev0' channel 'ch0': need at least 3 sweep points",
             ),
             (
+                "sweep",
+                "v_in,v_out,channel,device\n1,0,ch0,dev0\n1,1,ch0,dev0\n1,2,ch0,dev0\n",
+                "device 'dev0' channel 'ch0': sweep input is constant; "
+                "regressor matrix is rank deficient",
+            ),
+            (
                 "counter",
                 "count,device,temperature_c\n2000,dev0,20\n2000,dev0,hot\n",
                 "line 3: temperature_c must be a finite number or blank, got 'hot'",
@@ -516,6 +522,11 @@ class TestCharacterize:
                 "delay",
                 "count,delay_us,profile\n659,,idle\n,fast,idle\n",
                 "line 3: delay_us must be a number, got 'fast'",
+            ),
+            (
+                "delay",
+                "delay_us,profile\n6.5,idle\n7.25,idle\n4.0,cpu\n",
+                "profile 'cpu': need at least 2 samples",
             ),
         ],
     )
@@ -576,6 +587,18 @@ class TestCharacterize:
             argv = ["characterize", kind, "--input", str(csv), "--output", str(csv.with_suffix(".json"))]
             assert main(argv) == 0
         assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_give_the_same_fragment(self, tmp_path, eol):
+        rows = "".join(f"{v},{1.001 * v + 0.002},ch{v % 2},dev0\n" for v in range(8))
+        text = "v_in,v_out,channel,device\n" + rows
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        plain.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", eol).encode())
+        for csv in (plain, other):
+            argv = ["characterize", "sweep", "--input", str(csv), "--output", str(csv.with_suffix(".json"))]
+            assert main(argv) == 0
+        assert (tmp_path / "other.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_sweep_per_channel_key_clash_exit(self, tmp_path, capsys):
         # device "a/b" channel "c" and device "a" channel "b/c" would both be "a/b/c"
