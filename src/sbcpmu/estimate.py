@@ -91,7 +91,7 @@ class _FourierPlan:
             raise EstimationError(
                 f"unresolvable window: {n_win} samples per cycle (need >= {MIN_WINDOW_SAMPLES})"
             )
-        if t.size < n_win:
+        if t.size <= n_win:  # n_win + 1 samples bound the first window
             raise EstimationError("waveform spans less than one estimation window")
         omega = 2.0 * math.pi * window.nominal_frequency
         # window j integrates the n_win sample intervals starting at sample j

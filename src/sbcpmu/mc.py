@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import platform
 from collections import deque
@@ -18,10 +19,11 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import (
     ChainModel,
-    GaussianTerm,
     _acquire_rows,
     _table_shape,
     expected_response,
@@ -153,6 +155,7 @@ class McScenario:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _check_seed_int("base_seed", self.base_seed)
         if self.duration < self.pps_period:
             raise ValueError("duration must cover at least one PPS period")
         self.chain.timebase.check_temperature(self.temperature_c)
@@ -206,15 +209,127 @@ class McResult:
         return self.trial_tve.shape[0]
 
 
-def _draw_trial(chain: ChainModel, e_r: GaussianTerm, rng: np.random.Generator) -> TrialDraw:
-    return TrialDraw(
-        aaf_gain_ppm=rng.normal(chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
-        aaf_phase_urad=rng.normal(chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
-        adc_gain_ppm=rng.normal(chain.adc_gain_ppm.mean, chain.sequence_gain_std_ppm()),
-        adc_offset_uv=rng.normal(chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
-        e_r_ppm=rng.normal(e_r.mean, e_r.std),
-        delay_s=float(pll_sample(chain.pll, rng)),
-    )
+def _check_seed_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a non-negative integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+
+
+def _words(n: int) -> list:
+    """The 32-bit words of ``n >= 0``, least significant first, as SeedSequence splits it (0 is [0])."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(first: int, mult: int, calls: int) -> np.ndarray:
+    """SeedSequence's running hash constant before and after each of ``calls`` hashes, as a uint32 column."""
+    h = [first]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` (uint32) under the constants ``h``, one row per hash.
+
+    Hash ``k`` xors with ``h[k]`` and multiplies by ``h[k+1]``; a single row
+    of ``values`` is hashed once per row of ``h[:-1]``.  uint32 arrays wrap
+    as the C code does.
+    """
+    v = values ^ h[:-1]
+    v *= h[1:]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_MULT_L - y * _MIX_MULT_R
+    v ^= v >> 16
+    return v
+
+
+def _seed_state(entropy: np.ndarray, words: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of the SeedSequences whose entropy is ``entropy``'s columns.
+
+    ``entropy`` is uint32, ``max(words, 4)`` rows by one column per
+    sequence, zero below its first ``words`` rows.  SeedSequence hashes the
+    first four words into its pool, mixes every pool word into every other,
+    then mixes in each word beyond the fourth; its hash constant advances
+    with each hash whatever the data, so the three hashes of one pool word
+    into the others are one array operation here.
+    """
+    # four hashes fill the pool, twelve mix it, and each word beyond the fourth takes four
+    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(words, _POOL_SIZE))
+    pool = _hashmix(entropy[:_POOL_SIZE], h[: _POOL_SIZE + 1])
+    c = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[c : c + _POOL_SIZE]))
+        c += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, words):
+        pool = _mix(pool, _hashmix(entropy[src], h[c : c + _POOL_SIZE + 1]))
+        c += _POOL_SIZE
+    # eight uint32 words from the pool, in turn; word pairs are little-endian uint64s
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    state = state.astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+def _trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """Row ``i - start`` is ``SeedSequence([base_seed, i]).generate_state(4, np.uint64)``.
+
+    One pass of numpy arrays for trials ``start`` to ``stop - 1``: the entropy
+    of trial ``i`` is the 32-bit words of ``base_seed`` then those of ``i``,
+    and the trials whose ``i`` has the same number of words share a pass.
+    ``base_seed`` and ``start`` must be non-negative.
+    """
+    base = _words(int(base_seed))
+    parts = []
+    lo, stop = int(start), int(stop)
+    while lo < stop:
+        k = len(_words(lo))
+        hi = min(stop, 1 << 32 * k)
+        if hi <= 1 << 64:
+            index = np.arange(lo, hi, dtype=np.uint64)
+        else:
+            index = np.array(range(lo, hi), dtype=object)
+        words = len(base) + k
+        entropy = np.zeros((max(words, _POOL_SIZE), hi - lo), dtype=np.uint32)
+        entropy[: len(base)] = np.array(base, dtype=np.uint32)[:, None]
+        for j in range(k):
+            entropy[len(base) + j] = (index >> 32 * j) & _MASK32
+        parts.append(_seed_state(entropy, words))
+        lo = hi
+    return np.concatenate(parts)
+
+
+class _TrialSeed(ISeedSequence):
+    """One trial's precomputed seed state, handed to ``PCG64`` in place of its SeedSequence.
+
+    ``PCG64`` asks its seed sequence once for ``generate_state(4, np.uint64)``
+    and seeds its 128-bit state from those words in C, so
+    ``Generator(PCG64(_TrialSeed(row)))`` equals ``default_rng([base_seed, i])``
+    for row ``i`` of ``_trial_seeds``.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"a trial seed holds 4 uint64 words, not {n_words} {dtype}")
+        return self.state
 
 
 # Trials per block.  A block's complex buffers (about 1.3 MB each at 5 kHz and
@@ -229,7 +344,7 @@ class _Draws:
 
     start: int
     stop: int
-    draws: list
+    params: np.ndarray  # rows x 6, one trial per row, columns in TrialDraw's field order
     rngs: list  # each trial's generator, for its ADC noise
     ratios: np.ndarray  # time-base deviation ratio R per trial
     guard_margins: np.ndarray  # |R-1|*N_s per trial
@@ -268,9 +383,16 @@ class _Engine:
         self.plan = _FourierPlan.build(
             nominal.nominal_instants(), EstimationWindow(scenario.phasor.frequency)
         )
-        self.e_r = GaussianTerm(
-            chain.timebase.mean_ppm(scenario.temperature_c),
-            chain.timebase.std_ppm(scenario.temperature_c),
+        # (mean, std) of the five Gaussian draws, in TrialDraw's field order
+        self.normals = (
+            (chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
+            (chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
+            (chain.adc_gain_ppm.mean, chain.sequence_gain_std_ppm()),
+            (chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
+            (
+                chain.timebase.mean_ppm(scenario.temperature_c),
+                chain.timebase.std_ppm(scenario.temperature_c),
+            ),
         )
         self.compensation = None
         if scenario.compensate:
@@ -280,27 +402,34 @@ class _Engine:
             # K = 1/Lambda: the envelopes are multiplied by it
             self.compensation = math.exp(-mean.log_magnitude) * np.exp(-1j * mean.phase)
 
-    def draw(self, start: int, stop: int) -> _Draws:
-        """Trials ``start`` to ``stop - 1``; each is seeded by (base_seed, trial index) alone."""
-        scenario = self.scenario
-        rows = stop - start
-        draws = []
+    def draw(self, start: int, seeds: np.ndarray) -> _Draws:
+        """Trials ``start`` on, one per row of ``seeds`` (``_trial_seeds``), drawn in order.
+
+        Each trial's generator is seeded by (base_seed, trial index) alone and
+        draws the five Gaussian terms, then the PLL delay, into its row of
+        ``params``.
+        """
+        rows = len(seeds)
+        params = np.empty((rows, 6))
         rngs = []
         ratios = np.empty(rows)
         margins = np.empty(rows)
-        for r, i in enumerate(range(start, stop)):
-            rng = np.random.default_rng([scenario.base_seed, i])
+        pll = self.scenario.chain.pll
+        for r, seed in enumerate(seeds):
+            rng = Generator(PCG64(_TrialSeed(seed)))
             rngs.append(rng)
-            draw = _draw_trial(scenario.chain, self.e_r, rng)
-            ratios[r] = ratio = 1.0 + 1e-6 * draw.e_r_ppm
+            row = [rng.normal(mean, std) for mean, std in self.normals]
+            row.append(pll_sample(pll, rng))
+            params[r] = row
+            ratios[r] = ratio = 1.0 + 1e-6 * row[4]  # e_r_ppm
             try:
                 margins[r] = guard_margin(ratio, self.samples)
             except ScheduleGuardError as exc:
+                draw = TrialDraw(*params[r].tolist())
                 raise ScheduleGuardError(
-                    f"trial {i} aborted: {exc}; draw = {draw.to_json()}"
+                    f"trial {start + r} aborted: {exc}; draw = {draw.to_json()}"
                 ) from exc
-            draws.append(draw)
-        return _Draws(start, stop, draws, rngs, ratios, margins)
+        return _Draws(start, start + rows, params, rngs, ratios, margins)
 
     def envelopes(self, block: _Draws, ws: _Workspace):
         """The block's envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
@@ -309,16 +438,16 @@ class _Engine:
         estimate and, if the scenario compensates, the compensation all run in
         ``ws``.
         """
-        draws = block.draws
-        rows = len(draws)
+        rows = len(block.params)
+        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = block.params.T
         values, clipped = _acquire_rows(
             self.scenario.phasor,
             self.scenario.chain,
-            [d.aaf_gain_ppm for d in draws],
-            [d.aaf_phase_urad for d in draws],
-            [d.adc_gain_ppm for d in draws],
-            [d.adc_offset_uv for d in draws],
-            [d.delay_s for d in draws],
+            aaf_gain,
+            aaf_phase,
+            adc_gain,
+            adc_offset,
+            delay,
             self.sample_period * block.ratios,
             self.samples,
             block.rngs,  # each trial's ADC noise follows its parameter draws
@@ -342,12 +471,13 @@ def run_trial(scenario: McScenario, trial_index: int):
     Seeding depends only on (base_seed, trial_index) so results are invariant
     under any execution order.
     """
+    _check_seed_int("trial_index", trial_index)
     engine = _Engine(scenario)
-    block = engine.draw(trial_index, trial_index + 1)
+    block = engine.draw(trial_index, _trial_seeds(scenario.base_seed, trial_index, trial_index + 1))
     env, clipped = engine.envelopes(block, _Workspace(1, engine.samples))
     env = env[0]
     trace = tve(env, scenario.phasor.value)
-    return engine.plan.times, trace, env, block.draws[0], int(clipped[0])
+    return engine.plan.times, trace, env, TrialDraw(*block.params[0].tolist()), int(clipped[0])
 
 
 def _error_rows(env, ref, tve_rows, ws: _Workspace):
@@ -447,6 +577,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     trial_tve = np.empty((scenario.trials, t_in_pps.size))
     guard_margins = np.empty(scenario.trials)
     clipped = np.empty(scenario.trials, dtype=np.int64)
+    seeds = _trial_seeds(scenario.base_seed, 0, scenario.trials)
     starts = range(0, scenario.trials, BLOCK_TRIALS)
     workers = _workers(len(starts))
     # list.pop and list.append are atomic, and at most ``workers`` kernels
@@ -471,7 +602,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         """
         pending = deque()
         for start in starts:
-            block = engine.draw(start, min(start + BLOCK_TRIALS, scenario.trials))
+            block = engine.draw(start, seeds[start : start + BLOCK_TRIALS])
             guard_margins[block.start : block.stop] = block.guard_margins
             if len(pending) == 2 * workers:
                 yield pending.popleft()

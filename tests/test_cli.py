@@ -159,6 +159,11 @@ class TestSimulate:
             ),
             # 100 Hz sampling gives 2 samples per 50 Hz cycle
             ("schedule.rate_hz", 100.0, [], "unresolvable window: 2 samples per cycle"),
+            # a 20 ms interval at 5 kHz holds one 50 Hz window and no envelope
+            (
+                "schedule.pps_period_s", 0.02, [],
+                "waveform spans less than one estimation window",
+            ),
         ],
     )
     def test_bad_scenario_exit(self, tmp_path, capsys, key_path, value, flags, message):

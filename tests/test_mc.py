@@ -5,9 +5,11 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbcpmu.blocks import (
     BlockResponse,
@@ -21,7 +23,8 @@ from sbcpmu.blocks import (
     paper_profile,
     timebase_response,
 )
-from sbcpmu.errors import ConfigError, ScheduleGuardError
+from sbcpmu import mc
+from sbcpmu.errors import ConfigError, EstimationError, ScheduleGuardError
 from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.mc import (
     BLOCK_TRIALS,
@@ -220,12 +223,39 @@ class TestMonteCarlo:
 
     def test_guard_violation_in_a_later_block(self):
         # run one at a time, trials 19, 20 and 50 violate the guard; the
-        # lowest is named, and no worker thread outlives the call
+        # lowest is named with its draw, and no worker thread outlives the call
         chain = replace(paper_profile(), timebase=TimebaseModel(0.0, 100.0))
         threads = threading.active_count()
-        with pytest.raises(ScheduleGuardError, match=r"^trial 19 aborted:"):
+        with pytest.raises(ScheduleGuardError) as info:
             monte_carlo(small_scenario(chain=chain, trials=64, base_seed=7))
+        assert str(info.value) == (
+            "trial 19 aborted: N_s pulse-count approximation invalid: |R-1|*N_s = 1.14 >= 1 "
+            "(R=1.0002284640628052, N_s=5000); draw = {'aaf_gain_ppm': -9.306326343455941, "
+            "'aaf_phase_urad': -4577.08947840208, 'adc_gain_ppm': -4493.9478458999365, "
+            "'adc_offset_uv': -764.1670063810802, 'e_r_ppm': 228.46406280512767, "
+            "'delay_us': -7.812567189195421}"
+        )
         assert threading.active_count() == threads
+
+    def test_one_window_interval_raises(self):
+        # a 20 ms interval at 5 kHz holds one 50 Hz window and no envelope
+        with pytest.raises(EstimationError, match="less than one estimation window"):
+            monte_carlo(small_scenario(pps_period=0.02))
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "7", None])
+    def test_base_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match=r"^base_seed must be a non-negative integer, got "):
+            small_scenario(base_seed=seed)
+
+    def test_numpy_int_base_seed(self):
+        a = run_trial(small_scenario(base_seed=np.int64(42)), 1)
+        b = run_trial(small_scenario(base_seed=42), 1)
+        assert a[1].tobytes() == b[1].tobytes() and a[3] == b[3]
+
+    @pytest.mark.parametrize("index", [-1, -(2**40), 1.0, False])
+    def test_trial_index_must_be_a_non_negative_int(self, index):
+        with pytest.raises(ValueError, match=r"^trial_index must be a non-negative integer, got "):
+            run_trial(small_scenario(), index)
 
     def test_temperature_off_grid_raises(self):
         # the time base is not extrapolated: 200 C is off the paper grid [0, 50]
@@ -345,6 +375,98 @@ class TestEngineEquivalence:
         assert r.max_trial_saturated_samples == max(clipped)
         if name == "clipping-across-blocks":
             assert min(clipped) > 0
+
+
+def _default_rng_seeds(base_seed, start, stop):
+    """What ``default_rng([base_seed, i])`` seeds PCG64 from, in place of ``mc._trial_seeds``."""
+    return [np.random.SeedSequence([base_seed, i]) for i in range(start, stop)]
+
+
+class TestTrialSeeds:
+    """Each trial's generator is ``default_rng([base_seed, i])``, seeded by one vectorized pass."""
+
+    BASE_SEEDS = [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**128 + 1]
+    INDICES = [0, 1, 15, 16, 959]
+
+    @staticmethod
+    def _assert_rows_seed_default_rng(seeds, base_seed, indices):
+        assert seeds.dtype == np.uint64 and seeds.flags.c_contiguous
+        for row, i in zip(seeds, indices):
+            want = np.random.default_rng([base_seed, i]).bit_generator.state
+            assert mc.Generator(mc.PCG64(mc._TrialSeed(row))).bit_generator.state == want, i
+
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    def test_one_pass_matches_default_rng(self, base_seed):
+        seeds = mc._trial_seeds(base_seed, 0, 960)
+        assert seeds.shape == (960, 4)
+        self._assert_rows_seed_default_rng(seeds[self.INDICES], base_seed, self.INDICES)
+
+    @pytest.mark.parametrize("base_seed", BASE_SEEDS)
+    @pytest.mark.parametrize("index", INDICES)
+    def test_single_trial_matches_default_rng(self, base_seed, index):
+        seeds = mc._trial_seeds(base_seed, index, index + 1)
+        assert seeds.shape == (1, 4)
+        self._assert_rows_seed_default_rng(seeds, base_seed, [index])
+
+    @pytest.mark.parametrize("start", [2**32 - 2, 2**64 - 2], ids=["32-bit", "64-bit"])
+    def test_range_across_a_word_boundary(self, start):
+        # trial indices that gain a 32-bit word change the entropy length mid-range
+        indices = range(start, start + 4)
+        seeds = mc._trial_seeds(7, indices.start, indices.stop)
+        assert seeds.shape == (4, 4)
+        self._assert_rows_seed_default_rng(seeds, 7, indices)
+
+    @given(
+        base_seed=st.integers(min_value=0, max_value=2**160 - 1),
+        index=st.integers(min_value=0, max_value=2**20 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_default_rng(self, base_seed, index):
+        seeds = mc._trial_seeds(base_seed, index, index + 2)
+        self._assert_rows_seed_default_rng(seeds, base_seed, [index, index + 1])
+
+    def test_a_trial_seed_only_seeds_pcg64(self):
+        seed = mc._TrialSeed(mc._trial_seeds(1, 0, 1)[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed.generate_state(8, np.uint32)
+
+    @pytest.mark.parametrize("compensate", [False, True], ids=["plain", "compensated"])
+    def test_adc_noise_follows_default_rng(self, monkeypatch, compensate):
+        # the noise is drawn from each trial's generator after its parameters,
+        # so the traces equal those of generators from default_rng
+        scenario = small_scenario(
+            chain=replace(paper_profile(), adc_noise_rms_uv=300.0), trials=BLOCK_TRIALS + 2,
+            compensate=compensate,
+        )
+        r = monte_carlo(scenario)
+        trials = [run_trial(scenario, i) for i in (0, BLOCK_TRIALS + 1)]
+        quiet = run_trial(replace(scenario, chain=replace(scenario.chain, adc_noise_rms_uv=0.0)), 0)
+        assert trials[0][1].tobytes() != quiet[1].tobytes()
+
+        monkeypatch.setattr(mc, "_trial_seeds", _default_rng_seeds)
+        monkeypatch.setattr(mc, "_TrialSeed", lambda seed: seed)
+        want = monte_carlo(scenario)
+        assert r.trial_tve.tobytes() == want.trial_tve.tobytes()
+        for i, got in zip((0, BLOCK_TRIALS + 1), trials):
+            ref = run_trial(scenario, i)
+            assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes()
+            assert got[3] == ref[3]
+
+
+class TestBenchmarkScenario:
+    """The benchmark's mc-batch scenario still gives the grand mean its check expects."""
+
+    EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+    def test_grand_mean_tve_matches_expected(self):
+        expected = json.loads(self.EXPECTED.read_text())["full"]["mc-batch"]["12345"]
+        scenario = McScenario(
+            chain=paper_profile(), phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=5000.0,
+            trials=960, compensate=True, temperature_c=35.0, base_seed=12345,
+        )
+        r = monte_carlo(scenario)
+        assert r.trials == expected["trials"]
+        assert math.isclose(r.grand_mean_tve, expected["grand_mean_tve"], rel_tol=1e-9, abs_tol=0.0)
 
 
 class TestStreamedAggregates:
