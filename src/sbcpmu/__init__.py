@@ -17,7 +17,7 @@ import importlib
 _EXPORTS = {
     "blocks": (
         "AafModel", "BlockResponse", "ChainModel", "GaussianTerm",
-        "PllDelayModel", "TimebaseModel", "aaf_response", "acquire", "expected_response",
+        "PllDelayModel", "TimebaseModel", "aaf_response", "expected_response",
         "identity_chain", "load_profile", "paper_profile", "pll_response", "save_profile",
         "timebase_response",
     ),
@@ -29,12 +29,9 @@ _EXPORTS = {
         "ConfigError", "EstimationError", "ModelParameterError", "SbcPmuError",
         "ScheduleGuardError",
     ),
-    "estimate": ("EstimationWindow", "compensate", "fe", "fourier_phasor", "tve"),
+    "estimate": ("EstimationWindow", "compensate", "fe", "tve"),
     "mc": ("McScenario", "budget", "model_curve", "monte_carlo", "write_run"),
-    "signals": (
-        "ComplexEnvelope", "Phasor", "SamplingSchedule", "Waveform", "build_schedule",
-        "ideal_envelope", "synthesize", "wrap_phase",
-    ),
+    "signals": ("Phasor", "wrap_phase"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,20 +1,22 @@
-"""The four parametric error blocks and the forward acquisition operator.
+"""The four parametric error blocks and the forward chain's row kernel.
 
 Each block contributes one complex factor to the combined system response:
 the anti-aliasing filter (static magnitude/phase), the ADC static transfer
 (pure gain), the PWM time base (phase ramp within each PPS interval) and the
-software-PLL synchronization delay (pure phase).  ``acquire`` runs a phasor
-through all four blocks in the time domain.
+software-PLL synchronization delay (pure phase).  ``_acquire_rows`` runs a
+phasor through all four blocks in the time domain, one row per Monte Carlo
+trial; ``sbcpmu.mc.run_trial`` is its one-trial entry point.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from statistics import NormalDist
-from typing import Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +32,9 @@ from .errors import (
     reject_unknown_keys,
     section,
 )
-from .signals import Phasor, SamplingSchedule, Waveform
+
+if TYPE_CHECKING:
+    from .signals import Phasor
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,7 +77,13 @@ class BlockResponse:
 
 @dataclass(frozen=True)
 class AafModel:
-    """First-order RC anti-aliasing filter with component tolerances."""
+    """First-order RC anti-aliasing filter with component tolerances.
+
+    ``AafModel``, ``aaf_cutoff_model`` and ``aaf_response`` are the RC design
+    analysis: they predict the AAF terms from the component tolerances, and
+    feed no chain.  A ``ChainModel`` carries the measured AAF gain and phase
+    errors of a profile (``aaf.gain_err_ppm``, ``aaf.phase_err_urad``).
+    """
 
     resistance: float
     capacitance: float
@@ -104,7 +114,7 @@ def aaf_cutoff_model(
     capacitor_tolerance: float = 0.0,
     resistance: float = 1.0e3,
 ) -> AafModel:
-    """Convenience constructor from the -3 dB cutoff frequency."""
+    """An RC design from its -3 dB cutoff frequency (design analysis; see ``AafModel``)."""
     tau = 1.0 / (2.0 * math.pi * cutoff_hz)
     return AafModel(
         resistance=resistance,
@@ -115,7 +125,11 @@ def aaf_cutoff_model(
 
 
 def aaf_response(model: AafModel, omega: float) -> BlockResponse:
-    """Magnitude/phase response of the RC filter with propagated uncertainty."""
+    """Magnitude/phase response of the RC design with propagated uncertainty.
+
+    Design analysis (see ``AafModel``): the model curve and the Monte Carlo
+    use the profile's measured AAF terms, not this response.
+    """
     if omega <= 0:
         raise ValueError("omega must be > 0")
     tau = model.tau
@@ -137,19 +151,6 @@ def aaf_response(model: AafModel, omega: float) -> BlockResponse:
 # ---------------------------------------------------------------------------
 # ADC
 # ---------------------------------------------------------------------------
-
-
-def adc_convert(chain: ChainModel, v_in):
-    """Convert with the chain's mean ADC gain and offset, and report end-code saturation.
-
-    Returns ``(v_out, saturated)`` where ``saturated`` is a boolean mask.
-    """
-    v = np.array(v_in, dtype=float)
-    saturated = _convert(v, chain.adc_gain_ppm.mean, chain.adc_offset_uv.mean, None, chain)
-    if saturated is None:
-        saturated = np.zeros(v.shape, dtype=bool)
-    # [()] turns the 0-d results of a scalar input back into scalars
-    return v[()], saturated[()]
 
 
 def _convert(v: np.ndarray, gain_ppm, offset_uv, noise, chain: ChainModel):
@@ -292,7 +293,10 @@ class PllDelayModel:
     positive skew seen in the delay histograms; truncated-normal and an
     empirical histogram are available for sensitivity studies.  For
     truncated-normal, ``mean``/``std`` locate the underlying normal, which may
-    lie outside ``[min, max]`` when ``std > 0``.
+    lie outside ``[min, max]`` when ``std > 0``.  For shifted-gamma they are
+    the gamma's own, and a finite ``max`` clips the gamma's tail.  An
+    empirical histogram ignores them.  ``drawn_moments`` gives the mean and
+    std of the delays ``pll_sample`` actually draws.
     """
 
     family: str = "shifted-gamma"
@@ -315,8 +319,13 @@ class PllDelayModel:
             edges, counts = self.histogram
             edges = tuple(float(e) for e in edges)
             counts = tuple(int(c) for c in counts)
-            if len(edges) != len(counts) + 1 or sum(counts) <= 0:
+            if len(edges) != len(counts) + 1 or sum(counts) <= 0 or min(counts) < 0:
                 raise ModelParameterError("malformed histogram")
+            if any(hi <= lo for lo, hi in zip(edges, edges[1:])):
+                raise ModelParameterError(
+                    "histogram bin_edges_us must increase strictly, got "
+                    f"{' / '.join(map(_us, edges))} µs"
+                )
             object.__setattr__(self, "histogram", (edges, counts))
             return
         # messages give times in µs, as profiles write them
@@ -344,6 +353,30 @@ class PllDelayModel:
     @property
     def degenerate(self) -> bool:
         return self.std == 0.0
+
+    @functools.cached_property
+    def drawn_moments(self) -> tuple:
+        """``(mean, std)`` in seconds of the delays ``pll_sample`` draws, computed on first use.
+
+        An empirical histogram draws a bin by its count, then a uniform point
+        in it: the mixture's mean, and its std by the law of total variance.
+        A truncated normal has the closed form of ``_truncated_normal_moments``.
+        A shifted gamma has ``mean``/``std``, exact when ``max`` is infinite
+        (a finite ``max`` clips the tail and lowers both); so has a
+        degenerate model.
+        """
+        if self.family == "empirical-histogram":
+            edges, counts = self.histogram
+            total = sum(counts)
+            bins = [(c / total, lo, hi) for c, lo, hi in zip(counts, edges, edges[1:])]
+            mean = math.fsum(p * 0.5 * (lo + hi) for p, lo, hi in bins)
+            var = math.fsum(
+                p * ((hi - lo) ** 2 / 12.0 + (0.5 * (lo + hi) - mean) ** 2) for p, lo, hi in bins
+            )
+            return mean, math.sqrt(var)
+        if self.degenerate or self.family == "shifted-gamma":
+            return self.mean, self.std
+        return _truncated_normal_moments(self)
 
 
 def pll_sample(model: PllDelayModel, rng: np.random.Generator, size=None):
@@ -399,6 +432,27 @@ def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, siz
     z = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(u)
     draws = np.clip(model.mean + sign * model.std * z, model.min, model.max)
     return float(draws) if size is None else draws
+
+
+def _truncated_normal_moments(model: PllDelayModel) -> tuple:
+    """Mean and std of the normal(mean, std) restricted to [min, max], in closed form.
+
+    On the support's standard-normal ends ``a < b``, mirrored below the mean
+    as the draws are (``_truncated_normal_bounds``), with the mass
+    ``Z = Phi(b) - Phi(a)`` and the density ``phi``, a standard draw has the
+    mean ``d = (phi(a) - phi(b))/Z`` and the variance
+    ``1 + (a*phi(a) - b*phi(b))/Z - d*d``.
+    """
+    p_lo, p_hi, sign = _truncated_normal_bounds(model)
+    a, b = sorted(sign * (x - model.mean) / model.std for x in (model.min, model.max))
+    # an infinite end has phi = 0 and z*phi = 0
+    pdf_a, pdf_b = (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b))
+    zpdf_a, zpdf_b = (z * f if math.isfinite(z) else 0.0 for z, f in ((a, pdf_a), (b, pdf_b)))
+    mass = p_hi - p_lo
+    d = (pdf_a - pdf_b) / mass
+    # rounding can take the variance of a support far narrower than std below 0
+    var = max(1.0 + (zpdf_a - zpdf_b) / mass - d * d, 0.0)
+    return model.mean + sign * model.std * d, model.std * math.sqrt(var)
 
 
 def pll_response(delay: float, omega: float, delay_std: float = 0.0) -> BlockResponse:
@@ -486,68 +540,25 @@ def expected_response(
 
     The AAF and ADC gain errors add in the log-magnitude.  The AAF phase,
     the time-base ramp ``omega*e_r*t`` and the mean PLL delay phase
-    ``omega*tau`` add in the phase.  At a ``temperature`` the time-base mean
-    and std are interpolated there, as the Monte Carlo draws them.  The
-    trials apply the two gains as ``(1+a)(1+b)``, which differs from
-    ``exp(a+b)`` by about ``(a*a + b*b)/2``: about 1e-5 on the paper profile.
+    ``omega*tau`` add in the phase, with the mean and std of the drawn
+    delays (``PllDelayModel.drawn_moments``).  At a ``temperature`` the
+    time-base mean and std are interpolated there, as the Monte Carlo draws
+    them.  The trials apply the two gains as ``(1+a)(1+b)``, which differs
+    from ``exp(a+b)`` by about ``(a*a + b*b)/2``: about 1e-5 on the paper
+    profile.
     """
     t = np.asarray(t, dtype=float)
     e_r = 1e-6 * chain.timebase.mean_ppm(temperature)
+    delay_mean, delay_std = chain.pll.drawn_moments
     return ExpectedResponse(
         log_magnitude=1e-6 * (chain.aaf_gain_ppm.mean + chain.adc_gain_ppm.mean),
-        phase=1e-6 * chain.aaf_phase_urad.mean + omega * t * e_r + omega * chain.pll.mean,
+        phase=1e-6 * chain.aaf_phase_urad.mean + omega * t * e_r + omega * delay_mean,
         log_magnitude_std=1e-6 * (chain.aaf_gain_ppm.std + chain.adc_gain_ppm.std),
         phase_std=(
             1e-6 * chain.aaf_phase_urad.std
             + omega * t * 1e-6 * chain.timebase.std_ppm(temperature)
-            + omega * chain.pll.std
+            + omega * delay_std
         ),
-    )
-
-
-def acquire(
-    phasor: Phasor,
-    chain: ChainModel,
-    schedule: SamplingSchedule,
-    rng: Optional[np.random.Generator] = None,
-) -> Waveform:
-    """Run a phasor through the full error chain.
-
-    The sinusoid is AAF-filtered analytically (steady-state complex scaling),
-    sampled at the schedule's realized instants and converted by the ADC.
-    The returned waveform carries the device-apparent (nominal) timestamps,
-    which is what the downstream phasor estimator sees; the acquisition
-    errors therefore show up in the recovered envelope.
-
-    If the schedule was built with ``delays=None`` semantics (all-NaN is not
-    supported; pass explicit delays), per-interval delays must already be in
-    the schedule.  ``rng`` is only needed when the chain has nonzero ADC
-    noise.
-    """
-    if rng is None and chain.adc_noise_rms_uv > 0:
-        raise ValueError("rng required for nonzero ADC noise")
-    # one row per PPS interval, each started at k*T + tau_k
-    rows, samples = schedule.intervals, schedule.samples_per_interval
-    starts = np.arange(rows) * schedule.pps_period + np.asarray(schedule.delays)
-    a, b = _table_shape(samples)
-    v, clipped = _acquire_rows(
-        phasor,
-        chain,
-        chain.aaf_gain_ppm.mean,
-        chain.aaf_phase_urad.mean,
-        chain.adc_gain_ppm.mean,
-        chain.adc_offset_uv.mean,
-        starts,
-        schedule.sample_period * schedule.deviation_ratio,
-        samples,
-        [rng] * rows,  # the intervals' noise, drawn in turn, is one draw over all samples
-        np.empty((rows, a * b)),
-        np.empty(rows * a * b),
-    )
-    return Waveform(
-        times=schedule.nominal_instants(),
-        values=v.ravel(),
-        metadata={"saturated_samples": int(clipped.sum())},
     )
 
 
@@ -807,8 +818,6 @@ __all__ = [
     "TimebaseModel",
     "aaf_cutoff_model",
     "aaf_response",
-    "acquire",
-    "adc_convert",
     "chain_from_json",
     "chain_to_json",
     "expected_response",

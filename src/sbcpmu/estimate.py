@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import BlockResponse
 from .errors import EstimationError
-from .signals import ComplexEnvelope, Waveform, wrap_phase
+from .signals import wrap_phase
 
 MIN_WINDOW_SAMPLES = 10
 
@@ -50,22 +50,13 @@ class CompensatedPhasor:
             raise ValueError("residual errors must be finite")
 
 
-def fourier_phasor(waveform: Waveform, window: EstimationWindow) -> ComplexEnvelope:
-    """Sliding one-cycle Fourier coefficient of the fundamental.
-
-    c(t) = (2/T_p) * sum s(t_i) * exp(-j*2*pi*f*t_i) * dt over one window,
-    a left rectangular-rule approximation of the integral.  Each envelope
-    sample is attributed to the center of its window.
-    """
-    plan = _FourierPlan.build(waveform.times, window)
-    demod = np.empty((1, waveform.times.size), dtype=complex)
-    values = plan.rows(waveform.values[None, :], demod, np.empty_like(demod))
-    return ComplexEnvelope(times=plan.times, values=values[0])
-
-
 @dataclass(frozen=True)
 class _FourierPlan:
     """The sliding one-cycle estimator on one sample grid, applied to rows of samples.
+
+    ``c(t) = (2/T_p) * sum s(t_i) * exp(-j*2*pi*f*t_i) * dt`` over one window,
+    a left rectangular-rule approximation of the integral.  Each envelope
+    sample is attributed to the center of its window.
 
     Everything that depends only on the grid (the weights, the window length
     and the envelope timestamps) is computed once by ``build``; ``rows`` then
@@ -166,6 +157,5 @@ __all__ = [
     "EstimationWindow",
     "compensate",
     "fe",
-    "fourier_phasor",
     "tve",
 ]

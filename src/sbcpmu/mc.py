@@ -31,7 +31,7 @@ from .blocks import (
 )
 from .errors import ScheduleGuardError
 from .estimate import EstimationWindow, _FourierPlan, fe, tve
-from .signals import Phasor, build_schedule, guard_margin
+from .signals import Phasor, guard_margin
 
 DEFAULT_COVERAGE_FACTOR = 3.3
 
@@ -153,6 +153,10 @@ class McScenario:
     temperature_c: Optional[float] = None
 
     def __post_init__(self):
+        if not self.nominal_rate > 0:  # NaN too
+            raise ValueError("nominal_rate must be > 0")
+        if not self.pps_period > 0:
+            raise ValueError("pps_period must be > 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_seed_int("base_seed", self.base_seed)
@@ -377,11 +381,12 @@ class _Engine:
     def __init__(self, scenario: McScenario):
         self.scenario = scenario
         chain = scenario.chain
-        nominal = build_schedule(scenario.nominal_rate, 1.0, [0.0], scenario.pps_period)
-        self.samples = nominal.samples_per_interval
-        self.sample_period = nominal.sample_period
+        # the instants the device believes in: n*T_s within one PPS interval
+        self.samples = round(scenario.pps_period * scenario.nominal_rate)
+        self.sample_period = 1.0 / scenario.nominal_rate
         self.plan = _FourierPlan.build(
-            nominal.nominal_instants(), EstimationWindow(scenario.phasor.frequency)
+            np.arange(self.samples) * self.sample_period,
+            EstimationWindow(scenario.phasor.frequency),
         )
         # (mean, std) of the five Gaussian draws, in TrialDraw's field order
         self.normals = (

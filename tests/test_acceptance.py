@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from sbcpmu.blocks import (
+    ChainModel,
+    GaussianTerm,
     aaf_cutoff_model,
     aaf_response,
+    identity_chain,
     paper_profile,
     pll_response,
     pll_sample,
@@ -27,10 +30,10 @@ from sbcpmu.characterize import (
     sweep_plan,
     variance_decomposition,
 )
-from sbcpmu.estimate import compensate, fe, fourier_phasor, tve, EstimationWindow
+from sbcpmu.estimate import compensate, fe, tve
 from sbcpmu.blocks import BlockResponse
-from sbcpmu.mc import McScenario, model_curve, monte_carlo
-from sbcpmu.signals import Phasor, Waveform
+from sbcpmu.mc import McScenario, model_curve, monte_carlo, run_trial
+from sbcpmu.signals import Phasor
 
 OMEGA_50 = 2 * math.pi * 50
 MC_SEED = 12345
@@ -227,13 +230,12 @@ def test_criterion_8_property_suite():
             failures.append("tve-bound")
             break
 
-    # DC rejection of the one-cycle estimator
-    t = np.arange(5000) / 5000.0
-    clean = Waveform(times=t, values=10 * np.cos(OMEGA_50 * t))
-    offset = Waveform(times=t, values=10 * np.cos(OMEGA_50 * t) + 1.0)
-    a = fourier_phasor(clean, EstimationWindow(50.0))
-    b = fourier_phasor(offset, EstimationWindow(50.0))
-    if np.max(np.abs(a.values - b.values)) / 10 > 1e-9:
+    # DC rejection of the one-cycle estimator: a 1 V offset through an ideal ADC
+    a, b = (
+        run_trial(McScenario(chain=chain, phasor=Phasor(10, 0, 50), trials=1), 0)[2]
+        for chain in (identity_chain(), ChainModel(adc_offset_uv=GaussianTerm(1e6)))
+    )
+    if np.max(np.abs(a - b)) / 10 > 1e-9:
         failures.append("dc-rejection")
 
     # Monte Carlo determinism

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sbcpmu.blocks import (
     _acquire_rows,
+    _convert,
     _table_shape,
     AafModel,
     ChainModel,
@@ -14,8 +16,6 @@ from sbcpmu.blocks import (
     TimebaseModel,
     aaf_cutoff_model,
     aaf_response,
-    acquire,
-    adc_convert,
     chain_from_json,
     chain_to_json,
     expected_response,
@@ -26,8 +26,9 @@ from sbcpmu.blocks import (
     timebase_response,
 )
 from sbcpmu.errors import ConfigError, ModelParameterError
-from sbcpmu.estimate import MIN_WINDOW_SAMPLES, EstimationWindow, fourier_phasor, tve
-from sbcpmu.signals import Phasor, build_schedule, synthesize
+from sbcpmu.estimate import MIN_WINDOW_SAMPLES, tve
+from sbcpmu.mc import McScenario, run_trial
+from sbcpmu.signals import Phasor
 
 OMEGA_50 = 2 * math.pi * 50
 
@@ -78,10 +79,17 @@ def quantum(chain):
     return 2 * chain.adc_vref_v / 2**chain.adc_bits
 
 
+def convert(chain, v_in):
+    """``v_in`` converted with the chain's mean ADC gain and offset, and the end-code saturation mask."""
+    v = np.array(v_in, dtype=float)
+    saturated = _convert(v, chain.adc_gain_ppm.mean, chain.adc_offset_uv.mean, None, chain)
+    return v, np.zeros(v.shape, dtype=bool) if saturated is None else saturated
+
+
 class TestAdc:
     def test_zero_input(self):
         chain = ChainModel(adc_bits=16, adc_vref_v=10.0)
-        assert adc_convert(chain, 0.0)[0] == 0.0
+        assert convert(chain, 0.0)[0] == 0.0
 
     def test_paper_gain_offset(self):
         chain = ChainModel(
@@ -93,18 +101,18 @@ class TestAdc:
         # pre-quantization value from Table-like gain/offset at 10 V
         expected = 10 * (1 - 4459e-6) - 269e-6
         assert expected == pytest.approx(9.955141, abs=5e-7)
-        assert adc_convert(chain, 10.0)[0] == pytest.approx(expected, abs=quantum(chain))
+        assert convert(chain, 10.0)[0] == pytest.approx(expected, abs=quantum(chain))
 
     def test_quantization_noise_rms(self):
         chain = ChainModel(adc_bits=12, adc_vref_v=10.0)
         v = np.linspace(-9.9, 9.9, 200001)
-        out = adc_convert(chain, v)[0]
+        out = convert(chain, v)[0]
         resid = out - v
         assert np.std(resid) == pytest.approx(quantum(chain) / math.sqrt(12), rel=0.05)
 
     def test_saturation_flag(self):
         chain = ChainModel(adc_bits=8, adc_vref_v=1.0)
-        out, sat = adc_convert(chain, np.array([0.0, 2.0, -3.0]))
+        out, sat = convert(chain, np.array([0.0, 2.0, -3.0]))
         assert list(sat) == [False, True, True]
         assert out[1] == pytest.approx(1.0, abs=2 * quantum(chain))
 
@@ -172,7 +180,47 @@ class TestTimebase:
             TimebaseModel(0.0, 0.0, e_r_by_temperature=((20.0, 0, 0), (10.0, 0, 0)))
 
 
+# one delay model of each family, and the truncated normal's mirrored cases
+PLL_MODELS = {
+    "shifted-gamma": paper_profile().pll,  # the bundled delay: max is infinite
+    "truncated-normal": PllDelayModel(
+        family="truncated-normal", min=4e-6, max=9e-6, mean=6e-6, std=1e-6
+    ),
+    "truncated-normal-above-mean": PllDelayModel(
+        family="truncated-normal", min=4e-6, max=9e-6, mean=2e-6, std=3e-6
+    ),
+    "truncated-normal-one-sided": PllDelayModel(
+        family="truncated-normal", min=10e-6, mean=6e-6, std=1e-6
+    ),
+    "empirical-histogram": PllDelayModel(
+        family="empirical-histogram", histogram=((4e-6, 5e-6, 6e-6, 8e-6), (3, 5, 2))
+    ),
+}
+
+
 class TestPllDelay:
+    @pytest.mark.parametrize("name", PLL_MODELS)
+    def test_drawn_moments_match_draws(self, name):
+        model = PLL_MODELS[name]
+        n = 100_000
+        draws = pll_sample(model, np.random.default_rng(3), size=n)
+        mean, std = model.drawn_moments
+        centered = draws - draws.mean()
+        var = np.mean(centered**2)
+        se_mean = math.sqrt(var / n)
+        se_std = math.sqrt((np.mean(centered**4) - var**2) / n) / (2 * math.sqrt(var))
+        assert abs(draws.mean() - mean) < 4 * se_mean
+        assert abs(draws.std(ddof=1) - std) < 4 * se_std
+
+    def test_histogram_edges_must_increase(self):
+        with pytest.raises(
+            ModelParameterError,
+            match=r"^histogram bin_edges_us must increase strictly, got 8 / 6 / 4 / 5 µs$",
+        ):
+            PllDelayModel(
+                family="empirical-histogram", histogram=((8e-6, 6e-6, 4e-6, 5e-6), (3, 5, 2))
+            )
+
     def test_degenerate(self):
         m = PllDelayModel(min=5e-6, max=5e-6, mean=5e-6, std=0.0)
         rng = np.random.default_rng(0)
@@ -202,6 +250,8 @@ class TestPllDelay:
             PllDelayModel(min=5e-6, mean=1e-6, std=1e-6)
         with pytest.raises(ModelParameterError):
             PllDelayModel(family="weibull")
+        with pytest.raises(ModelParameterError, match="malformed histogram"):
+            PllDelayModel(family="empirical-histogram", histogram=((1e-6, 2e-6, 3e-6), (-1, 3)))
         with pytest.raises(ModelParameterError):
             PllDelayModel(family="truncated-normal", min=5e-6, max=5e-6, mean=1e-6, std=1e-6)
 
@@ -312,8 +362,28 @@ class TestTruncatedNormal:
                            r"holds no representable mass"):
             chain_from_json(profile)
 
+    def test_unordered_histogram_in_profile(self):
+        profile = chain_to_json(paper_profile())
+        profile["pll"]["delay"] = {
+            "family": "empirical-histogram",
+            "histogram": {"bin_edges_us": [8, 6, 4, 5], "counts": [3, 5, 2]},
+        }
+        with pytest.raises(
+            ConfigError, match=r"^pll\.delay: histogram bin_edges_us must increase strictly"
+        ):
+            chain_from_json(profile)
+
 
 class TestExpectedResponse:
+    @pytest.mark.parametrize("name", PLL_MODELS)
+    def test_pll_terms_are_the_drawn_moments(self, name):
+        # the model's delay is the mean and std of what pll_sample draws
+        chain = replace(paper_profile(), pll=PLL_MODELS[name])
+        r = expected_response(chain, OMEGA_50, [0.0])
+        mean, std = chain.pll.drawn_moments
+        assert r.phase[0] == pytest.approx(1e-6 * chain.aaf_phase_urad.mean + OMEGA_50 * mean)
+        assert r.phase_std[0] == pytest.approx(1e-6 * chain.aaf_phase_urad.std + OMEGA_50 * std)
+
     @pytest.mark.parametrize("temperature", [None, 35.0])
     def test_sums_the_block_responses(self, temperature):
         # log-magnitudes and phases add; the stds add with the same sign
@@ -333,22 +403,28 @@ class TestExpectedResponse:
         assert r.log_magnitude_std == pytest.approx(1e-6 * sum(g.std for g in gains))
 
 
+def one_trial(chain, phasor=Phasor(10.0, 0.0, 50.0)):
+    """``run_trial`` on a chain with nothing random: every block at its mean."""
+    return run_trial(McScenario(chain=chain, phasor=phasor, trials=1), 0)
+
+
 class TestAcquire:
     def test_identity_chain_matches_synthesize(self):
-        schedule = build_schedule(5000.0, 1.0, [0.0], 1.0)
         p = Phasor(10.0, 0.0, 50.0)
-        w = acquire(p, identity_chain(), schedule)
-        ref = synthesize(p, schedule)
-        assert np.allclose(w.values, ref.values)
+        a, b = _table_shape(5000)
+        values, clipped = _acquire_rows(
+            p, identity_chain(), 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000, [None],
+            np.empty((1, a * b)), np.empty(a * b),
+        )
+        assert np.allclose(values[0], p.amplitude * np.cos(p.omega * np.arange(5000) * 2e-4))
+        assert clipped[0] == 0
 
     def test_aaf_only_envelope_phase(self):
         chain = ChainModel(
             aaf_gain_ppm=GaussianTerm(-50.0), aaf_phase_urad=GaussianTerm(-10000.0)
         )
-        schedule = build_schedule(5000.0, 1.0, [0.0], 1.0)
-        p = Phasor(10.0, 0.0, 50.0)
-        env = fourier_phasor(acquire(p, chain, schedule), EstimationWindow(50.0))
-        assert np.mean(np.angle(env.values)) == pytest.approx(-10e-3, rel=0.01)
+        env = one_trial(chain)[2]
+        assert np.mean(np.angle(env)) == pytest.approx(-10e-3, rel=0.01)
 
     def test_forward_matches_analytic_tve(self):
         # fixed-parameter chain: measured TVE equals the TVE of the expected response
@@ -361,14 +437,10 @@ class TestAcquire:
             timebase=TimebaseModel(-16.02, 0.0),
             pll=PllDelayModel(min=7.93e-6, max=7.93e-6, mean=7.93e-6, std=0.0),
         )
-        schedule = build_schedule(
-            5000.0, chain.timebase.deviation_ratio(), [7.93e-6], 1.0
-        )
         p = Phasor(10.0, 0.0, 50.0)
-        env = fourier_phasor(acquire(p, chain, schedule), EstimationWindow(50.0))
-        measured = tve(env.values, p.value)
-        every = len(env.times) // 8
-        log_mag, phase, _, _ = expected_response(chain, p.omega, env.times[::every])
+        times, measured, _, _, _ = one_trial(chain, p)
+        every = len(times) // 8
+        log_mag, phase, _, _ = expected_response(chain, p.omega, times[::every])
         expected = np.abs(np.exp(log_mag + 1j * phase) - 1.0)
         assert np.allclose(measured[::every], expected, atol=1e-4)
 
@@ -377,18 +449,12 @@ class TestAcquire:
             timebase=TimebaseModel(-16.02, 0.0),
             pll=PllDelayModel(min=7.93e-6, max=7.93e-6, mean=7.93e-6, std=0.0),
         )
-        schedule = build_schedule(
-            5000.0, chain.timebase.deviation_ratio(), [7.93e-6], 1.0
-        )
-        p = Phasor(10.0, 0.0, 50.0)
-        env = fourier_phasor(acquire(p, chain, schedule), EstimationWindow(50.0))
-        assert np.allclose(np.abs(env.values) / 10.0, 1.0, atol=1e-4)
+        env = one_trial(chain)[2]
+        assert np.allclose(np.abs(env) / 10.0, 1.0, atol=1e-4)
 
     def test_saturation_reported(self):
         chain = ChainModel(adc_bits=8, adc_vref_v=1.0)
-        schedule = build_schedule(5000.0, 1.0, [0.0], 1.0)
-        w = acquire(Phasor(5.0, 0.0, 50.0), chain, schedule)
-        assert w.metadata["saturated_samples"] > 0
+        assert one_trial(chain, Phasor(5.0, 0.0, 50.0))[4] > 0
 
 
 def _cosine_ld(amp, ph, omega, starts, steps, samples):
@@ -446,28 +512,6 @@ class TestPhaseTables:
         want = _cosine_ld(amp, p.phase + 1e-6 * phases, p.omega, starts, steps, samples)
         t_max = np.max(np.abs(starts) + (samples - 1) * steps)
         assert _ulps_of_phase(got, want, amp.max(), p.omega, t_max) <= PHASE_ULPS
-
-    @TABLE_SETTINGS
-    @given(
-        samples=st.sampled_from(SAMPLE_COUNTS),
-        guard=st.floats(-0.99, 0.99),
-        delays=st.lists(st.floats(-1e-3, 1e-3), min_size=1, max_size=4),
-        amplitude=st.floats(0.01, 100.0),
-        phase=st.floats(-math.pi, math.pi),
-    )
-    def test_acquire_intervals_match_long_double(self, samples, guard, delays, amplitude, phase):
-        # one row per PPS interval, each started at k*T + tau_k
-        p = Phasor(amplitude, phase, 50.0)
-        chain = ChainModel(aaf_gain_ppm=GaussianTerm(-50.0), aaf_phase_urad=GaussianTerm(-1e4))
-        ratio = 1.0 + guard / samples
-        schedule = build_schedule(samples, ratio, delays, 1.0)
-        got = acquire(p, chain, schedule).values.reshape(len(delays), samples)
-        amp = p.amplitude * (1.0 + 1e-6 * -50.0)
-        starts = np.arange(len(delays), dtype=np.longdouble) + np.array(delays, dtype=np.longdouble)
-        step = np.longdouble(1.0 / samples) * np.longdouble(ratio)
-        want = _cosine_ld(amp, p.phase + 1e-6 * -1e4, p.omega, starts, step, samples)
-        t_max = float(np.max(np.abs(starts)) + (samples - 1) * step)
-        assert _ulps_of_phase(got, want, amp, p.omega, t_max) <= PHASE_ULPS
 
     def test_fast_path_matches_mask_path(self):
         # In a block where one row clips, every row takes the mask path; the

@@ -15,6 +15,11 @@ from sbcpmu.cli import load_scenario_config, main, scenario_hash
 IMPOSSIBLE_TRUNCATED_NORMAL = {
     "family": "truncated-normal", "min_us": 100, "max_us": 101, "mean_us": 0, "std_us": 1,
 }
+# an empirical-histogram PLL delay whose bin edges do not increase
+UNORDERED_HISTOGRAM = {
+    "family": "empirical-histogram",
+    "histogram": {"bin_edges_us": [8, 6, 4, 5], "counts": [3, 5, 2]},
+}
 
 
 def write_config(path, **overrides):
@@ -244,6 +249,11 @@ class TestSimulate:
                 {"pll": {"delay": IMPOSSIBLE_TRUNCATED_NORMAL}},
                 "pll.delay: truncated-normal support [",
                 id="truncated-normal-without-mass",
+            ),
+            pytest.param(
+                {"pll": {"delay": UNORDERED_HISTOGRAM}},
+                "pll.delay: histogram bin_edges_us must increase strictly, got 8 / 6 / 4 / 5 µs",
+                id="unordered-histogram-edges",
             ),
         ],
     )
@@ -719,6 +729,17 @@ class TestProfileCmd:
         assert captured.err == (
             f"error: {profile}: pll.delay: truncated-normal support [100, 101] µs holds no "
             "representable mass of the normal with mean 0 µs and std 1 µs\n"
+        )
+
+    def test_show_unordered_histogram_exit(self, tmp_path, capsys):
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"pll": {"delay": UNORDERED_HISTOGRAM}}))
+        assert main(["profile", "show", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {profile}: pll.delay: histogram bin_edges_us must increase strictly, "
+            "got 8 / 6 / 4 / 5 µs\n"
         )
 
     def test_merge_characterize_fragment(self, tmp_path):

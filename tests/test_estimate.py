@@ -5,73 +5,65 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sbcpmu.blocks import BlockResponse
+from sbcpmu.blocks import BlockResponse, ChainModel, GaussianTerm, TimebaseModel, identity_chain
 from sbcpmu.errors import EstimationError
-from sbcpmu.estimate import (
-    EstimationWindow,
-    compensate,
-    fe,
-    fourier_phasor,
-    tve,
-)
-from sbcpmu.signals import Phasor, Waveform, build_schedule, synthesize
+from sbcpmu.estimate import compensate, fe, tve
+from sbcpmu.mc import McScenario, run_trial
+from sbcpmu.signals import Phasor
 
 
-def tone(amplitude=10.0, phase=0.0, freq=50.0, rate=5000.0, duration=1.0, dc=0.0):
-    t = np.arange(round(rate * duration)) / rate
-    return Waveform(times=t, values=amplitude * np.cos(2 * np.pi * freq * t + phase) + dc)
+def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
+    """One trial's envelope times and values, on a chain with nothing random (identity by default)."""
+    chain = identity_chain() if chain is None else chain
+    times, _, env, _, _ = run_trial(McScenario(chain=chain, phasor=phasor, trials=1, **scenario), 0)
+    return times, env
 
 
 class TestFourierPhasor:
     def test_pure_tone(self):
-        env = fourier_phasor(tone(), EstimationWindow(50.0))
-        assert np.allclose(np.abs(env.values), 10.0, rtol=1e-6)
-        assert np.allclose(np.angle(env.values), 0.0, atol=1e-6)
+        _, env = envelope()
+        assert np.allclose(np.abs(env), 10.0, rtol=1e-6)
+        assert np.allclose(np.angle(env), 0.0, atol=1e-6)
 
     def test_round_trip_arbitrary_phasor(self):
         p = Phasor(3.7, -1.2, 50.0)
-        w = synthesize(p, build_schedule(5000.0, 1.0, [0.0], 1.0))
-        env = fourier_phasor(w, EstimationWindow(50.0))
-        assert np.allclose(np.abs(env.values), p.amplitude, rtol=1e-6)
-        assert np.allclose(np.angle(env.values), p.phase, atol=1e-6)
+        _, env = envelope(p)
+        assert np.allclose(np.abs(env), p.amplitude, rtol=1e-6)
+        assert np.allclose(np.angle(env), p.phase, atol=1e-6)
 
     def test_dc_rejection(self):
-        a = fourier_phasor(tone(), EstimationWindow(50.0))
-        b = fourier_phasor(tone(dc=1.0), EstimationWindow(50.0))
-        assert np.max(np.abs(a.values - b.values)) / 10.0 < 1e-9
+        # a 1 V offset through an ideal ADC
+        _, a = envelope()
+        _, b = envelope(chain=ChainModel(adc_offset_uv=GaussianTerm(1e6)))
+        assert np.max(np.abs(a - b)) / 10.0 < 1e-9
 
     def test_phase_ramp_from_deviation(self):
         # e_R = -16 ppm ramps the envelope phase at omega*e_R per second;
         # the last full window of the interval sits at its center time
-        s = build_schedule(5000.0, 1.0 - 16e-6, [0.0], 1.0)
-        w = synthesize(Phasor(1.0, 0.0, 50.0), s)
-        device = Waveform(times=s.nominal_instants(), values=w.values)
-        env = fourier_phasor(device, EstimationWindow(50.0))
+        times, env = envelope(Phasor(1.0, 0.0, 50.0), ChainModel(timebase=TimebaseModel(-16.0, 0.0)))
         slope = 2 * np.pi * 50 * -16e-6
-        assert np.angle(env.values[-1]) == pytest.approx(slope * env.times[-1], rel=0.01)
+        assert np.angle(env[-1]) == pytest.approx(slope * times[-1], rel=0.01)
         # extrapolated to a full second this is the -5.03 mrad figure
         assert slope == pytest.approx(-5.03e-3, rel=0.01)
 
     def test_window_center_timestamps(self):
-        env = fourier_phasor(tone(), EstimationWindow(50.0))
-        assert env.times[0] == pytest.approx(0.01)
+        times, _ = envelope()
+        assert times[0] == pytest.approx(0.01)
 
     def test_discretization_bound(self):
         # rectangular-rule amplitude error <= (pi*f/F_s)^2/6 on a pure tone
         for rate in (5e3, 10e3, 50e3):
-            env = fourier_phasor(tone(rate=rate), EstimationWindow(50.0))
-            err = np.max(np.abs(np.abs(env.values) - 10.0)) / 10.0
+            _, env = envelope(nominal_rate=rate)
+            err = np.max(np.abs(np.abs(env) - 10.0)) / 10.0
             assert err <= (math.pi * 50 / rate) ** 2 / 6 + 1e-12
 
     def test_unresolvable_window(self):
-        w = tone(rate=400.0)  # 8 samples per cycle
         with pytest.raises(EstimationError, match="unresolvable"):
-            fourier_phasor(w, EstimationWindow(50.0))
+            envelope(nominal_rate=400.0)  # 8 samples per cycle
 
     def test_too_short(self):
-        w = tone(duration=0.01)
-        with pytest.raises(EstimationError):
-            fourier_phasor(w, EstimationWindow(50.0))
+        with pytest.raises(EstimationError, match="less than one estimation window"):
+            envelope(pps_period=0.01)
 
 
 class TestTve:

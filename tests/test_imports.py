@@ -91,13 +91,21 @@ def test_characterize_loads_no_mc_or_estimate(tmp_path):
         "characterize", "sweep", "--input", sweep, "--output", tmp_path / "frag.json"
     )
     assert "sbcpmu.characterize" in loaded
-    assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate"}
+    assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate", "sbcpmu.signals"}
+
+
+def test_profile_show_loads_no_signals_or_estimate():
+    loaded = modules_after_main("profile", "show", "paper")
+    assert "sbcpmu.blocks" in loaded
+    assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate", "sbcpmu.signals"}
 
 
 def test_simulate_loads_no_characterize(tmp_path):
     loaded = modules_after_main("simulate", "--config", write_scenario(tmp_path))
-    assert "sbcpmu.mc" in loaded
-    assert "sbcpmu.characterize" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "sbcpmu"} == {
+        "sbcpmu", "sbcpmu.cli", "sbcpmu.errors", "sbcpmu.data", "sbcpmu.blocks",
+        "sbcpmu.signals", "sbcpmu.estimate", "sbcpmu.mc",
+    }
 
 
 def test_public_names_resolve():

@@ -17,7 +17,6 @@ from sbcpmu.blocks import (
     GaussianTerm,
     PllDelayModel,
     TimebaseModel,
-    acquire,
     expected_response,
     identity_chain,
     paper_profile,
@@ -25,7 +24,6 @@ from sbcpmu.blocks import (
 )
 from sbcpmu import mc
 from sbcpmu.errors import ConfigError, EstimationError, ScheduleGuardError
-from sbcpmu.estimate import EstimationWindow, fourier_phasor, tve
 from sbcpmu.mc import (
     BLOCK_TRIALS,
     _workers,
@@ -38,7 +36,7 @@ from sbcpmu.mc import (
     run_trial,
     write_run,
 )
-from sbcpmu.signals import Phasor, build_schedule
+from sbcpmu.signals import Phasor
 
 OMEGA_50 = 2 * math.pi * 50
 
@@ -247,6 +245,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"^base_seed must be a non-negative integer, got "):
             small_scenario(base_seed=seed)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("field", ["nominal_rate", "pps_period"])
+    def test_rate_and_period_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0$"):
+            small_scenario(**{field: value})
+
     def test_numpy_int_base_seed(self):
         a = run_trial(small_scenario(base_seed=np.int64(42)), 1)
         b = run_trial(small_scenario(base_seed=42), 1)
@@ -308,25 +312,6 @@ class TestModelAgreement:
         # which about 1e-5 is the convention gap: the trials apply the gains
         # as (1+a)(1+b) while the compensation divides by exp(a+b).
         assert np.max(np.abs(r.mean_tve - r.model_tve)) <= 2e-5
-
-
-class TestAcquireMatchesEngine:
-    """``acquire`` and the engine run the same forward chain: one trial agrees bit for bit."""
-
-    @pytest.mark.parametrize("bits", [None, 16])
-    def test_mean_trial(self, bits):
-        chain = replace(zero_variance_chain(), adc_bits=bits)
-        scenario = small_scenario(chain=chain, trials=1)
-        phasor = scenario.phasor
-        schedule = build_schedule(
-            scenario.nominal_rate, chain.timebase.deviation_ratio(), [chain.pll.mean],
-            scenario.pps_period,
-        )
-        window = EstimationWindow(phasor.frequency)
-        env = fourier_phasor(acquire(phasor, chain, schedule), window)
-        times, trace, _, _, _ = run_trial(scenario, 0)
-        assert np.array_equal(env.times, times)
-        assert tve(env.values, phasor.value).tobytes() == trace.tobytes()
 
 
 def _equivalence_scenarios():
