@@ -570,7 +570,7 @@ def _table_shape(samples: int) -> tuple:
 
 def _acquire_rows(
     phasor: Phasor, chain: ChainModel, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv,
-    starts, steps, samples: int, rngs, out: np.ndarray, scratch: np.ndarray,
+    starts, steps, samples: int, rngs, out: np.ndarray,
 ):
     """The forward chain on rows of ``samples`` instants ``starts[r] + n*steps[r]``, computed in ``out``.
 
@@ -585,9 +585,11 @@ def _acquire_rows(
     (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
     ``P[a] = amp*exp(j*(omega*(start + a*B*step) + ph))`` and
     ``Q[b] = exp(j*omega*b*step)``: two tables of about ``sqrt(samples)``
-    entries per row stand in for a cosine per sample.  ``out`` (C-contiguous,
-    rows x A*B) and ``scratch`` (contiguous floats, at least as many) are
-    overwritten.  Returns ``(values, clipped)``: the converted samples, a
+    entries per row stand in for a cosine per sample.  Each row's
+    ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` is one
+    ``(A x 2) @ (2 x B)`` matrix product, written straight into ``out``
+    (C-contiguous, rows x A*B, overwritten) in one pass that runs without
+    the GIL.  Returns ``(values, clipped)``: the converted samples, a
     rows x ``samples`` view of ``out``, and each row's number of samples
     clipped at the end codes.
     """
@@ -602,11 +604,11 @@ def _acquire_rows(
     ph = phasor.phase + 1e-6 * aaf_phase_urad
     p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
     q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
-    y = out.reshape(rows, a, b)
-    np.multiply(p.real[:, :, None], q.real[:, None, :], out=y)
-    im = scratch.reshape(-1)[: y.size].reshape(y.shape)
-    np.multiply(p.imag[:, :, None], q.imag[:, None, :], out=im)
-    y -= im
+    np.matmul(
+        np.stack((p.real, -p.imag), axis=-1),
+        np.stack((q.real, q.imag), axis=-2),
+        out=out.reshape(rows, a, b),
+    )
     v = out[:, :samples]
     noise = None
     if chain.adc_noise_rms_uv > 0:

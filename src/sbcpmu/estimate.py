@@ -99,10 +99,16 @@ class _FourierPlan:
         ``demod`` and ``csum`` are complex scratch shaped like ``values``.  The
         envelope is written over the first ``windows`` columns of ``demod`` and
         returned as a view of them; nothing else is allocated.
+
+        The prefix sums are taken one row at a time: the same additions in the
+        same order as ``np.cumsum(axis=1)``, so the same bits, but numpy holds
+        the GIL through an accumulate along the rows of a 2-D array and
+        releases it for a 1-D one, so two threads running blocks overlap.
         """
         terms = np.multiply(values[:, :-1], self.weights, out=demod[:, :-1])
         csum[:, 0] = 0.0
-        np.cumsum(terms, axis=1, out=csum[:, 1:])
+        for row, out in zip(terms, csum[:, 1:]):
+            np.cumsum(row, out=out)
         n_windows, n_win = self.times.size, self.n_win
         return np.subtract(
             csum[:, n_win : n_windows + n_win], csum[:, :n_windows], out=demod[:, :n_windows]

@@ -14,7 +14,7 @@ import numbers
 import os
 import platform
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +30,7 @@ from .blocks import (
     pll_sample,
 )
 from .errors import ScheduleGuardError
-from .estimate import EstimationWindow, _FourierPlan, fe, tve
+from .estimate import EstimationWindow, _FourierPlan, fe
 from .signals import Phasor, guard_margin
 
 DEFAULT_COVERAGE_FACTOR = 3.3
@@ -157,6 +157,8 @@ class McScenario:
             raise ValueError("nominal_rate must be > 0")
         if not self.pps_period > 0:
             raise ValueError("pps_period must be > 0")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_seed_int("base_seed", self.base_seed)
@@ -360,7 +362,7 @@ class _Workspace:
     ``real`` (rows x A*B, see ``blocks._table_shape``) holds the converted
     samples, then the per-trial errors, and at the end of a run the column
     statistics' scratch; ``demod`` and ``csum`` are the Fourier plan's
-    buffers, and ``demod`` is the forward chain's scratch before that.
+    buffers.
     """
 
     def __init__(self, rows: int, samples: int):
@@ -375,19 +377,25 @@ class _Engine:
 
     What does not change between trials is computed once: the nominal sample
     period, the Fourier plan's weights, the time-base statistics at the
-    scenario's temperature and the compensation factor.
+    scenario's temperature and the compensation factor.  The weights are
+    divided by the reference phasor, so the plan gives each trial's relative
+    envelope ``z = env/ref`` and the errors need no divide.
     """
 
     def __init__(self, scenario: McScenario):
         self.scenario = scenario
         chain = scenario.chain
+        ref = scenario.phasor.value
+        if ref == 0:
+            raise ValueError("reference phasor must be nonzero")
         # the instants the device believes in: n*T_s within one PPS interval
         self.samples = round(scenario.pps_period * scenario.nominal_rate)
         self.sample_period = 1.0 / scenario.nominal_rate
-        self.plan = _FourierPlan.build(
+        plan = _FourierPlan.build(
             np.arange(self.samples) * self.sample_period,
             EstimationWindow(scenario.phasor.frequency),
         )
+        self.plan = replace(plan, weights=plan.weights / ref)
         # (mean, std) of the five Gaussian draws, in TrialDraw's field order
         self.normals = (
             (chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
@@ -437,11 +445,12 @@ class _Engine:
         return _Draws(start, start + rows, params, rngs, ratios, margins)
 
     def envelopes(self, block: _Draws, ws: _Workspace):
-        """The block's envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
+        """The block's relative envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
 
         The forward chain at the realized instants delay + n*T_s*R, the Fourier
         estimate and, if the scenario compensates, the compensation all run in
-        ``ws``.
+        ``ws``.  Row ``r`` is trial ``r``'s envelope divided by the reference
+        phasor (times ``K`` when compensating).
         """
         rows = len(block.params)
         aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = block.params.T
@@ -457,12 +466,11 @@ class _Engine:
             self.samples,
             block.rngs,  # each trial's ADC noise follows its parameter draws
             ws.real[:rows],
-            ws.demod[:rows].view(float),
         )
-        env = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
+        z = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
-            np.multiply(env, self.compensation, out=env)
-        return env, clipped
+            np.multiply(z, self.compensation, out=z)
+        return z, clipped
 
 
 def run_trial(scenario: McScenario, trial_index: int):
@@ -470,8 +478,11 @@ def run_trial(scenario: McScenario, trial_index: int):
 
     Returns ``(t_in_pps, tve_trace, envelope_values, draw, saturated_samples)``,
     the last being the number of samples the ADC clipped at its end codes.
-    With ``scenario.compensate`` the envelope and its TVE are compensated, so
-    the trace equals row ``trial_index`` of ``monte_carlo(scenario).trial_tve``.
+    With ``scenario.compensate`` the envelope and its TVE are compensated.
+    The envelope is the engine's relative envelope times the reference
+    phasor, and the trace comes from the same error kernel on a one-row
+    block, so it equals row ``trial_index`` of
+    ``monte_carlo(scenario).trial_tve`` bit for bit.
 
     Seeding depends only on (base_seed, trial_index) so results are invariant
     under any execution order.
@@ -479,34 +490,36 @@ def run_trial(scenario: McScenario, trial_index: int):
     _check_seed_int("trial_index", trial_index)
     engine = _Engine(scenario)
     block = engine.draw(trial_index, _trial_seeds(scenario.base_seed, trial_index, trial_index + 1))
-    env, clipped = engine.envelopes(block, _Workspace(1, engine.samples))
-    env = env[0]
-    trace = tve(env, scenario.phasor.value)
-    return engine.plan.times, trace, env, TrialDraw(*block.params[0].tolist()), int(clipped[0])
+    ws = _Workspace(1, engine.samples)
+    z, clipped = engine.envelopes(block, ws)
+    env = z[0] * scenario.phasor.value
+    trace = np.empty(z.shape)
+    _error_rows(z, trace, ws)
+    return engine.plan.times, trace[0], env, TrialDraw(*block.params[0].tolist()), int(clipped[0])
 
 
-def _error_rows(env, ref, tve_rows, ws: _Workspace):
-    """Write the TVE of envelope rows into ``tve_rows``; return their summed errors.
+def _error_rows(z, tve_rows, ws: _Workspace):
+    """Write the TVE of relative envelope rows into ``tve_rows``; return their summed errors.
 
+    With ``z = env/ref`` the relative magnitude error is ``|z| - 1``, the
+    phase error ``angle(z)`` and the TVE ``|z - 1|``, so no divide is left.
     The sums are of |relative magnitude error| and |phase error| over the
-    block.  ``env`` is overwritten and ``ws`` used as scratch; nothing is
+    block.  ``z`` is overwritten and ``ws.real`` used as scratch; nothing is
     allocated.
     """
-    rows, windows = env.shape
-    diff = np.subtract(env, ref, out=ws.csum[:rows, :windows])
-    np.abs(diff, out=tve_rows)
-    tve_rows /= abs(ref)
+    rows, windows = z.shape
     # a contiguous view, so .sum() adds in the order it would for a fresh array
     err = ws.real.reshape(-1)[: rows * windows].reshape(rows, windows)
-    np.abs(env, out=err)
-    err /= abs(ref)
+    np.abs(z, out=err)
     err -= 1.0
     np.abs(err, out=err)
     mag_sum = float(err.sum())
-    np.divide(env, ref, out=env)
-    np.arctan2(env.imag, env.real, out=err)  # np.angle, in place
+    np.arctan2(z.imag, z.real, out=err)  # np.angle, in place
     np.abs(err, out=err)
-    return mag_sum, float(err.sum())
+    phase_sum = float(err.sum())
+    z.real -= 1.0
+    np.abs(z, out=tve_rows)
+    return mag_sum, phase_sum
 
 
 # kernel threads per run: the count benchmarked; more were never measured, and
@@ -572,10 +585,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     from concurrent.futures import ThreadPoolExecutor
 
     omega = scenario.phasor.omega
-    ref = scenario.phasor.value
     chain = scenario.chain
-    if ref == 0:
-        raise ValueError("reference phasor must be nonzero")
 
     engine = _Engine(scenario)
     t_in_pps = engine.plan.times
@@ -593,8 +603,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
     def kernel(block: _Draws):
         ws = free.pop()
         try:
-            env, clipped[block.start : block.stop] = engine.envelopes(block, ws)
-            return _error_rows(env, ref, trial_tve[block.start : block.stop], ws)
+            z, clipped[block.start : block.stop] = engine.envelopes(block, ws)
+            return _error_rows(z, trial_tve[block.start : block.stop], ws)
         finally:
             free.append(ws)
 

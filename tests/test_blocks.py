@@ -414,7 +414,7 @@ class TestAcquire:
         a, b = _table_shape(5000)
         values, clipped = _acquire_rows(
             p, identity_chain(), 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000, [None],
-            np.empty((1, a * b)), np.empty(a * b),
+            np.empty((1, a * b)),
         )
         assert np.allclose(values[0], p.amplitude * np.cos(p.omega * np.arange(5000) * 2e-4))
         assert clipped[0] == 0
@@ -504,7 +504,7 @@ class TestPhaseTables:
         assert a * b >= samples > (a - 1) * b
         got, clipped = _acquire_rows(
             p, identity_chain(), gains, phases, 0.0, 0.0, starts, steps, samples,
-            [None] * len(rows), np.empty((len(rows), a * b)), np.empty(len(rows) * a * b),
+            [None] * len(rows), np.empty((len(rows), a * b)),
         )
         assert got.shape == (len(rows), samples)
         assert not clipped.any()
@@ -525,7 +525,7 @@ class TestPhaseTables:
             rows = len(adc_gains)
             values, clipped = _acquire_rows(
                 p, chain, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples, [None] * rows,
-                np.empty((rows, a * b)), np.empty(rows * a * b),
+                np.empty((rows, a * b)),
             )
             return values.copy(), clipped
 
@@ -536,7 +536,7 @@ class TestPhaseTables:
         # the clipping row, counted from its unclipped codes
         unclipped, _ = _acquire_rows(
             p, identity_chain(), 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples, [None],
-            np.empty((1, a * b)), np.empty(a * b),
+            np.empty((1, a * b)),
         )
         codes = np.rint(unclipped[0] / (20.0 / 4096))
         assert clipped[1] == np.count_nonzero((codes < -2048) | (codes > 2047)) > 0

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sbcpmu.blocks import BlockResponse, ChainModel, GaussianTerm, TimebaseModel, identity_chain
 from sbcpmu.errors import EstimationError
-from sbcpmu.estimate import compensate, fe, tve
+from sbcpmu.estimate import EstimationWindow, _FourierPlan, compensate, fe, tve
 from sbcpmu.mc import McScenario, run_trial
 from sbcpmu.signals import Phasor
 
@@ -17,6 +17,22 @@ def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
     chain = identity_chain() if chain is None else chain
     times, _, env, _, _ = run_trial(McScenario(chain=chain, phasor=phasor, trials=1, **scenario), 0)
     return times, env
+
+
+class TestFourierPlanRows:
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_row_prefix_sums_equal_2d_cumsum(self, rows):
+        t = np.arange(5000) * 2e-4
+        plan = _FourierPlan.build(t, EstimationWindow(50.0))
+        values = np.random.default_rng(rows).normal(size=(rows, t.size))
+        demod = np.empty((rows, t.size), dtype=complex)
+        got = plan.rows(values, demod, np.empty_like(demod))
+        # the estimator with one 2-D cumsum along the rows
+        csum = np.zeros_like(demod)
+        np.cumsum(values[:, :-1] * plan.weights, axis=1, out=csum[:, 1:])
+        windows, n_win = plan.times.size, plan.n_win
+        want = csum[:, n_win : windows + n_win] - csum[:, :windows]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFourierPhasor:

@@ -17,6 +17,9 @@ from sbcpmu.blocks import (
     GaussianTerm,
     PllDelayModel,
     TimebaseModel,
+    _acquire_rows,
+    _convert,
+    _table_shape,
     expected_response,
     identity_chain,
     paper_profile,
@@ -245,6 +248,24 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"^base_seed must be a non-negative integer, got "):
             small_scenario(base_seed=seed)
 
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True, "3", None])
+    def test_trials_must_be_an_int(self, trials):
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got "):
+            small_scenario(trials=trials)
+
+    def test_trials_at_least_one(self):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            small_scenario(trials=0)
+        assert small_scenario(trials=np.int64(2)).trials == 2
+
+    def test_zero_phasor_raises(self, recwarn):
+        # checked before the weights are divided by the reference
+        scenario = small_scenario(phasor=Phasor(0.0, 0.0, 50.0))
+        for call in (lambda: monte_carlo(scenario), lambda: run_trial(scenario, 0)):
+            with pytest.raises(ValueError, match=r"^reference phasor must be nonzero$"):
+                call()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("field", ["nominal_rate", "pps_period"])
     def test_rate_and_period_must_be_positive(self, field, value):
@@ -438,6 +459,14 @@ class TestTrialSeeds:
             assert got[3] == ref[3]
 
 
+def mc_batch_scenario():
+    """The benchmark's mc-batch scenario at scenario seed 12345."""
+    return McScenario(
+        chain=paper_profile(), phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=5000.0,
+        trials=960, compensate=True, temperature_c=35.0, base_seed=12345,
+    )
+
+
 class TestBenchmarkScenario:
     """The benchmark's mc-batch scenario still gives the grand mean its check expects."""
 
@@ -445,13 +474,38 @@ class TestBenchmarkScenario:
 
     def test_grand_mean_tve_matches_expected(self):
         expected = json.loads(self.EXPECTED.read_text())["full"]["mc-batch"]["12345"]
-        scenario = McScenario(
-            chain=paper_profile(), phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=5000.0,
-            trials=960, compensate=True, temperature_c=35.0, base_seed=12345,
-        )
-        r = monte_carlo(scenario)
+        r = monte_carlo(mc_batch_scenario())
         assert r.trials == expected["trials"]
         assert math.isclose(r.grand_mean_tve, expected["grand_mean_tve"], rel_tol=1e-9, abs_tol=0.0)
+
+
+class TestSinusoidProduct:
+    """The sinusoid as one matrix product per row gives the codes of three broadcast passes."""
+
+    def test_block_codes_match_three_pass_reference(self):
+        scenario = mc_batch_scenario()
+        phasor, chain = scenario.phasor, scenario.chain
+        engine = mc._Engine(scenario)
+        block = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, BLOCK_TRIALS))
+        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = block.params.T[:, :, None]
+        steps = engine.sample_period * block.ratios[:, None]
+        samples = engine.samples
+        a, b = _table_shape(samples)
+        got, clipped = _acquire_rows(
+            phasor, chain, aaf_gain, aaf_phase, adc_gain, adc_offset, delay, steps, samples,
+            block.rngs, np.empty((BLOCK_TRIALS, a * b)),
+        )
+        # Re(P[a]*Q[b]) as two broadcast real products and a subtraction
+        amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain)
+        ph = phasor.phase + 1e-6 * aaf_phase
+        p = amp * np.exp(1j * (phasor.omega * (delay + (b * np.arange(a)) * steps) + ph))
+        q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
+        y = p.real[:, :, None] * q.real[:, None, :] - p.imag[:, :, None] * q.imag[:, None, :]
+        want = y.reshape(BLOCK_TRIALS, a * b)[:, :samples].copy()
+        assert chain.adc_bits == 16 and chain.adc_noise_rms_uv == 0
+        assert _convert(want, adc_gain, adc_offset, None, chain) is None
+        assert not clipped.any()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStreamedAggregates:
@@ -478,11 +532,17 @@ class TestStreamedAggregates:
         assert r.band_lo.tobytes() == np.maximum(mean - k * std, 0.0).tobytes()
         assert r.grand_mean_tve == float(r.trial_tve.mean())
 
-        # full-size error arrays, rebuilt trial by trial from the envelopes
-        ref = scenario.phasor.value
-        env = np.array([run_trial(scenario, i)[2] for i in range(trials)])
-        rel_mag = np.abs(np.abs(env) / abs(ref) - 1.0)
-        phase_err = np.abs(np.angle(env / ref))
+        # full-size error arrays, rebuilt trial by trial from the kernel's
+        # relative envelopes z = env/ref, each on a one-row block
+        engine = mc._Engine(scenario)
+        seeds = mc._trial_seeds(scenario.base_seed, 0, trials)
+        ws = mc._Workspace(1, engine.samples)
+        z = np.array([
+            engine.envelopes(engine.draw(i, seeds[i : i + 1]), ws)[0][0].copy()
+            for i in range(trials)
+        ])
+        rel_mag = np.abs(np.abs(z) - 1.0)
+        phase_err = np.abs(np.angle(z))
         for got, want in (
             (r.grand_mean_mag_err, float(rel_mag.mean())),
             (r.grand_mean_phase_err, float(phase_err.mean())),

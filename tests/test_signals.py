@@ -65,7 +65,7 @@ def sampled(phasor, start=0.0, ratio=1.0, rate=5000.0, period=1.0):
     a, b = _table_shape(samples)
     values, _ = _acquire_rows(
         phasor, identity_chain(), 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples, [None],
-        np.empty((1, a * b)), np.empty(a * b),
+        np.empty((1, a * b)),
     )
     return values[0]
 
