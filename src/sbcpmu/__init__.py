@@ -16,10 +16,9 @@ import importlib
 # a command that needs one submodule pays for that one alone.
 _EXPORTS = {
     "blocks": (
-        "AafModel", "BlockResponse", "ChainModel", "GaussianTerm",
-        "PllDelayModel", "TimebaseModel", "aaf_response", "expected_response",
-        "identity_chain", "load_profile", "paper_profile", "pll_response", "save_profile",
-        "timebase_response",
+        "AafModel", "ChainModel", "GaussianTerm", "PllDelayModel", "TimebaseModel",
+        "aaf_response", "expected_response", "identity_chain", "load_profile",
+        "paper_profile", "save_profile",
     ),
     "characterize": (
         "delay_statistics", "ols_fit", "one_counter_estimate", "sweep_plan",
@@ -29,8 +28,8 @@ _EXPORTS = {
         "ConfigError", "EstimationError", "ModelParameterError", "SbcPmuError",
         "ScheduleGuardError",
     ),
-    "estimate": ("EstimationWindow", "compensate", "fe", "tve"),
-    "mc": ("McScenario", "budget", "model_curve", "monte_carlo", "write_run"),
+    "estimate": ("EstimationWindow", "fe", "tve"),
+    "mc": ("McScenario", "model_curve", "monte_carlo", "write_run"),
     "signals": ("Phasor", "wrap_phase"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -3,7 +3,9 @@
 Each block contributes one complex factor to the combined system response:
 the anti-aliasing filter (static magnitude/phase), the ADC static transfer
 (pure gain), the PWM time base (phase ramp within each PPS interval) and the
-software-PLL synchronization delay (pure phase).  ``_acquire_rows`` runs a
+software-PLL synchronization delay (pure phase).  ``expected_response``
+gives the terms of the combined factor; a block's own terms are those of a
+chain that holds only that block.  ``_acquire_rows`` runs a
 phasor through all four blocks in the time domain, one row per Monte Carlo
 trial; ``sbcpmu.mc.run_trial`` is its one-trial entry point.
 """
@@ -39,35 +41,25 @@ if TYPE_CHECKING:
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class BlockResponse:
-    """One factor of the combined system response.
+class ExpectedResponse(NamedTuple):
+    """The expected combined response ``exp(log_magnitude + 1j * phase)``.
 
-    ``magnitude``/``phase`` are the expected complex factor; the ``*_std``
-    fields carry the standard uncertainty of the relative magnitude and of
-    the phase.  ``time_slope_phase`` (rad/s) captures phase terms that grow
-    linearly inside a PPS interval (the time-base block); it is zero for
-    static blocks.
+    Magnitudes multiply and phases add, so the terms of several blocks are
+    sums.  From ``expected_response`` the phase and its std hold one value
+    per elapsed time, and the stds are worst-case sums (every block's std
+    taken with the same sign); the terms of one block are the response of a
+    chain holding only that block.  ``aaf_response`` gives scalars.
     """
 
-    magnitude: float
-    phase: float
-    rel_magnitude_std: float = 0.0
-    phase_std: float = 0.0
-    time_slope_phase: float = 0.0
-
-    def __post_init__(self):
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be > 0")
-        if self.rel_magnitude_std < 0 or self.phase_std < 0:
-            raise ValueError("standard uncertainties must be >= 0")
+    log_magnitude: float
+    phase: np.ndarray
+    log_magnitude_std: float
+    phase_std: np.ndarray
 
     @property
-    def factor(self) -> complex:
-        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-    def phase_at(self, t: float) -> float:
-        return self.phase + self.time_slope_phase * t
+    def compensation(self):
+        """The compensation factor ``K = 1/Lambda`` that a measured phasor is multiplied by."""
+        return math.exp(-self.log_magnitude) * np.exp(-1j * self.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def aaf_cutoff_model(
     )
 
 
-def aaf_response(model: AafModel, omega: float) -> BlockResponse:
+def aaf_response(model: AafModel, omega: float) -> ExpectedResponse:
     """Magnitude/phase response of the RC design with propagated uncertainty.
 
     Design analysis (see ``AafModel``): the model curve and the Monte Carlo
@@ -135,16 +127,13 @@ def aaf_response(model: AafModel, omega: float) -> BlockResponse:
     tau = model.tau
     wt = omega * tau
     h = 1.0 / math.sqrt(1.0 + wt * wt)
-    phase = -math.atan(wt)
     u_tau = model.tau_std
-    # u_H = u_tau * H^3 * omega^2 * tau, reported relative to H
-    rel_mag_std = (u_tau / tau) * wt * wt * h * h if tau > 0 else 0.0
-    phase_std = u_tau * h * h * omega
-    return BlockResponse(
-        magnitude=h,
-        phase=phase,
-        rel_magnitude_std=rel_mag_std,
-        phase_std=phase_std,
+    # u_H = u_tau * H^3 * omega^2 * tau; relative to H it is the std of log H
+    return ExpectedResponse(
+        log_magnitude=math.log(h),
+        phase=-math.atan(wt),
+        log_magnitude_std=(u_tau / tau) * wt * wt * h * h if tau > 0 else 0.0,
+        phase_std=u_tau * h * h * omega,
     )
 
 
@@ -247,29 +236,6 @@ class TimebaseModel:
 
     def deviation_ratio(self, temperature: Optional[float] = None) -> float:
         return 1.0 + 1e-6 * self.mean_ppm(temperature)
-
-
-def timebase_response(
-    model: TimebaseModel,
-    omega: float,
-    t: float,
-    temperature: Optional[float] = None,
-) -> BlockResponse:
-    """Phase-ramp response of the PWM block at elapsed time t within a PPS interval.
-
-    The mean and std of e_r are taken at ``temperature``, as the Monte Carlo
-    draws them; without one they are the all-conditions statistics.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0 (elapsed time since the PPS reset)")
-    e_r = 1e-6 * model.mean_ppm(temperature)
-    u_r = 1e-6 * model.std_ppm(temperature)
-    return BlockResponse(
-        magnitude=1.0,
-        phase=omega * e_r * t,
-        phase_std=omega * u_r * t,
-        time_slope_phase=omega * e_r,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +421,6 @@ def _truncated_normal_moments(model: PllDelayModel) -> tuple:
     return model.mean + sign * model.std * d, model.std * math.sqrt(var)
 
 
-def pll_response(delay: float, omega: float, delay_std: float = 0.0) -> BlockResponse:
-    """Pure phase factor exp(j*omega*delay) of one synchronization delay."""
-    return BlockResponse(
-        magnitude=1.0,
-        phase=omega * delay,
-        phase_std=omega * delay_std,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Combination and the forward operator
 # ---------------------------------------------------------------------------
@@ -520,19 +477,6 @@ class ChainModel:
         return self.adc_gain_ppm.std
 
 
-class ExpectedResponse(NamedTuple):
-    """The expected combined response ``exp(log_magnitude + 1j * phase)``.
-
-    ``phase`` and ``phase_std`` hold one value per elapsed time.  The stds
-    are worst-case sums: every block's std taken with the same sign.
-    """
-
-    log_magnitude: float
-    phase: np.ndarray
-    log_magnitude_std: float
-    phase_std: np.ndarray
-
-
 def expected_response(
     chain: ChainModel, omega: float, t, temperature: Optional[float] = None
 ) -> ExpectedResponse:
@@ -548,6 +492,8 @@ def expected_response(
     profile.
     """
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0 (elapsed time since the PPS reset)")
     e_r = 1e-6 * chain.timebase.mean_ppm(temperature)
     delay_mean, delay_std = chain.pll.drawn_moments
     return ExpectedResponse(
@@ -812,7 +758,6 @@ def identity_chain(bits: Optional[int] = None) -> ChainModel:
 
 __all__ = [
     "AafModel",
-    "BlockResponse",
     "ChainModel",
     "ExpectedResponse",
     "GaussianTerm",
@@ -826,8 +771,6 @@ __all__ = [
     "identity_chain",
     "load_profile",
     "paper_profile",
-    "pll_response",
     "pll_sample",
     "save_profile",
-    "timebase_response",
 ]

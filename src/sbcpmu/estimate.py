@@ -1,4 +1,4 @@
-"""Dynamic phasor extraction, standard error metrics and compensation.
+"""Dynamic phasor extraction and the standard error metrics.
 
 The estimator is the one-cycle Fourier coefficient of the fundamental,
 evaluated over a window sliding one sample at a time.  It operates on the
@@ -11,13 +11,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .blocks import BlockResponse
 from .errors import EstimationError
-from .signals import wrap_phase
 
 MIN_WINDOW_SAMPLES = 10
 
@@ -35,19 +32,6 @@ class EstimationWindow:
     @property
     def window_length(self) -> float:
         return 1.0 / self.nominal_frequency
-
-
-@dataclass(frozen=True)
-class CompensatedPhasor:
-    """Compensated phasor with residual errors against a reference, if known."""
-
-    value: complex
-    magnitude_error: float = 0.0
-    phase_error: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.magnitude_error) and math.isfinite(self.phase_error)):
-            raise ValueError("residual errors must be finite")
 
 
 @dataclass(frozen=True)
@@ -133,35 +117,8 @@ def fe(nominal: float, deviation_ratio: float) -> float:
     return nominal * abs(1.0 - deviation_ratio)
 
 
-def compensate(
-    measured: complex,
-    observed_response: BlockResponse,
-    reference: Optional[complex] = None,
-    t: float = 0.0,
-) -> CompensatedPhasor:
-    """Divide out the observed system response (K = 1/Lambda).
-
-    ``t`` is the elapsed time within the PPS interval at which the
-    time-dependent part of the response phase is evaluated.  Residual errors
-    are computed against ``reference`` when it is supplied.
-    """
-    if observed_response.magnitude <= 0:
-        raise ValueError("observed response magnitude must be > 0")
-    phase = observed_response.phase_at(t)
-    factor = observed_response.magnitude * complex(math.cos(phase), math.sin(phase))
-    z = complex(measured) / factor
-    if reference is None:
-        return CompensatedPhasor(value=z)
-    ref = complex(reference)
-    mag_err = abs(z) - abs(ref)
-    phase_err = wrap_phase(np.angle(z) - np.angle(ref))
-    return CompensatedPhasor(value=z, magnitude_error=mag_err, phase_error=float(phase_err))
-
-
 __all__ = [
-    "CompensatedPhasor",
     "EstimationWindow",
-    "compensate",
     "fe",
     "tve",
 ]

@@ -1,22 +1,21 @@
-"""Uncertainty budgets, the model curve and the Monte Carlo validation engine.
+"""The model curve and the Monte Carlo validation engine.
 
-Per-block uncertainty budgets, the TVE of the expected system response
-(``blocks.expected_response``) with its worst-case band over one PPS
-interval, and the seeded Monte Carlo that replays the error chain trial by
-trial and compares the measured TVE statistics against the model.
+The TVE of the expected system response (``blocks.expected_response``) with
+its worst-case band over one PPS interval, and the seeded Monte Carlo that
+replays the error chain trial by trial and compares the measured TVE
+statistics against the model.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import platform
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -34,48 +33,6 @@ from .estimate import EstimationWindow, _FourierPlan, fe
 from .signals import Phasor, guard_margin
 
 DEFAULT_COVERAGE_FACTOR = 3.3
-
-
-@dataclass(frozen=True)
-class UncertaintyBudget:
-    """Per-block uncertainty contributions with combined totals."""
-
-    contributions: tuple  # (name, rel_magnitude_std, phase_std)
-    coverage_factor: float = DEFAULT_COVERAGE_FACTOR
-
-    @property
-    def worst_case(self):
-        rel = sum(c[1] for c in self.contributions)
-        ph = sum(c[2] for c in self.contributions)
-        return rel, ph
-
-    @property
-    def quadrature(self):
-        rel = math.hypot(*(c[1] for c in self.contributions))
-        ph = math.hypot(*(c[2] for c in self.contributions))
-        return rel, ph
-
-    def to_json(self) -> dict:
-        wc, quad = self.worst_case, self.quadrature
-        return {
-            "contributions": [
-                {"block": n, "rel_magnitude_std": r, "phase_std_rad": p}
-                for n, r, p in self.contributions
-            ],
-            "worst_case": {"rel_magnitude_std": wc[0], "phase_std_rad": wc[1]},
-            "quadrature": {"rel_magnitude_std": quad[0], "phase_std_rad": quad[1]},
-            "coverage_factor": self.coverage_factor,
-        }
-
-
-def budget(
-    blocks: Sequence, k: float = DEFAULT_COVERAGE_FACTOR
-) -> UncertaintyBudget:
-    """Assemble a budget from (name, BlockResponse) pairs."""
-    contributions = tuple(
-        (name, resp.rel_magnitude_std, resp.phase_std) for name, resp in blocks
-    )
-    return UncertaintyBudget(contributions=contributions, coverage_factor=k)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +114,19 @@ class McScenario:
             raise ValueError("nominal_rate must be > 0")
         if not self.pps_period > 0:
             raise ValueError("pps_period must be > 0")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+        if not _is_int(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_seed_int("base_seed", self.base_seed)
-        if self.duration < self.pps_period:
-            raise ValueError("duration must cover at least one PPS period")
+        if not self.duration >= self.pps_period:  # NaN too
+            raise ValueError(
+                f"duration must cover at least one PPS period, got {self.duration!r}"
+            )
+        if not (_is_int(self.channels) and self.channels >= 1):
+            raise ValueError(f"channels must be an integer >= 1, got {self.channels!r}")
+        if not isinstance(self.compensate, bool):
+            raise ValueError(f"compensate must be True or False, got {self.compensate!r}")
         self.chain.timebase.check_temperature(self.temperature_c)
 
 
@@ -215,9 +178,14 @@ class McResult:
         return self.trial_tve.shape[0]
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, a numpy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_seed_int(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a non-negative integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -409,11 +377,10 @@ class _Engine:
         )
         self.compensation = None
         if scenario.compensate:
-            mean = expected_response(
-                chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
-            )
             # K = 1/Lambda: the envelopes are multiplied by it
-            self.compensation = math.exp(-mean.log_magnitude) * np.exp(-1j * mean.phase)
+            self.compensation = expected_response(
+                chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
+            ).compensation
 
     def draw(self, start: int, seeds: np.ndarray) -> _Draws:
         """Trials ``start`` on, one per row of ``seeds`` (``_trial_seeds``), drawn in order.
@@ -735,8 +702,6 @@ __all__ = [
     "McScenario",
     "ModelCurve",
     "TrialDraw",
-    "UncertaintyBudget",
-    "budget",
     "model_curve",
     "monte_carlo",
     "run_trial",

@@ -13,13 +13,13 @@ import pytest
 from sbcpmu.blocks import (
     ChainModel,
     GaussianTerm,
+    PllDelayModel,
     aaf_cutoff_model,
     aaf_response,
+    expected_response,
     identity_chain,
     paper_profile,
-    pll_response,
     pll_sample,
-    timebase_response,
 )
 from sbcpmu.characterize import (
     SweepRecord,
@@ -30,8 +30,7 @@ from sbcpmu.characterize import (
     sweep_plan,
     variance_decomposition,
 )
-from sbcpmu.estimate import compensate, fe, tve
-from sbcpmu.blocks import BlockResponse
+from sbcpmu.estimate import fe, tve
 from sbcpmu.mc import McScenario, model_curve, monte_carlo, run_trial
 from sbcpmu.signals import Phasor
 
@@ -73,11 +72,11 @@ def mc_compensated():
 def test_criterion_1_aaf_response():
     model = aaf_cutoff_model(5000.0, resistor_tolerance=0.01, capacitor_tolerance=0.10)
     resp = aaf_response(model, OMEGA_50)
-    atten = 1 - resp.magnitude
+    atten = 1 - math.exp(resp.log_magnitude)
     ok = (
         abs(atten / 50e-6 - 1) < 0.02
         and abs(resp.phase / -10.0e-3 - 1) < 0.001
-        and abs(resp.rel_magnitude_std / 5.8e-6 - 1) < 0.02
+        and abs(resp.log_magnitude_std / 5.8e-6 - 1) < 0.02
         and abs(resp.phase_std / 0.58e-3 - 1) < 0.02
     )
     check(
@@ -85,7 +84,7 @@ def test_criterion_1_aaf_response():
         "AAF attenuation/phase and tolerance uncertainties",
         ok,
         f"attenuation {atten * 1e6:.2f} ppm, phase {resp.phase * 1e3:.3f} mrad, "
-        f"u_H {resp.rel_magnitude_std * 1e6:.2f} ppm, u_phi {resp.phase_std * 1e3:.3f} mrad",
+        f"u_H {resp.log_magnitude_std * 1e6:.2f} ppm, u_phi {resp.phase_std * 1e3:.3f} mrad",
     )
 
 
@@ -97,7 +96,7 @@ def test_criterion_2_aaf_residual_after_phase_compensation():
         )
         # phase compensated with the nominal value, magnitude left in place:
         # the residual is the worst-case uncertainty factor e^{u_r + j*u_phi}
-        return abs(np.exp(resp.rel_magnitude_std + 1j * resp.phase_std) - 1)
+        return abs(np.exp(resp.log_magnitude_std + 1j * resp.phase_std) - 1)
 
     standard = residual(0.01, 0.10)
     improved = residual(0.001, 0.01)
@@ -125,7 +124,8 @@ def test_criterion_3_sweep_planning():
 def test_criterion_4_pwm_block():
     chain = paper_profile()
     fe_hz = fe(50.0, chain.timebase.deviation_ratio())
-    resp = timebase_response(chain.timebase, OMEGA_50, 1.0)
+    # the time base's terms: the response of a chain holding only it
+    resp = expected_response(ChainModel(timebase=chain.timebase), OMEGA_50, 1.0)
     uncomp = tve(np.exp(1j * resp.phase), 1.0)
     band = tve(np.exp(1j * resp.phase_std), 1.0)
     ok = (
@@ -143,8 +143,13 @@ def test_criterion_4_pwm_block():
 
 
 def test_criterion_5_pll_block():
-    worst = tve(np.exp(1j * pll_response(20e-6, OMEGA_50).phase), 1.0)
-    minimum = tve(np.exp(1j * pll_response(3.1e-6, OMEGA_50).phase), 1.0)
+    def delay_tve(delay):
+        # the response of a chain holding only a fixed synchronization delay
+        pll = PllDelayModel(min=delay, mean=delay)
+        return tve(np.exp(1j * expected_response(ChainModel(pll=pll), OMEGA_50, 0.0).phase), 1.0)
+
+    worst = delay_tve(20e-6)
+    minimum = delay_tve(3.1e-6)
     # the 0.097% value is checked against the derivation; the source text
     # prints "10 %" for this case, treated as a typo for 0.1%
     ok = abs(worst - 0.628e-2) < 1e-4 and abs(minimum - 0.097e-2) < 1e-5
@@ -217,10 +222,17 @@ def test_criterion_8_property_suite():
         failures.append("variance-ordering")
 
     # compensation exactness
-    lam = BlockResponse(magnitude=0.9955, phase=-6.9e-3)
+    lam = expected_response(
+        ChainModel(
+            aaf_gain_ppm=GaussianTerm(1e6 * math.log(0.9955)),
+            aaf_phase_urad=GaussianTerm(-6.9e3),
+        ),
+        OMEGA_50,
+        0.0,
+    )
     xref = 10 * np.exp(1j * 0.3)
-    out = compensate(lam.factor * xref, lam, reference=xref)
-    if abs(out.value - xref) / abs(xref) > 1e-12:
+    out = np.exp(lam.log_magnitude + 1j * lam.phase) * xref * lam.compensation
+    if abs(out - xref) / abs(xref) > 1e-12:
         failures.append("compensation-exactness")
 
     # TVE small-error decomposition bound

@@ -21,9 +21,7 @@ from sbcpmu.blocks import (
     expected_response,
     identity_chain,
     paper_profile,
-    pll_response,
     pll_sample,
-    timebase_response,
 )
 from sbcpmu.errors import ConfigError, ModelParameterError
 from sbcpmu.estimate import MIN_WINDOW_SAMPLES, tve
@@ -33,27 +31,32 @@ from sbcpmu.signals import Phasor
 OMEGA_50 = 2 * math.pi * 50
 
 
+def one_block(t=0.0, temperature=None, **block):
+    """``expected_response`` at 50 Hz of a chain holding only ``block``: that block's terms."""
+    return expected_response(ChainModel(**block), OMEGA_50, t, temperature)
+
+
 class TestAaf:
     def test_cutoff_100x_line(self):
         # cutoff two decades above 50 Hz: omega*tau = 0.01
         model = aaf_cutoff_model(5000.0)
         resp = aaf_response(model, OMEGA_50)
-        assert 1 - resp.magnitude == pytest.approx(50e-6, rel=0.01)
+        assert 1 - math.exp(resp.log_magnitude) == pytest.approx(50e-6, rel=0.01)
         assert resp.phase == pytest.approx(-10.0e-3, rel=0.001)
 
     def test_low_frequency_limit(self):
         model = aaf_cutoff_model(5000.0, resistor_tolerance=0.01, capacitor_tolerance=0.1)
         resp = aaf_response(model, 1e-6)
-        assert resp.magnitude == pytest.approx(1.0)
+        assert math.exp(resp.log_magnitude) == pytest.approx(1.0)
         assert resp.phase == pytest.approx(0.0, abs=1e-8)
-        assert resp.rel_magnitude_std < 1e-15
+        assert resp.log_magnitude_std < 1e-15
         assert resp.phase_std < 1e-9
 
     def test_standard_tolerances(self):
         # 10% capacitor, 1% resistor, uniform conversion
         model = aaf_cutoff_model(5000.0, resistor_tolerance=0.01, capacitor_tolerance=0.10)
         resp = aaf_response(model, OMEGA_50)
-        assert resp.rel_magnitude_std == pytest.approx(5.8e-6, rel=0.02)
+        assert resp.log_magnitude_std == pytest.approx(5.8e-6, rel=0.02)
         assert resp.phase_std == pytest.approx(0.58e-3, rel=0.02)
 
     def test_uncertainty_matches_finite_difference(self):
@@ -65,7 +68,7 @@ class TestAaf:
             h = lambda tau: 1 / math.sqrt(1 + (OMEGA_50 * tau) ** 2)
             dh = abs(h(model.tau + u) - h(model.tau - u)) / 2
             dp = abs(math.atan(OMEGA_50 * (model.tau + u)) - math.atan(OMEGA_50 * (model.tau - u))) / 2
-            assert resp.rel_magnitude_std * resp.magnitude == pytest.approx(dh, rel=1e-2)
+            assert resp.log_magnitude_std * math.exp(resp.log_magnitude) == pytest.approx(dh, rel=1e-2)
             assert resp.phase_std == pytest.approx(dp, rel=1e-2)
 
     def test_invalid_model(self):
@@ -134,24 +137,24 @@ class TestTimebase:
         )
 
     def test_phase_ramp(self):
-        resp = timebase_response(self.make(), OMEGA_50, 1.0)
-        assert resp.magnitude == 1.0
+        resp = one_block(1.0, timebase=self.make())
+        assert resp.log_magnitude == 0.0
         assert resp.phase == pytest.approx(-5.03e-3, rel=0.01)
         assert tve(np.exp(1j * resp.phase), 1.0) == pytest.approx(0.50e-2, abs=1e-4)
 
     def test_band_from_std(self):
-        resp = timebase_response(self.make(), OMEGA_50, 1.0)
+        resp = one_block(1.0, timebase=self.make())
         assert tve(np.exp(1j * resp.phase_std), 1.0) == pytest.approx(0.115e-2, abs=5e-5)
 
     def test_reset_instant(self):
-        resp = timebase_response(self.make(), OMEGA_50, 0.0)
+        resp = one_block(0.0, timebase=self.make())
         assert resp.phase == 0.0 and resp.phase_std == 0.0
 
     def test_band_at_temperature_follows_interpolated_std(self):
         # the Monte Carlo draws e_r with the std interpolated at 35 C (1.675
         # ppm between the 30 and 40 C rows), not the all-conditions 3.67 ppm
         tb = paper_profile().timebase
-        resp = timebase_response(tb, OMEGA_50, 1.0, temperature=35.0)
+        resp = one_block(1.0, 35.0, timebase=tb)
         assert tb.std_ppm(35.0) == pytest.approx(1.675)
         assert resp.phase_std == pytest.approx(OMEGA_50 * 1e-6 * tb.std_ppm(35.0), rel=1e-12)
         assert resp.phase == pytest.approx(OMEGA_50 * 1e-6 * tb.mean_ppm(35.0), rel=1e-12)
@@ -281,18 +284,22 @@ class TestPllDelay:
             PllDelayModel(**kw)
         assert str(info.value) == message
 
+    @staticmethod
+    def fixed_delay(delay):
+        return one_block(pll=PllDelayModel(min=delay, mean=delay))
+
     def test_response_worst_delay(self):
-        resp = pll_response(20e-6, OMEGA_50)
-        assert resp.magnitude == 1.0
+        resp = self.fixed_delay(20e-6)
+        assert resp.log_magnitude == 0.0
         assert tve(np.exp(1j * resp.phase), 1.0) == pytest.approx(0.628e-2, abs=1e-4)
 
     def test_response_min_delay(self):
-        resp = pll_response(3.1e-6, OMEGA_50)
+        resp = self.fixed_delay(3.1e-6)
         assert resp.phase == pytest.approx(0.974e-3, rel=0.01)
         assert tve(np.exp(1j * resp.phase), 1.0) == pytest.approx(0.097e-2, abs=1e-5)
 
     def test_response_mean_delay(self):
-        assert pll_response(7.93e-6, OMEGA_50).phase == pytest.approx(2.491e-3, rel=0.001)
+        assert self.fixed_delay(7.93e-6).phase == pytest.approx(2.491e-3, rel=0.001)
 
 
 def truncnorm_moments(mean, std, lo, hi):
@@ -384,23 +391,27 @@ class TestExpectedResponse:
         assert r.phase[0] == pytest.approx(1e-6 * chain.aaf_phase_urad.mean + OMEGA_50 * mean)
         assert r.phase_std[0] == pytest.approx(1e-6 * chain.aaf_phase_urad.std + OMEGA_50 * std)
 
+    def test_negative_time_raises(self):
+        # t is the elapsed time since the PPS reset: the ramp has no negative side
+        with pytest.raises(ValueError, match=r"^t must be >= 0 \(elapsed time since the PPS reset\)$"):
+            expected_response(paper_profile(), OMEGA_50, [0.5, -1e-3])
+
     @pytest.mark.parametrize("temperature", [None, 35.0])
     def test_sums_the_block_responses(self, temperature):
-        # log-magnitudes and phases add; the stds add with the same sign
+        # log-magnitudes and phases add; the stds add with the same sign.  A
+        # block's terms are the response of a chain holding only that block.
         chain = paper_profile()
         t = np.array([0.0, 0.25, 1.0])
         r = expected_response(chain, OMEGA_50, t, temperature)
-        for i, ti in enumerate(t):
-            tb = timebase_response(chain.timebase, OMEGA_50, ti, temperature)
-            pll = pll_response(chain.pll.mean, OMEGA_50, chain.pll.std)
-            aaf_phase = chain.aaf_phase_urad
-            assert r.phase[i] == pytest.approx(1e-6 * aaf_phase.mean + tb.phase + pll.phase)
-            assert r.phase_std[i] == pytest.approx(
-                1e-6 * aaf_phase.std + tb.phase_std + pll.phase_std
-            )
-        gains = (chain.aaf_gain_ppm, chain.adc_gain_ppm)
-        assert r.log_magnitude == pytest.approx(1e-6 * sum(g.mean for g in gains))
-        assert r.log_magnitude_std == pytest.approx(1e-6 * sum(g.std for g in gains))
+        blocks = (
+            one_block(t, aaf_gain_ppm=chain.aaf_gain_ppm, aaf_phase_urad=chain.aaf_phase_urad),
+            one_block(t, adc_gain_ppm=chain.adc_gain_ppm),
+            one_block(t, temperature, timebase=chain.timebase),
+            one_block(t, pll=chain.pll),
+        )
+        for term in r._fields:
+            total = sum(getattr(b, term) for b in blocks)
+            assert getattr(r, term) == pytest.approx(total), term
 
 
 def one_trial(chain, phasor=Phasor(10.0, 0.0, 50.0)):

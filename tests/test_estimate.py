@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sbcpmu.blocks import BlockResponse, ChainModel, GaussianTerm, TimebaseModel, identity_chain
+from sbcpmu.blocks import (
+    ChainModel,
+    GaussianTerm,
+    TimebaseModel,
+    expected_response,
+    identity_chain,
+)
 from sbcpmu.errors import EstimationError
-from sbcpmu.estimate import EstimationWindow, _FourierPlan, compensate, fe, tve
+from sbcpmu.estimate import EstimationWindow, _FourierPlan, fe, tve
 from sbcpmu.mc import McScenario, run_trial
-from sbcpmu.signals import Phasor
+from sbcpmu.signals import Phasor, wrap_phase
 
 
 def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
@@ -118,29 +124,43 @@ class TestFe:
         assert fe(50.0, 1 - 3.67e-6) == pytest.approx(183.5e-6, abs=0.1e-6)
 
 
+def static_response(magnitude, phase):
+    """The response of a chain whose AAF gain and phase make ``magnitude*exp(1j*phase)``."""
+    chain = ChainModel(
+        aaf_gain_ppm=GaussianTerm(1e6 * math.log(magnitude)),
+        aaf_phase_urad=GaussianTerm(1e6 * phase),
+    )
+    return expected_response(chain, 2 * math.pi * 50, 0.0)
+
+
+def factor(resp):
+    return cmath.exp(complex(resp.log_magnitude, resp.phase))
+
+
 class TestCompensate:
+    """A measured phasor times ``compensation`` (K = 1/Lambda) is the reference."""
+
     def test_exact_inverse(self):
-        lam = BlockResponse(magnitude=0.9955, phase=-6.9e-3)
+        lam = static_response(0.9955, -6.9e-3)
         x = 10 * cmath.exp(1j * 0.3)
-        z = lam.factor * x
-        out = compensate(z, lam, reference=x)
-        assert abs(out.value - x) / abs(x) < 1e-12
-        assert out.magnitude_error == pytest.approx(0.0, abs=1e-11)
-        assert out.phase_error == pytest.approx(0.0, abs=1e-12)
+        out = factor(lam) * x * lam.compensation
+        assert abs(out - x) / abs(x) < 1e-12
+        assert abs(out) - abs(x) == pytest.approx(0.0, abs=1e-11)
+        assert wrap_phase(cmath.phase(out) - cmath.phase(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_gain_error(self):
         # compensator off by +134 ppm in magnitude leaves 134 ppm TVE
-        true = BlockResponse(magnitude=1.0, phase=0.0)
-        believed = BlockResponse(magnitude=math.exp(-134e-6), phase=0.0)
-        z = true.factor * (1 + 0j)
-        out = compensate(z, believed, reference=1 + 0j)
-        assert tve(out.value, 1 + 0j) == pytest.approx(134e-6, rel=1e-3)
+        believed = static_response(math.exp(-134e-6), 0.0)
+        out = (1 + 0j) * believed.compensation
+        assert tve(out, 1 + 0j) == pytest.approx(134e-6, rel=1e-3)
 
     def test_time_dependent_phase(self):
-        lam = BlockResponse(magnitude=1.0, phase=0.0, time_slope_phase=-5.03e-3)
+        # a time-base-only chain: the phase ramps as omega*e_r*t, -5.03 mrad at 1 s
+        omega = 2 * math.pi * 50
+        chain = ChainModel(timebase=TimebaseModel(-5.03e-3 / omega * 1e6, 0.0))
+        lam = expected_response(chain, omega, 0.5)
         z = cmath.exp(1j * -5.03e-3 * 0.5)
-        out = compensate(z, lam, reference=1 + 0j, t=0.5)
-        assert tve(out.value, 1 + 0j) < 1e-12
+        assert tve(z * lam.compensation, 1 + 0j) < 1e-12
 
     @given(
         st.floats(0.5, 2.0),
@@ -149,7 +169,7 @@ class TestCompensate:
         st.floats(-3.0, 3.0),
     )
     def test_exactness_property(self, lam_mag, lam_phase, amp, phase):
-        lam = BlockResponse(magnitude=lam_mag, phase=lam_phase)
+        lam = static_response(lam_mag, lam_phase)
         x = amp * cmath.exp(1j * phase)
-        out = compensate(lam.factor * x, lam, reference=x)
-        assert abs(out.value - x) / abs(x) < 1e-12
+        out = factor(lam) * x * lam.compensation
+        assert abs(out - x) / abs(x) < 1e-12

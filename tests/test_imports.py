@@ -108,6 +108,42 @@ def test_simulate_loads_no_characterize(tmp_path):
     }
 
 
+def test_public_surface_is_pinned():
+    # a name added to or deleted from the package's exports is a reviewed diff here
+    assert sbcpmu.__all__ == [
+        "AafModel",
+        "ChainModel",
+        "ConfigError",
+        "EstimationError",
+        "EstimationWindow",
+        "GaussianTerm",
+        "McScenario",
+        "ModelParameterError",
+        "Phasor",
+        "PllDelayModel",
+        "SbcPmuError",
+        "ScheduleGuardError",
+        "TimebaseModel",
+        "aaf_response",
+        "delay_statistics",
+        "expected_response",
+        "fe",
+        "identity_chain",
+        "load_profile",
+        "model_curve",
+        "monte_carlo",
+        "ols_fit",
+        "one_counter_estimate",
+        "paper_profile",
+        "save_profile",
+        "sweep_plan",
+        "tve",
+        "variance_decomposition",
+        "wrap_phase",
+        "write_run",
+    ]
+
+
 def test_public_names_resolve():
     code = (
         "import sbcpmu\n"
