@@ -5,9 +5,9 @@ the anti-aliasing filter (static magnitude/phase), the ADC static transfer
 (pure gain), the PWM time base (phase ramp within each PPS interval) and the
 software-PLL synchronization delay (pure phase).  ``expected_response``
 gives the terms of the combined factor; a block's own terms are those of a
-chain that holds only that block.  ``_acquire_rows`` runs a
-phasor through all four blocks in the time domain, one row per Monte Carlo
-trial; ``sbcpmu.mc.run_trial`` is its one-trial entry point.
+chain that holds only that block.  ``_row_tables`` and ``_acquire_rows`` run
+a phasor through all four blocks in the time domain, one row per Monte Carlo
+trial; ``sbcpmu.mc.run_trial`` is their one-trial entry point.
 """
 
 from __future__ import annotations
@@ -142,10 +142,11 @@ def aaf_response(model: AafModel, omega: float) -> ExpectedResponse:
 # ---------------------------------------------------------------------------
 
 
-def _convert(v: np.ndarray, gain_ppm, offset_uv, noise, chain: ChainModel):
-    """The ADC transfer in place: ``v <- Q((1 + gain_ppm/1e6)*v + offset_uv/1e6 + noise)``.
+def _convert(v: np.ndarray, gain, offset, noise, chain: ChainModel):
+    """The ADC transfer in place: ``v <- Q(gain*v + offset + noise)``.
 
-    ``gain_ppm`` and ``offset_uv`` are scalars or per-row columns, ``noise`` is
+    ``gain`` is the factor ``1 + gain_ppm/1e6`` and ``offset`` the offset in
+    volts, ``offset_uv/1e6``, each a scalar or a per-row column; ``noise`` is
     None or volts shaped like ``v``.  The code grid is the chain's: ``adc_bits``
     over the bipolar full scale ``[-adc_vref_v, +adc_vref_v)``, or no
     quantization when ``adc_bits`` is None.  Returns the end-code saturation
@@ -153,8 +154,8 @@ def _convert(v: np.ndarray, gain_ppm, offset_uv, noise, chain: ChainModel):
     when the smallest and largest rounded codes lie on the grid, two
     reductions stand in for the mask and the clip.
     """
-    np.multiply(1.0 + 1e-6 * gain_ppm, v, out=v)
-    v += 1e-6 * offset_uv
+    np.multiply(gain, v, out=v)
+    v += offset
     if noise is not None:
         v += noise
     if chain.adc_bits is None:
@@ -469,6 +470,10 @@ class ChainModel:
             raise ModelParameterError(f"adc_bits must be in [1, 53] or None, got {self.adc_bits}")
         if not self.adc_vref_v > 0:
             raise ModelParameterError(f"adc_vref_v must be > 0, got {self.adc_vref_v}")
+        if self.adc_gain_within_device_ppm is not None and self.adc_gain_within_device_ppm < 0:
+            raise ModelParameterError(
+                f"adc_gain_within_device_ppm must be >= 0, got {self.adc_gain_within_device_ppm}"
+            )
 
     def sequence_gain_std_ppm(self) -> float:
         """Gain dispersion across uncorrelated sub-sequences of one device."""
@@ -514,53 +519,80 @@ def _table_shape(samples: int) -> tuple:
     return -(-samples // b), b
 
 
-def _acquire_rows(
-    phasor: Phasor, chain: ChainModel, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv,
-    starts, steps, samples: int, rngs, out: np.ndarray,
-):
-    """The forward chain on rows of ``samples`` instants ``starts[r] + n*steps[r]``, computed in ``out``.
+class _Tables(NamedTuple):
+    """The sinusoid tables and ADC factors of rows of trials (``_row_tables``).
+
+    Row ``r``'s samples are ``left[r] @ right[r]``, converted with ``gain[r]``
+    and ``offset[r]``; an array of one row stands for every row.
+    """
+
+    left: np.ndarray  # rows x A x 2: Re(P[a]), -Im(P[a])
+    right: np.ndarray  # rows x 2 x B: Re(Q[b]), Im(Q[b])
+    gain: np.ndarray  # rows x 1: the ADC gain factor 1 + gain_ppm/1e6
+    offset: np.ndarray  # rows x 1: the ADC offset in volts, offset_uv/1e6
+
+    def rows(self, lo: int, hi: int) -> "_Tables":
+        """Rows ``lo`` to ``hi - 1``, as views."""
+        return _Tables(*(t[lo:hi] for t in self))
+
+
+def _row_tables(
+    phasor: Phasor, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps,
+    samples: int,
+) -> _Tables:
+    """The tables of rows of ``samples`` instants ``starts[r] + n*steps[r]``, for ``_acquire_rows``.
 
     Row ``r`` is scaled by the AAF gain error ``aaf_gain_ppm[r]``, shifted by
     its phase error ``aaf_phase_urad[r]`` and converted with the ADC gain
-    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]`` on the chain's
-    code grid, with the chain's ADC noise drawn from ``rngs[r]`` (not used
-    for a noise-free chain).  Each parameter is one value per row or one for
-    every row.
+    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]``.  Each
+    parameter is one value per row or one for every row.
 
     The sampled phase is linear in ``n``.  With ``n = a*B + b``
     (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
     ``P[a] = amp*exp(j*(omega*(start + a*B*step) + ph))`` and
     ``Q[b] = exp(j*omega*b*step)``: two tables of about ``sqrt(samples)``
-    entries per row stand in for a cosine per sample.  Each row's
-    ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` is one
-    ``(A x 2) @ (2 x B)`` matrix product, written straight into ``out``
-    (C-contiguous, rows x A*B, overwritten) in one pass that runs without
-    the GIL.  Returns ``(values, clipped)``: the converted samples, a
-    rows x ``samples`` view of ``out``, and each row's number of samples
-    clipped at the end codes.
+    entries per row stand in for a cosine per sample, and
+    ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` makes each
+    row's samples one ``(A x 2) @ (2 x B)`` matrix product.  Every value is
+    computed element by element, so a row's tables have the same bits
+    whichever rows are built with it.
     """
     aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
         np.asarray(values, dtype=float).reshape(-1, 1)
         for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
     )
-    rows = out.shape[0]
     a, b = _table_shape(samples)
     # steady-state filtering: scale the envelope, shift the phase
     amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
     ph = phasor.phase + 1e-6 * aaf_phase_urad
     p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
     q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
-    np.matmul(
-        np.stack((p.real, -p.imag), axis=-1),
-        np.stack((q.real, q.imag), axis=-2),
-        out=out.reshape(rows, a, b),
+    return _Tables(
+        left=np.stack((p.real, -p.imag), axis=-1),
+        right=np.stack((q.real, q.imag), axis=-2),
+        gain=1.0 + 1e-6 * adc_gain_ppm,
+        offset=1e-6 * adc_offset_uv,
     )
+
+
+def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: np.ndarray):
+    """The forward chain on rows of ``samples`` instants, from their ``_row_tables``, computed in ``out``.
+
+    Each row's matrix product is written straight into ``out`` (C-contiguous,
+    rows x A*B, overwritten) in one pass that runs without the GIL, then
+    converted on the chain's code grid with the chain's ADC noise drawn from
+    ``rngs[r]`` (not used for a noise-free chain).  Returns
+    ``(values, clipped)``: the converted samples, a rows x ``samples`` view
+    of ``out``, and each row's number of samples clipped at the end codes.
+    """
+    rows = out.shape[0]
+    np.matmul(tables.left, tables.right, out=out.reshape(rows, *_table_shape(samples)))
     v = out[:, :samples]
     noise = None
     if chain.adc_noise_rms_uv > 0:
         noise_rms = 1e-6 * chain.adc_noise_rms_uv
         noise = np.array([rng.normal(0.0, noise_rms, size=samples) for rng in rngs])
-    saturated = _convert(v, adc_gain_ppm, adc_offset_uv, noise, chain)
+    saturated = _convert(v, tables.gain, tables.offset, noise, chain)
     if saturated is None:
         return v, np.zeros(rows, dtype=np.intp)
     return v, np.count_nonzero(saturated, axis=1)

@@ -24,7 +24,9 @@ from numpy.random.bit_generator import ISeedSequence
 from .blocks import (
     ChainModel,
     _acquire_rows,
+    _row_tables,
     _table_shape,
+    _Tables,
     expected_response,
     pll_sample,
 )
@@ -314,12 +316,10 @@ BLOCK_TRIALS = 16
 
 @dataclass
 class _Draws:
-    """One block of consecutive trials, drawn: what the kernel needs to run it."""
+    """Consecutive trials, drawn: what the kernels need to run them."""
 
-    start: int
-    stop: int
     params: np.ndarray  # rows x 6, one trial per row, columns in TrialDraw's field order
-    rngs: list  # each trial's generator, for its ADC noise
+    rngs: Optional[list]  # each trial's generator, kept for its ADC noise; None without noise
     ratios: np.ndarray  # time-base deviation ratio R per trial
     guard_margins: np.ndarray  # |R-1|*N_s per trial
 
@@ -341,7 +341,7 @@ class _Workspace:
 
 
 class _Engine:
-    """One scenario's trials, a block at a time: drawn in order, then run by a kernel.
+    """One scenario's trials: drawn in order, tabulated, then run a block at a time by a kernel.
 
     What does not change between trials is computed once: the nominal sample
     period, the Fourier plan's weights, the time-base statistics at the
@@ -364,17 +364,20 @@ class _Engine:
             EstimationWindow(scenario.phasor.frequency),
         )
         self.plan = replace(plan, weights=plan.weights / ref)
-        # (mean, std) of the five Gaussian draws, in TrialDraw's field order
-        self.normals = (
-            (chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
-            (chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
-            (chain.adc_gain_ppm.mean, chain.sequence_gain_std_ppm()),
-            (chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
-            (
-                chain.timebase.mean_ppm(scenario.temperature_c),
-                chain.timebase.std_ppm(scenario.temperature_c),
-            ),
-        )
+        # the means and stds of the five Gaussian draws, in TrialDraw's field order
+        self.means, self.stds = np.array(
+            [
+                (chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
+                (chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
+                (chain.adc_gain_ppm.mean, chain.sequence_gain_std_ppm()),
+                (chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
+                (
+                    chain.timebase.mean_ppm(scenario.temperature_c),
+                    chain.timebase.std_ppm(scenario.temperature_c),
+                ),
+            ],
+            dtype=float,
+        ).T
         self.compensation = None
         if scenario.compensate:
             # K = 1/Lambda: the envelopes are multiplied by it
@@ -383,56 +386,65 @@ class _Engine:
             ).compensation
 
     def draw(self, start: int, seeds: np.ndarray) -> _Draws:
-        """Trials ``start`` on, one per row of ``seeds`` (``_trial_seeds``), drawn in order.
+        """Trials ``start`` on, one per row of ``seeds`` (``_trial_seeds``), drawn in trial order.
 
         Each trial's generator is seeded by (base_seed, trial index) alone and
-        draws the five Gaussian terms, then the PLL delay, into its row of
-        ``params``.
+        draws five standard normals, then the PLL delay, into its row of
+        ``params``; one pass then scales the normals to the five terms.
+        numpy's ``rng.normal(mean, std)`` is ``mean + std*z`` of the same
+        standard normal ``z``, so each row equals five scalar ``normal`` calls
+        and a ``pll_sample``, bit for bit.  A guard violation names the lowest
+        failing trial.
         """
-        rows = len(seeds)
-        params = np.empty((rows, 6))
-        rngs = []
-        ratios = np.empty(rows)
-        margins = np.empty(rows)
+        params = np.empty((len(seeds), 6))
         pll = self.scenario.chain.pll
-        for r, seed in enumerate(seeds):
+        rngs = [] if self.scenario.chain.adc_noise_rms_uv > 0 else None
+        for row, seed in zip(params, seeds):
             rng = Generator(PCG64(_TrialSeed(seed)))
-            rngs.append(rng)
-            row = [rng.normal(mean, std) for mean, std in self.normals]
-            row.append(pll_sample(pll, rng))
-            params[r] = row
-            ratios[r] = ratio = 1.0 + 1e-6 * row[4]  # e_r_ppm
+            rng.standard_normal(5, out=row[:5])
+            row[5] = pll_sample(pll, rng)
+            if rngs is not None:
+                rngs.append(rng)
+        normals = params[:, :5]
+        normals *= self.stds
+        normals += self.means
+        ratios = 1.0 + 1e-6 * params[:, 4]  # e_r_ppm
+        margins = np.abs(ratios - 1.0) * self.samples
+        failing = np.flatnonzero(margins >= 1.0)
+        if failing.size:
+            r = int(failing[0])
             try:
-                margins[r] = guard_margin(ratio, self.samples)
+                guard_margin(float(ratios[r]), self.samples)  # raises, with the margin's message
             except ScheduleGuardError as exc:
                 draw = TrialDraw(*params[r].tolist())
                 raise ScheduleGuardError(
                     f"trial {start + r} aborted: {exc}; draw = {draw.to_json()}"
                 ) from exc
-        return _Draws(start, start + rows, params, rngs, ratios, margins)
+        return _Draws(params, rngs, ratios, margins)
 
-    def envelopes(self, block: _Draws, ws: _Workspace):
-        """The block's relative envelopes (rows x windows, a view of ``ws``) and ADC clips per trial.
+    def tables(self, draws: _Draws, lo: int, hi: int) -> _Tables:
+        """The sinusoid tables and ADC factors of rows ``lo`` to ``hi - 1`` of ``draws``, in one pass.
 
-        The forward chain at the realized instants delay + n*T_s*R, the Fourier
-        estimate and, if the scenario compensates, the compensation all run in
-        ``ws``.  Row ``r`` is trial ``r``'s envelope divided by the reference
-        phasor (times ``K`` when compensating).
+        Each trial is sampled at its realized instants delay + n*T_s*R.
         """
-        rows = len(block.params)
-        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = block.params.T
+        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = draws.params[lo:hi].T
+        return _row_tables(
+            self.scenario.phasor, aaf_gain, aaf_phase, adc_gain, adc_offset, delay,
+            self.sample_period * draws.ratios[lo:hi], self.samples,
+        )
+
+    def envelopes(self, tables: _Tables, rngs, ws: _Workspace):
+        """The relative envelopes of a block's rows (rows x windows, a view of ``ws``) and ADC clips per row.
+
+        The forward chain from the block's ``tables`` (with each trial's ADC
+        noise from ``rngs``, None for a noise-free chain), the Fourier
+        estimate and, if the scenario compensates, the compensation all run
+        in ``ws``.  Row ``r`` is trial ``r``'s envelope divided by the
+        reference phasor (times ``K`` when compensating).
+        """
+        rows = len(tables.gain)
         values, clipped = _acquire_rows(
-            self.scenario.phasor,
-            self.scenario.chain,
-            aaf_gain,
-            aaf_phase,
-            adc_gain,
-            adc_offset,
-            delay,
-            self.sample_period * block.ratios,
-            self.samples,
-            block.rngs,  # each trial's ADC noise follows its parameter draws
-            ws.real[:rows],
+            tables, self.scenario.chain, self.samples, rngs, ws.real[:rows]
         )
         z = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
@@ -456,23 +468,24 @@ def run_trial(scenario: McScenario, trial_index: int):
     """
     _check_seed_int("trial_index", trial_index)
     engine = _Engine(scenario)
-    block = engine.draw(trial_index, _trial_seeds(scenario.base_seed, trial_index, trial_index + 1))
+    draws = engine.draw(trial_index, _trial_seeds(scenario.base_seed, trial_index, trial_index + 1))
     ws = _Workspace(1, engine.samples)
-    z, clipped = engine.envelopes(block, ws)
+    z, clipped = engine.envelopes(engine.tables(draws, 0, 1), draws.rngs, ws)
     env = z[0] * scenario.phasor.value
     trace = np.empty(z.shape)
     _error_rows(z, trace, ws)
-    return engine.plan.times, trace[0], env, TrialDraw(*block.params[0].tolist()), int(clipped[0])
+    return engine.plan.times, trace[0], env, TrialDraw(*draws.params[0].tolist()), int(clipped[0])
 
 
 def _error_rows(z, tve_rows, ws: _Workspace):
     """Write the TVE of relative envelope rows into ``tve_rows``; return their summed errors.
 
     With ``z = env/ref`` the relative magnitude error is ``|z| - 1``, the
-    phase error ``angle(z)`` and the TVE ``|z - 1|``, so no divide is left.
-    The sums are of |relative magnitude error| and |phase error| over the
-    block.  ``z`` is overwritten and ``ws.real`` used as scratch; nothing is
-    allocated.
+    phase error ``angle(z)`` and the TVE ``|z - 1|``.  The sums are of
+    |relative magnitude error| and |phase error| over the block.  When every
+    real part is positive, the phase error is ``arctan(im/re)``, within an
+    ulp of ``arctan2(im, re)`` and faster; otherwise it is ``arctan2``.  ``z``
+    is overwritten and ``ws.real`` used as scratch; nothing is allocated.
     """
     rows, windows = z.shape
     # a contiguous view, so .sum() adds in the order it would for a fresh array
@@ -481,7 +494,12 @@ def _error_rows(z, tve_rows, ws: _Workspace):
     err -= 1.0
     np.abs(err, out=err)
     mag_sum = float(err.sum())
-    np.arctan2(z.imag, z.real, out=err)  # np.angle, in place
+    if z.real.min() > 0:  # every real part positive (and none NaN)
+        with np.errstate(over="ignore"):  # a tiny real part: the ratio is inf, its arctan pi/2
+            np.divide(z.imag, z.real, out=err)
+        np.arctan(err, out=err)
+    else:
+        np.arctan2(z.imag, z.real, out=err)  # np.angle, in place
     np.abs(err, out=err)
     phase_sum = float(err.sum())
     z.real -= 1.0
@@ -536,18 +554,22 @@ def _column_stats(rows: np.ndarray, mean: np.ndarray, std, scratch: np.ndarray) 
 def monte_carlo(scenario: McScenario) -> McResult:
     """Run all trials, aggregate the TVE statistics and overlay the model curve.
 
-    Trials run in blocks of ``BLOCK_TRIALS``.  The calling thread draws each
-    block's parameters in trial order, so a guard violation names the lowest
-    failing trial.  The blocks' kernels (forward chain, Fourier estimate,
-    compensation and errors) run on a pool of ``_MAX_WORKERS`` (two) worker
-    threads, fewer if the process may use fewer CPUs or the run has fewer
-    blocks.  Each kernel writes its TVE rows straight into ``trial_tve`` and
-    returns its summed magnitude and phase errors, which are added in block
-    order, so every result is bit for bit the same for any number of workers.
-    The column mean and std of the traces are then taken on the same workers,
-    a slice of columns each, while the calling thread takes the grand mean.
-    Memory is the float64 per-trial traces plus one block workspace per
-    worker.
+    A run has two phases.  First the calling thread draws every trial's
+    parameters, in trial order, so a guard violation names the lowest
+    failing trial before any kernel runs.  Then the trials run in blocks of
+    ``BLOCK_TRIALS``: the calling thread builds the sinusoid tables of the
+    next blocks, one per worker, in one pass and submits their kernels
+    (forward chain, Fourier estimate, compensation and errors, each a pass
+    over the whole block) to a pool of ``_MAX_WORKERS`` (two) worker threads,
+    fewer if the process may use fewer CPUs or the run has fewer blocks.
+    Each kernel writes its TVE rows straight into ``trial_tve`` and returns
+    its summed magnitude and phase errors, which are added in block order,
+    so every result is bit for bit the same for any number of workers.  The
+    column mean and std of the traces are then taken on the same workers, a
+    slice of columns each, while the calling thread takes the grand mean.
+    Memory is the float64 per-trial traces, about 100 bytes of seeds and
+    draws per trial (and its generator, about 0.75 kB, for a chain with ADC
+    noise), and one block workspace per worker.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -556,39 +578,41 @@ def monte_carlo(scenario: McScenario) -> McResult:
 
     engine = _Engine(scenario)
     t_in_pps = engine.plan.times
-    trial_tve = np.empty((scenario.trials, t_in_pps.size))
-    guard_margins = np.empty(scenario.trials)
-    clipped = np.empty(scenario.trials, dtype=np.int64)
-    seeds = _trial_seeds(scenario.base_seed, 0, scenario.trials)
-    starts = range(0, scenario.trials, BLOCK_TRIALS)
-    workers = _workers(len(starts))
+    trials = scenario.trials
+    draws = engine.draw(0, _trial_seeds(scenario.base_seed, 0, trials))
+    trial_tve = np.empty((trials, t_in_pps.size))
+    clipped = np.empty(trials, dtype=np.int64)
+    workers = _workers(-(-trials // BLOCK_TRIALS))
     # list.pop and list.append are atomic, and at most ``workers`` kernels
     # run at once, so a kernel always finds a free workspace
-    rows = min(BLOCK_TRIALS, scenario.trials)
-    free = [_Workspace(rows, engine.samples) for _ in range(workers)]
+    free = [_Workspace(min(BLOCK_TRIALS, trials), engine.samples) for _ in range(workers)]
 
-    def kernel(block: _Draws):
+    def kernel(start: int, tables: _Tables):
+        stop = start + len(tables.gain)
+        rngs = None if draws.rngs is None else draws.rngs[start:stop]
         ws = free.pop()
         try:
-            z, clipped[block.start : block.stop] = engine.envelopes(block, ws)
-            return _error_rows(z, trial_tve[block.start : block.stop], ws)
+            z, clipped[start:stop] = engine.envelopes(tables, rngs, ws)
+            return _error_rows(z, trial_tve[start:stop], ws)
         finally:
             free.append(ws)
 
     def submitted(pool):
-        """Draw the blocks in order and submit their kernels; yield the futures in block order.
+        """Tabulate the next ``workers`` blocks in one pass and submit their kernels; yield the futures in block order.
 
-        A held block of draws is about 20 kB, so at most
-        ``2 * workers`` are in flight: ``pool.map`` would draw every block
-        before the first kernel ends, and the scratch would grow with trials.
+        At most ``2 * workers`` blocks are in flight, so the tables held (about
+        36 kB a block) do not grow with trials.
         """
         pending = deque()
-        for start in starts:
-            block = engine.draw(start, seeds[start : start + BLOCK_TRIALS])
-            guard_margins[block.start : block.stop] = block.guard_margins
-            if len(pending) == 2 * workers:
-                yield pending.popleft()
-            pending.append(pool.submit(kernel, block))
+        group = workers * BLOCK_TRIALS
+        for lo in range(0, trials, group):
+            hi = min(lo + group, trials)
+            tables = engine.tables(draws, lo, hi)
+            for start in range(lo, hi, BLOCK_TRIALS):
+                if len(pending) == 2 * workers:
+                    yield pending.popleft()
+                block = tables.rows(start - lo, start - lo + BLOCK_TRIALS)
+                pending.append(pool.submit(kernel, start, block))
         yield from pending
 
     windows = t_in_pps.size
@@ -598,7 +622,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     def column_stats(columns: slice):
         ws = free.pop()
         try:
-            std = spread[columns] if scenario.trials > 1 else None
+            std = spread[columns] if trials > 1 else None
             _column_stats(trial_tve[:, columns], mean_tve[columns], std, ws.real)
         finally:
             free.append(ws)
@@ -642,7 +666,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         grand_mean_phase_err=phase_err_sum / trial_tve.size,
         window_gap_s=float(scenario.pps_period - t_in_pps[-1]),
         saturated_samples=int(clipped.sum()),
-        max_guard_margin=float(guard_margins.max()),
+        max_guard_margin=float(draws.guard_margins.max()),
         max_trial_saturated_samples=int(clipped.max()),
     )
 

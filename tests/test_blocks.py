@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sbcpmu.blocks import (
     _acquire_rows,
     _convert,
+    _row_tables,
     _table_shape,
     AafModel,
     ChainModel,
@@ -85,7 +86,8 @@ def quantum(chain):
 def convert(chain, v_in):
     """``v_in`` converted with the chain's mean ADC gain and offset, and the end-code saturation mask."""
     v = np.array(v_in, dtype=float)
-    saturated = _convert(v, chain.adc_gain_ppm.mean, chain.adc_offset_uv.mean, None, chain)
+    gain, offset = 1.0 + 1e-6 * chain.adc_gain_ppm.mean, 1e-6 * chain.adc_offset_uv.mean
+    saturated = _convert(v, gain, offset, None, chain)
     return v, np.zeros(v.shape, dtype=bool) if saturated is None else saturated
 
 
@@ -120,10 +122,14 @@ class TestAdc:
         assert out[1] == pytest.approx(1.0, abs=2 * quantum(chain))
 
     @pytest.mark.parametrize(
-        "fields", [{"adc_bits": 0}, {"adc_bits": 54}, {"adc_vref_v": 0.0}, {"adc_vref_v": -1.0}]
+        "fields",
+        [
+            {"adc_bits": 0}, {"adc_bits": 54}, {"adc_vref_v": 0.0}, {"adc_vref_v": -1.0},
+            {"adc_gain_within_device_ppm": -5.0},
+        ],
     )
     def test_chain_rejects_infeasible_converter(self, fields):
-        # float64 holds the code grid exactly up to 2**53 codes
+        # float64 holds the code grid exactly up to 2**53 codes; a gain std is >= 0
         with pytest.raises(ModelParameterError):
             ChainModel(**{"adc_bits": 16, **fields})
 
@@ -424,7 +430,7 @@ class TestAcquire:
         p = Phasor(10.0, 0.0, 50.0)
         a, b = _table_shape(5000)
         values, clipped = _acquire_rows(
-            p, identity_chain(), 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000, [None],
+            _row_tables(p, 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000), identity_chain(), 5000, [None],
             np.empty((1, a * b)),
         )
         assert np.allclose(values[0], p.amplitude * np.cos(p.omega * np.arange(5000) * 2e-4))
@@ -514,8 +520,8 @@ class TestPhaseTables:
         a, b = _table_shape(samples)
         assert a * b >= samples > (a - 1) * b
         got, clipped = _acquire_rows(
-            p, identity_chain(), gains, phases, 0.0, 0.0, starts, steps, samples,
-            [None] * len(rows), np.empty((len(rows), a * b)),
+            _row_tables(p, gains, phases, 0.0, 0.0, starts, steps, samples), identity_chain(),
+            samples, [None] * len(rows), np.empty((len(rows), a * b)),
         )
         assert got.shape == (len(rows), samples)
         assert not clipped.any()
@@ -535,8 +541,8 @@ class TestPhaseTables:
         def run(adc_gains):
             rows = len(adc_gains)
             values, clipped = _acquire_rows(
-                p, chain, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples, [None] * rows,
-                np.empty((rows, a * b)),
+                _row_tables(p, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples), chain, samples,
+                [None] * rows, np.empty((rows, a * b)),
             )
             return values.copy(), clipped
 
@@ -546,8 +552,8 @@ class TestPhaseTables:
         assert clipped[0] == alone_clipped[0] == 0
         # the clipping row, counted from its unclipped codes
         unclipped, _ = _acquire_rows(
-            p, identity_chain(), 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples, [None],
-            np.empty((1, a * b)),
+            _row_tables(p, 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples), identity_chain(), samples,
+            [None], np.empty((1, a * b)),
         )
         codes = np.rint(unclipped[0] / (20.0 / 4096))
         assert clipped[1] == np.count_nonzero((codes < -2048) | (codes > 2047)) > 0

@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sbcpmu.characterize import (
     SweepRecord,
+    _median,
+    _quantiles,
     delay_statistics,
     ols_fit,
     one_counter_estimate,
@@ -189,6 +191,34 @@ class TestDelayStatistics:
         phi_inv_099 = 2.326347874040841
         s = delay_statistics([-1.0, 1.0])
         assert s.qq_deviation == pytest.approx(math.sqrt(2) * phi_inv_099 - 0.98, rel=1e-12)
+
+
+class TestOrderStatistics:
+    """The partition quantiles and median equal numpy's, bit for bit."""
+
+    PROBS = np.concatenate(([0.0, 0.25, 0.5, 0.75], np.linspace(0.01, 0.99, 99)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300)  # differences stay finite
+            | st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # ties, and zeros of both signs
+            min_size=2, max_size=60,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_numpy(self, samples, seed):
+        x = np.array(samples)
+        x = x * np.random.default_rng(seed).choice([1.0, 1e-6, 1e6])
+        assert _quantiles(x, self.PROBS).tobytes() == np.quantile(x, self.PROBS).tobytes()
+        assert _quantiles(x, (0.75, 0.25)).tobytes() == np.percentile(x, [75, 25]).tobytes()
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 1000, 1001, 20000])
+    def test_match_numpy_on_delay_samples(self, n):
+        x = np.round(np.random.default_rng(n).gamma(2.0, 1e-6, n), 9)  # many ties
+        assert _quantiles(x, self.PROBS).tobytes() == np.quantile(x, self.PROBS).tobytes()
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
 
 
 class TestVarianceDecomposition:

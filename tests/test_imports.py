@@ -94,6 +94,17 @@ def test_characterize_loads_no_mc_or_estimate(tmp_path):
     assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate", "sbcpmu.signals"}
 
 
+def test_characterize_delay_loads_no_numpy_ma(tmp_path):
+    # np.percentile, np.median and np.unique would each import numpy.ma
+    delay = tmp_path / "delay.csv"
+    delay.write_text("delay_us,profile\n" + "".join(f"{1 + 0.1 * (i % 7)},idle\n" for i in range(40)))
+    loaded = modules_after_main(
+        "characterize", "delay", "--input", delay, "--output", tmp_path / "frag.json"
+    )
+    assert "sbcpmu.characterize" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]}
+
+
 def test_profile_show_loads_no_signals_or_estimate():
     loaded = modules_after_main("profile", "show", "paper")
     assert "sbcpmu.blocks" in loaded

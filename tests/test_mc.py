@@ -4,6 +4,7 @@ import platform
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from sbcpmu.blocks import (
     expected_response,
     identity_chain,
     paper_profile,
+    pll_sample,
 )
 from sbcpmu import mc
 from sbcpmu.errors import ConfigError, EstimationError, ScheduleGuardError
@@ -35,7 +37,7 @@ from sbcpmu.mc import (
     run_trial,
     write_run,
 )
-from sbcpmu.signals import Phasor
+from sbcpmu.signals import Phasor, guard_margin
 
 OMEGA_50 = 2 * math.pi * 50
 
@@ -450,6 +452,76 @@ class TestTrialSeeds:
             assert got[3] == ref[3]
 
 
+PLL_FAMILIES = {
+    "shifted-gamma": PllDelayModel(min=4.55e-6, max=14.65e-6, mean=6.59e-6, std=1.07e-6),
+    "truncated-normal": PllDelayModel(
+        family="truncated-normal", min=4e-6, max=9e-6, mean=6e-6, std=1e-6
+    ),
+    "empirical-histogram": PllDelayModel(
+        family="empirical-histogram", histogram=((4e-6, 5e-6, 6e-6, 8e-6), (3, 5, 2))
+    ),
+    "degenerate": PllDelayModel(min=5e-6, max=5e-6, mean=5e-6, std=0.0),
+}
+
+
+def _scalar_draws(scenario, start, stop):
+    """Each trial's parameters as five scalar ``rng.normal(mean, std)`` calls and a ``pll_sample``."""
+    chain, temperature = scenario.chain, scenario.temperature_c
+    normals = (
+        (chain.aaf_gain_ppm.mean, chain.aaf_gain_ppm.std),
+        (chain.aaf_phase_urad.mean, chain.aaf_phase_urad.std),
+        (chain.adc_gain_ppm.mean, chain.sequence_gain_std_ppm()),
+        (chain.adc_offset_uv.mean, chain.adc_offset_uv.std),
+        (chain.timebase.mean_ppm(temperature), chain.timebase.std_ppm(temperature)),
+    )
+    rows, rngs = [], []
+    for i in range(start, stop):
+        rng = np.random.default_rng([scenario.base_seed, i])
+        rows.append([rng.normal(mean, std) for mean, std in normals] + [pll_sample(chain.pll, rng)])
+        rngs.append(rng)
+    return np.array(rows), rngs
+
+
+class TestDraw:
+    """Each trial draws five standard normals, then its PLL delay; one pass scales the normals."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base_seed=st.integers(min_value=0, max_value=2**64),
+        start=st.integers(min_value=0, max_value=2**33),
+        trials=st.integers(min_value=1, max_value=40),
+        family=st.sampled_from(sorted(PLL_FAMILIES)),
+        zero_stds=st.sets(st.sampled_from(["aaf_gain_ppm", "aaf_phase_urad", "adc_offset_uv"])),
+        noise=st.booleans(),
+        temperature=st.sampled_from([None, 35.0]),
+    )
+    def test_equals_scalar_normal_calls(
+        self, base_seed, start, trials, family, zero_stds, noise, temperature
+    ):
+        chain = replace(
+            paper_profile(),
+            pll=PLL_FAMILIES[family],
+            adc_noise_rms_uv=300.0 if noise else 0.0,
+            **{name: GaussianTerm(getattr(paper_profile(), name).mean) for name in zero_stds},
+        )
+        scenario = small_scenario(chain=chain, base_seed=base_seed, temperature_c=temperature)
+        engine = mc._Engine(scenario)
+        draws = engine.draw(start, mc._trial_seeds(base_seed, start, start + trials))
+        want, rngs = _scalar_draws(scenario, start, start + trials)
+        assert draws.params.tobytes() == want.tobytes()
+        ratios = 1.0 + 1e-6 * want[:, 4]
+        assert draws.ratios.tobytes() == ratios.tobytes()
+        margins = [guard_margin(float(r), engine.samples) for r in ratios]
+        assert draws.guard_margins.tolist() == margins
+        if noise:
+            # the kept generators go on to draw each trial's ADC noise
+            assert [g.bit_generator.state for g in draws.rngs] == [
+                g.bit_generator.state for g in rngs
+            ]
+        else:
+            assert draws.rngs is None
+
+
 def mc_batch_scenario():
     """The benchmark's mc-batch scenario at scenario seed 12345."""
     return McScenario(
@@ -477,14 +549,14 @@ class TestSinusoidProduct:
         scenario = mc_batch_scenario()
         phasor, chain = scenario.phasor, scenario.chain
         engine = mc._Engine(scenario)
-        block = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, BLOCK_TRIALS))
-        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = block.params.T[:, :, None]
-        steps = engine.sample_period * block.ratios[:, None]
+        draws = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, BLOCK_TRIALS))
+        aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = draws.params.T[:, :, None]
+        steps = engine.sample_period * draws.ratios[:, None]
         samples = engine.samples
         a, b = _table_shape(samples)
         got, clipped = _acquire_rows(
-            phasor, chain, aaf_gain, aaf_phase, adc_gain, adc_offset, delay, steps, samples,
-            block.rngs, np.empty((BLOCK_TRIALS, a * b)),
+            engine.tables(draws, 0, BLOCK_TRIALS), chain, samples, draws.rngs,
+            np.empty((BLOCK_TRIALS, a * b)),
         )
         # Re(P[a]*Q[b]) as two broadcast real products and a subtraction
         amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain)
@@ -494,7 +566,7 @@ class TestSinusoidProduct:
         y = p.real[:, :, None] * q.real[:, None, :] - p.imag[:, :, None] * q.imag[:, None, :]
         want = y.reshape(BLOCK_TRIALS, a * b)[:, :samples].copy()
         assert chain.adc_bits == 16 and chain.adc_noise_rms_uv == 0
-        assert _convert(want, adc_gain, adc_offset, None, chain) is None
+        assert _convert(want, 1.0 + 1e-6 * adc_gain, 1e-6 * adc_offset, None, chain) is None
         assert not clipped.any()
         assert got.tobytes() == want.tobytes()
 
@@ -523,15 +595,7 @@ class TestStreamedAggregates:
         assert r.band_lo.tobytes() == np.maximum(mean - k * std, 0.0).tobytes()
         assert r.grand_mean_tve == float(r.trial_tve.mean())
 
-        # full-size error arrays, rebuilt trial by trial from the kernel's
-        # relative envelopes z = env/ref, each on a one-row block
-        engine = mc._Engine(scenario)
-        seeds = mc._trial_seeds(scenario.base_seed, 0, trials)
-        ws = mc._Workspace(1, engine.samples)
-        z = np.array([
-            engine.envelopes(engine.draw(i, seeds[i : i + 1]), ws)[0][0].copy()
-            for i in range(trials)
-        ])
+        z = _relative_envelopes(scenario)
         rel_mag = np.abs(np.abs(z) - 1.0)
         phase_err = np.abs(np.angle(z))
         for got, want in (
@@ -539,6 +603,40 @@ class TestStreamedAggregates:
             (r.grand_mean_phase_err, float(phase_err.mean())),
         ):
             assert abs(got - want) <= self.ULPS * math.ulp(want), (got, want)
+
+    def test_phase_error_left_of_the_imaginary_axis(self):
+        # a 2 rad AAF phase puts every envelope at Re(z) < 0, where arctan(im/re)
+        # is off by pi: the kernel takes arctan2 there
+        paper = paper_profile()
+        chain = replace(paper, aaf_phase_urad=GaussianTerm(2e6, paper.aaf_phase_urad.std))
+        scenario = small_scenario(chain=chain, trials=BLOCK_TRIALS + 1, base_seed=12345)
+        r = monte_carlo(scenario)
+        z = _relative_envelopes(scenario)
+        assert (z.real < 0).all()
+        want = float(np.abs(np.angle(z)).mean())
+        assert abs(r.grand_mean_phase_err - want) <= self.ULPS * math.ulp(want)
+
+    def test_tiny_positive_real_part_warns_nothing(self):
+        # im/re overflows to +-inf, whose arctan is +-pi/2, without a RuntimeWarning
+        z = np.array([[1e-310 + 1j, 5e-324 - 2j, 1.0 + 1e-300j, 0.5 + 0.5j]])
+        want = float(np.abs(np.angle(z)).mean())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, phase_sum = mc._error_rows(z.copy(), np.empty(z.shape), mc._Workspace(1, z.size))
+        assert abs(phase_sum / z.size - want) <= self.ULPS * math.ulp(want)
+
+
+def _relative_envelopes(scenario):
+    """Every trial's relative envelope ``z = env/ref``, each from the kernel on a one-row block."""
+    engine = mc._Engine(scenario)
+    draws = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, scenario.trials))
+    ws = mc._Workspace(1, engine.samples)
+    return np.array([
+        engine.envelopes(
+            engine.tables(draws, i, i + 1), draws.rngs and draws.rngs[i : i + 1], ws
+        )[0][0].copy()
+        for i in range(scenario.trials)
+    ])
 
 
 def _bits(value):
@@ -591,7 +689,8 @@ def _traced_peak(scenario):
 
 class TestMemory:
     # tracemalloc peaks over the traces with 2 workers, measured at 5 kHz and
-    # 1 s intervals: 1.72x at 256 trials and 1.19x at 960
+    # 1 s intervals: 1.77x at 256 trials and 1.19x at 960; the draws of every
+    # trial, held from the start of a run, add about 100 bytes a trial
     def test_peak_is_bounded_by_the_traces(self):
         # 256 reference trials: the engine keeps the float64 result rows plus
         # one block workspace per worker, never every trial's complex envelope
@@ -600,8 +699,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("trials", [4 * BLOCK_TRIALS, 16 * BLOCK_TRIALS])
     def test_scratch_does_not_grow_with_trials(self, trials):
-        # beyond the traces, one block workspace per worker: about 2.9 complex
-        # (BLOCK_TRIALS, points) buffers per worker at any trial count
+        # beyond the traces, one block workspace per worker and the draws:
+        # about 2.9 complex (BLOCK_TRIALS, points) buffers per worker at any
+        # trial count (2.88 at 64 and 256 trials; 3.88 at 256 with ADC noise,
+        # whose generators are held for the whole run)
         r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
         block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
         workers = _workers(-(-trials // BLOCK_TRIALS))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sbcpmu import mc
-from sbcpmu.blocks import ChainModel, TimebaseModel, _acquire_rows, _table_shape, identity_chain
+from sbcpmu.blocks import (
+    ChainModel, TimebaseModel, _acquire_rows, _row_tables, _table_shape, identity_chain,
+)
 from sbcpmu.errors import ScheduleGuardError
 from sbcpmu.mc import McScenario, run_trial
 from sbcpmu.signals import Phasor, guard_margin, wrap_phase
@@ -64,8 +66,8 @@ def sampled(phasor, start=0.0, ratio=1.0, rate=5000.0, period=1.0):
     samples = round(rate * period)
     a, b = _table_shape(samples)
     values, _ = _acquire_rows(
-        phasor, identity_chain(), 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples, [None],
-        np.empty((1, a * b)),
+        _row_tables(phasor, 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples), identity_chain(),
+        samples, [None], np.empty((1, a * b)),
     )
     return values[0]
 
