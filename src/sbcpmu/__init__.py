@@ -16,9 +16,9 @@ import importlib
 # a command that needs one submodule pays for that one alone.
 _EXPORTS = {
     "blocks": (
-        "AafModel", "ChainModel", "GaussianTerm", "PllDelayModel", "TimebaseModel",
+        "AafModel", "ChainModel", "GaussianTerm", "Phasor", "PllDelayModel", "TimebaseModel",
         "aaf_response", "expected_response", "identity_chain", "load_profile",
-        "paper_profile", "save_profile",
+        "paper_profile", "save_profile", "wrap_phase",
     ),
     "characterize": (
         "delay_statistics", "ols_fit", "one_counter_estimate", "sweep_plan",
@@ -28,9 +28,7 @@ _EXPORTS = {
         "ConfigError", "EstimationError", "ModelParameterError", "SbcPmuError",
         "ScheduleGuardError",
     ),
-    "estimate": ("EstimationWindow", "fe", "tve"),
-    "mc": ("McScenario", "model_curve", "monte_carlo", "write_run"),
-    "signals": ("Phasor", "wrap_phase"),
+    "mc": ("McScenario", "fe", "model_curve", "monte_carlo", "tve", "write_run"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,7 +7,8 @@ software-PLL synchronization delay (pure phase).  ``expected_response``
 gives the terms of the combined factor; a block's own terms are those of a
 chain that holds only that block.  ``_row_tables`` and ``_acquire_rows`` run
 a phasor through all four blocks in the time domain, one row per Monte Carlo
-trial; ``sbcpmu.mc.run_trial`` is their one-trial entry point.
+trial; ``sbcpmu.mc.run_trial`` is their one-trial entry point.  ``Phasor``
+is the steady input sinusoid they sample.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,9 +35,6 @@ from .errors import (
     reject_unknown_keys,
     section,
 )
-
-if TYPE_CHECKING:
-    from .signals import Phasor
 
 SQRT3 = math.sqrt(3.0)
 
@@ -345,15 +343,26 @@ class PllDelayModel:
             return self.mean, self.std
         return _truncated_normal_moments(self)
 
+    @functools.cached_property
+    def _draw_constants(self) -> tuple:
+        """What ``pll_sample`` derives from a histogram or truncated normal, computed on first use.
+
+        An empirical histogram gives its bin edges as an array and the bins'
+        probabilities; a truncated normal gives ``_truncated_normal_bounds``.
+        """
+        if self.family == "empirical-histogram":
+            edges, counts = self.histogram
+            p = np.asarray(counts, dtype=float)
+            p /= p.sum()
+            return np.asarray(edges), p
+        return _truncated_normal_bounds(self)
+
 
 def pll_sample(model: PllDelayModel, rng: np.random.Generator, size=None):
     """Draw synchronization delays from the model (seconds)."""
     if model.family == "empirical-histogram":
-        edges, counts = model.histogram
-        edges = np.asarray(edges)
-        p = np.asarray(counts, dtype=float)
-        p /= p.sum()
-        idx = rng.choice(len(counts), size=size, p=p)
+        edges, p = model._draw_constants
+        idx = rng.choice(p.size, size=size, p=p)
         lo, hi = edges[idx], edges[idx + 1]
         return lo + rng.uniform(0.0, 1.0, size=size) * (hi - lo)
     if model.degenerate:
@@ -394,11 +403,14 @@ def _truncated_normal_bounds(model: PllDelayModel):
 
 def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, size):
     """Inverse-CDF draws of the normal(mean, std) restricted to [min, max]."""
-    p_lo, p_hi, sign = _truncated_normal_bounds(model)
+    p_lo, p_hi, sign = model._draw_constants
+    if size is None:  # min/max give np.clip's values without its per-call cost
+        u = min(max(float(rng.uniform(p_lo, p_hi)), _P_OPEN[0]), _P_OPEN[1])
+        z = _STANDARD_NORMAL.inv_cdf(u)
+        return float(min(max(model.mean + sign * model.std * z, model.min), model.max))
     u = np.clip(rng.uniform(p_lo, p_hi, size=size), *_P_OPEN)
     z = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(u)
-    draws = np.clip(model.mean + sign * model.std * z, model.min, model.max)
-    return float(draws) if size is None else draws
+    return np.clip(model.mean + sign * model.std * z, model.min, model.max)
 
 
 def _truncated_normal_moments(model: PllDelayModel) -> tuple:
@@ -511,6 +523,48 @@ def expected_response(
             + omega * delay_std
         ),
     )
+
+
+def wrap_phase(phi):
+    """Wrap an angle (scalar or array) into (-pi, pi]."""
+    wrapped = np.mod(np.asarray(phi, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
+    if np.ndim(phi) == 0:
+        return float(wrapped)
+    return wrapped
+
+
+@dataclass(frozen=True)
+class Phasor:
+    """Amplitude/phase/frequency triple of a steady sinusoid.
+
+    Each value must be finite.  Phase is normalized to (-pi, pi] on
+    construction.
+    """
+
+    amplitude: float
+    phase: float
+    frequency: float
+
+    def __post_init__(self):
+        for name in ("amplitude", "phase", "frequency"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.amplitude < 0:
+            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if self.frequency <= 0:
+            raise ValueError(f"frequency must be > 0, got {self.frequency}")
+        object.__setattr__(self, "phase", wrap_phase(self.phase))
+
+    @property
+    def omega(self) -> float:
+        return 2.0 * math.pi * self.frequency
+
+    @property
+    def value(self) -> complex:
+        """Complex phasor A*exp(j*phi)."""
+        return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
 
 
 def _table_shape(samples: int) -> tuple:
@@ -793,6 +847,7 @@ __all__ = [
     "ChainModel",
     "ExpectedResponse",
     "GaussianTerm",
+    "Phasor",
     "PllDelayModel",
     "TimebaseModel",
     "aaf_cutoff_model",
@@ -805,4 +860,5 @@ __all__ = [
     "paper_profile",
     "pll_sample",
     "save_profile",
+    "wrap_phase",
 ]

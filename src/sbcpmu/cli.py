@@ -43,14 +43,14 @@ if TYPE_CHECKING:
 # bound before, such as a wrapper set on this module, is the one that is called.
 _LAZY = {
     "blocks": (
-        "chain_from_json", "chain_to_json", "load_profile", "paper_profile", "save_profile",
+        "Phasor", "chain_from_json", "chain_to_json", "load_profile", "paper_profile",
+        "save_profile",
     ),
     "characterize": (
         "delay_statistics", "ols_fit", "one_counter_estimate",
         "read_counter_csv", "read_delay_csv", "read_sweep_csv", "variance_decomposition",
     ),
     "mc": ("McScenario", "monte_carlo", "write_run"),
-    "signals": ("Phasor",),
 }
 _SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -167,7 +167,7 @@ def scenario_hash(scenario: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
-    _bind("blocks", "signals", "mc")
+    _bind("blocks", "mc")
     cfg = load_scenario_config(args.config)
     for obj, key, flag in (
         (cfg["run"], "trials", args.trials),

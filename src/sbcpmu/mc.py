@@ -1,19 +1,24 @@
-"""The model curve and the Monte Carlo validation engine.
+"""The model curve, the one-cycle estimator and the Monte Carlo validation engine.
 
 The TVE of the expected system response (``blocks.expected_response``) with
 its worst-case band over one PPS interval, and the seeded Monte Carlo that
 replays the error chain trial by trial and compares the measured TVE
-statistics against the model.
+statistics against the model.  The Monte Carlo estimates each trial's
+envelope with the sliding one-cycle Fourier estimator (``_FourierPlan``) on
+the grid ``n*T_s`` the device believes in, so acquisition errors appear in
+the envelope rather than being silently corrected.  ``tve`` and ``fe`` are
+the standard error metrics.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import platform
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +28,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .blocks import (
     ChainModel,
+    Phasor,
     _acquire_rows,
     _row_tables,
     _table_shape,
@@ -30,11 +36,32 @@ from .blocks import (
     expected_response,
     pll_sample,
 )
-from .errors import ScheduleGuardError
-from .estimate import EstimationWindow, _FourierPlan, fe
-from .signals import Phasor, guard_margin
+from .errors import EstimationError, ScheduleGuardError
 
 DEFAULT_COVERAGE_FACTOR = 3.3
+
+
+# ---------------------------------------------------------------------------
+# Error metrics
+# ---------------------------------------------------------------------------
+
+
+def tve(measured, reference):
+    """Total Vector Error |measured - reference| / |reference| (fraction)."""
+    ref = np.asarray(reference, dtype=complex)
+    if np.any(np.abs(ref) == 0):
+        raise ValueError("reference phasor must be nonzero")
+    out = np.abs(np.asarray(measured, dtype=complex) - ref) / np.abs(ref)
+    if np.ndim(measured) == 0 and np.ndim(reference) == 0:
+        return float(out)
+    return out
+
+
+def fe(nominal: float, deviation_ratio: float) -> float:
+    """Frequency Error f*|1 - R| of a time base with deviation ratio R."""
+    if nominal <= 0:
+        raise ValueError("nominal frequency must be > 0")
+    return nominal * abs(1.0 - deviation_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +75,6 @@ class ModelCurve:
     expected: np.ndarray
     band_hi: np.ndarray
     band_lo: np.ndarray
-
-
-def _tve_of_exponent(r, p):
-    return np.abs(np.exp(r + 1j * np.asarray(p)) - 1.0)
 
 
 def model_curve(
@@ -72,9 +95,9 @@ def model_curve(
     m_r, m_p, u_r, u_p = expected_response(chain, omega, t, temperature)
     if compensated:
         m_r, m_p = 0.0, np.zeros_like(t)
-    expected = _tve_of_exponent(m_r, m_p)
+    expected = tve(np.exp(m_r + 1j * m_p), 1.0)
     corners = [
-        _tve_of_exponent(m_r + sr * u_r, m_p + sp * u_p)
+        tve(np.exp(m_r + sr * u_r + 1j * (m_p + sp * u_p)), 1.0)
         for sr in (-1.0, 1.0)
         for sp in (-1.0, 1.0)
     ]
@@ -84,6 +107,82 @@ def model_curve(
         band_hi=np.max(corners, axis=0),
         band_lo=np.min(corners, axis=0),
     )
+
+
+# ---------------------------------------------------------------------------
+# One-cycle estimator
+# ---------------------------------------------------------------------------
+
+MIN_WINDOW_SAMPLES = 10
+
+
+@dataclass(frozen=True)
+class _FourierPlan:
+    """The sliding one-cycle estimator on the grid ``n*T_s``, applied to rows of samples.
+
+    ``c(t) = (2/T_p) * sum s(t_n) * exp(-j*omega*t_n) * T_s`` over one window
+    of ``n_win`` sample intervals, a left rectangular-rule approximation of
+    the integral, divided by the reference phasor.  Each envelope sample is
+    attributed to the center of its window.
+
+    Everything that depends only on the grid (the weights, the window length
+    and the envelope timestamps) is computed once by ``build``; ``rows`` then
+    estimates any number of signals sampled on that grid, in two complex
+    buffers the caller owns.  A weight folds the demodulating exponential,
+    the sample interval, the ``2/T_p`` scale and the reference into one
+    factor per sample.
+    """
+
+    weights: np.ndarray  # exp(-j*omega*n*T_s)*2*T_s*f/ref, one per sample interval
+    n_win: int
+    times: np.ndarray  # envelope timestamps, at the window centers
+
+    @classmethod
+    def build(
+        cls, samples: int, sample_period: float, frequency: float, ref: complex
+    ) -> "_FourierPlan":
+        """The plan for ``samples`` instants ``n*sample_period``, estimating at ``frequency``.
+
+        A window holds ``T_p/T_s`` sample intervals, rounded half up: 100.5
+        samples per cycle (5025 Hz at 50 Hz) gives 101.
+        """
+        t_p = 1.0 / frequency
+        n_win = math.floor(t_p / sample_period + 0.5)
+        if n_win < MIN_WINDOW_SAMPLES:
+            raise EstimationError(
+                f"unresolvable window: {n_win} samples per cycle (need >= {MIN_WINDOW_SAMPLES})"
+            )
+        if samples <= n_win:  # n_win + 1 samples bound the first window
+            raise EstimationError("waveform spans less than one estimation window")
+        omega = 2.0 * math.pi * frequency
+        # window j integrates the n_win sample intervals starting at sample j
+        return cls(
+            weights=np.exp(-1j * omega * (np.arange(samples - 1) * sample_period))
+            * (2.0 * sample_period * frequency / ref),
+            n_win=n_win,
+            times=np.arange(samples - n_win) * sample_period + 0.5 * t_p,
+        )
+
+    def rows(self, values: np.ndarray, demod: np.ndarray, csum: np.ndarray) -> np.ndarray:
+        """Envelope coefficients (rows x windows) of real samples (rows x grid points).
+
+        ``demod`` and ``csum`` are complex scratch shaped like ``values``.  The
+        envelope is written over the first ``windows`` columns of ``demod`` and
+        returned as a view of them; nothing else is allocated.
+
+        The prefix sums are taken one row at a time: the same additions in the
+        same order as ``np.cumsum(axis=1)``, so the same bits, but numpy holds
+        the GIL through an accumulate along the rows of a 2-D array and
+        releases it for a 1-D one, so two threads running blocks overlap.
+        """
+        terms = np.multiply(values[:, :-1], self.weights, out=demod[:, :-1])
+        csum[:, 0] = 0.0
+        for row, out in zip(terms, csum[:, 1:]):
+            np.cumsum(row, out=out)
+        n_windows, n_win = self.times.size, self.n_win
+        return np.subtract(
+            csum[:, n_win : n_windows + n_win], csum[:, :n_windows], out=demod[:, :n_windows]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +443,10 @@ class _Engine:
     """One scenario's trials: drawn in order, tabulated, then run a block at a time by a kernel.
 
     What does not change between trials is computed once: the nominal sample
-    period, the Fourier plan's weights, the time-base statistics at the
-    scenario's temperature and the compensation factor.  The weights are
-    divided by the reference phasor, so the plan gives each trial's relative
-    envelope ``z = env/ref`` and the errors need no divide.
+    period, the Fourier plan on the grid ``n*T_s``, the time-base statistics
+    at the scenario's temperature and the compensation factor.  The plan's
+    weights are divided by the reference phasor, so it gives each trial's
+    relative envelope ``z = env/ref`` and the errors need no divide.
     """
 
     def __init__(self, scenario: McScenario):
@@ -359,11 +458,9 @@ class _Engine:
         # the instants the device believes in: n*T_s within one PPS interval
         self.samples = round(scenario.pps_period * scenario.nominal_rate)
         self.sample_period = 1.0 / scenario.nominal_rate
-        plan = _FourierPlan.build(
-            np.arange(self.samples) * self.sample_period,
-            EstimationWindow(scenario.phasor.frequency),
+        self.plan = _FourierPlan.build(
+            self.samples, self.sample_period, scenario.phasor.frequency, ref
         )
-        self.plan = replace(plan, weights=plan.weights / ref)
         # the means and stds of the five Gaussian draws, in TrialDraw's field order
         self.means, self.stds = np.array(
             [
@@ -413,13 +510,12 @@ class _Engine:
         failing = np.flatnonzero(margins >= 1.0)
         if failing.size:
             r = int(failing[0])
-            try:
-                guard_margin(float(ratios[r]), self.samples)  # raises, with the margin's message
-            except ScheduleGuardError as exc:
-                draw = TrialDraw(*params[r].tolist())
-                raise ScheduleGuardError(
-                    f"trial {start + r} aborted: {exc}; draw = {draw.to_json()}"
-                ) from exc
+            raise ScheduleGuardError(
+                f"trial {start + r} aborted: N_s pulse-count approximation invalid: "
+                f"|R-1|*N_s = {float(margins[r]):.3g} >= 1 "
+                f"(R={float(ratios[r])!r}, N_s={self.samples}); "
+                f"draw = {TrialDraw(*params[r].tolist()).to_json()}"
+            )
         return _Draws(params, rngs, ratios, margins)
 
     def tables(self, draws: _Draws, lo: int, hi: int) -> _Tables:
@@ -726,8 +822,10 @@ __all__ = [
     "McScenario",
     "ModelCurve",
     "TrialDraw",
+    "fe",
     "model_curve",
     "monte_carlo",
     "run_trial",
+    "tve",
     "write_run",
 ]

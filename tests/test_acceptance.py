@@ -13,6 +13,7 @@ import pytest
 from sbcpmu.blocks import (
     ChainModel,
     GaussianTerm,
+    Phasor,
     PllDelayModel,
     aaf_cutoff_model,
     aaf_response,
@@ -30,9 +31,7 @@ from sbcpmu.characterize import (
     sweep_plan,
     variance_decomposition,
 )
-from sbcpmu.estimate import fe, tve
-from sbcpmu.mc import McScenario, model_curve, monte_carlo, run_trial
-from sbcpmu.signals import Phasor
+from sbcpmu.mc import McScenario, fe, model_curve, monte_carlo, run_trial, tve
 
 OMEGA_50 = 2 * math.pi * 50
 MC_SEED = 12345

@@ -8,14 +8,14 @@ from hypothesis import given, strategies as st
 from sbcpmu.blocks import (
     ChainModel,
     GaussianTerm,
+    Phasor,
     TimebaseModel,
     expected_response,
     identity_chain,
+    wrap_phase,
 )
 from sbcpmu.errors import EstimationError
-from sbcpmu.estimate import EstimationWindow, _FourierPlan, fe, tve
-from sbcpmu.mc import McScenario, run_trial
-from sbcpmu.signals import Phasor, wrap_phase
+from sbcpmu.mc import McScenario, _FourierPlan, fe, run_trial, tve
 
 
 def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
@@ -25,13 +25,38 @@ def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
     return times, env
 
 
+class TestFourierPlanGrid:
+    """The plan is built from the grid n*T_s alone: sample count, sample period and frequency."""
+
+    # n_win, times[0] (as float.hex) and times.size at (rate, frequency), pinned
+    # to the values of the plan built from timestamps and their median step
+    @pytest.mark.parametrize(
+        "rate, frequency, n_win, first, windows",
+        [
+            (5000.0, 50.0, 100, "0x1.47ae147ae147bp-7", 4900),
+            (4000.0, 60.0, 67, "0x1.1111111111111p-7", 3933),
+            (10000.0, 50.0, 200, "0x1.47ae147ae147bp-7", 9800),
+            (50000.0, 50.0, 1000, "0x1.47ae147ae147bp-7", 49000),
+        ],
+    )
+    def test_grid(self, rate, frequency, n_win, first, windows):
+        plan = _FourierPlan.build(round(rate), 1.0 / rate, frequency, 1.0)
+        assert (plan.n_win, plan.times[0].hex(), plan.times.size) == (n_win, first, windows)
+        assert plan.weights.size == round(rate) - 1
+
+    @pytest.mark.parametrize("rate, n_win", [(5025.0, 101), (5075.0, 102), (4975.0, 100)])
+    def test_half_integer_ratio_rounds_up(self, rate, n_win):
+        # 100.5, 101.5 and 99.5 samples per 50 Hz cycle
+        assert _FourierPlan.build(round(rate), 1.0 / rate, 50.0, 1.0).n_win == n_win
+
+
 class TestFourierPlanRows:
     @pytest.mark.parametrize("rows", [1, 3, 16])
     def test_row_prefix_sums_equal_2d_cumsum(self, rows):
-        t = np.arange(5000) * 2e-4
-        plan = _FourierPlan.build(t, EstimationWindow(50.0))
-        values = np.random.default_rng(rows).normal(size=(rows, t.size))
-        demod = np.empty((rows, t.size), dtype=complex)
+        samples = 5000
+        plan = _FourierPlan.build(samples, 2e-4, 50.0, 1.0)
+        values = np.random.default_rng(rows).normal(size=(rows, samples))
+        demod = np.empty((rows, samples), dtype=complex)
         got = plan.rows(values, demod, np.empty_like(demod))
         # the estimator with one 2-D cumsum along the rows
         csum = np.zeros_like(demod)

@@ -91,7 +91,7 @@ def test_characterize_loads_no_mc_or_estimate(tmp_path):
         "characterize", "sweep", "--input", sweep, "--output", tmp_path / "frag.json"
     )
     assert "sbcpmu.characterize" in loaded
-    assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate", "sbcpmu.signals"}
+    assert "sbcpmu.mc" not in loaded
 
 
 def test_characterize_delay_loads_no_numpy_ma(tmp_path):
@@ -105,17 +105,16 @@ def test_characterize_delay_loads_no_numpy_ma(tmp_path):
     assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]}
 
 
-def test_profile_show_loads_no_signals_or_estimate():
+def test_profile_show_loads_no_mc():
     loaded = modules_after_main("profile", "show", "paper")
     assert "sbcpmu.blocks" in loaded
-    assert not loaded & {"sbcpmu.mc", "sbcpmu.estimate", "sbcpmu.signals"}
+    assert "sbcpmu.mc" not in loaded
 
 
 def test_simulate_loads_no_characterize(tmp_path):
     loaded = modules_after_main("simulate", "--config", write_scenario(tmp_path))
     assert {m for m in loaded if m.split(".")[0] == "sbcpmu"} == {
-        "sbcpmu", "sbcpmu.cli", "sbcpmu.errors", "sbcpmu.data", "sbcpmu.blocks",
-        "sbcpmu.signals", "sbcpmu.estimate", "sbcpmu.mc",
+        "sbcpmu", "sbcpmu.cli", "sbcpmu.errors", "sbcpmu.data", "sbcpmu.blocks", "sbcpmu.mc",
     }
 
 
@@ -126,7 +125,6 @@ def test_public_surface_is_pinned():
         "ChainModel",
         "ConfigError",
         "EstimationError",
-        "EstimationWindow",
         "GaussianTerm",
         "McScenario",
         "ModelParameterError",

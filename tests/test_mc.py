@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sbcpmu.blocks import (
     ChainModel,
     GaussianTerm,
+    Phasor,
     PllDelayModel,
     TimebaseModel,
     _acquire_rows,
@@ -37,7 +38,6 @@ from sbcpmu.mc import (
     run_trial,
     write_run,
 )
-from sbcpmu.signals import Phasor, guard_margin
 
 OMEGA_50 = 2 * math.pi * 50
 
@@ -511,7 +511,7 @@ class TestDraw:
         assert draws.params.tobytes() == want.tobytes()
         ratios = 1.0 + 1e-6 * want[:, 4]
         assert draws.ratios.tobytes() == ratios.tobytes()
-        margins = [guard_margin(float(r), engine.samples) for r in ratios]
+        margins = [abs(float(r) - 1.0) * engine.samples for r in ratios]
         assert draws.guard_margins.tolist() == margins
         if noise:
             # the kept generators go on to draw each trial's ADC noise

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from sbcpmu import mc
 from sbcpmu.blocks import (
-    ChainModel, TimebaseModel, _acquire_rows, _row_tables, _table_shape, identity_chain,
+    ChainModel, Phasor, TimebaseModel, _acquire_rows, _row_tables, _table_shape, identity_chain,
+    wrap_phase,
 )
 from sbcpmu.errors import ScheduleGuardError
 from sbcpmu.mc import McScenario, run_trial
-from sbcpmu.signals import Phasor, guard_margin, wrap_phase
 
 
 class TestPhasor:
@@ -29,6 +29,22 @@ class TestPhasor:
         with pytest.raises(ValueError):
             Phasor(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("amplitude", (math.nan, 0.0, 50.0)),
+            ("amplitude", (math.inf, 0.0, 50.0)),
+            ("phase", (10.0, math.nan, 50.0)),
+            ("phase", (10.0, -math.inf, 50.0)),
+            ("frequency", (10.0, 0.0, math.nan)),
+            ("frequency", (10.0, 0.0, math.inf)),
+        ],
+    )
+    def test_non_finite_rejected(self, field, values):
+        # a NaN amplitude would otherwise run to a NaN TVE on every trial
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+            Phasor(*values)
+
     @given(st.floats(-100, 100))
     def test_wrap_phase_range(self, phi):
         w = wrap_phase(phi)
@@ -45,14 +61,28 @@ class TestSchedule:
         scenario = McScenario(chain=identity_chain(), phasor=Phasor(10.0, 0.0, 50.0))
         assert mc._Engine(scenario).samples == 5000
 
+    @staticmethod
+    def engine(e_r_ppm, rate=5000.0):
+        chain = ChainModel(timebase=TimebaseModel(e_r_ppm, 0.0))
+        scenario = McScenario(chain=chain, phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=rate)
+        return mc._Engine(scenario)
+
     def test_guard_accepts_paper_deviation(self):
         # |R-1|*N_s = 16e-6*5000 = 0.08 < 1
-        assert guard_margin(1.0 - 16.0e-6, 5000) == pytest.approx(0.08)
+        engine = self.engine(-16.0)
+        draws = engine.draw(0, mc._trial_seeds(0, 0, 3))
+        assert draws.guard_margins == pytest.approx([0.08] * 3)
 
     def test_guard_rejects(self):
         # 2.5e-5 * 50000 = 1.25 >= 1
-        with pytest.raises(ScheduleGuardError):
-            guard_margin(1.0 + 2.5e-5, 50000)
+        engine = self.engine(25.0, rate=50000.0)
+        with pytest.raises(ScheduleGuardError) as info:
+            engine.draw(4, mc._trial_seeds(0, 4, 6))
+        assert str(info.value) == (
+            "trial 4 aborted: N_s pulse-count approximation invalid: |R-1|*N_s = 1.25 >= 1 "
+            "(R=1.000025, N_s=50000); draw = {'aaf_gain_ppm': 0.0, 'aaf_phase_urad': 0.0, "
+            "'adc_gain_ppm': 0.0, 'adc_offset_uv': 0.0, 'e_r_ppm': 25.0, 'delay_us': 0.0}"
+        )
 
     def test_nominal_instants_uniform(self):
         # the device labels its samples n*T_s whatever its deviation ratio R
