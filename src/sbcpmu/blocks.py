@@ -39,6 +39,14 @@ from .errors import (
 SQRT3 = math.sqrt(3.0)
 
 
+def _require_finite(error: type, model, *names: str) -> None:
+    """Raise ``error`` naming the first field of ``model`` that is NaN or infinite; None passes."""
+    for name in names:
+        value = getattr(model, name)
+        if value is not None and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
+
+
 class ExpectedResponse(NamedTuple):
     """The expected combined response ``exp(log_magnitude + 1j * phase)``.
 
@@ -197,6 +205,11 @@ class TimebaseModel:
 
     def __post_init__(self):
         rows = tuple((float(t), float(m), float(s)) for t, m, s in self.e_r_by_temperature)
+        _require_finite(ModelParameterError, self, "overall_mean_ppm", "overall_std_ppm",
+                        "estimator_std_ppm", "board_std_ppm")
+        for i, row in enumerate(rows):
+            if not all(map(math.isfinite, row)):
+                raise ModelParameterError(f"e_r_by_temperature[{i}] must be finite, got {row}")
         temps = [r[0] for r in rows]
         if temps != sorted(temps) or len(set(temps)) != len(temps):
             raise ModelParameterError("temperature grid must be strictly increasing")
@@ -276,6 +289,9 @@ class PllDelayModel:
     def __post_init__(self):
         if self.family not in _PLL_FAMILIES:
             raise ModelParameterError(f"unknown delay family {self.family!r}")
+        _require_finite(ModelParameterError, self, "min", "mean", "std", "mode", "mode_std")
+        if math.isnan(self.max):  # +inf is no bound
+            raise ModelParameterError(f"max must be a number or +inf, got {self.max!r}")
         if self.std < 0:
             raise ModelParameterError("std must be >= 0")
         if self.family == "empirical-histogram":
@@ -286,11 +302,11 @@ class PllDelayModel:
             counts = tuple(int(c) for c in counts)
             if len(edges) != len(counts) + 1 or sum(counts) <= 0 or min(counts) < 0:
                 raise ModelParameterError("malformed histogram")
+            shown = f"{' / '.join(map(_us, edges))} µs"
+            if not all(map(math.isfinite, edges)):
+                raise ModelParameterError(f"histogram bin_edges_us must be finite, got {shown}")
             if any(hi <= lo for lo, hi in zip(edges, edges[1:])):
-                raise ModelParameterError(
-                    "histogram bin_edges_us must increase strictly, got "
-                    f"{' / '.join(map(_us, edges))} µs"
-                )
+                raise ModelParameterError(f"histogram bin_edges_us must increase strictly, got {shown}")
             object.__setattr__(self, "histogram", (edges, counts))
             return
         # messages give times in µs, as profiles write them
@@ -447,6 +463,7 @@ class GaussianTerm:
     std: float = 0.0
 
     def __post_init__(self):
+        _require_finite(ValueError, self, "mean", "std")
         if self.std < 0:
             raise ValueError("std must be >= 0")
 
@@ -477,6 +494,10 @@ class ChainModel:
     name: str = "chain"
 
     def __post_init__(self):
+        _require_finite(ModelParameterError, self, "adc_vref_v", "adc_noise_rms_uv",
+                        "adc_gain_within_device_ppm")
+        if self.adc_noise_rms_uv < 0:
+            raise ModelParameterError(f"adc_noise_rms_uv must be >= 0, got {self.adc_noise_rms_uv}")
         # float64 holds the code grid exactly up to 2**53 codes
         if self.adc_bits is not None and not 1 <= self.adc_bits <= 53:
             raise ModelParameterError(f"adc_bits must be in [1, 53] or None, got {self.adc_bits}")
@@ -547,10 +568,7 @@ class Phasor:
     frequency: float
 
     def __post_init__(self):
-        for name in ("amplitude", "phase", "frequency"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(ValueError, self, "amplitude", "phase", "frequency")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.frequency <= 0:

@@ -145,7 +145,11 @@ def one_counter_estimate(
     T_hat = N / F_k and R = T_hat / T_s.  The per-measurement quantization
     error is one reference period, T_k / T_s relative; the result includes
     the number of averages needed to push the error on the mean below 1 ppm.
+    That error must lie below 100 %: ``known_base * nominal_period > 1``.
     """
+    periods = known_base * nominal_period  # reference periods per nominal period
+    if not periods > 1:
+        raise ValueError(f"known_base * nominal_period must be > 1, got {periods!r}")
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
         raise ValueError("counts must be nonempty")
@@ -153,7 +157,7 @@ def one_counter_estimate(
         raise ValueError("zero or negative edge counts are not valid")
     t_hat = counts / known_base
     r = t_hat / nominal_period
-    per_meas = 1.0 / (known_base * nominal_period)
+    per_meas = 1.0 / periods
     required = math.ceil((per_meas / (MAX_MEAN_ERROR_PPM * 1e-6)) ** 2)
     return OneCounterResult(
         r_mean=float(r.mean()),

@@ -11,11 +11,10 @@ Exit codes: 0 success, 2 config error, 3 model-guard violation, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
-import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -282,10 +281,14 @@ def _characterize_sweep(path) -> dict:
 def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
     import numpy as np
 
-    results = {
-        key: one_counter_estimate(counts, known_base, 1.0 / nominal_rate)
-        for key, counts in read_counter_csv(path).items()
-    }
+    captures = read_counter_csv(path)
+    try:  # the reader checked the counts, so only the two flags can be at fault
+        results = {
+            key: one_counter_estimate(counts, known_base, 1.0 / nominal_rate)
+            for key, counts in captures.items()
+        }
+    except ValueError as exc:
+        raise ConfigError(f"--known-base-hz and --nominal-rate-hz: {exc}") from exc
     all_r = np.concatenate([res.r_values for res in results.values()])
     first = next(iter(results.values()))
     out = {
@@ -429,75 +432,46 @@ def cmd_characterize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_status(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
-
-
-def _mean_tve(path) -> list:
-    """The ``mean_tve`` column of a ``summary.csv``; a malformed file is a ``ConfigError``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if "mean_tve" not in header:
-            raise ConfigError(f"{path}: line 1: no mean_tve column in the header")
-        header_line, column = reader.line_num, header.index("mean_tve")
-        values = []
-        for row in filter(None, reader):  # blank lines are skipped
-            if column >= len(row):
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: no mean_tve column ({len(row)} fields)"
-                )
-            try:
-                value = float(row[column])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"{path}: line {reader.line_num}: mean_tve must be a finite number, "
-                    f"got {row[column]!r}"
-                )
-            values.append(value)
-    if not values:
-        raise ConfigError(f"{path}: line {header_line}: no data rows after the header")
-    return values
+# The manifest keys ``report`` prints, in print order, each with the check its value must pass.
+_TEXT, _INT = partial(of_type, kind=str), partial(integer, low=0)
+_REPORT_KEYS = {
+    "scenario_hash": _TEXT, "chain_sha256": _TEXT, "seed": _INT, "trials": _INT,
+    "compensated": partial(of_type, kind=bool), "saturated_samples": _INT,
+    "max_guard_margin": number, "max_trial_saturated_samples": _INT,
+    "grand_mean_tve": number, "max_mean_tve": number, "fe_hz": number,
+}
 
 
 def cmd_report(args) -> int:
     rundir = Path(args.rundir)
-    manifest_path = rundir / "manifest.json"
-    summary_path = rundir / "summary.csv"
-    if not manifest_path.exists():
+    path = rundir / "manifest.json"
+    if not path.exists():
         raise ConfigError(f"{rundir}: missing manifest.json (not a run directory?)")
-    if not summary_path.exists():
-        raise ConfigError(f"{rundir}: missing summary.csv")
-    manifest = read_json(manifest_path)
-    mean_tve = _mean_tve(summary_path)
-    grand = float(manifest.get("grand_mean_tve", math.fsum(mean_tve) / len(mean_tve)))
-    worst = max(mean_tve)
-    fe_hz = float(manifest.get("fe_hz", math.nan))
+    try:  # the manifest alone is read: a key missing or of the wrong JSON type is named
+        manifest = of_type(read_json(path), "manifest", dict)
+        for key, check in _REPORT_KEYS.items():
+            if key not in manifest:
+                raise ConfigError(f"{key}: missing")
+            check(manifest[key], key)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    grand, worst, fe_hz = (manifest[k] for k in ("grand_mean_tve", "max_mean_tve", "fe_hz"))
 
-    lines = []
-    lines.append(
-        f"run: {manifest.get('scenario_hash', '?')[:12]} "
-        f"chain_sha256={manifest.get('chain_sha256', '?')[:12]}"
-    )
-    lines.append(
-        f"seed={manifest.get('seed')} trials={manifest.get('trials')} "
-        f"compensated={manifest.get('compensated')} "
-        f"saturated_samples={manifest.get('saturated_samples')}"
-    )
-    lines.append(
-        f"max_guard_margin={manifest.get('max_guard_margin')} "
-        f"max_trial_saturated_samples={manifest.get('max_trial_saturated_samples')}"
-    )
-    lines.append(f"{'metric':<24}{'value':>14}{'limit':>12}  status")
-    rows = [
+    lines = [
+        f"run: {manifest['scenario_hash'][:12]} chain_sha256={manifest['chain_sha256'][:12]}",
+        f"seed={manifest['seed']} trials={manifest['trials']} "
+        f"compensated={manifest['compensated']} "
+        f"saturated_samples={manifest['saturated_samples']}",
+        f"max_guard_margin={manifest['max_guard_margin']} "
+        f"max_trial_saturated_samples={manifest['max_trial_saturated_samples']}",
+        f"{'metric':<24}{'value':>14}{'limit':>12}  status",
+    ]
+    for name, value, limit, ok in (
         ("TVE grand mean", f"{grand * 100:.4f} %", f"{TVE_LIMIT * 100:.0f} %", grand <= TVE_LIMIT),
         ("TVE max of mean trace", f"{worst * 100:.4f} %", f"{TVE_LIMIT * 100:.0f} %", worst <= TVE_LIMIT),
         ("FE", f"{fe_hz * 1e6:.1f} uHz", f"{FE_LIMIT_HZ * 1e3:.0f} mHz", fe_hz <= FE_LIMIT_HZ),
-    ]
-    for name, value, limit, ok in rows:
-        lines.append(f"{name:<24}{value:>14}{limit:>12}  {_fmt_status(ok)}")
+    ):
+        lines.append(f"{name:<24}{value:>14}{limit:>12}  {'PASS' if ok else 'FAIL'}")
     report = "\n".join(lines)
     print(report)
     with open(rundir / "report.txt", "w") as fh:

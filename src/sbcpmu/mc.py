@@ -801,6 +801,7 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
             "coverage_factor": DEFAULT_COVERAGE_FACTOR,
             "fe_hz": result.fe_hz,
             "grand_mean_tve": result.grand_mean_tve,
+            "max_mean_tve": float(result.mean_tve.max()),  # report's worst point
             "grand_mean_mag_err": result.grand_mean_mag_err,
             "grand_mean_phase_err_rad": result.grand_mean_phase_err,
             "window_gap_s": result.window_gap_s,

@@ -619,3 +619,86 @@ class TestProfiles:
         assert again.pll_profiles["idle"].std == pytest.approx(
             chain.pll_profiles["idle"].std, rel=1e-12
         )
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteParameters:
+    """A model built in code rejects NaN and infinite parameters, naming the field."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: GaussianTerm(NAN, 1.0), ValueError, "mean must be finite, got nan"),
+            (lambda: GaussianTerm(0.0, INF), ValueError, "std must be finite, got inf"),
+            (lambda: TimebaseModel(NAN, 0.1), ModelParameterError, "overall_mean_ppm"),
+            (lambda: TimebaseModel(0.0, INF), ModelParameterError, "overall_std_ppm"),
+            (
+                lambda: TimebaseModel(0.0, 0.1, ((20.0, NAN, 0.1),)),
+                ModelParameterError, r"e_r_by_temperature\[0\] must be finite, got \(20.0, nan, 0.1\)",
+            ),
+            (
+                lambda: TimebaseModel(0.0, 0.1, ((20.0, 1.0, 0.1), (30.0, 1.0, INF))),
+                ModelParameterError, r"e_r_by_temperature\[1\] must be finite, got \(30.0, 1.0, inf\)",
+            ),
+            (
+                lambda: TimebaseModel(0.0, 0.1, estimator_std_ppm=NAN),
+                ModelParameterError, "estimator_std_ppm",
+            ),
+            (lambda: TimebaseModel(0.0, 0.1, board_std_ppm=INF), ModelParameterError, "board_std_ppm"),
+            (
+                lambda: PllDelayModel(min=0.0, mean=1e-5, std=NAN),
+                ModelParameterError, "std must be finite, got nan",
+            ),
+            (
+                lambda: PllDelayModel("truncated-normal", min=0.0, max=1e-4, mean=5e-5, std=NAN),
+                ModelParameterError, "std must be finite, got nan",
+            ),
+            (
+                lambda: PllDelayModel(min=0.0, max=NAN, mean=1e-5, std=1e-6),
+                ModelParameterError, r"max must be a number or \+inf, got nan",
+            ),
+            (lambda: PllDelayModel(min=-INF), ModelParameterError, "min must be finite"),
+            (
+                lambda: PllDelayModel(min=0.0, mean=1e-5, std=1e-6, mode_std=INF),
+                ModelParameterError, "mode_std must be finite",
+            ),
+            (
+                lambda: PllDelayModel("empirical-histogram", histogram=((0.0, NAN, 2e-6), (1, 1))),
+                ModelParameterError, "histogram bin_edges_us must be finite, got 0 / nan / 2 µs",
+            ),
+            (
+                lambda: PllDelayModel("empirical-histogram", histogram=((0.0, 1e-6, INF), (1, 1))),
+                ModelParameterError, "histogram bin_edges_us must be finite, got 0 / 1 / inf µs",
+            ),
+            (
+                lambda: replace(paper_profile(), adc_vref_v=INF),
+                ModelParameterError, "adc_vref_v must be finite, got inf",
+            ),
+            (
+                lambda: replace(paper_profile(), adc_gain_within_device_ppm=NAN),
+                ModelParameterError, "adc_gain_within_device_ppm must be finite",
+            ),
+            (
+                lambda: replace(paper_profile(), adc_noise_rms_uv=NAN),
+                ModelParameterError, "adc_noise_rms_uv must be finite",
+            ),
+            (
+                lambda: replace(paper_profile(), adc_noise_rms_uv=-1.0),
+                ModelParameterError, "adc_noise_rms_uv must be >= 0, got -1.0",
+            ),
+        ],
+        ids=[
+            "term-mean", "term-std", "timebase-mean", "timebase-std", "grid-mean", "grid-std",
+            "estimator-std", "board-std", "gamma-std", "truncnorm-std", "pll-max", "pll-min",
+            "pll-mode-std", "histogram-nan-edge", "histogram-inf-edge", "adc-vref", "adc-within-device", "adc-noise-nan",
+            "adc-noise-negative",
+        ],
+    )
+    def test_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_unbounded_delay_accepted(self):
+        assert PllDelayModel(min=0.0, max=INF, mean=1e-5, std=1e-6).max == INF

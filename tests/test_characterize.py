@@ -155,6 +155,11 @@ class TestOneCounter:
         with pytest.raises(ValueError):
             one_counter_estimate([0], 100e6, 2e-5)
 
+    @pytest.mark.parametrize("known_base", [1e-300, 1.0, 50e3])
+    def test_rejects_one_reference_period_or_less(self, known_base):
+        with pytest.raises(ValueError, match="known_base \\* nominal_period must be > 1"):
+            one_counter_estimate([2000], known_base, 2e-5)
+
 
 class TestDelayStatistics:
     def test_constant(self):

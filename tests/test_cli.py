@@ -22,6 +22,15 @@ UNORDERED_HISTOGRAM = {
 }
 
 
+# the keys ``report`` reads from a run's manifest.json, with well-formed values
+RUN_MANIFEST = {
+    "scenario_hash": "0123456789abcdef", "chain_sha256": "fedcba9876543210",
+    "seed": 7, "trials": 3, "compensated": False, "saturated_samples": 0,
+    "max_trial_saturated_samples": 0, "max_guard_margin": 0.25,
+    "grand_mean_tve": 0.0023333, "max_mean_tve": 0.004, "fe_hz": 8e-4,
+}
+
+
 def write_config(path, **overrides):
     cfg = {
         "chain_profile": "paper",
@@ -480,6 +489,21 @@ class TestCharacterize:
         assert f"error: {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("known_base", ["1e-300", "1"])
+    def test_too_coarse_reference_exit(self, tmp_path, capsys, known_base):
+        # at most one reference period per nominal period: a 100 % per-measurement error
+        csv = tmp_path / "c.csv"
+        csv.write_text("count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n")
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--known-base-hz", known_base]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --known-base-hz and --nominal-rate-hz: known_base * nominal_period must be "
+            f"> 1, got {float(known_base) * (1 / 50e3)!r}\n"
+        )
+        assert not out.exists()
+
     def test_schema_mismatch_exit(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("foo,bar\n1,2\n")
@@ -668,34 +692,54 @@ class TestReport:
     def test_empty_dir(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
+    def test_reads_only_the_manifest(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert main(["simulate", "--config", str(p)]) == 0
+        run = tmp_path / "run"
+        manifest = json.loads((run / "manifest.json").read_text())
+        rows = (run / "summary.csv").read_text().splitlines()[1:]
+        worst = max(float(row.split(",")[1]) for row in rows)
+        assert manifest["max_mean_tve"] == worst  # bit for bit
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 0
+        with_summary = capsys.readouterr().out
+        (run / "summary.csv").unlink()
+        assert main(["report", str(run)]) == 0
+        assert capsys.readouterr().out == with_summary
+        assert f"{worst * 100:.4f} %" in with_summary.splitlines()[-2]
+
     @pytest.mark.parametrize(
-        "summary, message",
+        "manifest, message",
         [
+            ([], "manifest: expected an object, got an array"),
+            ({}, "scenario_hash: missing"),
             (
-                "t_in_pps_s,mean_tve\n0.0,0.001\n0.1,abc\n",
-                "line 3: mean_tve must be a finite number, got 'abc'",
+                {k: v for k, v in RUN_MANIFEST.items() if k != "max_mean_tve"},
+                "max_mean_tve: missing",
             ),
-            ("t_in_pps_s,mean_tve\n0.0,0.001\n0.1\n", "line 3: no mean_tve column (1 fields)"),
-            ("t_in_pps_s,mean_tve\n0.0,nan\n", "line 2: mean_tve must be a finite number, got 'nan'"),
-            ("t_in_pps_s,mean_tve\n\n0.0,-inf\n", "line 3: mean_tve must be a finite number"),
-            ("t_in_pps_s,mean_tve\n", "line 1: no data rows after the header"),
-            ("t_in_pps_s,tve\n0.0,0.001\n", "line 1: no mean_tve column in the header"),
+            ({**RUN_MANIFEST, "grand_mean_tve": "abc"}, "grand_mean_tve: expected a number, got a string"),
+            ({**RUN_MANIFEST, "grand_mean_tve": None}, "grand_mean_tve: expected a number, got null"),
+            ({**RUN_MANIFEST, "grand_mean_tve": math.nan}, "grand_mean_tve: expected a finite number, got nan"),
+            ({**RUN_MANIFEST, "scenario_hash": 5}, "scenario_hash: expected a string, got a number"),
+            ({**RUN_MANIFEST, "trials": True}, "trials: expected an integer >= 0, got True"),
+            ({**RUN_MANIFEST, "compensated": "no"}, "compensated: expected a boolean, got a string"),
         ],
+        ids=["array", "empty", "no-max_mean_tve", "text", "null", "nan", "hash", "bool-trials", "text-bool"],
     )
-    def test_malformed_summary_exit(self, tmp_path, capsys, summary, message):
-        (tmp_path / "manifest.json").write_text("{}")
-        (tmp_path / "summary.csv").write_text(summary)
+    def test_malformed_manifest_exit(self, tmp_path, capsys, manifest, message):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path)]) == 2
-        assert f"error: {tmp_path / 'summary.csv'}: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {message}\n"
         assert not (tmp_path / "report.txt").exists()
 
-    def test_grand_mean_without_manifest_value(self, tmp_path, capsys):
-        (tmp_path / "manifest.json").write_text('{"fe_hz": 8e-4}')
-        (tmp_path / "summary.csv").write_text("t_in_pps_s,mean_tve\n0,0.001\n0.5,0.002\n1,0.004\n")
+    def test_well_formed_manifest(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text(json.dumps(RUN_MANIFEST))
         assert main(["report", str(tmp_path)]) == 0
         rows = (tmp_path / "report.txt").read_text().splitlines()
+        assert rows[0] == "run: 0123456789ab chain_sha256=fedcba987654"
         assert rows[-3].split() == ["TVE", "grand", "mean", "0.2333", "%", "1", "%", "PASS"]
-        assert rows[-2].split()[5:7] == ["0.4000", "%"]
+        assert rows[-2].split()[5:] == ["0.4000", "%", "1", "%", "PASS"]
 
 
 class TestProfileCmd:
