@@ -364,21 +364,26 @@ class PllDelayModel:
         """What ``pll_sample`` derives from a histogram or truncated normal, computed on first use.
 
         An empirical histogram gives its bin edges as an array and the bins'
-        probabilities; a truncated normal gives ``_truncated_normal_bounds``.
+        normalised cumulative probabilities, as ``Generator.choice`` forms them
+        from ``p`` on every call; a truncated normal gives
+        ``_truncated_normal_bounds``.
         """
         if self.family == "empirical-histogram":
             edges, counts = self.histogram
             p = np.asarray(counts, dtype=float)
             p /= p.sum()
-            return np.asarray(edges), p
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            return np.asarray(edges), cdf
         return _truncated_normal_bounds(self)
 
 
 def pll_sample(model: PllDelayModel, rng: np.random.Generator, size=None):
     """Draw synchronization delays from the model (seconds)."""
     if model.family == "empirical-histogram":
-        edges, p = model._draw_constants
-        idx = rng.choice(p.size, size=size, p=p)
+        edges, cdf = model._draw_constants
+        # the bin rng.choice(cdf.size, size=size, p=p) draws, without re-checking p
+        idx = cdf.searchsorted(rng.random(size), side="right")
         lo, hi = edges[idx], edges[idx + 1]
         return lo + rng.uniform(0.0, 1.0, size=size) * (hi - lo)
     if model.degenerate:

@@ -146,8 +146,11 @@ def one_counter_estimate(
     error is one reference period, T_k / T_s relative; the result includes
     the number of averages needed to push the error on the mean below 1 ppm.
     That error must lie below 100 %: ``known_base * nominal_period > 1``.
+    An overflowed product would read as a zero error, so it must also be finite.
     """
     periods = known_base * nominal_period  # reference periods per nominal period
+    if not math.isfinite(periods):
+        raise ValueError(f"known_base * nominal_period must be finite, got {periods!r}")
     if not periods > 1:
         raise ValueError(f"known_base * nominal_period must be > 1, got {periods!r}")
     counts = np.asarray(counts, dtype=float)

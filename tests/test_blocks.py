@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from sbcpmu.blocks import (
     identity_chain,
     paper_profile,
     pll_sample,
+    wrap_phase,
 )
 from sbcpmu.errors import ConfigError, ModelParameterError
 from sbcpmu.mc import MIN_WINDOW_SAMPLES, McScenario, run_trial, tve
@@ -248,6 +250,32 @@ class TestPllDelay:
             PllDelayModel(
                 family="empirical-histogram", histogram=((8e-6, 6e-6, 4e-6, 5e-6), (3, 5, 2))
             )
+
+    @pytest.mark.parametrize(
+        "histogram",
+        [
+            PLL_MODELS["empirical-histogram"].histogram,
+            ((4e-6, 5e-6), (7,)),  # one bin
+            ((1e-6, 2e-6, 3e-6, 5e-6, 8e-6), (0, 4, 0, 1)),  # empty bins, first and inner
+            (tuple(np.linspace(4e-6, 15e-6, 41)), tuple(range(40, 0, -1))),  # 40 bins
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_histogram_draws_equal_rng_choice(self, histogram, seed):
+        def reference(rng, size=None):
+            # reference: the bin as Generator.choice draws it from p, then a uniform point in it
+            edges, counts = np.asarray(histogram[0]), np.asarray(histogram[1], dtype=float)
+            idx = rng.choice(counts.size, size=size, p=counts / counts.sum())
+            lo, hi = edges[idx], edges[idx + 1]
+            return lo + rng.uniform(0.0, 1.0, size=size) * (hi - lo)
+
+        model = PllDelayModel(family="empirical-histogram", histogram=histogram)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (None, None, 1, 1000, None, (3, 4)):
+            got, want = pll_sample(model, got_rng, size=size), reference(want_rng, size)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_degenerate(self):
         m = PllDelayModel(min=5e-6, max=5e-6, mean=5e-6, std=0.0)
@@ -702,3 +730,130 @@ class TestNonFiniteParameters:
 
     def test_unbounded_delay_accepted(self):
         assert PllDelayModel(min=0.0, max=INF, mean=1e-5, std=1e-6).max == INF
+
+
+class TestPhasor:
+    def test_value(self):
+        p = Phasor(10.0, 0.0, 50.0)
+        assert p.value == 10.0 + 0.0j
+        assert p.omega == pytest.approx(2 * math.pi * 50)
+
+    def test_phase_normalized(self):
+        p = Phasor(1.0, 3 * math.pi, 50.0)
+        assert -math.pi < p.phase <= math.pi
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            Phasor(-1.0, 0.0, 50.0)
+        with pytest.raises(ValueError):
+            Phasor(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("amplitude", (math.nan, 0.0, 50.0)),
+            ("amplitude", (math.inf, 0.0, 50.0)),
+            ("phase", (10.0, math.nan, 50.0)),
+            ("phase", (10.0, -math.inf, 50.0)),
+            ("frequency", (10.0, 0.0, math.nan)),
+            ("frequency", (10.0, 0.0, math.inf)),
+        ],
+    )
+    def test_non_finite_rejected(self, field, values):
+        # a NaN amplitude would otherwise run to a NaN TVE on every trial
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+            Phasor(*values)
+
+    @given(st.floats(-100, 100))
+    def test_wrap_phase_range(self, phi):
+        w = wrap_phase(phi)
+        assert -math.pi < w <= math.pi
+        # wrapping preserves the angle modulo 2*pi
+        assert math.isclose(math.cos(w), math.cos(phi), abs_tol=1e-9)
+        assert math.isclose(math.sin(w), math.sin(phi), abs_tol=1e-9)
+
+
+def sampled(phasor, start=0.0, ratio=1.0, rate=5000.0, period=1.0):
+    """``phasor`` sampled at ``start + n*R/rate`` by the forward chain with an identity chain."""
+    samples = round(rate * period)
+    a, b = _table_shape(samples)
+    values, _ = _acquire_rows(
+        _row_tables(phasor, 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples), identity_chain(),
+        samples, [None], np.empty((1, a * b)),
+    )
+    return values[0]
+
+
+class TestSynthesize:
+    """The sinusoid the forward chain samples, through an identity chain."""
+
+    def test_ideal_sampling(self):
+        values = sampled(Phasor(10.0, 0.0, 50.0))
+        n = np.arange(5000)
+        assert np.allclose(values, 10 * np.cos(2 * math.pi * 50 * n * 200e-6))
+        assert values[0] == pytest.approx(10.0)
+
+    def test_quadrature_first_sample(self):
+        assert sampled(Phasor(1.0, math.pi / 2, 50.0))[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_delayed_first_sample(self):
+        first = sampled(Phasor(1.0, 0.0, 50.0), start=7.93e-6, ratio=1.0 + 16e-6)[0]
+        assert first == pytest.approx(math.cos(2 * math.pi * 50 * 7.93e-6))
+        assert first == pytest.approx(0.99999690, abs=1e-8)
+
+    @given(st.floats(0.1, 10.0))
+    def test_linearity(self, alpha):
+        a = sampled(Phasor(1.0, 0.3, 50.0), rate=1000.0, period=0.1)
+        b = sampled(Phasor(alpha, 0.3, 50.0), rate=1000.0, period=0.1)
+        assert np.allclose(b, alpha * a)
+
+
+def static_response(magnitude, phase):
+    """The response of a chain whose AAF gain and phase make ``magnitude*exp(1j*phase)``."""
+    chain = ChainModel(
+        aaf_gain_ppm=GaussianTerm(1e6 * math.log(magnitude)),
+        aaf_phase_urad=GaussianTerm(1e6 * phase),
+    )
+    return expected_response(chain, 2 * math.pi * 50, 0.0)
+
+
+def factor(resp):
+    return cmath.exp(complex(resp.log_magnitude, resp.phase))
+
+
+class TestCompensate:
+    """A measured phasor times ``compensation`` (K = 1/Lambda) is the reference."""
+
+    def test_exact_inverse(self):
+        lam = static_response(0.9955, -6.9e-3)
+        x = 10 * cmath.exp(1j * 0.3)
+        out = factor(lam) * x * lam.compensation
+        assert abs(out - x) / abs(x) < 1e-12
+        assert abs(out) - abs(x) == pytest.approx(0.0, abs=1e-11)
+        assert wrap_phase(cmath.phase(out) - cmath.phase(x)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_residual_gain_error(self):
+        # compensator off by +134 ppm in magnitude leaves 134 ppm TVE
+        believed = static_response(math.exp(-134e-6), 0.0)
+        out = (1 + 0j) * believed.compensation
+        assert tve(out, 1 + 0j) == pytest.approx(134e-6, rel=1e-3)
+
+    def test_time_dependent_phase(self):
+        # a time-base-only chain: the phase ramps as omega*e_r*t, -5.03 mrad at 1 s
+        omega = 2 * math.pi * 50
+        chain = ChainModel(timebase=TimebaseModel(-5.03e-3 / omega * 1e6, 0.0))
+        lam = expected_response(chain, omega, 0.5)
+        z = cmath.exp(1j * -5.03e-3 * 0.5)
+        assert tve(z * lam.compensation, 1 + 0j) < 1e-12
+
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(-3.0, 3.0),
+        st.floats(0.1, 20.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_exactness_property(self, lam_mag, lam_phase, amp, phase):
+        lam = static_response(lam_mag, lam_phase)
+        x = amp * cmath.exp(1j * phase)
+        out = factor(lam) * x * lam.compensation
+        assert abs(out - x) / abs(x) < 1e-12

@@ -160,6 +160,11 @@ class TestOneCounter:
         with pytest.raises(ValueError, match="known_base \\* nominal_period must be > 1"):
             one_counter_estimate([2000], known_base, 2e-5)
 
+    def test_rejects_overflowed_reference_periods(self):
+        # 1e300 * 1e10 is inf, which the > 1 check alone would accept as a zero error
+        with pytest.raises(ValueError, match="^known_base \\* nominal_period must be finite, got inf$"):
+            one_counter_estimate([2000, 2001], 1e300, 1e10)
+
 
 class TestDelayStatistics:
     def test_constant(self):

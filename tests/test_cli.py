@@ -504,6 +504,19 @@ class TestCharacterize:
         )
         assert not out.exists()
 
+    def test_overflowed_reference_periods_exit(self, tmp_path, capsys):
+        # 1e300 / 1e-10 reference periods overflow to inf, which would read as a zero error
+        csv = tmp_path / "c.csv"
+        csv.write_text("count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n")
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--known-base-hz", "1e300", "--nominal-rate-hz", "1e-10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --known-base-hz and --nominal-rate-hz: known_base * nominal_period must be "
+            "finite, got inf\n"
+        )
+        assert not out.exists()
+
     def test_schema_mismatch_exit(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("foo,bar\n1,2\n")

@@ -174,6 +174,14 @@ def test_submodule_public_names_resolve(module):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+def test_test_modules_follow_the_submodules():
+    # a module's tests live in tests/test_<module>.py; a folded module takes its tests along
+    submodules = {m.name for m in pkgutil.iter_modules(sbcpmu.__path__)}
+    cross_cutting = {"acceptance", "imports", "readme"}
+    names = {p.stem.removeprefix("test_") for p in Path(__file__).parent.glob("test_*.py")}
+    assert sorted(names - submodules - cross_cutting) == []
+
+
 @pytest.mark.parametrize("source", ["sbcpmu.cli", "sbcpmu.mc"])
 def test_a_wrapper_set_on_cli_is_what_the_command_calls(tmp_path, source):
     # an instrumenting wrapper replaces a name where sbcpmu.cli looks it up;

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import platform
@@ -30,12 +31,15 @@ from sbcpmu import mc
 from sbcpmu.errors import ConfigError, EstimationError, ScheduleGuardError
 from sbcpmu.mc import (
     BLOCK_TRIALS,
+    _FourierPlan,
     _workers,
     DEFAULT_COVERAGE_FACTOR,
     McScenario,
+    fe,
     model_curve,
     monte_carlo,
     run_trial,
+    tve,
     write_run,
 )
 
@@ -749,3 +753,171 @@ class TestWriteRun:
             assert (tmp_path / "a" / fname).read_bytes() == (
                 tmp_path / "b" / fname
             ).read_bytes()
+
+
+def envelope(phasor=Phasor(10.0, 0.0, 50.0), chain=None, **scenario):
+    """One trial's envelope times and values, on a chain with nothing random (identity by default)."""
+    chain = identity_chain() if chain is None else chain
+    times, _, env, _, _ = run_trial(McScenario(chain=chain, phasor=phasor, trials=1, **scenario), 0)
+    return times, env
+
+
+class TestFourierPlanGrid:
+    """The plan is built from the grid n*T_s alone: sample count, sample period and frequency."""
+
+    # n_win, times[0] (as float.hex) and times.size at (rate, frequency), pinned
+    # to the values of the plan built from timestamps and their median step
+    @pytest.mark.parametrize(
+        "rate, frequency, n_win, first, windows",
+        [
+            (5000.0, 50.0, 100, "0x1.47ae147ae147bp-7", 4900),
+            (4000.0, 60.0, 67, "0x1.1111111111111p-7", 3933),
+            (10000.0, 50.0, 200, "0x1.47ae147ae147bp-7", 9800),
+            (50000.0, 50.0, 1000, "0x1.47ae147ae147bp-7", 49000),
+        ],
+    )
+    def test_grid(self, rate, frequency, n_win, first, windows):
+        plan = _FourierPlan.build(round(rate), 1.0 / rate, frequency, 1.0)
+        assert (plan.n_win, plan.times[0].hex(), plan.times.size) == (n_win, first, windows)
+        assert plan.weights.size == round(rate) - 1
+
+    @pytest.mark.parametrize("rate, n_win", [(5025.0, 101), (5075.0, 102), (4975.0, 100)])
+    def test_half_integer_ratio_rounds_up(self, rate, n_win):
+        # 100.5, 101.5 and 99.5 samples per 50 Hz cycle
+        assert _FourierPlan.build(round(rate), 1.0 / rate, 50.0, 1.0).n_win == n_win
+
+
+class TestFourierPlanRows:
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_row_prefix_sums_equal_2d_cumsum(self, rows):
+        samples = 5000
+        plan = _FourierPlan.build(samples, 2e-4, 50.0, 1.0)
+        values = np.random.default_rng(rows).normal(size=(rows, samples))
+        demod = np.empty((rows, samples), dtype=complex)
+        got = plan.rows(values, demod, np.empty_like(demod))
+        # the estimator with one 2-D cumsum along the rows
+        csum = np.zeros_like(demod)
+        np.cumsum(values[:, :-1] * plan.weights, axis=1, out=csum[:, 1:])
+        windows, n_win = plan.times.size, plan.n_win
+        want = csum[:, n_win : windows + n_win] - csum[:, :windows]
+        assert got.tobytes() == want.tobytes()
+
+
+class TestFourierPhasor:
+    def test_pure_tone(self):
+        _, env = envelope()
+        assert np.allclose(np.abs(env), 10.0, rtol=1e-6)
+        assert np.allclose(np.angle(env), 0.0, atol=1e-6)
+
+    def test_round_trip_arbitrary_phasor(self):
+        p = Phasor(3.7, -1.2, 50.0)
+        _, env = envelope(p)
+        assert np.allclose(np.abs(env), p.amplitude, rtol=1e-6)
+        assert np.allclose(np.angle(env), p.phase, atol=1e-6)
+
+    def test_dc_rejection(self):
+        # a 1 V offset through an ideal ADC
+        _, a = envelope()
+        _, b = envelope(chain=ChainModel(adc_offset_uv=GaussianTerm(1e6)))
+        assert np.max(np.abs(a - b)) / 10.0 < 1e-9
+
+    def test_phase_ramp_from_deviation(self):
+        # e_R = -16 ppm ramps the envelope phase at omega*e_R per second;
+        # the last full window of the interval sits at its center time
+        times, env = envelope(Phasor(1.0, 0.0, 50.0), ChainModel(timebase=TimebaseModel(-16.0, 0.0)))
+        slope = 2 * np.pi * 50 * -16e-6
+        assert np.angle(env[-1]) == pytest.approx(slope * times[-1], rel=0.01)
+        # extrapolated to a full second this is the -5.03 mrad figure
+        assert slope == pytest.approx(-5.03e-3, rel=0.01)
+
+    def test_window_center_timestamps(self):
+        times, _ = envelope()
+        assert times[0] == pytest.approx(0.01)
+
+    def test_discretization_bound(self):
+        # rectangular-rule amplitude error <= (pi*f/F_s)^2/6 on a pure tone
+        for rate in (5e3, 10e3, 50e3):
+            _, env = envelope(nominal_rate=rate)
+            err = np.max(np.abs(np.abs(env) - 10.0)) / 10.0
+            assert err <= (math.pi * 50 / rate) ** 2 / 6 + 1e-12
+
+    def test_unresolvable_window(self):
+        with pytest.raises(EstimationError, match="unresolvable"):
+            envelope(nominal_rate=400.0)  # 8 samples per cycle
+
+    def test_too_short(self):
+        with pytest.raises(EstimationError, match="less than one estimation window"):
+            envelope(pps_period=0.01)
+
+
+class TestTve:
+    def test_zero(self):
+        assert tve(10 + 0j, 10 + 0j) == 0.0
+
+    def test_pure_phase_1_percent(self):
+        assert tve(cmath.exp(1j * 10e-3), 1 + 0j) == pytest.approx(1e-2, rel=1e-4)
+
+    def test_table_means_at_reset(self):
+        z = cmath.exp(complex(-0.0044688, -0.0069204))
+        assert tve(z, 1 + 0j) == pytest.approx(0.0082, abs=1e-4)
+
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ValueError):
+            tve(1 + 0j, 0j)
+
+    @given(st.complex_numbers(max_magnitude=10), st.complex_numbers(min_magnitude=0.1, max_magnitude=10))
+    def test_conjugation_symmetry(self, m, r):
+        assert tve(np.conj(m), np.conj(r)) == pytest.approx(tve(m, r), rel=1e-12, abs=1e-12)
+
+    @given(st.floats(-1e-2, 1e-2), st.floats(-1e-2, 1e-2))
+    def test_small_error_decomposition(self, e_r, e_p):
+        t = tve(cmath.exp(complex(e_r, e_p)), 1 + 0j)
+        assert abs(t - math.hypot(e_r, e_p)) <= 1e-4
+
+
+class TestFe:
+    def test_unity_ratio(self):
+        assert fe(50.0, 1.0) == 0.0
+
+    def test_801_uhz(self):
+        assert fe(50.0, 1 - 16.02e-6) == pytest.approx(801e-6, abs=1e-6)
+
+    def test_sigma_band(self):
+        assert fe(50.0, 1 - 3.67e-6) == pytest.approx(183.5e-6, abs=0.1e-6)
+
+
+class TestSchedule:
+    """The engine's nominal sampling grid and the pulse-count guard."""
+
+    def test_samples_per_interval(self):
+        scenario = McScenario(chain=identity_chain(), phasor=Phasor(10.0, 0.0, 50.0))
+        assert mc._Engine(scenario).samples == 5000
+
+    @staticmethod
+    def engine(e_r_ppm, rate=5000.0):
+        chain = ChainModel(timebase=TimebaseModel(e_r_ppm, 0.0))
+        scenario = McScenario(chain=chain, phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=rate)
+        return mc._Engine(scenario)
+
+    def test_guard_accepts_paper_deviation(self):
+        # |R-1|*N_s = 16e-6*5000 = 0.08 < 1
+        engine = self.engine(-16.0)
+        draws = engine.draw(0, mc._trial_seeds(0, 0, 3))
+        assert draws.guard_margins == pytest.approx([0.08] * 3)
+
+    def test_guard_rejects(self):
+        # 2.5e-5 * 50000 = 1.25 >= 1
+        engine = self.engine(25.0, rate=50000.0)
+        with pytest.raises(ScheduleGuardError) as info:
+            engine.draw(4, mc._trial_seeds(0, 4, 6))
+        assert str(info.value) == (
+            "trial 4 aborted: N_s pulse-count approximation invalid: |R-1|*N_s = 1.25 >= 1 "
+            "(R=1.000025, N_s=50000); draw = {'aaf_gain_ppm': 0.0, 'aaf_phase_urad': 0.0, "
+            "'adc_gain_ppm': 0.0, 'adc_offset_uv': 0.0, 'e_r_ppm': 25.0, 'delay_us': 0.0}"
+        )
+
+    def test_nominal_instants_uniform(self):
+        # the device labels its samples n*T_s whatever its deviation ratio R
+        chain = ChainModel(timebase=TimebaseModel(10.0, 0.0))
+        times = run_trial(McScenario(chain=chain, phasor=Phasor(1.0, 0.0, 50.0), trials=1), 0)[0]
+        assert np.allclose(np.diff(times), 2e-4)
