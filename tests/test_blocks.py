@@ -732,82 +732,6 @@ class TestNonFiniteParameters:
         assert PllDelayModel(min=0.0, max=INF, mean=1e-5, std=1e-6).max == INF
 
 
-class TestPhasor:
-    def test_value(self):
-        p = Phasor(10.0, 0.0, 50.0)
-        assert p.value == 10.0 + 0.0j
-        assert p.omega == pytest.approx(2 * math.pi * 50)
-
-    def test_phase_normalized(self):
-        p = Phasor(1.0, 3 * math.pi, 50.0)
-        assert -math.pi < p.phase <= math.pi
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Phasor(-1.0, 0.0, 50.0)
-        with pytest.raises(ValueError):
-            Phasor(1.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "field, values",
-        [
-            ("amplitude", (math.nan, 0.0, 50.0)),
-            ("amplitude", (math.inf, 0.0, 50.0)),
-            ("phase", (10.0, math.nan, 50.0)),
-            ("phase", (10.0, -math.inf, 50.0)),
-            ("frequency", (10.0, 0.0, math.nan)),
-            ("frequency", (10.0, 0.0, math.inf)),
-        ],
-    )
-    def test_non_finite_rejected(self, field, values):
-        # a NaN amplitude would otherwise run to a NaN TVE on every trial
-        with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
-            Phasor(*values)
-
-    @given(st.floats(-100, 100))
-    def test_wrap_phase_range(self, phi):
-        w = wrap_phase(phi)
-        assert -math.pi < w <= math.pi
-        # wrapping preserves the angle modulo 2*pi
-        assert math.isclose(math.cos(w), math.cos(phi), abs_tol=1e-9)
-        assert math.isclose(math.sin(w), math.sin(phi), abs_tol=1e-9)
-
-
-def sampled(phasor, start=0.0, ratio=1.0, rate=5000.0, period=1.0):
-    """``phasor`` sampled at ``start + n*R/rate`` by the forward chain with an identity chain."""
-    samples = round(rate * period)
-    a, b = _table_shape(samples)
-    values, _ = _acquire_rows(
-        _row_tables(phasor, 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples), identity_chain(),
-        samples, [None], np.empty((1, a * b)),
-    )
-    return values[0]
-
-
-class TestSynthesize:
-    """The sinusoid the forward chain samples, through an identity chain."""
-
-    def test_ideal_sampling(self):
-        values = sampled(Phasor(10.0, 0.0, 50.0))
-        n = np.arange(5000)
-        assert np.allclose(values, 10 * np.cos(2 * math.pi * 50 * n * 200e-6))
-        assert values[0] == pytest.approx(10.0)
-
-    def test_quadrature_first_sample(self):
-        assert sampled(Phasor(1.0, math.pi / 2, 50.0))[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_delayed_first_sample(self):
-        first = sampled(Phasor(1.0, 0.0, 50.0), start=7.93e-6, ratio=1.0 + 16e-6)[0]
-        assert first == pytest.approx(math.cos(2 * math.pi * 50 * 7.93e-6))
-        assert first == pytest.approx(0.99999690, abs=1e-8)
-
-    @given(st.floats(0.1, 10.0))
-    def test_linearity(self, alpha):
-        a = sampled(Phasor(1.0, 0.3, 50.0), rate=1000.0, period=0.1)
-        b = sampled(Phasor(alpha, 0.3, 50.0), rate=1000.0, period=0.1)
-        assert np.allclose(b, alpha * a)
-
-
 def static_response(magnitude, phase):
     """The response of a chain whose AAF gain and phase make ``magnitude*exp(1j*phase)``."""
     chain = ChainModel(

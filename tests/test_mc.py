@@ -885,39 +885,3 @@ class TestFe:
     def test_sigma_band(self):
         assert fe(50.0, 1 - 3.67e-6) == pytest.approx(183.5e-6, abs=0.1e-6)
 
-
-class TestSchedule:
-    """The engine's nominal sampling grid and the pulse-count guard."""
-
-    def test_samples_per_interval(self):
-        scenario = McScenario(chain=identity_chain(), phasor=Phasor(10.0, 0.0, 50.0))
-        assert mc._Engine(scenario).samples == 5000
-
-    @staticmethod
-    def engine(e_r_ppm, rate=5000.0):
-        chain = ChainModel(timebase=TimebaseModel(e_r_ppm, 0.0))
-        scenario = McScenario(chain=chain, phasor=Phasor(10.0, 0.0, 50.0), nominal_rate=rate)
-        return mc._Engine(scenario)
-
-    def test_guard_accepts_paper_deviation(self):
-        # |R-1|*N_s = 16e-6*5000 = 0.08 < 1
-        engine = self.engine(-16.0)
-        draws = engine.draw(0, mc._trial_seeds(0, 0, 3))
-        assert draws.guard_margins == pytest.approx([0.08] * 3)
-
-    def test_guard_rejects(self):
-        # 2.5e-5 * 50000 = 1.25 >= 1
-        engine = self.engine(25.0, rate=50000.0)
-        with pytest.raises(ScheduleGuardError) as info:
-            engine.draw(4, mc._trial_seeds(0, 4, 6))
-        assert str(info.value) == (
-            "trial 4 aborted: N_s pulse-count approximation invalid: |R-1|*N_s = 1.25 >= 1 "
-            "(R=1.000025, N_s=50000); draw = {'aaf_gain_ppm': 0.0, 'aaf_phase_urad': 0.0, "
-            "'adc_gain_ppm': 0.0, 'adc_offset_uv': 0.0, 'e_r_ppm': 25.0, 'delay_us': 0.0}"
-        )
-
-    def test_nominal_instants_uniform(self):
-        # the device labels its samples n*T_s whatever its deviation ratio R
-        chain = ChainModel(timebase=TimebaseModel(10.0, 0.0))
-        times = run_trial(McScenario(chain=chain, phasor=Phasor(1.0, 0.0, 50.0), trials=1), 0)[0]
-        assert np.allclose(np.diff(times), 2e-4)
