@@ -359,10 +359,15 @@ def variance_decomposition(
 # its cell unchanged).  ``loadtxt`` cuts a label longer than its cell silently,
 # so while a label fills its cell the file is parsed again, with cells as wide
 # as its longest line (only a quoted label spanning lines fills those) or twice
-# as wide as before.  Groups come in order of first appearance and keep the
-# rows' file order, so every downstream sum adds its terms in file order.
-# Errors are found on whole columns; only then is the file read again, row by
-# row, for the line number.
+# as wide as before.  The characterization procedures write each group (one
+# channel's sweep, one board's capture at one temperature, one stress profile)
+# as a block of rows, so groups are found from runs of equal labels: one pass
+# over the label columns finds where each run starts, and only the first row of
+# each run is factorized.  A group of one run is a slice of the table; the rows
+# of a group spread over several runs are gathered from its runs.  Groups come
+# in order of first appearance and keep the rows' file order, so every
+# downstream sum adds its terms in file order.  Errors are found on whole
+# columns; only then is the file read again, row by row, for the line number.
 
 _LABEL_BYTES = 8
 
@@ -428,7 +433,9 @@ def _read_table(path, index: dict, cr: bool, numbers: Sequence[str], labels: Seq
             except ValueError as exc:
                 # loadtxt's own row numbers start at 0 or 1 by error
                 raise _unreadable(path, index, names, numbers) or ConfigError(f"{path}: {exc}") from exc
-        if not any((np.char.str_len(table[n]) == width).any() for n in labels):
+        # a label fills its cell when the cell's last byte is not NUL (the file holds none)
+        cells = table.view(np.uint8).reshape(table.size, table.itemsize)
+        if not any(cells[:, table.dtype.fields[n][1] + width - 1].any() for n in labels):
             break
         with _raw_text(path) as fh:
             width = max(2 * width, max(map(len, fh)))
@@ -479,12 +486,27 @@ def _check(path, name: str, ok: np.ndarray, what: str, cells: np.ndarray) -> Non
         raise _bad_cell(path, _row_line(path, row), name, what, cell)
 
 
+def _runs(*labels: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of rows with equal labels: run ``r`` holds rows ``bounds[r]:bounds[r + 1]``."""
+    size = labels[0].size
+    new = np.zeros(size + 1, dtype=bool)  # row i starts a run; the last entry ends the table
+    new[0] = new[size] = True
+    for cells in labels:
+        keys = cells.view(np.uint64) if cells.dtype == "S8" else cells  # these compare faster
+        new[1:size] |= keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
 def _factorize(values: np.ndarray):
-    """Codes numbering the distinct values in order of first appearance, and those values (bytes decoded)."""
+    """Codes numbering the distinct values in order of first appearance, and those values (bytes decoded).
+
+    The codes take the narrowest unsigned type that holds them: numpy sorts
+    those of 16 bits or fewer by radix.
+    """
     keys = values.view(np.uint64) if values.dtype == "S8" else values  # these sort faster
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
+    rank = np.empty(order.size, dtype=np.min_scalar_type(order.size))
     rank[order] = np.arange(order.size)
     distinct = values[first[order]].tolist()
     if values.dtype.kind == "S":
@@ -492,18 +514,39 @@ def _factorize(values: np.ndarray):
     return rank[inverse.ravel()], distinct
 
 
-def _group(*factors) -> dict:
-    """Row indexes per distinct tuple of labels, in order of first appearance.
+def _group(bounds: np.ndarray, *codes: np.ndarray) -> list:
+    """(first run, rows) of each distinct tuple of ``codes``, in order of first appearance.
 
-    Each factor is a ``(codes, labels)`` pair as ``_factorize`` returns it.
-    Each group's row indexes are in file order.
+    ``bounds`` are the runs of a table as ``_runs`` gives them, and each of
+    ``codes`` numbers one label of every run.  ``rows`` indexes the group's
+    rows in file order: a slice for a group of one run, else an array.
     """
-    code = np.zeros_like(factors[0][0])
-    for codes, labels in factors:
-        code = code * len(labels) + codes
-    group, _ = _factorize(code)
-    groups = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-    return {tuple(labels[codes[rows[0]]] for codes, labels in factors): rows for rows in groups}
+    code = np.zeros(bounds.size - 1, dtype=np.intp)
+    for more in codes:
+        code = code * (int(more.max()) + 1) + more
+    group, _ = _factorize(code.astype(np.min_scalar_type(code.max())))
+    del code
+    runs = np.bincount(group)
+    order = np.argsort(group, kind="stable")  # each group's runs in file order
+    first = order[np.cumsum(runs) - runs].tolist()
+    # the runs of the groups of several runs, expanded to their rows.  The
+    # dels matter where runs are short: then each array is as long as the table.
+    spread = order[np.repeat(runs > 1, runs)]
+    del group, order
+    begin = bounds[spread]
+    spans = bounds[spread + 1] - begin
+    del spread
+    ends = np.cumsum(spans)
+    begin -= ends - spans  # a run's first row, less the place of that row in `rows`
+    rows = np.repeat(begin, spans)
+    del begin, spans
+    rows += np.arange(rows.size)
+    # one piece per group of several runs, cut after the group's last run
+    pieces = iter(np.split(rows, ends[np.cumsum(runs[runs > 1])[:-1] - 1]))
+    return [
+        (run, next(pieces) if count > 1 else slice(int(bounds[run]), int(bounds[run + 1])))
+        for run, count in zip(first, runs.tolist())
+    ]
 
 
 def read_sweep_csv(path) -> dict:
@@ -516,9 +559,12 @@ def read_sweep_csv(path) -> dict:
     cols = _read_table(path, index, cr, ["v_in", "v_out"], ["device", "channel"])
     for name in ("v_in", "v_out"):
         _check(path, name, np.isfinite(cols[name]), "a finite number", cols[name])
+    bounds = _runs(cols["device"], cols["channel"])
+    device_code, devices = _factorize(cols["device"][bounds[:-1]])
+    channel_code, channels = _factorize(cols["channel"][bounds[:-1]])
     out = {}
-    groups = _group(_factorize(cols["device"]), _factorize(cols["channel"]))
-    for (device, channel), rows in groups.items():
+    for run, rows in _group(bounds, device_code, channel_code):
+        device, channel = devices[device_code[run]], channels[channel_code[run]]
         try:
             out[device, channel] = SweepRecord(cols["v_in"][rows], cols["v_out"][rows])
         except ValueError as exc:
@@ -526,9 +572,12 @@ def read_sweep_csv(path) -> dict:
     return out
 
 
-def _temperatures(path, cells: np.ndarray):
-    """``_factorize`` of a temperature column, with the value of each spelling (blank: None)."""
-    codes, spellings = _factorize(cells)
+def _temperatures(path, cells: np.ndarray, bounds: np.ndarray):
+    """``_factorize`` of the temperature cells that start the runs ``bounds``, and each spelling's value.
+
+    A blank cell's value is None.
+    """
+    codes, spellings = _factorize(cells[bounds[:-1]])
     values = []
     for text in spellings:
         try:
@@ -536,7 +585,8 @@ def _temperatures(path, cells: np.ndarray):
         except ValueError:
             values.append(math.nan)
     ok = np.array([v is None or math.isfinite(v) for v in values])
-    _check(path, "temperature_c", ok[codes], "a finite number or blank", cells)
+    ok = np.repeat(ok[codes], np.diff(bounds))
+    _check(path, "temperature_c", ok, "a finite number or blank", cells)
     return codes, values
 
 
@@ -548,21 +598,23 @@ def read_counter_csv(path) -> dict:
     float64 array keeps its rows' file order.  A count must be finite and > 0.
     """
     index, cr = _read_header(path, ["count", "device"])
-    cols = _read_table(path, index, cr, ["count"], [c for c in ("device", "temperature_c") if c in index])
+    labels = [c for c in ("device", "temperature_c") if c in index]
+    cols = _read_table(path, index, cr, ["count"], labels)
     counts = cols["count"]
     _check(path, "count", np.isfinite(counts) & (counts > 0), "a finite number > 0", counts)
+    bounds = _runs(*(cols[c] for c in labels))
+    device, devices = _factorize(cols["device"][bounds[:-1]])
     if "temperature_c" in cols:
-        spelling, values = _temperatures(path, cols["temperature_c"])
+        spelling, values = _temperatures(path, cols["temperature_c"], bounds)
     else:
-        spelling, values = np.zeros(counts.size, dtype=np.intp), [None]
+        spelling, values = np.zeros(device.size, dtype=np.intp), [None]
     # spellings of one value ("20", "20.0", and "0" with "-0") are one
     # temperature; a key holds the value its group's first row spells
     ids: dict = {}
     same = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.intp)
-    groups = _group((same[spelling], list(ids)), _factorize(cols["device"]))
     return {
-        (values[spelling[rows[0]]], device): counts[rows]
-        for (_, device), rows in groups.items()
+        (values[spelling[run]], devices[device[run]]): counts[rows]
+        for run, rows in _group(bounds, same[spelling], device)
     }
 
 
@@ -604,7 +656,9 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
     )
     # whole edges, as int() counts them; + 0.0 because int() has no -0.0 for a "-0"
     delay = np.where(use_count, (np.trunc(values) + 0.0) / known_base, values * 1e-6)
-    return {key: delay[rows] for (key,), rows in _group(_factorize(cols["profile"])).items()}
+    bounds = _runs(cols["profile"])
+    profile, profiles = _factorize(cols["profile"][bounds[:-1]])
+    return {profiles[profile[run]]: delay[rows] for run, rows in _group(bounds, profile)}
 
 
 __all__ = [

@@ -580,6 +580,32 @@ class TestCharacterize:
                 "delay_us,profile\n6.5,idle\n7.25,idle\n4.0,cpu\n",
                 "profile 'cpu': need at least 2 samples",
             ),
+            # after a run of three rows a bad cell names its own line, not its run's
+            (
+                "sweep",
+                "v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0,dev0\n2,2,ch0,dev0\n0,inf,ch1,dev0\n",
+                "line 5: v_out must be a finite number, got inf",
+            ),
+            (
+                "counter",
+                "count,device,temperature_c\n2000,B0,20\n2000,B0,20\n2000,B0,20\n2000,B0,abc\n",
+                "line 5: temperature_c must be a finite number or blank, got 'abc'",
+            ),
+            (
+                "counter",
+                "count,device,temperature_c\n2000,B0,20\n2000,B0,20\n2000,B0,20\n-5,B1,20\n",
+                "line 5: count must be a finite number > 0, got -5.0",
+            ),
+            (
+                "delay",
+                "delay_us,profile\n6.5,idle\n7.25,idle\n6.75,idle\ninf,cpu\n",
+                "line 5: delay_us must be a finite number, got inf",
+            ),
+            (
+                "delay",
+                "count,delay_us,profile\n659,,idle\n659,,idle\n659,,idle\n-659,,cpu\n",
+                "line 5: count must be a finite number >= 0, got -659.0",
+            ),
         ],
     )
     def test_malformed_csv_exit(self, tmp_path, capsys, kind, text, message):

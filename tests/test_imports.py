@@ -105,6 +105,26 @@ def test_characterize_delay_loads_no_numpy_ma(tmp_path):
     assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]}
 
 
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("sweep", "v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n"),
+        ("counter", "count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n"),
+        ("delay", "delay_us,profile\n6.5,idle\n7.25,idle\n"),
+    ],
+)
+def test_characterize_loads_no_numpy_char(tmp_path, kind, text):
+    # the readers tell a label that fills its cell by the cell's last byte;
+    # np.char.str_len would import numpy.char (about 2 ms of a CLI process)
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    loaded = modules_after_main(
+        "characterize", kind, "--input", path, "--output", tmp_path / "frag.json"
+    )
+    assert "sbcpmu.characterize" in loaded
+    assert not loaded & {"numpy.char", "numpy._core.defchararray"}
+
+
 def test_profile_show_loads_no_mc():
     loaded = modules_after_main("profile", "show", "paper")
     assert "sbcpmu.blocks" in loaded
