@@ -378,30 +378,31 @@ class PllDelayModel:
         return _truncated_normal_bounds(self)
 
 
-def pll_sample(model: PllDelayModel, rng: np.random.Generator, size=None):
-    """Draw synchronization delays from the model (seconds)."""
+_STANDARD_NORMAL = NormalDist()
+# inv_cdf needs 0 < p < 1; rounding in rng.uniform can land on either end
+_P_OPEN = (math.ulp(0.0), 1.0 - 2.0**-53)
+
+
+def pll_sample(model: PllDelayModel, rng: np.random.Generator) -> float:
+    """Draw one synchronization delay from the model (seconds)."""
     if model.family == "empirical-histogram":
         edges, cdf = model._draw_constants
-        # the bin rng.choice(cdf.size, size=size, p=p) draws, without re-checking p
-        idx = cdf.searchsorted(rng.random(size), side="right")
+        # the bin rng.choice(cdf.size, p=p) draws, without re-checking p
+        idx = cdf.searchsorted(rng.random(), side="right")
         lo, hi = edges[idx], edges[idx + 1]
-        return lo + rng.uniform(0.0, 1.0, size=size) * (hi - lo)
+        return lo + rng.uniform(0.0, 1.0) * (hi - lo)
     if model.degenerate:
-        if size is None:
-            return model.mean
-        return np.full(size, model.mean)
+        return model.mean
     if model.family == "shifted-gamma":
         span = model.mean - model.min
         shape = (span / model.std) ** 2
         scale = model.std**2 / span
-        draws = model.min + rng.gamma(shape, scale, size=size)
-        return np.minimum(draws, model.max) if math.isfinite(model.max) else draws
-    return _truncated_normal_sample(model, rng, size)
-
-
-_STANDARD_NORMAL = NormalDist()
-# inv_cdf needs 0 < p < 1; rounding in rng.uniform can land on either end
-_P_OPEN = (math.ulp(0.0), 1.0 - 2.0**-53)
+        return min(model.min + rng.gamma(shape, scale), model.max)
+    # truncated-normal: an inverse-CDF draw; min/max give np.clip's values without its per-call cost
+    p_lo, p_hi, sign = model._draw_constants
+    u = min(max(float(rng.uniform(p_lo, p_hi)), _P_OPEN[0]), _P_OPEN[1])
+    z = _STANDARD_NORMAL.inv_cdf(u)
+    return float(min(max(model.mean + sign * model.std * z, model.min), model.max))
 
 
 def _truncated_normal_bounds(model: PllDelayModel):
@@ -420,18 +421,6 @@ def _truncated_normal_bounds(model: PllDelayModel):
         a, b, sign = -b, -a, -1.0
     p_lo, p_hi = (0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (a, b))
     return p_lo, p_hi, sign
-
-
-def _truncated_normal_sample(model: PllDelayModel, rng: np.random.Generator, size):
-    """Inverse-CDF draws of the normal(mean, std) restricted to [min, max]."""
-    p_lo, p_hi, sign = model._draw_constants
-    if size is None:  # min/max give np.clip's values without its per-call cost
-        u = min(max(float(rng.uniform(p_lo, p_hi)), _P_OPEN[0]), _P_OPEN[1])
-        z = _STANDARD_NORMAL.inv_cdf(u)
-        return float(min(max(model.mean + sign * model.std * z, model.min), model.max))
-    u = np.clip(rng.uniform(p_lo, p_hi, size=size), *_P_OPEN)
-    z = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(u)
-    return np.clip(model.mean + sign * model.std * z, model.min, model.max)
 
 
 def _truncated_normal_moments(model: PllDelayModel) -> tuple:

@@ -49,7 +49,7 @@ _LAZY = {
         "delay_statistics", "ols_fit", "one_counter_estimate",
         "read_counter_csv", "read_delay_csv", "read_sweep_csv", "variance_decomposition",
     ),
-    "mc": ("McScenario", "monte_carlo", "write_run"),
+    "mc": ("DEFAULT_COVERAGE_FACTOR", "McScenario", "monte_carlo", "write_run"),
 }
 _SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -82,60 +82,73 @@ EXIT_IO = 4
 # ---------------------------------------------------------------------------
 
 
-def scenario_from_json(raw) -> dict:
+def _positive_float(value, path: str) -> float:
+    return float(positive(value, path))
+
+
+def _float_or_null(value, path: str):
+    return None if number(value, path, null=True) is None else float(value)
+
+
+def _on_off(value, path: str) -> str:
+    if value not in ("on", "off"):
+        raise ConfigError(f"{path}: expected 'on' or 'off', got {value!r}")
+    return value
+
+
+_TEXT, _REQUIRED = partial(of_type, kind=str), object()
+# The scenario format: each key's dotted path, with the check that returns its
+# normalized value and its default (_REQUIRED: none, the key must be given).
+# A ``simulate`` flag's dest is the path whose value it replaces.
+_SCENARIO = {
+    "chain_profile": (_TEXT, _REQUIRED),
+    "signal.amplitude_v": (_positive_float, _REQUIRED),
+    "signal.frequency_hz": (_positive_float, _REQUIRED),
+    "schedule.rate_hz": (_positive_float, _REQUIRED),
+    "schedule.pps_period_s": (_positive_float, 1.0),
+    "run.trials": (partial(integer, low=1), _REQUIRED),
+    "run.seed": (partial(integer, low=0), _REQUIRED),
+    "run.duration_s": (_positive_float, 30.0),
+    "run.channels": (partial(integer, low=1), 8),
+    "compensation": (_on_off, "off"),
+    "temperature_c": (_float_or_null, None),
+    "output_dir": (_TEXT, "run"),
+}
+
+
+def scenario_from_json(raw, flags=None, where: str = "") -> dict:
     """The normalized form of a scenario config: every key, defaults filled in, floats as floats.
 
-    A bad value, a missing required key or an unknown key is a ``ConfigError`` naming its path.
+    ``flags`` maps a dotted path to the value that replaces the config's, or
+    to None; the config's value is checked all the same.  A bad value, a
+    missing required key or an unknown key is a ``ConfigError`` naming its
+    path, prefixed with ``where`` (``"<config file>: "``) unless a flag gave it.
     """
-    raw = of_type(raw, "config", dict)
-    for path in ("chain_profile", "signal.amplitude_v", "signal.frequency_hz",
-                 "schedule.rate_hz", "run.trials", "run.seed"):
-        where, _, key = path.rpartition(".")
-        if key not in (section(raw, where) if where else raw):
-            raise ConfigError(f"{path}: missing")
-    signal, schedule, run = (section(raw, key) for key in ("signal", "schedule", "run"))
-    pps_period_s = float(positive(schedule.get("pps_period_s", 1.0), "schedule.pps_period_s"))
-    duration_s = float(positive(run.get("duration_s", 30.0), "run.duration_s"))
-    if duration_s < pps_period_s:
-        raise ConfigError(f"run.duration_s: expected >= schedule.pps_period_s, got {duration_s}")
-    compensation = raw.get("compensation", "off")
-    if compensation not in ("on", "off"):
-        raise ConfigError(f"compensation: expected 'on' or 'off', got {compensation!r}")
-    temperature_c = number(raw.get("temperature_c"), "temperature_c", null=True)
-    scenario = {
-        "chain_profile": of_type(raw["chain_profile"], "chain_profile", str),
-        "signal": {
-            "amplitude_v": float(positive(signal["amplitude_v"], "signal.amplitude_v")),
-            "frequency_hz": float(positive(signal["frequency_hz"], "signal.frequency_hz")),
-        },
-        "schedule": {
-            "rate_hz": float(positive(schedule["rate_hz"], "schedule.rate_hz")),
-            "pps_period_s": pps_period_s,
-        },
-        "run": {
-            "trials": integer(run["trials"], "run.trials", 1),
-            "seed": integer(run["seed"], "run.seed", 0),
-            "duration_s": duration_s,
-            "channels": integer(run.get("channels", 8), "run.channels", 1),
-        },
-        "compensation": compensation,
-        "temperature_c": None if temperature_c is None else float(temperature_c),
-        "output_dir": of_type(raw.get("output_dir", "run"), "output_dir", str),
-    }
-    reject_unknown_keys(raw, scenario)
-    return scenario
+    raw = of_type(raw, f"{where}config", dict)
+    form: dict = {}
+    for path, (check, default) in _SCENARIO.items():
+        parent, _, key = path.rpartition(".")
+        given = section(raw, parent, where) if parent else raw
+        if default is _REQUIRED and key not in given:
+            raise ConfigError(f"{where}{path}: missing")
+        value = check(given.get(key, default), where + path)
+        if flags and flags.get(path) is not None:
+            value = check(flags[path], path)
+        (form.setdefault(parent, {}) if parent else form)[key] = value
+    duration_s = form["run"]["duration_s"]
+    if duration_s < form["schedule"]["pps_period_s"]:
+        raise ConfigError(f"{where}run.duration_s: expected >= schedule.pps_period_s, got {duration_s}")
+    reject_unknown_keys(raw, form, where)
+    return form
 
 
-def load_scenario_config(path) -> dict:
-    """Read a scenario config; a bad one is a ``ConfigError`` naming the file."""
+def load_scenario_config(path, flags=None) -> dict:
+    """``scenario_from_json`` of a config file; an error in a value from the file names the file."""
     try:
         raw = read_json(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    try:
-        return scenario_from_json(raw)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return scenario_from_json(raw, flags, f"{path}: ")
 
 
 def _resolve_profile(name: str) -> ChainModel:
@@ -156,8 +169,11 @@ def _json_sha256(obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def scenario_hash(scenario: dict) -> str:
-    return _json_sha256(scenario)
+def _write_json(obj, path) -> None:
+    """Write ``obj`` as a run manifest or a fragment is written: indented, keys sorted."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +182,12 @@ def scenario_hash(scenario: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
-    _bind("blocks", "mc")
-    cfg = load_scenario_config(args.config)
-    for obj, key, flag in (
-        (cfg["run"], "trials", args.trials),
-        (cfg["run"], "seed", args.seed),
-        (cfg, "output_dir", args.out),
-        (cfg, "compensation", args.compensate),
-        (cfg, "temperature_c", args.temperature_c),
-    ):
-        if flag is not None:
-            obj[key] = flag
-    cfg = scenario_from_json(cfg)  # a flag is checked as the file is
+    import platform
 
+    import numpy as np
+
+    _bind("blocks", "mc")
+    cfg = load_scenario_config(args.config, vars(args))
     chain = _resolve_profile(cfg["chain_profile"])
     signal, schedule, run = cfg["signal"], cfg["schedule"], cfg["run"]
     scenario = McScenario(
@@ -193,17 +202,37 @@ def cmd_simulate(args) -> int:
         compensate=cfg["compensation"] == "on",
         temperature_c=cfg["temperature_c"],
     )
-    result = monte_carlo(scenario)
-    manifest = {
-        "version": __version__,
-        "seed": run["seed"],
-        "scenario": cfg,
-        "scenario_hash": scenario_hash(cfg),
-        "chain_name": chain.name,
-        # a changed profile under the same name shows as another hash
-        "chain_sha256": _json_sha256(chain_to_json(chain)),
-    }
-    write_run(result, cfg["output_dir"], manifest)
+    try:
+        result = monte_carlo(scenario)
+    except MemoryError as exc:  # numpy refused an array: the grid or the trial count is too large
+        raise ConfigError(f"scenario too large to allocate: {exc}") from exc
+    write_run(result, cfg["output_dir"])
+    # every key here has its check in _MANIFEST
+    _write_json(
+        {
+            "version": __version__,
+            "seed": run["seed"],
+            "scenario": cfg,
+            "scenario_hash": _json_sha256(cfg),
+            "chain_name": chain.name,
+            # a changed profile under the same name shows as another hash
+            "chain_sha256": _json_sha256(chain_to_json(chain)),
+            "compensated": result.compensated,
+            "coverage_factor": DEFAULT_COVERAGE_FACTOR,
+            "fe_hz": result.fe_hz,
+            "grand_mean_tve": result.grand_mean_tve,
+            "max_mean_tve": float(result.mean_tve.max()),  # report's worst point
+            "grand_mean_mag_err": result.grand_mean_mag_err,
+            "grand_mean_phase_err_rad": result.grand_mean_phase_err,
+            "window_gap_s": result.window_gap_s,
+            "trials": result.trials,
+            "saturated_samples": result.saturated_samples,
+            "max_trial_saturated_samples": result.max_trial_saturated_samples,
+            "max_guard_margin": result.max_guard_margin,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        },
+        Path(cfg["output_dir"]) / "manifest.json",
+    )
     print(f"run written to {cfg['output_dir']}")
     print(f"grand mean TVE: {result.grand_mean_tve * 100:.4f} %")
     print(f"FE (expected): {result.fe_hz * 1e6:.1f} uHz")
@@ -416,9 +445,7 @@ def cmd_characterize(args) -> int:
         fragment = _characterize_counter(args.input, args.known_base_hz, args.nominal_rate_hz)
     else:
         fragment = _characterize_delay(args.input, args.known_base_hz)
-    with open(args.output, "w") as fh:
-        json.dump(fragment, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(fragment, args.output)
     if args.merge_into:
         chain = _merged(chain_to_json(load_profile(args.merge_into)), fragment, args.output)
         save_profile(chain, args.merge_into)
@@ -432,13 +459,17 @@ def cmd_characterize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The manifest keys ``report`` prints, in print order, each with the check its value must pass.
-_TEXT, _INT = partial(of_type, kind=str), partial(integer, low=0)
-_REPORT_KEYS = {
+# The manifest format: every key ``simulate`` writes, with the check its value
+# must pass in ``report``; the keys ``report`` prints come first, in print order.
+_INT, _OBJECT = partial(integer, low=0), partial(of_type, kind=dict)
+_MANIFEST = {
     "scenario_hash": _TEXT, "chain_sha256": _TEXT, "seed": _INT, "trials": _INT,
     "compensated": partial(of_type, kind=bool), "saturated_samples": _INT,
     "max_guard_margin": number, "max_trial_saturated_samples": _INT,
     "grand_mean_tve": number, "max_mean_tve": number, "fe_hz": number,
+    "version": _TEXT, "scenario": _OBJECT, "chain_name": _TEXT, "coverage_factor": number,
+    "grand_mean_mag_err": number, "grand_mean_phase_err_rad": number, "window_gap_s": number,
+    "versions": _OBJECT,
 }
 
 
@@ -447,14 +478,12 @@ def cmd_report(args) -> int:
     path = rundir / "manifest.json"
     if not path.exists():
         raise ConfigError(f"{rundir}: missing manifest.json (not a run directory?)")
-    try:  # the manifest alone is read: a key missing or of the wrong JSON type is named
-        manifest = of_type(read_json(path), "manifest", dict)
-        for key, check in _REPORT_KEYS.items():
-            if key not in manifest:
-                raise ConfigError(f"{key}: missing")
-            check(manifest[key], key)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    # the manifest alone is read: a key missing or of the wrong JSON type is named
+    manifest = of_type(read_json(path), f"{path}: manifest", dict)
+    for key, check in _MANIFEST.items():
+        if key not in manifest:
+            raise ConfigError(f"{path}: {key}: missing")
+        check(manifest[key], f"{path}: {key}")
     grand, worst, fe_hz = (manifest[k] for k in ("grand_mean_tve", "max_mean_tve", "fe_hz"))
 
     lines = [
@@ -510,11 +539,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a seeded Monte Carlo scenario")
     sim.add_argument("--config", required=True, help="scenario JSON path")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--out", default=None, help="output run directory")
-    sim.add_argument("--compensate", choices=("on", "off"), default=None)
-    sim.add_argument("--temperature-c", type=float, default=None)
+    # each dest is the scenario path the flag replaces
+    sim.add_argument("--seed", dest="run.seed", type=int)
+    sim.add_argument("--trials", dest="run.trials", type=int)
+    sim.add_argument("--out", dest="output_dir", help="output run directory")
+    sim.add_argument("--compensate", dest="compensation", choices=("on", "off"))
+    sim.add_argument("--temperature-c", dest="temperature_c", type=float)
     sim.set_defaults(func=cmd_simulate)
 
     char = sub.add_parser("characterize", help="ingest characterization CSVs")

@@ -12,11 +12,9 @@ the standard error metrics.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
-import platform
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,9 +153,13 @@ class _FourierPlan:
         if samples <= n_win:  # n_win + 1 samples bound the first window
             raise EstimationError("waveform spans less than one estimation window")
         omega = 2.0 * math.pi * frequency
+        try:
+            steps = np.arange(samples - 1)
+        except ValueError as exc:  # numpy's refusal of a size beyond any index
+            raise MemoryError(f"{samples} samples: {exc}") from exc
         # window j integrates the n_win sample intervals starting at sample j
         return cls(
-            weights=np.exp(-1j * omega * (np.arange(samples - 1) * sample_period))
+            weights=np.exp(-1j * omega * (steps * sample_period))
             * (2.0 * sample_period * frequency / ref),
             n_win=n_win,
             times=np.arange(samples - n_win) * sample_period + 0.5 * t_p,
@@ -772,8 +774,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
 # ---------------------------------------------------------------------------
 
 
-def write_run(result: McResult, outdir, manifest: dict) -> None:
-    """Emit trials.npy, summary.csv and manifest.json into a run directory.
+def write_run(result: McResult, outdir) -> None:
+    """Emit trials.npy and summary.csv into a run directory.
 
     ``trials.npy`` holds ``trial_tve`` as a float64, C-order array of shape
     ``(trials, len(t_in_pps))``: row ``i`` is trial ``i`` and column ``j``
@@ -793,28 +795,6 @@ def write_run(result: McResult, outdir, manifest: dict) -> None:
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write("t_in_pps_s,mean_tve,band_lo,band_hi,model_tve,model_band\n")
         fh.write("".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{f!r}\n" for a, b, c, d, e, f in rows))
-
-    payload = dict(manifest)
-    payload.update(
-        {
-            "compensated": result.compensated,
-            "coverage_factor": DEFAULT_COVERAGE_FACTOR,
-            "fe_hz": result.fe_hz,
-            "grand_mean_tve": result.grand_mean_tve,
-            "max_mean_tve": float(result.mean_tve.max()),  # report's worst point
-            "grand_mean_mag_err": result.grand_mean_mag_err,
-            "grand_mean_phase_err_rad": result.grand_mean_phase_err,
-            "window_gap_s": result.window_gap_s,
-            "trials": result.trials,
-            "saturated_samples": result.saturated_samples,
-            "max_trial_saturated_samples": result.max_trial_saturated_samples,
-            "max_guard_margin": result.max_guard_margin,
-            "versions": {"python": platform.python_version(), "numpy": np.__version__},
-        }
-    )
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 __all__ = [

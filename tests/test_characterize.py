@@ -176,7 +176,8 @@ class TestDelayStatistics:
         from sbcpmu.blocks import PllDelayModel, pll_sample
 
         m = PllDelayModel(min=4.55e-6, max=14.65e-6, mean=6.59e-6, std=1.07e-6)
-        draws = pll_sample(m, np.random.default_rng(7), size=1000)
+        rng = np.random.default_rng(7)
+        draws = [pll_sample(m, rng) for _ in range(1000)]
         s = delay_statistics(draws)
         assert s.mean == pytest.approx(6.59e-6, abs=3 * 1.07e-6 / math.sqrt(1000))
         assert s.minimum >= 4.55e-6

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from sbcpmu.blocks import chain_to_json, paper_profile
+from sbcpmu.blocks import Phasor, chain_to_json, paper_profile
 from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
-from sbcpmu.cli import load_scenario_config, main, scenario_hash
+from sbcpmu.cli import _MANIFEST, _SCENARIO, _json_sha256, build_parser, load_scenario_config, main
+from sbcpmu.mc import McScenario, monte_carlo
 
 
 # a truncated-normal PLL delay whose support lies 100 std above the mean:
@@ -22,12 +24,15 @@ UNORDERED_HISTOGRAM = {
 }
 
 
-# the keys ``report`` reads from a run's manifest.json, with well-formed values
+# the keys ``simulate`` writes to a run's manifest.json, with well-formed values
 RUN_MANIFEST = {
     "scenario_hash": "0123456789abcdef", "chain_sha256": "fedcba9876543210",
     "seed": 7, "trials": 3, "compensated": False, "saturated_samples": 0,
     "max_trial_saturated_samples": 0, "max_guard_margin": 0.25,
     "grand_mean_tve": 0.0023333, "max_mean_tve": 0.004, "fe_hz": 8e-4,
+    "version": "0.1.0", "scenario": {"chain_profile": "paper"}, "chain_name": "sbc-pmu-paper",
+    "coverage_factor": 3.3, "grand_mean_mag_err": 0.0011, "grand_mean_phase_err_rad": 0.0021,
+    "window_gap_s": 0.0102, "versions": {"python": "3.11.7", "numpy": "2.4.6"},
 }
 
 
@@ -45,6 +50,17 @@ def write_config(path, **overrides):
     return cfg
 
 
+def flat(form, prefix=""):
+    """A normalized scenario as {dotted path: value}."""
+    paths = {}
+    for key, value in form.items():
+        if isinstance(value, dict):
+            paths.update(flat(value, f"{prefix}{key}."))
+        else:
+            paths[prefix + key] = value
+    return paths
+
+
 class TestConfig:
     def test_round_trip_idempotent(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -54,7 +70,7 @@ class TestConfig:
         q.write_text(json.dumps(cfg))
         again = load_scenario_config(q)
         assert again == cfg
-        assert scenario_hash(again) == scenario_hash(cfg)
+        assert _json_sha256(again) == _json_sha256(cfg)
 
     def test_normalized_form(self, tmp_path):
         # integers where floats belong and absent defaults give the same form
@@ -93,6 +109,29 @@ class TestConfig:
 
         with pytest.raises(ConfigError, match="compensation"):
             load_scenario_config(p)
+
+    def test_table_is_the_normalized_form(self, tmp_path):
+        # a path of the table missing from the form, or a key the table lacks, fails here
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert sorted(flat(load_scenario_config(p))) == sorted(_SCENARIO)
+
+    @pytest.mark.parametrize(
+        "flag, value, path",
+        [
+            ("--trials", "3", "run.trials"),
+            ("--seed", "11", "run.seed"),
+            ("--out", "elsewhere", "output_dir"),
+            ("--compensate", "on", "compensation"),
+            ("--temperature-c", "35", "temperature_c"),
+        ],
+    )
+    def test_each_flag_replaces_one_row(self, tmp_path, flag, value, path):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        args = build_parser().parse_args(["simulate", "--config", str(p), flag, value])
+        plain, flagged = (flat(load_scenario_config(p, flags)) for flags in (None, vars(args)))
+        assert [key for key in _SCENARIO if plain[key] != flagged[key]] == [path]
 
 
 class TestSimulate:
@@ -192,6 +231,32 @@ class TestSimulate:
             p.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(p), *flags]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "run.trials: expected an integer >= 1, got 0"),
+            (["--temperature-c", "nan"], "temperature_c: expected a finite number, got nan"),
+        ],
+    )
+    def test_flag_error_names_no_file(self, tmp_path, capsys, flags, message):
+        # the value came from the command line, not from the config file
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert main(["simulate", "--config", str(p), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rate_hz", [1e16, 1e20])
+    def test_scenario_too_large_to_allocate_exit(self, tmp_path, capsys, rate_hz):
+        # numpy refuses either grid at once on any host: 71 PiB of sample
+        # indices at 1e16 Hz, and more samples than an index can count at 1e20 Hz
+        p = tmp_path / "cfg.json"
+        write_config(p, schedule={"rate_hz": rate_hz})
+        assert main(["simulate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario too large to allocate: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_integer_beyond_digit_limit_exit(self, tmp_path, capsys):
@@ -342,6 +407,24 @@ class TestSimulate:
         assert manifest["trials"] == 3
         assert manifest["seed"] == 11
         assert manifest["compensated"] is True
+
+    def test_manifest_holds_the_table_keys(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert main(["simulate", "--config", str(p), "--seed", "42"]) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert sorted(manifest) == sorted(_MANIFEST)
+        r = monte_carlo(McScenario(paper_profile(), Phasor(10.0, 0.0, 50.0), trials=2, base_seed=42))
+        assert manifest["seed"] == 42
+        assert manifest["trials"] == 2
+        assert manifest["compensated"] is False
+        assert manifest["saturated_samples"] == 0
+        assert manifest["max_trial_saturated_samples"] == 0
+        assert manifest["max_guard_margin"] == r.max_guard_margin
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
 
 
 class TestCharacterize:
@@ -770,6 +853,22 @@ class TestReport:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {message}\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_unparsable_manifest_names_the_file_once(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("{bad")
+        assert main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 1: ")
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("key", _MANIFEST)
+    def test_manifest_lacking_a_key_exit(self, tmp_path, capsys, key):
+        manifest = {k: v for k, v in RUN_MANIFEST.items() if k != key}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {key}: missing\n"
         assert not (tmp_path / "report.txt").exists()
 
     def test_well_formed_manifest(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import platform
 import sys
 import threading
 import tracemalloc
@@ -716,7 +715,8 @@ class TestMemory:
 class TestWriteRun:
     def test_artifacts(self, tmp_path):
         r = monte_carlo(small_scenario(trials=2))
-        write_run(r, tmp_path / "run", {"seed": 42})
+        write_run(r, tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["summary.csv", "trials.npy"]
         trials = np.load(tmp_path / "run" / "trials.npy", allow_pickle=False)
         assert trials.dtype == np.float64
         assert trials.shape == (2, r.t_in_pps.size)
@@ -726,30 +726,18 @@ class TestWriteRun:
         summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
         assert summary[0] == "t_in_pps_s,mean_tve,band_lo,band_hi,model_tve,model_band"
         assert trials.shape[1] == len(summary) - 1
-        assert not (tmp_path / "run" / "trials.csv").exists()
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["seed"] == 42
-        assert manifest["trials"] == 2
-        assert manifest["compensated"] is False
-        assert manifest["saturated_samples"] == 0
-        assert manifest["max_trial_saturated_samples"] == 0
-        assert manifest["max_guard_margin"] == r.max_guard_margin
-        assert manifest["versions"] == {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        }
 
     def test_columns_follow_summary_times(self, tmp_path):
         r = monte_carlo(small_scenario(trials=2))
-        write_run(r, tmp_path / "run", {})
+        write_run(r, tmp_path / "run")
         summary = np.loadtxt(tmp_path / "run" / "summary.csv", delimiter=",", skiprows=1)
         assert np.array_equal(summary[:, 0], r.t_in_pps)
         assert np.load(tmp_path / "run" / "trials.npy").shape[1] == summary.shape[0]
 
     def test_byte_identical_reruns(self, tmp_path):
         for name in ("a", "b"):
-            write_run(monte_carlo(small_scenario(trials=2)), tmp_path / name, {"seed": 42})
-        for fname in ("trials.npy", "summary.csv", "manifest.json"):
+            write_run(monte_carlo(small_scenario(trials=2)), tmp_path / name)
+        for fname in ("trials.npy", "summary.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == (
                 tmp_path / "b" / fname
             ).read_bytes()
