@@ -215,6 +215,9 @@ class TimebaseModel:
             raise ModelParameterError("temperature grid must be strictly increasing")
         if any(r[2] < 0 for r in rows) or self.overall_std_ppm < 0:
             raise ModelParameterError("stds must be >= 0")
+        for name in ("estimator_std_ppm", "board_std_ppm"):
+            if getattr(self, name) < 0:
+                raise ModelParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "e_r_by_temperature", rows)
 
     def check_temperature(self, temperature: Optional[float]) -> None:
@@ -294,6 +297,8 @@ class PllDelayModel:
             raise ModelParameterError(f"max must be a number or +inf, got {self.max!r}")
         if self.std < 0:
             raise ModelParameterError("std must be >= 0")
+        if self.mode_std is not None and self.mode_std < 0:
+            raise ModelParameterError(f"mode_std must be >= 0, got {_us(self.mode_std)} µs")
         if self.family == "empirical-histogram":
             if self.histogram is None:
                 raise ModelParameterError("empirical-histogram requires bin data")
@@ -309,6 +314,8 @@ class PllDelayModel:
                 raise ModelParameterError(f"histogram bin_edges_us must increase strictly, got {shown}")
             object.__setattr__(self, "histogram", (edges, counts))
             return
+        if self.histogram is not None:
+            raise ModelParameterError(f"a {self.family} delay takes no histogram")
         # messages give times in µs, as profiles write them
         lo, hi, mean = _us(self.min), _us(self.max), _us(self.mean)
         if self.family == "truncated-normal" and self.std > 0:

@@ -189,9 +189,9 @@ class StatSummary:
     qq_deviation: float
 
 
-# np.quantile, np.percentile, np.median and np.unique import numpy.ma (13-15
-# ms of a CLI process).  These two give numpy's values bit for bit: they
-# partition at the same positions, so even the sign of a zero agrees.
+# np.quantile, np.percentile and np.median import numpy.ma (13-15 ms of a
+# CLI process).  These two give numpy's values bit for bit: they partition
+# at the same positions, so even the sign of a zero agrees.
 
 
 def _quantiles(samples: np.ndarray, probs) -> np.ndarray:

@@ -28,6 +28,7 @@ from .blocks import (
     ChainModel,
     Phasor,
     _acquire_rows,
+    _require_finite,
     _row_tables,
     _table_shape,
     _Tables,
@@ -217,6 +218,7 @@ class McScenario:
             raise ValueError("nominal_rate must be > 0")
         if not self.pps_period > 0:
             raise ValueError("pps_period must be > 0")
+        _require_finite(ValueError, self, "nominal_rate", "pps_period")
         if not _is_int(self.trials):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
@@ -226,6 +228,7 @@ class McScenario:
             raise ValueError(
                 f"duration must cover at least one PPS period, got {self.duration!r}"
             )
+        _require_finite(ValueError, self, "duration")
         if not (_is_int(self.channels) and self.channels >= 1):
             raise ValueError(f"channels must be an integer >= 1, got {self.channels!r}")
         if not isinstance(self.compensate, bool):
@@ -297,7 +300,7 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
 
 
 def _words(n: int) -> list:
@@ -309,58 +312,40 @@ def _words(n: int) -> list:
     return words
 
 
-def _hash_constants(first: int, mult: int, calls: int) -> np.ndarray:
-    """SeedSequence's running hash constant before and after each of ``calls`` hashes, as a uint32 column."""
-    h = [first]
-    for _ in range(calls):
-        h.append(h[-1] * mult & _MASK32)
-    return np.array(h, dtype=np.uint32)[:, None]
+def _seed_state(entropy: list) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of SeedSequences, one per entry of the uint32 arrays ``entropy``.
 
-
-def _hashmix(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of ``values`` (uint32) under the constants ``h``, one row per hash.
-
-    Hash ``k`` xors with ``h[k]`` and multiplies by ``h[k+1]``; a single row
-    of ``values`` is hashed once per row of ``h[:-1]``.  uint32 arrays wrap
-    as the C code does.
+    ``entropy[k]`` holds word ``k`` of every sequence.  This is numpy's ``mix_entropy`` then
+    ``generate_state``, hash by hash on whole arrays, which wrap as the C code does; the hash
+    constant advances with each hash whatever the data, so one Python int serves every sequence.
     """
-    v = values ^ h[:-1]
-    v *= h[1:]
-    v ^= v >> 16
-    return v
+    hash_const = _INIT_A
 
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    v = x * _MIX_MULT_L - y * _MIX_MULT_R
-    v ^= v >> 16
-    return v
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
 
-
-def _seed_state(entropy: np.ndarray, words: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of the SeedSequences whose entropy is ``entropy``'s columns.
-
-    ``entropy`` is uint32, ``max(words, 4)`` rows by one column per
-    sequence, zero below its first ``words`` rows.  SeedSequence hashes the
-    first four words into its pool, mixes every pool word into every other,
-    then mixes in each word beyond the fourth; its hash constant advances
-    with each hash whatever the data, so the three hashes of one pool word
-    into the others are one array operation here.
-    """
-    # four hashes fill the pool, twelve mix it, and each word beyond the fourth takes four
-    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(words, _POOL_SIZE))
-    pool = _hashmix(entropy[:_POOL_SIZE], h[: _POOL_SIZE + 1])
-    c = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[c : c + _POOL_SIZE]))
-        c += _POOL_SIZE - 1
-    for src in range(_POOL_SIZE, words):
-        pool = _mix(pool, _hashmix(entropy[src], h[c : c + _POOL_SIZE + 1]))
-        c += _POOL_SIZE
-    # eight uint32 words from the pool, in turn; word pairs are little-endian uint64s
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    state = state.astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    # mix_entropy: a pool of four words, hashing zeros past the end of the entropy
+    zero = np.zeros_like(entropy[0])
+    mixer = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(4, len(entropy)):
+        for i_dst in range(4):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[i_src]))
+    # generate_state: the pool's words in turn, hashed under INIT_B; pairs are little-endian uint64s
+    hash_const = _INIT_B
+    state = [hashmix(mixer[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])], axis=1)
 
 
 def _trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
@@ -381,12 +366,10 @@ def _trial_seeds(base_seed: int, start: int, stop: int) -> np.ndarray:
             index = np.arange(lo, hi, dtype=np.uint64)
         else:
             index = np.array(range(lo, hi), dtype=object)
-        words = len(base) + k
-        entropy = np.zeros((max(words, _POOL_SIZE), hi - lo), dtype=np.uint32)
-        entropy[: len(base)] = np.array(base, dtype=np.uint32)[:, None]
-        for j in range(k):
-            entropy[len(base) + j] = (index >> 32 * j) & _MASK32
-        parts.append(_seed_state(entropy, words))
+        # arrays, not numpy scalars, whose uint32 arithmetic warns when it wraps
+        entropy = [np.full(hi - lo, word, dtype=np.uint32) for word in base]
+        entropy += [((index >> 32 * j) & _MASK32).astype(np.uint32) for j in range(k)]
+        parts.append(_seed_state(entropy))
         lo = hi
     return np.concatenate(parts)
 

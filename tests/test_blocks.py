@@ -657,7 +657,7 @@ NAN, INF = math.nan, math.inf
 
 
 class TestNonFiniteParameters:
-    """A model built in code rejects NaN and infinite parameters, naming the field."""
+    """A model built in code rejects NaN, infinite and out-of-range parameters, naming the field."""
 
     @pytest.mark.parametrize(
         "build, error, message",
@@ -720,12 +720,30 @@ class TestNonFiniteParameters:
                 lambda: replace(paper_profile(), adc_noise_rms_uv=-1.0),
                 ModelParameterError, "adc_noise_rms_uv must be >= 0, got -1.0",
             ),
+            (
+                lambda: TimebaseModel(0.0, 0.1, estimator_std_ppm=-1.0),
+                ModelParameterError, "estimator_std_ppm must be >= 0, got -1.0",
+            ),
+            (
+                lambda: TimebaseModel(0.0, 0.1, board_std_ppm=-2.0),
+                ModelParameterError, "board_std_ppm must be >= 0, got -2.0",
+            ),
+            (
+                lambda: PllDelayModel(min=0.0, mean=1e-5, std=1e-6, mode_std=-3e-6),
+                ModelParameterError, "mode_std must be >= 0, got -3 µs",
+            ),
+            (
+                # decreasing edges and a count too many: a shifted gamma would ignore them
+                lambda: PllDelayModel(min=0.0, mean=1e-5, histogram=((3e-6, 1e-6), (5, 6, 7))),
+                ModelParameterError, "a shifted-gamma delay takes no histogram",
+            ),
         ],
         ids=[
             "term-mean", "term-std", "timebase-mean", "timebase-std", "grid-mean", "grid-std",
             "estimator-std", "board-std", "gamma-std", "truncnorm-std", "pll-max", "pll-min",
             "pll-mode-std", "histogram-nan-edge", "histogram-inf-edge", "adc-vref", "adc-within-device", "adc-noise-nan",
-            "adc-noise-negative",
+            "adc-noise-negative", "estimator-std-negative", "board-std-negative",
+            "pll-mode-std-negative", "histogram-on-shifted-gamma",
         ],
     )
     def test_rejected(self, build, error, message):

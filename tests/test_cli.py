@@ -329,6 +329,19 @@ class TestSimulate:
                 "pll.delay: histogram bin_edges_us must increase strictly, got 8 / 6 / 4 / 5 µs",
                 id="unordered-histogram-edges",
             ),
+            pytest.param(
+                {"pll": {"profiles": {"busy": {
+                    "family": "truncated-normal", "mean_us": 5, "std_us": 1,
+                    "histogram": {"bin_edges_us": [3, 1], "counts": [5, 6, 7]}}}}},
+                "pll.profiles.busy: a truncated-normal delay takes no histogram",
+                id="histogram-on-another-family",
+            ),
+            (
+                {"timebase": {"estimator_std_ppm": -1}},
+                "timebase: estimator_std_ppm must be >= 0, got -1",
+            ),
+            ({"timebase": {"board_std_ppm": -2}}, "timebase: board_std_ppm must be >= 0, got -2"),
+            ({"pll": {"delay": {"mode_std_us": -3}}}, "pll.delay: mode_std must be >= 0, got -3 µs"),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):

@@ -269,6 +269,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=rf"^{field} must be > 0$"):
             small_scenario(**{field: value})
 
+    @pytest.mark.parametrize("field", ["nominal_rate", "pps_period", "duration"])
+    def test_rate_period_and_duration_must_be_finite(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got inf$"):
+            small_scenario(**{field: math.inf})
+
     def test_numpy_int_base_seed(self):
         a = run_trial(small_scenario(base_seed=np.int64(42)), 1)
         b = run_trial(small_scenario(base_seed=42), 1)
@@ -426,6 +431,22 @@ class TestTrialSeeds:
     def test_property_matches_default_rng(self, base_seed, index):
         seeds = mc._trial_seeds(base_seed, index, index + 2)
         self._assert_rows_seed_default_rng(seeds, base_seed, [index, index + 1])
+
+    @given(
+        entropy=st.integers(min_value=2, max_value=8).flatmap(
+            lambda words: st.lists(
+                st.lists(st.integers(0, 2**32 - 1), min_size=words, max_size=words),
+                min_size=1, max_size=4,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_seed_state_matches_seed_sequence(self, entropy):
+        # entropy past four words takes one extra mixing round per word, up to four here
+        words = np.array(entropy, dtype=np.uint32)
+        got = mc._seed_state(list(words.T))
+        for row, state in zip(words, got):
+            assert np.array_equal(state, np.random.SeedSequence(row).generate_state(4, np.uint64))
 
     def test_a_trial_seed_only_seeds_pcg64(self):
         seed = mc._TrialSeed(mc._trial_seeds(1, 0, 1)[0])
