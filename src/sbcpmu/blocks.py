@@ -9,6 +9,10 @@ chain that holds only that block.  ``_row_tables`` and ``_acquire_rows`` run
 a phasor through all four blocks in the time domain, one row per Monte Carlo
 trial; ``sbcpmu.mc.run_trial`` is their one-trial entry point.  ``Phasor``
 is the steady input sinusoid they sample.
+
+The model classes and the profile reader and writer need only the standard
+library, so loading, checking, merging and showing a profile loads no numpy:
+it loads at the first array computation.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from importlib import resources
 from statistics import NormalDist
 from typing import Mapping, NamedTuple, Optional
 
-import numpy as np
-
 from .errors import (
     ConfigError,
     ModelParameterError,
@@ -34,6 +36,7 @@ from .errors import (
     read_json,
     reject_unknown_keys,
     section,
+    write_json,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -65,6 +68,8 @@ class ExpectedResponse(NamedTuple):
     @property
     def compensation(self):
         """The compensation factor ``K = 1/Lambda`` that a measured phasor is multiplied by."""
+        import numpy as np
+
         return math.exp(-self.log_magnitude) * np.exp(-1j * self.phase)
 
 
@@ -160,6 +165,8 @@ def _convert(v: np.ndarray, gain, offset, noise, chain: ChainModel):
     when the smallest and largest rounded codes lie on the grid, two
     reductions stand in for the mask and the clip.
     """
+    import numpy as np
+
     np.multiply(gain, v, out=v)
     v += offset
     if noise is not None:
@@ -234,6 +241,8 @@ class TimebaseModel:
             )
 
     def _interp(self, temperature: float, column: int) -> float:
+        import numpy as np
+
         self.check_temperature(temperature)
         grid = np.array([r[0] for r in self.e_r_by_temperature])
         vals = np.array([r[column] for r in self.e_r_by_temperature])
@@ -375,6 +384,8 @@ class PllDelayModel:
         from ``p`` on every call; a truncated normal gives
         ``_truncated_normal_bounds``.
         """
+        import numpy as np
+
         if self.family == "empirical-histogram":
             edges, counts = self.histogram
             p = np.asarray(counts, dtype=float)
@@ -530,6 +541,8 @@ def expected_response(
     from ``exp(a+b)`` by about ``(a*a + b*b)/2``: about 1e-5 on the paper
     profile.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0 (elapsed time since the PPS reset)")
@@ -549,6 +562,8 @@ def expected_response(
 
 def wrap_phase(phi):
     """Wrap an angle (scalar or array) into (-pi, pi]."""
+    import numpy as np
+
     wrapped = np.mod(np.asarray(phi, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     if np.ndim(phi) == 0:
@@ -630,6 +645,8 @@ def _row_tables(
     computed element by element, so a row's tables have the same bits
     whichever rows are built with it.
     """
+    import numpy as np
+
     aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
         np.asarray(values, dtype=float).reshape(-1, 1)
         for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
@@ -658,6 +675,8 @@ def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: n
     ``(values, clipped)``: the converted samples, a rows x ``samples`` view
     of ``out``, and each row's number of samples clipped at the end codes.
     """
+    import numpy as np
+
     rows = out.shape[0]
     np.matmul(tables.left, tables.right, out=out.reshape(rows, *_table_shape(samples)))
     v = out[:, :samples]
@@ -845,9 +864,8 @@ def load_profile(path) -> ChainModel:
 
 
 def save_profile(chain: ChainModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_json(chain), fh, indent=2)
-        fh.write("\n")
+    """Write a chain profile; a failed write leaves the file at ``path`` as it was."""
+    write_json(chain_to_json(chain), path)
 
 
 def paper_profile() -> ChainModel:

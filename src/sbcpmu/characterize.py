@@ -81,11 +81,13 @@ def ols_fit(record: SweepRecord) -> OlsResult:
     scale = float(np.max(np.abs(u)))
     u /= scale
     dy = y - y_mean
-    suu = float(u @ u)
-    gain = float(u @ dy) / suu / scale
+    # inner products as numpy's pairwise sums: BLAS ddot splits a long vector
+    # across threads, so its bits would depend on the thread count
+    suu = float(np.multiply(u, u).sum())
+    gain = float(np.multiply(u, dy).sum()) / suu / scale
     offset = y_mean - gain * x_mean
     resid = dy - (gain * scale) * u
-    rss = float(resid @ resid)
+    rss = float(np.multiply(resid, resid).sum())
     dof = x.size - 2
     var_gain = rss / dof / suu / scale / scale
     cov = np.array(
@@ -322,9 +324,10 @@ def variance_decomposition(
     if ddof == 0:
         # frequency-weighted: exact law of total variance on the pooled sample
         weights = sizes / sizes.sum()
-        within = float(weights @ within_vars)
-        grand_mean = float(weights @ means)
-        between = float(weights @ (means - grand_mean) ** 2)
+        # pairwise sums, as in ols_fit: no reduction here calls BLAS
+        within = float(np.multiply(weights, within_vars).sum())
+        grand_mean = float(np.multiply(weights, means).sum())
+        between = float(np.multiply(weights, (means - grand_mean) ** 2).sum())
     else:
         within = float(within_vars.mean())
         grand_mean = float(means.mean())

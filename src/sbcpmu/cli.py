@@ -31,6 +31,7 @@ from .errors import (
     read_json,
     reject_unknown_keys,
     section,
+    write_json,
 )
 
 if TYPE_CHECKING:
@@ -169,13 +170,6 @@ def _json_sha256(obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_json(obj, path) -> None:
-    """Write ``obj`` as a run manifest or a fragment is written: indented, keys sorted."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"scenario too large to allocate: {exc}") from exc
     write_run(result, cfg["output_dir"])
     # every key here has its check in _MANIFEST
-    _write_json(
+    write_json(
         {
             "version": __version__,
             "seed": run["seed"],
@@ -232,6 +226,7 @@ def cmd_simulate(args) -> int:
             "versions": {"python": platform.python_version(), "numpy": np.__version__},
         },
         Path(cfg["output_dir"]) / "manifest.json",
+        sort_keys=True,
     )
     print(f"run written to {cfg['output_dir']}")
     print(f"grand mean TVE: {result.grand_mean_tve * 100:.4f} %")
@@ -445,7 +440,7 @@ def cmd_characterize(args) -> int:
         fragment = _characterize_counter(args.input, args.known_base_hz, args.nominal_rate_hz)
     else:
         fragment = _characterize_delay(args.input, args.known_base_hz)
-    _write_json(fragment, args.output)
+    write_json(fragment, args.output, sort_keys=True)
     if args.merge_into:
         chain = _merged(chain_to_json(load_profile(args.merge_into)), fragment, args.output)
         save_profile(chain, args.merge_into)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the strict JSON reader that raises it.
+"""Exception hierarchy shared across the package, and the strict JSON reader and writer.
 
 The CLI maps these onto exit codes: ConfigError and EstimationError -> 2,
 guard/model violations -> 3, I/O problems -> 4.  Chain profiles and scenario
@@ -9,6 +9,7 @@ arrays stays free of numpy.
 """
 
 import json
+import os
 import sys
 
 
@@ -55,6 +56,27 @@ def read_json(path):
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer longer than Python's int-string digit limit
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def write_json(obj, path, sort_keys: bool = False) -> None:
+    """Write ``obj`` as indented JSON, replacing ``path`` only once the whole text is written.
+
+    The text goes to a temporary file next to the target, which
+    ``os.replace`` then moves over it: a write that fails or is cut part-way
+    leaves the old file whole, and a failed write removes its temporary
+    file.  A symlinked target is written through the link.
+    """
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _is_number(value) -> bool:

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from sbcpmu.blocks import (
     identity_chain,
     paper_profile,
     pll_sample,
+    save_profile,
     wrap_phase,
 )
 from sbcpmu.errors import ConfigError, ModelParameterError
@@ -651,6 +653,32 @@ class TestProfiles:
         assert again.pll_profiles["idle"].std == pytest.approx(
             chain.pll_profiles["idle"].std, rel=1e-12
         )
+
+    def test_failed_save_keeps_the_old_profile(self, tmp_path, monkeypatch):
+        # a write cut part-way (a full disk, a kill) must not truncate the profile
+        path = tmp_path / "chain.json"
+        save_profile(paper_profile(), path)
+        before = path.read_bytes()
+
+        def dump_part(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump_part)
+        with pytest.raises(OSError, match="No space left"):
+            save_profile(identity_chain(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_writes_through_a_symlink(self, tmp_path):
+        target = tmp_path / "shared.json"
+        save_profile(paper_profile(), target)
+        link = tmp_path / "chain.json"
+        link.symlink_to(target)
+        save_profile(identity_chain(), link)
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["name"] == "identity"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.json", "shared.json"]
 
 
 NAN, INF = math.nan, math.inf

@@ -1,15 +1,22 @@
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbcpmu
 from sbcpmu.blocks import Phasor, chain_to_json, paper_profile
 from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
 from sbcpmu.cli import _MANIFEST, _SCENARIO, _json_sha256, build_parser, load_scenario_config, main
 from sbcpmu.mc import McScenario, monte_carlo
+
+SRC = str(Path(sbcpmu.__file__).resolve().parents[1])
 
 
 # a truncated-normal PLL delay whose support lies 100 std above the mean:
@@ -531,6 +538,56 @@ class TestCharacterize:
             "std": frag["gain_err_ppm"]["total_std"],
         }
         assert merged["gain_err_within_device_ppm"] == frag["gain_err_ppm"]["within_std"]
+
+    def test_sweep_fragment_does_not_depend_on_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10 000 elements across
+        # threads, which changes its rounding; the fit must not use one
+        rng = np.random.default_rng(11)
+        x = np.linspace(-10.0, 10.0, 12_000)
+        y = x * 1.0003 + 2e-3 + rng.normal(0.0, 1e-3, x.size)
+        csv = tmp_path / "s.csv"
+        csv.write_text(
+            "v_in,v_out,channel,device\n"
+            + "".join(f"{a!r},{b!r},ch0,dev0\n" for a, b in zip(x.tolist(), y.tolist()))
+            + "-1,-1.0002,ch1,dev0\n0,0.0001,ch1,dev0\n1,0.9998,ch1,dev0\n"
+        )
+        fragments = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"frag{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "sbcpmu.cli", "characterize", "sweep",
+                 "--input", str(csv), "--output", str(out)],
+                env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads},
+                check=True, capture_output=True, timeout=120,
+            )
+            fragments.append(out.read_bytes())
+        assert fragments[0] == fragments[1]
+
+    @pytest.mark.parametrize("failing", ["fragment", "profile"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, capsys, failing):
+        # a write cut part-way leaves the fragment or the --merge-into profile as it was
+        csv = tmp_path / "s.csv"
+        csv.write_text("v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+        out, profile = tmp_path / "frag.json", tmp_path / "chain.json"
+        out.write_text("{}\n")
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        before = {p: p.read_bytes() for p in (csv, out, profile)}
+        dump = json.dump
+
+        def dump_part(obj, fh, **kwargs):
+            if ("kind" in obj) == (failing == "fragment"):
+                fh.write(json.dumps(obj, **kwargs)[:50])
+                raise OSError(28, "No space left on device")
+            dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_part)
+        argv = ["characterize", "sweep", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--merge-into", str(profile)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == sorted(before)
+        assert profile.read_bytes() == before[profile]
+        if failing == "fragment":
+            assert out.read_bytes() == before[out]
 
     def test_counter_by_temperature(self, tmp_path):
         # 2 temperatures x 2 boards, the hotter one first in the file

@@ -1,8 +1,9 @@
 """What each entry point imports, checked in fresh interpreters.
 
 A CLI process pays for every module it loads, so ``import sbcpmu`` loads no
-numpy, ``report`` loads none at all, and each subcommand loads only the
-submodules it uses.
+numpy, ``report`` loads none at all, loading, saving, showing and merging a
+chain profile load no numpy, and each subcommand loads only the submodules it
+uses.
 """
 
 import importlib
@@ -70,9 +71,28 @@ def test_cli_import_pulls_in_no_scipy():
     assert run_python(code).strip() == "[]"
 
 
+# Prints the numpy modules loaded so far.
+NUMPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+
+
 def test_package_import_loads_no_numpy():
-    code = "import sys, sbcpmu; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert run_python("import sys, sbcpmu\n" + NUMPY_MODULES).strip() == "[]"
+
+
+def test_paper_profile_loads_no_numpy():
+    # start-up: every command's first step, and perfbench's setup_s
+    code = "import sys, sbcpmu\nsbcpmu.paper_profile()\n" + NUMPY_MODULES
     assert run_python(code).strip() == "[]"
+
+
+def test_profile_load_and_save_load_no_numpy(tmp_path):
+    copy = tmp_path / "chain.json"
+    sbcpmu.save_profile(sbcpmu.paper_profile(), copy)
+    code = (
+        "import sys, sbcpmu\n"
+        "sbcpmu.save_profile(sbcpmu.load_profile(sys.argv[1]), sys.argv[1])\n" + NUMPY_MODULES
+    )
+    assert run_python(code, copy).strip() == "[]"
 
 
 def test_report_loads_no_numpy(tmp_path):
@@ -129,6 +149,25 @@ def test_profile_show_loads_no_mc():
     loaded = modules_after_main("profile", "show", "paper")
     assert "sbcpmu.blocks" in loaded
     assert "sbcpmu.mc" not in loaded
+    assert not any(m.split(".")[0] == "numpy" for m in loaded)
+
+
+def test_profile_merge_loads_no_numpy(tmp_path):
+    fragment = tmp_path / "frag.json"
+    fragment.write_text(
+        json.dumps(
+            {
+                "kind": "sweep",
+                "gain_err_ppm": {"grand_mean": -4455.0, "total_std": 130.0, "within_std": 20.0},
+                "offset_uv": {"grand_mean": 5.0, "total_std": 1.0},
+            }
+        )
+    )
+    out = tmp_path / "merged.json"
+    loaded = modules_after_main("profile", "merge", "paper", fragment, "--out", out)
+    assert "sbcpmu.blocks" in loaded
+    assert not any(m.split(".")[0] == "numpy" for m in loaded)
+    assert json.loads(out.read_text())["adc"]["gain_err_ppm"] == {"mean": -4455.0, "std": 130.0}
 
 
 def test_simulate_loads_no_characterize(tmp_path):
