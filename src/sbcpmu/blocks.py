@@ -560,15 +560,15 @@ def expected_response(
     )
 
 
-def wrap_phase(phi):
-    """Wrap an angle (scalar or array) into (-pi, pi]."""
-    import numpy as np
+def wrap_phase(phi: float) -> float:
+    """Wrap an angle, a scalar, into (-pi, pi]; arrays are not accepted.
 
-    wrapped = np.mod(np.asarray(phi, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
-    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    if np.ndim(phi) == 0:
-        return float(wrapped)
-    return wrapped
+    Python's float ``%`` is numpy's ``np.mod`` (``fmod``, plus the divisor when
+    the signs differ), so the result has the bits of the numpy formula
+    without loading numpy.
+    """
+    wrapped = (float(phi) + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -668,10 +668,12 @@ def _row_tables(
 def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: np.ndarray):
     """The forward chain on rows of ``samples`` instants, from their ``_row_tables``, computed in ``out``.
 
-    Each row's matrix product is written straight into ``out`` (C-contiguous,
-    rows x A*B, overwritten) in one pass that runs without the GIL, then
+    Each row's matrix product is written straight into ``out`` (rows x A*B
+    floats, overwritten) in one pass that runs without the GIL, then
     converted on the chain's code grid with the chain's ADC noise drawn from
-    ``rngs[r]`` (not used for a noise-free chain).  Returns
+    ``rngs[r]`` (not used for a noise-free chain).  Each row of ``out`` must
+    be contiguous, and the rows may lie at any stride: the rows x A x B
+    reshape is then a view, so the product lands in ``out``.  Returns
     ``(values, clipped)``: the converted samples, a rows x ``samples`` view
     of ``out``, and each row's number of samples clipped at the end codes.
     """

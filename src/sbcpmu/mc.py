@@ -169,9 +169,11 @@ class _FourierPlan:
     def rows(self, values: np.ndarray, demod: np.ndarray, csum: np.ndarray) -> np.ndarray:
         """Envelope coefficients (rows x windows) of real samples (rows x grid points).
 
-        ``demod`` and ``csum`` are complex scratch shaped like ``values``.  The
-        envelope is written over the first ``windows`` columns of ``demod`` and
-        returned as a view of them; nothing else is allocated.
+        ``demod`` and ``csum`` are complex scratch shaped like ``values``, which
+        may be a view of ``csum``'s memory: it is read into ``demod`` before
+        ``csum`` is written.  The envelope is written over the first
+        ``windows`` columns of ``demod`` and returned as a view of them;
+        nothing else is allocated.
 
         The prefix sums are taken one row at a time: the same additions in the
         same order as ``np.cumsum(axis=1)``, so the same bits, but numpy holds
@@ -409,19 +411,20 @@ class _Draws:
 
 
 class _Workspace:
-    """The buffers one block of trials computes in, allocated once and reused.
+    """The two complex buffers one block of trials computes in, allocated once and reused.
 
-    ``real`` (rows x A*B, see ``blocks._table_shape``) holds the converted
-    samples, then the per-trial errors, and at the end of a run the column
-    statistics' scratch; ``demod`` and ``csum`` are the Fourier plan's
-    buffers.
+    ``demod`` and ``csum`` (rows x samples) are the Fourier plan's buffers.
+    ``adc``, the first A*B floats of each row of ``csum`` (see
+    ``blocks._table_shape``), holds the converted samples until the plan has
+    read them into ``demod``; at the end of a run ``demod`` is the column
+    statistics' float scratch.
     """
 
     def __init__(self, rows: int, samples: int):
         a, b = _table_shape(samples)
-        self.real = np.empty((rows, a * b))
         self.demod = np.empty((rows, samples), dtype=complex)
         self.csum = np.empty_like(self.demod)
+        self.adc = self.csum.view(np.float64)[:, : a * b]
 
 
 class _Engine:
@@ -525,7 +528,7 @@ class _Engine:
         """
         rows = len(tables.gain)
         values, clipped = _acquire_rows(
-            tables, self.scenario.chain, self.samples, rngs, ws.real[:rows]
+            tables, self.scenario.chain, self.samples, rngs, ws.adc[:rows]
         )
         z = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
@@ -554,11 +557,11 @@ def run_trial(scenario: McScenario, trial_index: int):
     z, clipped = engine.envelopes(engine.tables(draws, 0, 1), draws.rngs, ws)
     env = z[0] * scenario.phasor.value
     trace = np.empty(z.shape)
-    _error_rows(z, trace, ws)
+    _error_rows(z, trace)
     return engine.plan.times, trace[0], env, TrialDraw(*draws.params[0].tolist()), int(clipped[0])
 
 
-def _error_rows(z, tve_rows, ws: _Workspace):
+def _error_rows(z, tve_rows):
     """Write the TVE of relative envelope rows into ``tve_rows``; return their summed errors.
 
     With ``z = env/ref`` the relative magnitude error is ``|z| - 1``, the
@@ -566,11 +569,11 @@ def _error_rows(z, tve_rows, ws: _Workspace):
     |relative magnitude error| and |phase error| over the block.  When every
     real part is positive, the phase error is ``arctan(im/re)``, within an
     ulp of ``arctan2(im, re)`` and faster; otherwise it is ``arctan2``.  ``z``
-    is overwritten and ``ws.real`` used as scratch; nothing is allocated.
+    is overwritten and ``tve_rows`` (C-contiguous floats shaped like ``z``)
+    is the errors' scratch until the TVE is written there last; nothing is
+    allocated.
     """
-    rows, windows = z.shape
-    # a contiguous view, so .sum() adds in the order it would for a fresh array
-    err = ws.real.reshape(-1)[: rows * windows].reshape(rows, windows)
+    err = tve_rows  # contiguous, so .sum() adds in the order it would for a fresh array
     np.abs(z, out=err)
     err -= 1.0
     np.abs(err, out=err)
@@ -650,7 +653,10 @@ def monte_carlo(scenario: McScenario) -> McResult:
     slice of columns each, while the calling thread takes the grand mean.
     Memory is the float64 per-trial traces, about 100 bytes of seeds and
     draws per trial (and its generator, about 0.75 kB, for a chain with ADC
-    noise), and one block workspace per worker.
+    noise), and one block workspace per worker: two complex block buffers,
+    2.6 MB at 5 kHz and 1 s PPS intervals.  The kernels take the ADC samples
+    in ``csum`` and the error scratch in their own ``trial_tve`` rows, and
+    the column statistics take theirs in ``demod``.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -674,7 +680,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         ws = free.pop()
         try:
             z, clipped[start:stop] = engine.envelopes(tables, rngs, ws)
-            return _error_rows(z, trial_tve[start:stop], ws)
+            return _error_rows(z, trial_tve[start:stop])
         finally:
             free.append(ws)
 
@@ -704,7 +710,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
         ws = free.pop()
         try:
             std = spread[columns] if trials > 1 else None
-            _column_stats(trial_tve[:, columns], mean_tve[columns], std, ws.real)
+            _column_stats(trial_tve[:, columns], mean_tve[columns], std, ws.demod.view(np.float64))
         finally:
             free.append(ws)
 

@@ -85,6 +85,12 @@ def test_paper_profile_loads_no_numpy():
     assert run_python(code).strip() == "[]"
 
 
+def test_phasor_loads_no_numpy():
+    # wrap_phase normalizes the phase on construction, on floats
+    code = "import sys, sbcpmu\nsbcpmu.Phasor(1.0, 0.0, 50.0)\n" + NUMPY_MODULES
+    assert run_python(code).strip() == "[]"
+
+
 def test_profile_load_and_save_load_no_numpy(tmp_path):
     copy = tmp_path / "chain.json"
     sbcpmu.save_profile(sbcpmu.paper_profile(), copy)

@@ -53,6 +53,19 @@ class TestPhasor:
         assert math.isclose(math.cos(w), math.cos(phi), abs_tol=1e-9)
         assert math.isclose(math.sin(w), math.sin(phi), abs_tol=1e-9)
 
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-1000, 1000).map(lambda k: k * math.pi),
+            st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e300, -1e300]),
+        )
+    )
+    def test_wrap_phase_equals_numpy_formula(self, phi):
+        # float % is np.mod: fmod, plus the divisor when the signs differ
+        want = np.mod(np.float64(phi) + math.pi, 2.0 * math.pi) - math.pi
+        want = math.pi if want == -math.pi else float(want)
+        assert wrap_phase(phi).hex() == want.hex()
+
 
 class TestSchedule:
     """The engine's nominal sampling grid and the pulse-count guard."""
