@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from statistics import NormalDist
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -382,7 +381,9 @@ class PllDelayModel:
         An empirical histogram gives its bin edges as an array and the bins'
         normalised cumulative probabilities, as ``Generator.choice`` forms them
         from ``p`` on every call; a truncated normal gives
-        ``_truncated_normal_bounds``.
+        ``_truncated_normal_bounds`` and the standard normal's inverse CDF
+        (``statistics`` is imported here, so a process that draws no
+        truncated normal never loads it).
         """
         import numpy as np
 
@@ -393,10 +394,11 @@ class PllDelayModel:
             cdf = p.cumsum()
             cdf /= cdf[-1]
             return np.asarray(edges), cdf
-        return _truncated_normal_bounds(self)
+        from statistics import NormalDist
+
+        return (*_truncated_normal_bounds(self), NormalDist().inv_cdf)
 
 
-_STANDARD_NORMAL = NormalDist()
 # inv_cdf needs 0 < p < 1; rounding in rng.uniform can land on either end
 _P_OPEN = (math.ulp(0.0), 1.0 - 2.0**-53)
 
@@ -417,9 +419,9 @@ def pll_sample(model: PllDelayModel, rng: np.random.Generator) -> float:
         scale = model.std**2 / span
         return min(model.min + rng.gamma(shape, scale), model.max)
     # truncated-normal: an inverse-CDF draw; min/max give np.clip's values without its per-call cost
-    p_lo, p_hi, sign = model._draw_constants
+    p_lo, p_hi, sign, inv_cdf = model._draw_constants
     u = min(max(float(rng.uniform(p_lo, p_hi)), _P_OPEN[0]), _P_OPEN[1])
-    z = _STANDARD_NORMAL.inv_cdf(u)
+    z = inv_cdf(u)
     return float(min(max(model.mean + sign * model.std * z, model.min), model.max))
 
 

@@ -656,7 +656,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
     noise), and one block workspace per worker: two complex block buffers,
     2.6 MB at 5 kHz and 1 s PPS intervals.  The kernels take the ADC samples
     in ``csum`` and the error scratch in their own ``trial_tve`` rows, and
-    the column statistics take theirs in ``demod``.
+    the column statistics take theirs in ``demod``.  The workspaces are freed
+    before the model curve is built.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -727,6 +728,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
         grand_mean_tve = float(trial_tve.mean())
         for future in stats:
             future.result()
+    # the workspaces are done with: the model curve's temporaries need not sit on top of them
+    free.clear()
 
     k = DEFAULT_COVERAGE_FACTOR
     curve = model_curve(

@@ -10,6 +10,7 @@ from sbcpmu.characterize import (
     SweepRecord,
     _median,
     _quantiles,
+    _read_header,
     delay_statistics,
     ols_fit,
     one_counter_estimate,
@@ -568,6 +569,66 @@ class TestLabelWidths:
         assert list(want) == [("dev0", "x\r\ny"), ("dev0", "x\ny"), ("dev0", "ch0")]
         assert_same_groups({k: r.v_in for k, r in got.items()}, {k: vi for k, (vi, _) in want.items()})
         assert_same_groups({k: r.v_out for k, r in got.items()}, {k: vo for k, (_, vo) in want.items()})
+
+
+# Each reader's header, and its rows as lines of text: three in one group and
+# three in a group labelled ``label``.
+ROW_BOUND_FILES = {
+    "sweep": (
+        "v_in,v_out,channel,device",
+        lambda label: [f"{i},{i + 0.5},ch0,dev0" for i in range(3)]
+        + [f"{i},{i + 0.25},{label},dev0" for i in range(3)],
+    ),
+    "counter": (
+        "count,device",
+        lambda label: [f"{2000 + i},dev0" for i in range(3)] + [f"{1999 - i},{label}" for i in range(3)],
+    ),
+    "delay": (
+        "delay_us,profile",
+        lambda label: [f"{6 + 0.5 * i},idle" for i in range(3)] + [f"{4 + i},{label}" for i in range(3)],
+    ),
+}
+# the file's lines joined as each case writes them, and the second group's label
+LINE_END_CASES = {
+    "lf": (lambda lines: "\n".join(lines) + "\n", "ch1"),
+    "no-final-line-break": (lambda lines: "\n".join(lines), "ch1"),
+    "crlf": (lambda lines: "\r\n".join(lines) + "\r\n", "ch1"),
+    "lone-cr": (lambda lines: "\r".join(lines) + "\r", "ch1"),
+    "blank-lines": (lambda lines: "\n\n".join(lines) + "\n\n", "ch1"),
+    "spanning-label": (lambda lines: "\n".join(lines), '"x\ny"'),
+}
+
+
+class TestRowBound:
+    # np.loadtxt reads at most _read_header's bound of rows: a bound one short
+    # drops the last row of a file without a final line break, without a word
+    @pytest.mark.parametrize("case", LINE_END_CASES)
+    @pytest.mark.parametrize("kind", ROW_BOUND_FILES)
+    def test_every_row_is_read(self, tmp_path, kind, case):
+        header, rows = ROW_BOUND_FILES[kind]
+        join, label = LINE_END_CASES[case]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(join([header, *rows(label)]), newline="")
+        if kind == "sweep":
+            got = {k: r.v_in for k, r in read_sweep_csv(path).items()}
+            want = {k: vi for k, (vi, _) in reference_sweep(path).items()}
+        elif kind == "counter":
+            got, want = read_counter_csv(path), reference_counter(path)
+        else:
+            got, want = read_delay_csv(path, 1e8), reference_delay(path, 1e8)
+        assert sum(v.size for v in want.values()) == 6
+        assert_same_groups(got, want)
+
+    @pytest.mark.parametrize(
+        "case, bound", [("lf", 7), ("no-final-line-break", 6), ("crlf", 7), ("lone-cr", 7)]
+    )
+    def test_bound_is_the_lines_after_the_header(self, tmp_path, case, bound):
+        # a CRLF counted as two line breaks would double the table loadtxt allocates
+        header, rows = ROW_BOUND_FILES["sweep"]
+        join, label = LINE_END_CASES[case]
+        path = tmp_path / "sweep.csv"
+        path.write_text(join([header, *rows(label)]), newline="")
+        assert _read_header(path, [])[2] == bound
 
 
 class TestMemory:

@@ -179,6 +179,21 @@ class TestSimulate:
         main(["report", str(tmp_path / "run")])
         assert capsys.readouterr().out == first
 
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # the rerun writes trials.npy, then fails on summary.csv: report must not show the old run
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(p), "--trials", "8", "--seed", "1"]) == 0
+        (out / "summary.csv").unlink()
+        (out / "summary.csv").mkdir()
+        assert main(["simulate", "--config", str(p), "--trials", "16", "--seed", "2"]) == 4
+        assert np.load(out / "trials.npy").shape[0] == 16
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "missing manifest.json" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -2,8 +2,8 @@
 
 A CLI process pays for every module it loads, so ``import sbcpmu`` loads no
 numpy, ``report`` loads none at all, loading, saving, showing and merging a
-chain profile load no numpy, and each subcommand loads only the submodules it
-uses.
+chain profile load no numpy, each subcommand loads only the submodules it
+uses, and ``statistics`` loads only where a normal quantile is taken.
 """
 
 import importlib
@@ -20,12 +20,13 @@ import sbcpmu
 
 SRC = str(Path(sbcpmu.__file__).resolve().parents[1])
 
-# Runs cli.main on argv[1:], then prints the sbcpmu and numpy modules loaded.
+# Runs cli.main on argv[1:], then prints the sbcpmu, numpy and statistics modules loaded.
 MODULES_AFTER_MAIN = (
     "import json, sys\n"
     "from sbcpmu import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sbcpmu'))))\n"
+    "tops = ('numpy', 'sbcpmu', 'statistics')\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in tops)))\n"
     "sys.exit(code)\n"
 )
 
@@ -62,6 +63,14 @@ def write_scenario(tmp_path) -> Path:
     return config
 
 
+# one small input of each characterization kind
+CSV_TEXT = {
+    "sweep": "v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n",
+    "counter": "count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n",
+    "delay": "delay_us,profile\n6.5,idle\n7.25,idle\n",
+}
+
+
 def test_cli_import_pulls_in_no_scipy():
     # every CLI process pays the import; scipy.stats alone used to cost ~1 s
     code = (
@@ -83,6 +92,28 @@ def test_paper_profile_loads_no_numpy():
     # start-up: every command's first step, and perfbench's setup_s
     code = "import sys, sbcpmu\nsbcpmu.paper_profile()\n" + NUMPY_MODULES
     assert run_python(code).strip() == "[]"
+
+
+def test_paper_profile_loads_no_statistics():
+    # statistics imports fractions and decimal: about 0.5 MB of RSS and a few ms of a process
+    code = "import sys, sbcpmu\nsbcpmu.paper_profile()\nprint('statistics' in sys.modules)\n"
+    assert run_python(code).strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["profile show", "simulate", "characterize sweep", "characterize counter"])
+def test_only_normal_quantiles_load_statistics(tmp_path, command):
+    # NormalDist is loaded where a truncated-normal delay is drawn or the delay
+    # QQ statistic is taken; the paper profile draws shifted gammas
+    if command == "profile show":
+        argv = ["profile", "show", "paper"]
+    elif command == "simulate":
+        argv = ["simulate", "--config", write_scenario(tmp_path)]
+    else:
+        kind = command.split()[1]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(CSV_TEXT[kind])
+        argv = ["characterize", kind, "--input", path, "--output", tmp_path / "frag.json"]
+    assert "statistics" not in modules_after_main(*argv)
 
 
 def test_phasor_loads_no_numpy():
@@ -112,7 +143,7 @@ def test_report_loads_no_numpy(tmp_path):
 
 def test_characterize_loads_no_mc_or_estimate(tmp_path):
     sweep = tmp_path / "sweep.csv"
-    sweep.write_text("v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+    sweep.write_text(CSV_TEXT["sweep"])
     loaded = modules_after_main(
         "characterize", "sweep", "--input", sweep, "--output", tmp_path / "frag.json"
     )
@@ -131,14 +162,7 @@ def test_characterize_delay_loads_no_numpy_ma(tmp_path):
     assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]}
 
 
-@pytest.mark.parametrize(
-    "kind, text",
-    [
-        ("sweep", "v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n"),
-        ("counter", "count,device,temperature_c\n2000,dev0,20\n2001,dev0,20\n"),
-        ("delay", "delay_us,profile\n6.5,idle\n7.25,idle\n"),
-    ],
-)
+@pytest.mark.parametrize("kind, text", list(CSV_TEXT.items()))
 def test_characterize_loads_no_numpy_char(tmp_path, kind, text):
     # the readers tell a label that fills its cell by the cell's last byte;
     # np.char.str_len would import numpy.char (about 2 ms of a CLI process)

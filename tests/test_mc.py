@@ -785,7 +785,7 @@ def _traced_peak(scenario):
 
 class TestMemory:
     # tracemalloc peaks over the traces, measured at 5 kHz and 1 s intervals:
-    # 1.59x at 256 trials with 2 workers and 1.33x with 1, below the 1.71x
+    # 1.565x at 256 trials with 2 workers and 1.30x with 1, below the 1.71x
     # that a third, float workspace buffer gives with 2; the draws of every
     # trial, held from the start of a run, add about 100 bytes a trial
     def test_peak_is_bounded_by_the_traces(self):
@@ -797,16 +797,15 @@ class TestMemory:
     @pytest.mark.parametrize("trials", [4 * BLOCK_TRIALS, 16 * BLOCK_TRIALS])
     def test_scratch_does_not_grow_with_trials(self, trials):
         # beyond the traces, one block workspace of two complex (BLOCK_TRIALS,
-        # points) buffers per worker, and the draws, the engine's tables and
-        # the model curve's temporaries, about 0.7 of such a buffer a run: 2.37
-        # buffers per worker at 64 and 256 trials with 2 workers and 2.70 with
-        # 1, at any trial count (3.09 at 256 with ADC noise, whose generators
-        # are held for the whole run); a third, float workspace buffer gives
-        # 2.88 and 3.21, above the bound
+        # points) buffers per worker, and the draws and the engine's tables:
+        # 2.27 and 2.32 buffers per worker at 64 and 256 trials with 2 workers
+        # and 2.45 and 2.44 with 1.  The workspaces are freed before the model
+        # curve; its temporaries on top of them gave 2.38 and 2.70, and a
+        # third, float workspace buffer 2.88 and 3.21, both above the bound
         r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
         block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
         workers = _workers(-(-trials // BLOCK_TRIALS))
-        assert peak - r.trial_tve.nbytes <= workers * 2.8 * block
+        assert peak - r.trial_tve.nbytes <= workers * 2.55 * block
 
 
 class TestWriteRun:
