@@ -1,14 +1,14 @@
-"""The four parametric error blocks and the forward chain's row kernel.
+"""The four parametric error blocks, their combined response and the chain profile.
 
 Each block contributes one complex factor to the combined system response:
 the anti-aliasing filter (static magnitude/phase), the ADC static transfer
 (pure gain), the PWM time base (phase ramp within each PPS interval) and the
 software-PLL synchronization delay (pure phase).  ``expected_response``
 gives the terms of the combined factor; a block's own terms are those of a
-chain that holds only that block.  ``_row_tables`` and ``_acquire_rows`` run
-a phasor through all four blocks in the time domain, one row per Monte Carlo
-trial; ``sbcpmu.mc.run_trial`` is their one-trial entry point.  ``Phasor``
-is the steady input sinusoid they sample.
+chain that holds only that block.  ``pll_sample`` draws one delay, and
+``Phasor`` is the steady input sinusoid.  The time-domain chain, which
+samples a phasor through all four blocks one row per Monte Carlo trial,
+lives in ``sbcpmu.mc`` beside the buffers it computes in.
 
 The model classes and the profile reader and writer need only the standard
 library, so loading, checking, merging and showing a profile loads no numpy:
@@ -145,44 +145,6 @@ def aaf_response(model: AafModel, omega: float) -> ExpectedResponse:
         log_magnitude_std=(u_tau / tau) * wt * wt * h * h if tau > 0 else 0.0,
         phase_std=u_tau * h * h * omega,
     )
-
-
-# ---------------------------------------------------------------------------
-# ADC
-# ---------------------------------------------------------------------------
-
-
-def _convert(v: np.ndarray, gain, offset, noise, chain: ChainModel):
-    """The ADC transfer in place: ``v <- Q(gain*v + offset + noise)``.
-
-    ``gain`` is the factor ``1 + gain_ppm/1e6`` and ``offset`` the offset in
-    volts, ``offset_uv/1e6``, each a scalar or a per-row column; ``noise`` is
-    None or volts shaped like ``v``.  The code grid is the chain's: ``adc_bits``
-    over the bipolar full scale ``[-adc_vref_v, +adc_vref_v)``, or no
-    quantization when ``adc_bits`` is None.  Returns the end-code saturation
-    mask, or None when no sample saturated (always, for an ideal converter):
-    when the smallest and largest rounded codes lie on the grid, two
-    reductions stand in for the mask and the clip.
-    """
-    import numpy as np
-
-    np.multiply(gain, v, out=v)
-    v += offset
-    if noise is not None:
-        v += noise
-    if chain.adc_bits is None:
-        return None
-    q = 2.0 * chain.adc_vref_v / (1 << chain.adc_bits)
-    np.divide(v, q, out=v)
-    np.rint(v, out=v)
-    code_min = -(1 << (chain.adc_bits - 1))
-    code_max = (1 << (chain.adc_bits - 1)) - 1
-    saturated = None
-    if not (v.min() >= code_min and v.max() <= code_max):
-        saturated = (v < code_min) | (v > code_max)
-        np.clip(v, code_min, code_max, out=v)
-    v *= q
-    return saturated
 
 
 # ---------------------------------------------------------------------------
@@ -601,97 +563,6 @@ class Phasor:
     def value(self) -> complex:
         """Complex phasor A*exp(j*phi)."""
         return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-def _table_shape(samples: int) -> tuple:
-    """``(A, B)`` with ``B = ceil(sqrt(samples))`` and ``A*B >= samples``: sample ``n`` is ``a*B + b``."""
-    b = math.isqrt(samples - 1) + 1
-    return -(-samples // b), b
-
-
-class _Tables(NamedTuple):
-    """The sinusoid tables and ADC factors of rows of trials (``_row_tables``).
-
-    Row ``r``'s samples are ``left[r] @ right[r]``, converted with ``gain[r]``
-    and ``offset[r]``; an array of one row stands for every row.
-    """
-
-    left: np.ndarray  # rows x A x 2: Re(P[a]), -Im(P[a])
-    right: np.ndarray  # rows x 2 x B: Re(Q[b]), Im(Q[b])
-    gain: np.ndarray  # rows x 1: the ADC gain factor 1 + gain_ppm/1e6
-    offset: np.ndarray  # rows x 1: the ADC offset in volts, offset_uv/1e6
-
-    def rows(self, lo: int, hi: int) -> "_Tables":
-        """Rows ``lo`` to ``hi - 1``, as views."""
-        return _Tables(*(t[lo:hi] for t in self))
-
-
-def _row_tables(
-    phasor: Phasor, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps,
-    samples: int,
-) -> _Tables:
-    """The tables of rows of ``samples`` instants ``starts[r] + n*steps[r]``, for ``_acquire_rows``.
-
-    Row ``r`` is scaled by the AAF gain error ``aaf_gain_ppm[r]``, shifted by
-    its phase error ``aaf_phase_urad[r]`` and converted with the ADC gain
-    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]``.  Each
-    parameter is one value per row or one for every row.
-
-    The sampled phase is linear in ``n``.  With ``n = a*B + b``
-    (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
-    ``P[a] = amp*exp(j*(omega*(start + a*B*step) + ph))`` and
-    ``Q[b] = exp(j*omega*b*step)``: two tables of about ``sqrt(samples)``
-    entries per row stand in for a cosine per sample, and
-    ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` makes each
-    row's samples one ``(A x 2) @ (2 x B)`` matrix product.  Every value is
-    computed element by element, so a row's tables have the same bits
-    whichever rows are built with it.
-    """
-    import numpy as np
-
-    aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
-        np.asarray(values, dtype=float).reshape(-1, 1)
-        for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
-    )
-    a, b = _table_shape(samples)
-    # steady-state filtering: scale the envelope, shift the phase
-    amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
-    ph = phasor.phase + 1e-6 * aaf_phase_urad
-    p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
-    q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
-    return _Tables(
-        left=np.stack((p.real, -p.imag), axis=-1),
-        right=np.stack((q.real, q.imag), axis=-2),
-        gain=1.0 + 1e-6 * adc_gain_ppm,
-        offset=1e-6 * adc_offset_uv,
-    )
-
-
-def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: np.ndarray):
-    """The forward chain on rows of ``samples`` instants, from their ``_row_tables``, computed in ``out``.
-
-    Each row's matrix product is written straight into ``out`` (rows x A*B
-    floats, overwritten) in one pass that runs without the GIL, then
-    converted on the chain's code grid with the chain's ADC noise drawn from
-    ``rngs[r]`` (not used for a noise-free chain).  Each row of ``out`` must
-    be contiguous, and the rows may lie at any stride: the rows x A x B
-    reshape is then a view, so the product lands in ``out``.  Returns
-    ``(values, clipped)``: the converted samples, a rows x ``samples`` view
-    of ``out``, and each row's number of samples clipped at the end codes.
-    """
-    import numpy as np
-
-    rows = out.shape[0]
-    np.matmul(tables.left, tables.right, out=out.reshape(rows, *_table_shape(samples)))
-    v = out[:, :samples]
-    noise = None
-    if chain.adc_noise_rms_uv > 0:
-        noise_rms = 1e-6 * chain.adc_noise_rms_uv
-        noise = np.array([rng.normal(0.0, noise_rms, size=samples) for rng in rngs])
-    saturated = _convert(v, tables.gain, tables.offset, noise, chain)
-    if saturated is None:
-        return v, np.zeros(rows, dtype=np.intp)
-    return v, np.count_nonzero(saturated, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -377,10 +377,11 @@ _LABEL_BYTES = 8
 
 
 def _read_header(path, required: Sequence[str]):
-    """Column index by name, whether a line after the header holds a carriage return, and a row bound.
+    """Column index by name, whether a line after the header holds a carriage return, and the lines to read.
 
-    The bound, ``np.loadtxt``'s ``max_rows``, is one more than the line
-    breaks after the file's first line, which ``skiprows=1`` skips (a last
+    The header's lines, ``np.loadtxt``'s ``skiprows``, are those of its
+    whole CSV record: a quoted name may span line breaks.  The row bound,
+    ``max_rows``, is one more than the line breaks after the header (a last
     line may lack its break).  A row takes one line or more and a blank line
     none, so no more rows follow, and the table is allocated once.  A
     missing required column is a ``ConfigError``.  A leading byte-order
@@ -392,8 +393,7 @@ def _read_header(path, required: Sequence[str]):
             reader = csv.reader(fh)
             header = next(reader, [])
             nul = cr = False
-            # the breaks ending the header's lines but its first, plus one
-            rows = reader.line_num
+            skip, rows = reader.line_num, 1
             for text in iter(functools.partial(fh.read, 1 << 20), ""):
                 nul = nul or "\x00" in text
                 rows += text.count("\n")
@@ -413,7 +413,7 @@ def _read_header(path, required: Sequence[str]):
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
-    return {name: i for i, name in enumerate(header)}, cr, rows  # a repeated name: the last wins
+    return {name: i for i, name in enumerate(header)}, cr, skip, rows  # a repeated name: the last wins
 
 
 def _raw_text(path):
@@ -422,14 +422,16 @@ def _raw_text(path):
 
 
 def _read_table(
-    path, index: dict, cr: bool, max_rows: int, numbers: Sequence[str], labels: Sequence[str]
+    path, index: dict, cr: bool, skip: int, max_rows: int, numbers: Sequence[str],
+    labels: Sequence[str],
 ) -> dict:
     """Columns ``numbers`` (float64) and ``labels`` (raw bytes) of every data row.
 
-    ``max_rows`` is ``_read_header``'s bound: never fewer than the file's
-    rows, or the last ones would be dropped without a word.  A cell that
-    does not parse, a row without one of the columns and a file without data
-    rows are each a ``ConfigError``.  Blank lines are skipped.
+    ``skip`` is ``_read_header``'s count of the header's lines and
+    ``max_rows`` its bound: never fewer than the file's rows, or the last
+    ones would be dropped without a word.  A cell that does not parse, a row
+    without one of the columns and a file without data rows are each a
+    ``ConfigError``.  Blank lines are skipped.
     ``np.loadtxt`` reads a path with universal newlines, which would turn a
     quoted label's CRLF into LF, where ``csv`` keeps it.  So a file holding a
     carriage return (``cr``) is handed over open through ``_raw_text``; any
@@ -446,7 +448,7 @@ def _read_table(
             try:
                 with _raw_text(path) if cr else contextlib.nullcontext(path) as source:
                     table = np.loadtxt(
-                        source, delimiter=",", skiprows=1, usecols=[index[n] for n in names],
+                        source, delimiter=",", skiprows=skip, usecols=[index[n] for n in names],
                         comments=None, quotechar='"', dtype=dtype, ndmin=1, encoding="latin-1",
                         max_rows=max_rows,
                     )
@@ -575,8 +577,8 @@ def read_sweep_csv(path) -> dict:
     Keys come in order of first appearance and each record keeps its rows'
     file order.  Voltages must be finite; a channel needs at least 3 points.
     """
-    index, cr, max_rows = _read_header(path, ["v_in", "v_out", "channel", "device"])
-    cols = _read_table(path, index, cr, max_rows, ["v_in", "v_out"], ["device", "channel"])
+    index, cr, skip, max_rows = _read_header(path, ["v_in", "v_out", "channel", "device"])
+    cols = _read_table(path, index, cr, skip, max_rows, ["v_in", "v_out"], ["device", "channel"])
     for name in ("v_in", "v_out"):
         _check(path, name, np.isfinite(cols[name]), "a finite number", cols[name])
     bounds = _runs(cols["device"], cols["channel"])
@@ -617,9 +619,9 @@ def read_counter_csv(path) -> dict:
     a temperature of None.  Keys come in order of first appearance and each
     float64 array keeps its rows' file order.  A count must be finite and > 0.
     """
-    index, cr, max_rows = _read_header(path, ["count", "device"])
+    index, cr, skip, max_rows = _read_header(path, ["count", "device"])
     labels = [c for c in ("device", "temperature_c") if c in index]
-    cols = _read_table(path, index, cr, max_rows, ["count"], labels)
+    cols = _read_table(path, index, cr, skip, max_rows, ["count"], labels)
     counts = cols["count"]
     _check(path, "count", np.isfinite(counts) & (counts > 0), "a finite number > 0", counts)
     bounds = _runs(*(cols[c] for c in labels))
@@ -646,13 +648,13 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
     row with a blank `delay_us` uses its count.  Keys come in order of first
     appearance and each array keeps its rows' file order.
     """
-    index, cr, max_rows = _read_header(path, ["profile"])
+    index, cr, skip, max_rows = _read_header(path, ["profile"])
     sources = [c for c in ("delay_us", "count") if c in index]
     if not sources:
         raise ConfigError(f"{path}: need a `count` or `delay_us` column")
     if len(sources) == 2:
         # only here can a row lack its delay_us, so only here are they parsed as text
-        cols = _read_table(path, index, cr, max_rows, [], ["profile", *sources])
+        cols = _read_table(path, index, cr, skip, max_rows, [], ["profile", *sources])
         use_count = cols["delay_us"] == b""
         cells = np.where(use_count, cols["count"], cols["delay_us"])
         try:
@@ -666,7 +668,7 @@ def read_delay_csv(path, known_base: float = 100e6) -> dict:
                     raise _bad_cell(path, _row_line(path, row), name, "a number", cell.decode())
             raise
     else:
-        cols = _read_table(path, index, cr, max_rows, sources, ["profile"])
+        cols = _read_table(path, index, cr, skip, max_rows, sources, ["profile"])
         values = cols[sources[0]]
         use_count = np.full(values.size, sources == ["count"])
     _check(path, "delay_us", use_count | np.isfinite(values), "a finite number", values)

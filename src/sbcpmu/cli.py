@@ -176,8 +176,6 @@ def _json_sha256(obj) -> str:
 
 
 def cmd_simulate(args) -> int:
-    import platform
-
     import numpy as np
 
     _bind("blocks", "mc")
@@ -225,7 +223,7 @@ def cmd_simulate(args) -> int:
             "saturated_samples": result.saturated_samples,
             "max_trial_saturated_samples": result.max_trial_saturated_samples,
             "max_guard_margin": result.max_guard_margin,
-            "versions": {"python": platform.python_version(), "numpy": np.__version__},
+            "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         },
         Path(cfg["output_dir"]) / "manifest.json",
         sort_keys=True,

@@ -3,11 +3,14 @@
 The TVE of the expected system response (``blocks.expected_response``) with
 its worst-case band over one PPS interval, and the seeded Monte Carlo that
 replays the error chain trial by trial and compares the measured TVE
-statistics against the model.  The Monte Carlo estimates each trial's
-envelope with the sliding one-cycle Fourier estimator (``_FourierPlan``) on
-the grid ``n*T_s`` the device believes in, so acquisition errors appear in
-the envelope rather than being silently corrected.  ``tve`` and ``fe`` are
-the standard error metrics.
+statistics against the model.  This module holds the Monte Carlo's whole
+sampled path: the sinusoid tables and ADC pass of the forward chain
+(``_row_tables``, ``_acquire_rows``, ``_convert``), the block buffers they
+and the estimator share (``_Workspace``), and the engine that runs them.
+The Monte Carlo estimates each trial's envelope with the sliding one-cycle
+Fourier estimator (``_FourierPlan``) on the grid ``n*T_s`` the device
+believes in, so acquisition errors appear in the envelope rather than being
+silently corrected.  ``tve`` and ``fe`` are the standard error metrics.
 """
 
 from __future__ import annotations
@@ -15,26 +18,17 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .blocks import (
-    ChainModel,
-    Phasor,
-    _acquire_rows,
-    _require_finite,
-    _row_tables,
-    _table_shape,
-    _Tables,
-    expected_response,
-    pll_sample,
-)
+from .blocks import ChainModel, Phasor, _require_finite, expected_response, pll_sample
 from .errors import EstimationError, ScheduleGuardError
 
 DEFAULT_COVERAGE_FACTOR = 3.3
@@ -188,6 +182,148 @@ class _FourierPlan:
         return np.subtract(
             csum[:, n_win : n_windows + n_win], csum[:, :n_windows], out=demod[:, :n_windows]
         )
+
+
+# ---------------------------------------------------------------------------
+# Sampled forward chain and its block buffers
+# ---------------------------------------------------------------------------
+
+
+def _convert(v: np.ndarray, gain, offset, noise, chain: ChainModel):
+    """The ADC transfer in place: ``v <- Q(gain*v + offset + noise)``.
+
+    ``gain`` is the factor ``1 + gain_ppm/1e6`` and ``offset`` the offset in
+    volts, ``offset_uv/1e6``, each a scalar or a per-row column; ``noise`` is
+    None or volts shaped like ``v``.  The code grid is the chain's: ``adc_bits``
+    over the bipolar full scale ``[-adc_vref_v, +adc_vref_v)``, or no
+    quantization when ``adc_bits`` is None.  Returns the end-code saturation
+    mask, or None when no sample saturated (always, for an ideal converter):
+    when the smallest and largest rounded codes lie on the grid, two
+    reductions stand in for the mask and the clip.
+    """
+    np.multiply(gain, v, out=v)
+    v += offset
+    if noise is not None:
+        v += noise
+    if chain.adc_bits is None:
+        return None
+    q = 2.0 * chain.adc_vref_v / (1 << chain.adc_bits)
+    np.divide(v, q, out=v)
+    np.rint(v, out=v)
+    code_min = -(1 << (chain.adc_bits - 1))
+    code_max = (1 << (chain.adc_bits - 1)) - 1
+    saturated = None
+    if not (v.min() >= code_min and v.max() <= code_max):
+        saturated = (v < code_min) | (v > code_max)
+        np.clip(v, code_min, code_max, out=v)
+    v *= q
+    return saturated
+
+
+def _table_shape(samples: int) -> tuple:
+    """``(A, B)`` with ``B = ceil(sqrt(samples))`` and ``A*B >= samples``: sample ``n`` is ``a*B + b``."""
+    b = math.isqrt(samples - 1) + 1
+    return -(-samples // b), b
+
+
+class _Tables(NamedTuple):
+    """The sinusoid tables and ADC factors of rows of trials (``_row_tables``).
+
+    Row ``r``'s samples are ``left[r] @ right[r]``, converted with ``gain[r]``
+    and ``offset[r]``; an array of one row stands for every row.
+    """
+
+    left: np.ndarray  # rows x A x 2: Re(P[a]), -Im(P[a])
+    right: np.ndarray  # rows x 2 x B: Re(Q[b]), Im(Q[b])
+    gain: np.ndarray  # rows x 1: the ADC gain factor 1 + gain_ppm/1e6
+    offset: np.ndarray  # rows x 1: the ADC offset in volts, offset_uv/1e6
+
+    def rows(self, lo: int, hi: int) -> "_Tables":
+        """Rows ``lo`` to ``hi - 1``, as views."""
+        return _Tables(*(t[lo:hi] for t in self))
+
+
+def _row_tables(
+    phasor: Phasor, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps,
+    samples: int,
+) -> _Tables:
+    """The tables of rows of ``samples`` instants ``starts[r] + n*steps[r]``, for ``_acquire_rows``.
+
+    Row ``r`` is scaled by the AAF gain error ``aaf_gain_ppm[r]``, shifted by
+    its phase error ``aaf_phase_urad[r]`` and converted with the ADC gain
+    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]``.  Each
+    parameter is one value per row or one for every row.
+
+    The sampled phase is linear in ``n``.  With ``n = a*B + b``
+    (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
+    ``P[a] = amp*exp(j*(omega*(start + a*B*step) + ph))`` and
+    ``Q[b] = exp(j*omega*b*step)``: two tables of about ``sqrt(samples)``
+    entries per row stand in for a cosine per sample, and
+    ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` makes each
+    row's samples one ``(A x 2) @ (2 x B)`` matrix product.  Every value is
+    computed element by element, so a row's tables have the same bits
+    whichever rows are built with it.
+    """
+    aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
+        np.asarray(values, dtype=float).reshape(-1, 1)
+        for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
+    )
+    a, b = _table_shape(samples)
+    # steady-state filtering: scale the envelope, shift the phase
+    amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
+    ph = phasor.phase + 1e-6 * aaf_phase_urad
+    p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
+    q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
+    return _Tables(
+        left=np.stack((p.real, -p.imag), axis=-1),
+        right=np.stack((q.real, q.imag), axis=-2),
+        gain=1.0 + 1e-6 * adc_gain_ppm,
+        offset=1e-6 * adc_offset_uv,
+    )
+
+
+def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: np.ndarray):
+    """The forward chain on rows of ``samples`` instants, from their ``_row_tables``, computed in ``out``.
+
+    Each row's matrix product is written straight into ``out`` (rows x A*B
+    floats, overwritten) in one pass that runs without the GIL, then
+    converted on the chain's code grid with the chain's ADC noise drawn from
+    ``rngs[r]`` (not used for a noise-free chain).  Each row of ``out`` must
+    be contiguous, and the rows may lie at any stride: the rows x A x B
+    reshape is then a view, so the product lands in ``out``.  Returns
+    ``(values, clipped)``: the converted samples, a rows x ``samples`` view
+    of ``out``, and each row's number of samples clipped at the end codes.
+    """
+    rows = out.shape[0]
+    np.matmul(tables.left, tables.right, out=out.reshape(rows, *_table_shape(samples)))
+    v = out[:, :samples]
+    noise = None
+    if chain.adc_noise_rms_uv > 0:
+        noise_rms = 1e-6 * chain.adc_noise_rms_uv
+        noise = np.array([rng.normal(0.0, noise_rms, size=samples) for rng in rngs])
+    saturated = _convert(v, tables.gain, tables.offset, noise, chain)
+    if saturated is None:
+        return v, np.zeros(rows, dtype=np.intp)
+    return v, np.count_nonzero(saturated, axis=1)
+
+
+class _Workspace:
+    """The two complex buffers one block of trials computes in, reused block after block.
+
+    ``demod`` and ``csum`` (rows x samples) are the Fourier plan's buffers.
+    ``adc``, the first A*B floats of each row of ``csum`` (``_table_shape``),
+    is ``_acquire_rows``'s ``out``: it holds the converted samples until
+    ``_FourierPlan.rows`` has read them into ``demod``, before it writes
+    ``csum``.  At the end of a run ``demod`` is the column statistics' float
+    scratch.  ``monte_carlo`` gives each kernel thread one workspace of its
+    own, and ``run_trial`` one of a single row.
+    """
+
+    def __init__(self, rows: int, samples: int):
+        a, b = _table_shape(samples)
+        self.demod = np.empty((rows, samples), dtype=complex)
+        self.csum = np.empty_like(self.demod)
+        self.adc = self.csum.view(np.float64)[:, : a * b]
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +544,6 @@ class _Draws:
     rngs: Optional[list]  # each trial's generator, kept for its ADC noise; None without noise
     ratios: np.ndarray  # time-base deviation ratio R per trial
     guard_margins: np.ndarray  # |R-1|*N_s per trial
-
-
-class _Workspace:
-    """The two complex buffers one block of trials computes in, allocated once and reused.
-
-    ``demod`` and ``csum`` (rows x samples) are the Fourier plan's buffers.
-    ``adc``, the first A*B floats of each row of ``csum`` (see
-    ``blocks._table_shape``), holds the converted samples until the plan has
-    read them into ``demod``; at the end of a run ``demod`` is the column
-    statistics' float scratch.
-    """
-
-    def __init__(self, rows: int, samples: int):
-        a, b = _table_shape(samples)
-        self.demod = np.empty((rows, samples), dtype=complex)
-        self.csum = np.empty_like(self.demod)
-        self.adc = self.csum.view(np.float64)[:, : a * b]
 
 
 class _Engine:
@@ -654,10 +773,13 @@ def monte_carlo(scenario: McScenario) -> McResult:
     Memory is the float64 per-trial traces, about 100 bytes of seeds and
     draws per trial (and its generator, about 0.75 kB, for a chain with ADC
     noise), and one block workspace per worker: two complex block buffers,
-    2.6 MB at 5 kHz and 1 s PPS intervals.  The kernels take the ADC samples
+    2.6 MB at 5 kHz and 1 s PPS intervals.  Each worker thread allocates its
+    own at its first task and reuses it for every task after, so no
+    workspace is shared between threads.  The kernels take the ADC samples
     in ``csum`` and the error scratch in their own ``trial_tve`` rows, and
-    the column statistics take theirs in ``demod``.  The workspaces are freed
-    before the model curve is built.
+    the column statistics take theirs in ``demod``.  The workspaces go with
+    the worker threads when the pool shuts down, before the model curve is
+    built.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -671,19 +793,20 @@ def monte_carlo(scenario: McScenario) -> McResult:
     trial_tve = np.empty((trials, t_in_pps.size))
     clipped = np.empty(trials, dtype=np.int64)
     workers = _workers(-(-trials // BLOCK_TRIALS))
-    # list.pop and list.append are atomic, and at most ``workers`` kernels
-    # run at once, so a kernel always finds a free workspace
-    free = [_Workspace(min(BLOCK_TRIALS, trials), engine.samples) for _ in range(workers)]
+    # each kernel thread's workspace, allocated in its first task, so that a
+    # MemoryError reaches the caller through the task's future
+    local = threading.local()
+
+    def workspace() -> _Workspace:
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(min(BLOCK_TRIALS, trials), engine.samples)
+        return local.ws
 
     def kernel(start: int, tables: _Tables):
         stop = start + len(tables.gain)
         rngs = None if draws.rngs is None else draws.rngs[start:stop]
-        ws = free.pop()
-        try:
-            z, clipped[start:stop] = engine.envelopes(tables, rngs, ws)
-            return _error_rows(z, trial_tve[start:stop])
-        finally:
-            free.append(ws)
+        z, clipped[start:stop] = engine.envelopes(tables, rngs, workspace())
+        return _error_rows(z, trial_tve[start:stop])
 
     def submitted(pool):
         """Tabulate the next ``workers`` blocks in one pass and submit their kernels; yield the futures in block order.
@@ -708,12 +831,9 @@ def monte_carlo(scenario: McScenario) -> McResult:
     spread = np.zeros(windows)
 
     def column_stats(columns: slice):
-        ws = free.pop()
-        try:
-            std = spread[columns] if trials > 1 else None
-            _column_stats(trial_tve[:, columns], mean_tve[columns], std, ws.demod.view(np.float64))
-        finally:
-            free.append(ws)
+        std = spread[columns] if trials > 1 else None
+        scratch = workspace().demod.view(np.float64)
+        _column_stats(trial_tve[:, columns], mean_tve[columns], std, scratch)
 
     # slices of at least two columns, unless there is only one
     parts = max(1, min(workers, windows // 2))
@@ -728,8 +848,8 @@ def monte_carlo(scenario: McScenario) -> McResult:
         grand_mean_tve = float(trial_tve.mean())
         for future in stats:
             future.result()
-    # the workspaces are done with: the model curve's temporaries need not sit on top of them
-    free.clear()
+    # the pool's threads have exited with their workspaces: the model curve's
+    # temporaries do not sit on top of them
 
     k = DEFAULT_COVERAGE_FACTOR
     curve = model_curve(

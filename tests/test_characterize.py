@@ -599,6 +599,27 @@ LINE_END_CASES = {
 }
 
 
+# A quoted header name spanning one or two line breaks, each ending as the file's lines
+# do.  The name holds a copy of the first data row after each break: a reader that
+# skipped one physical line would take the copy for data.
+HEADER_LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "lone-cr": "\r"}
+
+
+def spanning_header(header: str, first_row: str, breaks: int, end: str) -> str:
+    return header + ',"a' + (end + first_row) * breaks + '"'
+
+
+def read_with_reference(kind: str, path):
+    """What ``kind``'s reader and its ``csv.DictReader`` reference give for ``path``."""
+    if kind == "sweep":
+        got = {k: r.v_in for k, r in read_sweep_csv(path).items()}
+        want = {k: vi for k, (vi, _) in reference_sweep(path).items()}
+        return got, want
+    if kind == "counter":
+        return read_counter_csv(path), reference_counter(path)
+    return read_delay_csv(path, 1e8), reference_delay(path, 1e8)
+
+
 class TestRowBound:
     # np.loadtxt reads at most _read_header's bound of rows: a bound one short
     # drops the last row of a file without a final line break, without a word
@@ -609,13 +630,7 @@ class TestRowBound:
         join, label = LINE_END_CASES[case]
         path = tmp_path / f"{kind}.csv"
         path.write_text(join([header, *rows(label)]), newline="")
-        if kind == "sweep":
-            got = {k: r.v_in for k, r in read_sweep_csv(path).items()}
-            want = {k: vi for k, (vi, _) in reference_sweep(path).items()}
-        elif kind == "counter":
-            got, want = read_counter_csv(path), reference_counter(path)
-        else:
-            got, want = read_delay_csv(path, 1e8), reference_delay(path, 1e8)
+        got, want = read_with_reference(kind, path)
         assert sum(v.size for v in want.values()) == 6
         assert_same_groups(got, want)
 
@@ -628,7 +643,39 @@ class TestRowBound:
         join, label = LINE_END_CASES[case]
         path = tmp_path / "sweep.csv"
         path.write_text(join([header, *rows(label)]), newline="")
-        assert _read_header(path, [])[2] == bound
+        assert _read_header(path, [])[2:] == (1, bound)
+
+    @pytest.mark.parametrize("end", HEADER_LINE_ENDS)
+    @pytest.mark.parametrize("breaks", [1, 2])
+    @pytest.mark.parametrize("kind", ROW_BOUND_FILES)
+    def test_header_spanning_lines_is_skipped_whole(self, tmp_path, kind, breaks, end):
+        # np.loadtxt skips the header's lines, not one physical line
+        header, rows = ROW_BOUND_FILES[kind]
+        lines, sep = rows("ch1"), HEADER_LINE_ENDS[end]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(sep.join([spanning_header(header, lines[0], breaks, sep), *lines]) + sep, newline="")
+        got, want = read_with_reference(kind, path)
+        assert sum(v.size for v in want.values()) == 6
+        assert_same_groups(got, want)
+        # the header's lines, then the six rows' line breaks plus one
+        assert _read_header(path, [])[2:] == (1 + breaks, 7)
+
+    @pytest.mark.parametrize("end", HEADER_LINE_ENDS)
+    @pytest.mark.parametrize("kind", ROW_BOUND_FILES)
+    def test_error_after_a_spanning_header_names_its_line(self, tmp_path, kind, end):
+        # the header takes lines 1 to 3, so the first data row is line 4
+        bad_row, message = {
+            "sweep": ("inf,0,ch0,dev0", "v_in must be a finite number, got inf"),
+            "counter": ("inf,dev0", "count must be a finite number > 0, got inf"),
+            "delay": ("inf,idle", "delay_us must be a finite number, got inf"),
+        }[kind]
+        header, rows = ROW_BOUND_FILES[kind]
+        lines, sep = rows("ch1"), HEADER_LINE_ENDS[end]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(sep.join([spanning_header(header, lines[0], 2, sep), bad_row, *lines]) + sep, newline="")
+        with pytest.raises(ConfigError) as excinfo:
+            read_with_reference(kind, path)
+        assert str(excinfo.value) == f"{path}: line 4: {message}"
 
 
 class TestMemory:

@@ -281,6 +281,19 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    def test_workspace_refused_in_a_kernel_thread_exit(self, tmp_path, capsys, monkeypatch):
+        # a kernel thread allocates its workspace at its first task, so numpy's
+        # refusal there reaches cmd_simulate through the task's future
+        def refuse(rows, samples):
+            raise MemoryError(f"no ({rows}, {samples}) workspace")
+
+        monkeypatch.setattr("sbcpmu.mc._Workspace", refuse)
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == "error: scenario too large to allocate: no (2, 5000) workspace\n"
+        assert not (tmp_path / "run").exists()
+
     def test_integer_beyond_digit_limit_exit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError past Python's int-string digit limit
         p = tmp_path / "cfg.json"

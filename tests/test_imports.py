@@ -3,7 +3,8 @@
 A CLI process pays for every module it loads, so ``import sbcpmu`` loads no
 numpy, ``report`` loads none at all, loading, saving, showing and merging a
 chain profile load no numpy, each subcommand loads only the submodules it
-uses, and ``statistics`` loads only where a normal quantile is taken.
+uses, ``statistics`` loads only where a normal quantile is taken, and
+``simulate`` loads no ``platform`` beyond numpy's own import of it.
 """
 
 import importlib
@@ -114,6 +115,21 @@ def test_only_normal_quantiles_load_statistics(tmp_path, command):
         path.write_text(CSV_TEXT[kind])
         argv = ["characterize", kind, "--input", path, "--output", tmp_path / "frag.json"]
     assert "statistics" not in modules_after_main(*argv)
+
+
+def test_simulate_loads_no_platform(tmp_path):
+    # the manifest's Python version is sys.version's first word, as platform.python_version()
+    # gives it.  numpy imports platform itself, so the pin is on what simulate loads beyond numpy
+    code = (
+        "import sys, numpy\n"
+        "sys.modules.pop('platform', None)\n"
+        "from sbcpmu import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('platform' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    out = run_python(code, "simulate", "--config", write_scenario(tmp_path))
+    assert out.splitlines()[-1] == "False"
 
 
 def test_phasor_loads_no_numpy():
@@ -265,8 +281,8 @@ def test_submodule_public_names_resolve(module):
 
 def test_test_modules_follow_the_submodules():
     # a module's tests live in tests/test_<module>.py; a folded module takes its tests along.
-    # test_signals tests the sampled sinusoid across blocks (Phasor, the identity-chain samples)
-    # and mc (the engine's grid and pulse-count guard), so it is cross-cutting too
+    # test_signals tests the sampled sinusoid across blocks (Phasor) and mc (the identity-chain
+    # samples, the engine's grid and pulse-count guard), so it is cross-cutting too
     submodules = {m.name for m in pkgutil.iter_modules(sbcpmu.__path__)}
     cross_cutting = {"acceptance", "imports", "readme", "signals"}
     names = {p.stem.removeprefix("test_") for p in Path(__file__).parent.glob("test_*.py")}

@@ -19,9 +19,6 @@ from sbcpmu.blocks import (
     Phasor,
     PllDelayModel,
     TimebaseModel,
-    _acquire_rows,
-    _convert,
-    _table_shape,
     expected_response,
     identity_chain,
     paper_profile,
@@ -31,7 +28,12 @@ from sbcpmu import mc
 from sbcpmu.errors import ConfigError, EstimationError, ScheduleGuardError
 from sbcpmu.mc import (
     BLOCK_TRIALS,
+    MIN_WINDOW_SAMPLES,
+    _acquire_rows,
+    _convert,
     _FourierPlan,
+    _row_tables,
+    _table_shape,
     _workers,
     DEFAULT_COVERAGE_FACTOR,
     McScenario,
@@ -565,6 +567,147 @@ class TestBenchmarkScenario:
         r = monte_carlo(mc_batch_scenario())
         assert r.trials == expected["trials"]
         assert math.isclose(r.grand_mean_tve, expected["grand_mean_tve"], rel_tol=1e-9, abs_tol=0.0)
+
+
+def quantum(chain):
+    return 2 * chain.adc_vref_v / 2**chain.adc_bits
+
+
+def convert(chain, v_in):
+    """``v_in`` converted with the chain's mean ADC gain and offset, and the end-code saturation mask."""
+    v = np.array(v_in, dtype=float)
+    gain, offset = 1.0 + 1e-6 * chain.adc_gain_ppm.mean, 1e-6 * chain.adc_offset_uv.mean
+    saturated = _convert(v, gain, offset, None, chain)
+    return v, np.zeros(v.shape, dtype=bool) if saturated is None else saturated
+
+
+class TestAdc:
+    def test_zero_input(self):
+        chain = ChainModel(adc_bits=16, adc_vref_v=10.0)
+        assert convert(chain, 0.0)[0] == 0.0
+
+    def test_paper_gain_offset(self):
+        chain = ChainModel(
+            adc_gain_ppm=GaussianTerm(-4459.0),
+            adc_offset_uv=GaussianTerm(-269.0),
+            adc_bits=24,
+            adc_vref_v=10.0,
+        )
+        # pre-quantization value from Table-like gain/offset at 10 V
+        expected = 10 * (1 - 4459e-6) - 269e-6
+        assert expected == pytest.approx(9.955141, abs=5e-7)
+        assert convert(chain, 10.0)[0] == pytest.approx(expected, abs=quantum(chain))
+
+    def test_quantization_noise_rms(self):
+        chain = ChainModel(adc_bits=12, adc_vref_v=10.0)
+        v = np.linspace(-9.9, 9.9, 200001)
+        out = convert(chain, v)[0]
+        resid = out - v
+        assert np.std(resid) == pytest.approx(quantum(chain) / math.sqrt(12), rel=0.05)
+
+    def test_saturation_flag(self):
+        chain = ChainModel(adc_bits=8, adc_vref_v=1.0)
+        out, sat = convert(chain, np.array([0.0, 2.0, -3.0]))
+        assert list(sat) == [False, True, True]
+        assert out[1] == pytest.approx(1.0, abs=2 * quantum(chain))
+
+
+class TestAcquire:
+    def test_identity_chain_matches_synthesize(self):
+        p = Phasor(10.0, 0.0, 50.0)
+        a, b = _table_shape(5000)
+        values, clipped = _acquire_rows(
+            _row_tables(p, 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000), identity_chain(), 5000, [None],
+            np.empty((1, a * b)),
+        )
+        assert np.allclose(values[0], p.amplitude * np.cos(p.omega * np.arange(5000) * 2e-4))
+        assert clipped[0] == 0
+
+
+def _cosine_ld(amp, ph, omega, starts, steps, samples):
+    """``amp*cos(omega*(start + n*step) + ph)`` in long double, one row per start."""
+    ld = np.longdouble
+    amp, ph, starts, steps = (np.asarray(x, dtype=ld).reshape(-1, 1) for x in (amp, ph, starts, steps))
+    return amp * np.cos(ld(omega) * (starts + np.arange(samples, dtype=ld) * steps) + ph)
+
+
+def _ulps_of_phase(got, want, amp, omega, t_max):
+    """The largest error of ``got`` in units of ``ulp(omega*t_max)*amp``."""
+    return float(np.max(np.abs(got - want)) / (np.spacing(omega * t_max) * amp))
+
+
+# Measured over 600 random draws of each test: at most 2.0.  The phase omega*t is rounded to
+# float64 once, in each table, as a direct cosine would round it.
+PHASE_ULPS = 4
+# a perfect square, a prime and the shortest window
+SAMPLE_COUNTS = [4900, 4999, MIN_WINDOW_SAMPLES]
+TABLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class TestPhaseTables:
+    """With an ideal ADC, the phase-table sinusoid is ``amp*cos(...)`` to a few ulps of the phase."""
+
+    @TABLE_SETTINGS
+    @given(
+        samples=st.sampled_from(SAMPLE_COUNTS),
+        rows=st.lists(
+            st.tuples(
+                st.floats(-0.99, 0.99),  # (R - 1)*N_s: every feasible ratio
+                st.floats(-1e-3, 1e-3),  # start, s
+                st.floats(-1e4, 1e4),  # AAF gain, ppm
+                st.floats(-1e5, 1e5),  # AAF phase, urad
+            ),
+            min_size=1, max_size=3,
+        ),
+        amplitude=st.floats(0.01, 100.0),
+        phase=st.floats(-math.pi, math.pi),
+        frequency=st.sampled_from([50.0, 60.0, 49.5]),
+    )
+    def test_rows_match_long_double(self, samples, rows, amplitude, phase, frequency):
+        p = Phasor(amplitude, phase, frequency)
+        guard, starts, gains, phases = (np.array(c) for c in zip(*rows))
+        steps = (1.0 / samples) * (1.0 + guard / samples)  # one PPS interval of about 1 s
+        a, b = _table_shape(samples)
+        assert a * b >= samples > (a - 1) * b
+        got, clipped = _acquire_rows(
+            _row_tables(p, gains, phases, 0.0, 0.0, starts, steps, samples), identity_chain(),
+            samples, [None] * len(rows), np.empty((len(rows), a * b)),
+        )
+        assert got.shape == (len(rows), samples)
+        assert not clipped.any()
+        amp = p.amplitude * (1.0 + 1e-6 * gains)
+        want = _cosine_ld(amp, p.phase + 1e-6 * phases, p.omega, starts, steps, samples)
+        t_max = np.max(np.abs(starts) + (samples - 1) * steps)
+        assert _ulps_of_phase(got, want, amp.max(), p.omega, t_max) <= PHASE_ULPS
+
+    def test_fast_path_matches_mask_path(self):
+        # In a block where one row clips, every row takes the mask path; the
+        # row that does not clip, run alone, takes the fast path.
+        chain = ChainModel(adc_bits=12, adc_vref_v=10.0)
+        p = Phasor(9.9, 0.3, 50.0)
+        samples = 5000
+        a, b = _table_shape(samples)
+
+        def run(adc_gains):
+            rows = len(adc_gains)
+            values, clipped = _acquire_rows(
+                _row_tables(p, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples), chain, samples,
+                [None] * rows, np.empty((rows, a * b)),
+            )
+            return values.copy(), clipped
+
+        both, clipped = run([0.0, 2e4])  # +2 % gain: 10.1 V peaks against 10 V
+        alone, alone_clipped = run([0.0])
+        assert both[0].tobytes() == alone[0].tobytes()
+        assert clipped[0] == alone_clipped[0] == 0
+        # the clipping row, counted from its unclipped codes
+        unclipped, _ = _acquire_rows(
+            _row_tables(p, 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples), identity_chain(), samples,
+            [None], np.empty((1, a * b)),
+        )
+        codes = np.rint(unclipped[0] / (20.0 / 4096))
+        assert clipped[1] == np.count_nonzero((codes < -2048) | (codes > 2047)) > 0
+        assert np.abs(both[1]).max() <= 10.0
 
 
 class TestSinusoidProduct:

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sbcpmu import mc
-from sbcpmu.blocks import (
-    ChainModel, Phasor, TimebaseModel, _acquire_rows, _row_tables, _table_shape, identity_chain,
-    wrap_phase,
-)
+from sbcpmu.blocks import ChainModel, Phasor, TimebaseModel, identity_chain, wrap_phase
 from sbcpmu.errors import ScheduleGuardError
-from sbcpmu.mc import McScenario, run_trial
+from sbcpmu.mc import McScenario, _acquire_rows, _row_tables, _table_shape, run_trial
 
 
 class TestPhasor:
