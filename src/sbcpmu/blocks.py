@@ -247,7 +247,11 @@ class PllDelayModel:
     lie outside ``[min, max]`` when ``std > 0``.  For shifted-gamma they are
     the gamma's own, and a finite ``max`` clips the gamma's tail.  An
     empirical histogram ignores them.  ``drawn_moments`` gives the mean and
-    std of the delays ``pll_sample`` actually draws.
+    std of the delays ``pll_sample`` actually draws.  ``mode`` and
+    ``mode_std`` are recorded statistics of a measured sample (its histogram
+    mode and the rms spread about it) that nothing draws from; the mode need
+    only lie in ``[min, max]``, since for a near-symmetric sample it lies
+    above the mean about half the time.
     """
 
     family: str = "shifted-gamma"
@@ -299,9 +303,9 @@ class PllDelayModel:
                 )
         elif not (self.min <= self.mean <= self.max):
             raise ModelParameterError(f"need min <= mean <= max, got {lo} / {mean} / {hi} µs")
-        if self.mode is not None and not (self.min <= self.mode <= self.mean):
+        if self.mode is not None and not (self.min <= self.mode <= self.max):
             raise ModelParameterError(
-                f"need min <= mode <= mean, got {lo} / {_us(self.mode)} / {mean} µs"
+                f"need min <= mode <= max, got {lo} / {_us(self.mode)} / {hi} µs"
             )
         if self.family == "shifted-gamma" and self.std > 0 and self.mean <= self.min:
             raise ModelParameterError(

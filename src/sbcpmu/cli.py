@@ -198,8 +198,6 @@ def cmd_simulate(args) -> int:
         result = monte_carlo(scenario)
     except MemoryError as exc:  # numpy refused an array: the grid or the trial count is too large
         raise ConfigError(f"scenario too large to allocate: {exc}") from exc
-    # a run that fails part-way must not leave an earlier run's manifest for report to read
-    (Path(cfg["output_dir"]) / "manifest.json").unlink(missing_ok=True)
     write_run(result, cfg["output_dir"])
     # every key here has its check in _MANIFEST
     write_json(

@@ -19,7 +19,6 @@ import math
 import numbers
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -237,10 +236,6 @@ class _Tables(NamedTuple):
     right: np.ndarray  # rows x 2 x B: Re(Q[b]), Im(Q[b])
     gain: np.ndarray  # rows x 1: the ADC gain factor 1 + gain_ppm/1e6
     offset: np.ndarray  # rows x 1: the ADC offset in volts, offset_uv/1e6
-
-    def rows(self, lo: int, hi: int) -> "_Tables":
-        """Rows ``lo`` to ``hi - 1``, as views."""
-        return _Tables(*(t[lo:hi] for t in self))
 
 
 def _row_tables(
@@ -547,7 +542,7 @@ class _Draws:
 
 
 class _Engine:
-    """One scenario's trials: drawn in order, tabulated, then run a block at a time by a kernel.
+    """One scenario's trials: drawn in order, then tabulated and run a block at a time by a kernel.
 
     What does not change between trials is computed once: the nominal sample
     period, the Fourier plan on the grid ``n*T_s``, the time-base statistics
@@ -759,22 +754,23 @@ def monte_carlo(scenario: McScenario) -> McResult:
 
     A run has two phases.  First the calling thread draws every trial's
     parameters, in trial order, so a guard violation names the lowest
-    failing trial before any kernel runs.  Then the trials run in blocks of
-    ``BLOCK_TRIALS``: the calling thread builds the sinusoid tables of the
-    next blocks, one per worker, in one pass and submits their kernels
-    (forward chain, Fourier estimate, compensation and errors, each a pass
-    over the whole block) to a pool of ``_MAX_WORKERS`` (two) worker threads,
-    fewer if the process may use fewer CPUs or the run has fewer blocks.
-    Each kernel writes its TVE rows straight into ``trial_tve`` and returns
-    its summed magnitude and phase errors, which are added in block order,
-    so every result is bit for bit the same for any number of workers.  The
-    column mean and std of the traces are then taken on the same workers, a
-    slice of columns each, while the calling thread takes the grand mean.
+    failing trial before any kernel runs.  Then one kernel is mapped over
+    the starts of the blocks of ``BLOCK_TRIALS`` trials on a pool of
+    ``_MAX_WORKERS`` (two) worker threads, fewer if the process may use
+    fewer CPUs or the run has fewer blocks.  A kernel builds its block's
+    sinusoid tables, then runs the forward chain, Fourier estimate,
+    compensation and errors, each a pass over the whole block; it writes its
+    TVE rows straight into ``trial_tve`` and returns its summed magnitude and
+    phase errors, which are added in block order, so every result is bit for
+    bit the same for any number of workers.  The column mean and std of the
+    traces are then taken on the same workers, a slice of columns each,
+    while the calling thread takes the grand mean.
     Memory is the float64 per-trial traces, about 100 bytes of seeds and
     draws per trial (and its generator, about 0.75 kB, for a chain with ADC
-    noise), and one block workspace per worker: two complex block buffers,
-    2.6 MB at 5 kHz and 1 s PPS intervals.  Each worker thread allocates its
-    own at its first task and reuses it for every task after, so no
+    noise), and per worker one block's tables (about 36 kB) while its kernel
+    runs and one block workspace: two complex block buffers, 2.6 MB at
+    5 kHz and 1 s PPS intervals.  Each worker thread allocates its own
+    workspace at its first task and reuses it for every task after, so no
     workspace is shared between threads.  The kernels take the ADC samples
     in ``csum`` and the error scratch in their own ``trial_tve`` rows, and
     the column statistics take theirs in ``demod``.  The workspaces go with
@@ -802,29 +798,12 @@ def monte_carlo(scenario: McScenario) -> McResult:
             local.ws = _Workspace(min(BLOCK_TRIALS, trials), engine.samples)
         return local.ws
 
-    def kernel(start: int, tables: _Tables):
-        stop = start + len(tables.gain)
+    def kernel(start: int):
+        stop = min(start + BLOCK_TRIALS, trials)
         rngs = None if draws.rngs is None else draws.rngs[start:stop]
+        tables = engine.tables(draws, start, stop)
         z, clipped[start:stop] = engine.envelopes(tables, rngs, workspace())
         return _error_rows(z, trial_tve[start:stop])
-
-    def submitted(pool):
-        """Tabulate the next ``workers`` blocks in one pass and submit their kernels; yield the futures in block order.
-
-        At most ``2 * workers`` blocks are in flight, so the tables held (about
-        36 kB a block) do not grow with trials.
-        """
-        pending = deque()
-        group = workers * BLOCK_TRIALS
-        for lo in range(0, trials, group):
-            hi = min(lo + group, trials)
-            tables = engine.tables(draws, lo, hi)
-            for start in range(lo, hi, BLOCK_TRIALS):
-                if len(pending) == 2 * workers:
-                    yield pending.popleft()
-                block = tables.rows(start - lo, start - lo + BLOCK_TRIALS)
-                pending.append(pool.submit(kernel, start, block))
-        yield from pending
 
     windows = t_in_pps.size
     mean_tve = np.empty(windows)
@@ -840,8 +819,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     edges = [windows * i // parts for i in range(parts + 1)]
     mag_err_sum = phase_err_sum = 0.0
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in submitted(pool):
-            mag, phase = future.result()
+        for mag, phase in pool.map(kernel, range(0, trials, BLOCK_TRIALS)):
             mag_err_sum += mag
             phase_err_sum += phase
         stats = [pool.submit(column_stats, slice(*edges[i : i + 2])) for i in range(parts)]
@@ -892,9 +870,15 @@ def write_run(result: McResult, outdir) -> None:
     ``trials.npy`` holds ``trial_tve`` as a float64, C-order array of shape
     ``(trials, len(t_in_pps))``: row ``i`` is trial ``i`` and column ``j``
     belongs to row ``j`` of ``summary.csv``'s ``t_in_pps_s`` column.
+
+    An earlier run's ``manifest.json`` and ``report.txt`` are removed before
+    anything is written: they describe the arrays replaced here, and
+    ``report`` refuses a directory without a manifest rather than show the old run.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in ("manifest.json", "report.txt"):
+        (out / stale).unlink(missing_ok=True)
 
     trial_tve = np.ascontiguousarray(result.trial_tve, dtype=np.float64)
     np.save(out / "trials.npy", trial_tve, allow_pickle=False)

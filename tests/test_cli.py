@@ -31,6 +31,14 @@ UNORDERED_HISTOGRAM = {
 }
 
 
+def write_delay_csv(path, profiles):
+    """A ``delay_us,profile`` CSV: ``profiles`` maps each profile name to its delays in µs."""
+    with open(path, "w") as fh:
+        fh.write("delay_us,profile\n")
+        for name, delays in profiles.items():
+            np.savetxt(fh, delays, fmt=f"%.5f,{name}")
+
+
 # the keys ``simulate`` writes to a run's manifest.json, with well-formed values
 RUN_MANIFEST = {
     "scenario_hash": "0123456789abcdef", "chain_sha256": "fedcba9876543210",
@@ -194,6 +202,22 @@ class TestSimulate:
         assert "missing manifest.json" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    def test_library_write_run_leaves_no_manifest(self, tmp_path, capsys):
+        # the library writes another run's arrays into a CLI run directory:
+        # report must not show the old run
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(p), "--trials", "8", "--seed", "1"]) == 0
+        assert main(["report", str(out)]) == 0
+        scenario = McScenario(paper_profile(), Phasor(10.0, 0.0, 50.0), trials=16, base_seed=2)
+        sbcpmu.write_run(monte_carlo(scenario), out)
+        assert np.load(out / "trials.npy").shape[0] == 16
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "missing manifest.json" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -341,7 +365,10 @@ class TestSimulate:
                 {"timebase": {"by_temperature_c": [[10.0, -19.0, 2.0], [0.0, -19.9, 2.0]]}},
                 "timebase: temperature grid must be strictly increasing",
             ),
-            ({"pll": {"delay": {"mode_us": 100}}}, "pll.delay: need min <= mode <= mean"),
+            (
+                {"pll": {"delay": {"max_us": 50, "mode_us": 100}}},
+                "pll.delay: need min <= mode <= max, got 0 / 100 / 50 µs",
+            ),
             (
                 {"pll": {"delay": {"family": "empirical-histogram", "histogram": {
                     "bin_edges_us": [4, 5, 6, 8], "counts": [3, -1, 2]}}}},
@@ -386,6 +413,15 @@ class TestSimulate:
         write_config(p, chain_profile=str(profile))
         assert main(["simulate", "--config", str(p)]) == 2
         assert f"{profile}: {key_path}" in capsys.readouterr().err
+
+    def test_mode_above_mean_chain_profile(self, tmp_path):
+        # a recorded delay mode may lie above the mean: it need only lie in [min, max],
+        # here [0, inf)
+        p = tmp_path / "cfg.json"
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"pll": {"delay": {"mode_us": 100}}}))
+        write_config(p, chain_profile=str(profile))
+        assert main(["simulate", "--config", str(p)]) == 0
 
     def test_manifest_hashes_resolved_chain(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -896,6 +932,21 @@ class TestCharacterize:
         merged = json.loads(profile.read_text())
         assert merged["adc"]["offset_uv"]["mean"] == pytest.approx(1000.0, rel=1e-6)
 
+    def test_merge_delay_profile_with_mode_above_mean(self, tmp_path):
+        # two near-normal profiles; the second one's histogram mode lies above its mean
+        rng = np.random.default_rng(3)
+        csv = tmp_path / "d.csv"
+        write_delay_csv(csv, {name: rng.normal(6.0, 0.5, 5000) for name in ("io", "cpu")})
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        out = tmp_path / "frag.json"
+        args = ["characterize", "delay", "--input", str(csv), "--output", str(out)]
+        assert main(args + ["--merge-into", str(profile)]) == 0
+        cpu = json.loads(out.read_text())["profiles"]["cpu"]
+        assert cpu["mode_us"] > cpu["mean_us"]
+        merged = json.loads(profile.read_text())["pll"]["profiles"]["cpu"]
+        assert merged["mode_us"] == pytest.approx(cpu["mode_us"])
+
     def test_merge_into_malformed_profile_exit(self, tmp_path, capsys):
         profile = tmp_path / "chain.json"
         profile.write_text("{bad")
@@ -1022,6 +1073,31 @@ class TestProfileCmd:
             "got 8 / 6 / 4 / 5 µs\n"
         )
 
+    @pytest.mark.parametrize(
+        "mode_us, message",
+        [
+            (5.0, None),
+            (2.0, "need min <= mode <= max, got 3 / 2 / 9 µs"),
+            (10.0, "need min <= mode <= max, got 3 / 10 / 9 µs"),
+        ],
+        ids=["above-mean", "below-min", "above-max"],
+    )
+    def test_show_delay_mode(self, tmp_path, capsys, mode_us, message):
+        stats = {
+            "family": "shifted-gamma", "min_us": 3.0, "max_us": 9.0,
+            "mean_us": 4.0, "std_us": 0.7, "mode_us": mode_us,
+        }
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"pll": {"profiles": {"rt": stats}}}))
+        code = main(["profile", "show", str(profile)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0
+            assert json.loads(captured.out)["pll"]["profiles"]["rt"] == pytest.approx(stats)
+        else:
+            assert code == 2
+            assert captured.err == f"error: {profile}: pll.profiles.rt: {message}\n"
+
     def test_merge_characterize_fragment(self, tmp_path):
         base = tmp_path / "base.json"
         base.write_text(json.dumps(chain_to_json(paper_profile())))
@@ -1032,6 +1108,61 @@ class TestProfileCmd:
         merged = json.loads(out.read_text())
         assert merged["timebase"]["e_r_ppm"]["mean"] == -1.0
         assert merged["adc"]["gain_err_ppm"]["mean"] == -4459.0
+
+    @pytest.mark.parametrize("command", ["profile-merge", "characterize-merge-into"])
+    def test_merge_delay_fragment(self, tmp_path, command):
+        # each fitted profile replaces its entry as a whole, as shifted-gamma; the others survive
+        rng = np.random.default_rng(1)
+        csv = tmp_path / "d.csv"
+        write_delay_csv(
+            csv, {"cpu": 3.2 + rng.gamma(3.6, 0.3, 1000), "rt": 2.0 + rng.gamma(3.6, 0.2, 1000)}
+        )
+        shown = chain_to_json(paper_profile())
+        shown["pll"]["profiles"]["cpu"] = {
+            "family": "truncated-normal", "min_us": 3.0, "max_us": 9.0, "mean_us": 4.0, "std_us": 0.7,
+        }
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(shown))
+        frag, out = tmp_path / "frag.json", tmp_path / "merged.json"
+        characterize = ["characterize", "delay", "--input", str(csv), "--output", str(frag)]
+        if command == "profile-merge":
+            assert main(characterize) == 0
+            assert main(["profile", "merge", str(base), str(frag), "--out", str(out)]) == 0
+        else:
+            out.write_text(base.read_text())
+            assert main(characterize + ["--merge-into", str(out)]) == 0
+        fitted = json.loads(frag.read_text())["profiles"]
+        merged = json.loads(out.read_text())["pll"]["profiles"]
+        keys = ("min_us", "max_us", "mean_us", "std_us", "mode_us", "mode_std_us")
+        for name in ("cpu", "rt"):
+            want = {"family": "shifted-gamma", **{k: fitted[name][k] for k in keys}}
+            assert merged[name] == pytest.approx(want)
+        for name in ("idle", "io", "hdd", "vm"):
+            assert merged[name] == pytest.approx(shown["pll"]["profiles"][name])
+
+    def test_merge_counter_fragment_by_temperature(self, tmp_path):
+        # 2 temperatures x 2 boards: the fragment sets the overall std and replaces the grid
+        csv = tmp_path / "c.csv"
+        csv.write_text(
+            "count,device,temperature_c\n"
+            + "".join(
+                f"{c},b{b},{t}\n" for t in (20.0, 40.0) for b in range(2) for c in (2000 + b, 2001, 2001 - b)
+            )
+        )
+        frag, out = tmp_path / "frag.json", tmp_path / "merged.json"
+        assert main(["characterize", "counter", "--input", str(csv), "--output", str(frag)]) == 0
+        fitted = json.loads(frag.read_text())
+        assert main(["profile", "merge", "paper", str(frag), "--out", str(out)]) == 0
+        timebase = json.loads(out.read_text())["timebase"]
+        assert timebase["e_r_ppm"] == pytest.approx(
+            {"mean": fitted["e_r_ppm_mean"], "std": fitted["e_r_ppm_total_std"]}
+        )
+        rows = [
+            [e["temperature_c"], e["e_r_ppm_mean"], e["e_r_ppm_board_std"]]
+            for e in fitted["by_temperature_c"]
+        ]
+        assert [t for t, _, _ in rows] == [20.0, 40.0]
+        assert timebase["by_temperature_c"] == [pytest.approx(row) for row in rows]
 
     def test_merge_rejects_unknown_keys(self, tmp_path, capsys):
         base = tmp_path / "base.json"
@@ -1117,6 +1248,20 @@ class TestProfileCmd:
         ],
     )
     def test_merge_wrong_fragment_type_exit(self, tmp_path, capsys, fragment, message):
+        code, out = self.merge(tmp_path, fragment)
+        assert code == 2
+        assert f"frag.json: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fragment, message",
+        [
+            ({"kind": "spectrum"}, "cannot merge fragment of kind 'spectrum'"),
+            ({"kind": "counter", "by_temperature_c": []}, "fragment lacks field 'e_r_ppm_mean'"),
+        ],
+        ids=["unknown-kind", "lacking-field"],
+    )
+    def test_merge_unmergeable_fragment_exit(self, tmp_path, capsys, fragment, message):
         code, out = self.merge(tmp_path, fragment)
         assert code == 2
         assert f"frag.json: {message}" in capsys.readouterr().err
