@@ -330,9 +330,10 @@ class _Workspace:
 class McScenario:
     """One seeded Monte Carlo experiment.
 
-    A trial is one PPS-interval sub-sequence; ``trials`` should equal
-    ``channels * duration / pps_period`` when mirroring a parallel-channel
-    test session.
+    A trial is one PPS-interval sub-sequence.  ``duration`` and ``channels``
+    describe the test session: they are checked and never used, and no
+    relation to ``trials`` is checked or implied.  Deleting them waits for a
+    change to the benchmark harness, whose input writer sets them.
     """
 
     chain: ChainModel

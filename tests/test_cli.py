@@ -5,6 +5,8 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,7 @@ class TestConfig:
         cfg = load_scenario_config(p)
         assert cfg == {
             "chain_profile": "paper",
+            "pll_profile": None,
             "signal": {"amplitude_v": 10.0, "frequency_hz": 50.0},
             "schedule": {"rate_hz": 5000.0, "pps_period_s": 1.0},
             "run": {"trials": 2, "seed": 7, "duration_s": 30.0, "channels": 8},
@@ -221,6 +224,35 @@ class TestSimulate:
     def test_config_error_exit(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_null_pll_profile_keeps_the_chain_delay(self, tmp_path):
+        # an absent pll_profile and a null one are the same scenario
+        manifests = []
+        for name, overrides in (("absent", {}), ("null", {"pll_profile": None})):
+            p = tmp_path / f"{name}.json"
+            write_config(p, **overrides)
+            assert main(["simulate", "--config", str(p)]) == 0
+            manifests.append((tmp_path / "run" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert manifest["scenario"]["pll_profile"] is None
+        assert manifest["chain_sha256"] == _json_sha256(chain_to_json(paper_profile()))
+
+    def test_pll_profile_selects_a_bundled_delay(self, tmp_path):
+        manifests = {}
+        for name in (None, "hdd"):
+            p = tmp_path / "cfg.json"
+            write_config(p, pll_profile=name, output_dir=str(tmp_path / str(name)))
+            assert main(["simulate", "--config", str(p)]) == 0
+            manifests[name] = json.loads((tmp_path / str(name) / "manifest.json").read_text())
+        paper = paper_profile()
+        chain = replace(paper, pll=paper.pll_profiles["hdd"])
+        assert manifests["hdd"]["chain_sha256"] == _json_sha256(chain_to_json(chain))
+        assert manifests["hdd"]["chain_sha256"] != manifests[None]["chain_sha256"]
+        assert manifests["hdd"]["chain_name"] == paper.name
+        scenario = McScenario(chain, Phasor(10.0, 0.0, 50.0), trials=2, base_seed=7)
+        assert manifests["hdd"]["grand_mean_tve"] == monte_carlo(scenario).grand_mean_tve
+        assert manifests["hdd"]["grand_mean_tve"] != manifests[None]["grand_mean_tve"]
+
     @pytest.mark.parametrize(
         "key_path, value, flags, message",
         [
@@ -262,6 +294,16 @@ class TestSimulate:
             (
                 "schedule.pps_period_s", 0.02, [],
                 "waveform spans less than one estimation window",
+            ),
+            pytest.param(
+                "pll_profile", 3, [], "pll_profile: expected a string, got a number",
+                id="pll-profile-not-a-string",
+            ),
+            pytest.param(
+                "pll_profile", "gpu", [],
+                "pll_profile: expected one of the chain's pll.profiles "
+                "(idle, cpu, io, hdd, vm), got 'gpu'",
+                id="pll-profile-unknown",
             ),
         ],
     )
@@ -1275,3 +1317,127 @@ class TestProfileCmd:
         code, out = self.merge(tmp_path, [{"adc": {}}])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+def child(args, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """``python ARGS`` on this checkout, with block-buffered stdout as in a shell pipeline.
+
+    ``env`` adds to the environment; PYTHONUNBUFFERED in it unbuffers stdout again.
+    """
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env={**base, "PYTHONPATH": SRC, **dict(env)},
+        text=True, timeout=120, **kwargs,
+    )
+
+
+def written_run(tmp_path) -> Path:
+    """A run directory holding ``RUN_MANIFEST``, enough for ``report``."""
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "manifest.json").write_text(json.dumps(RUN_MANIFEST))
+    return tmp_path / "run"
+
+
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m sbcpmu.cli ARGV``, its output captured."""
+    return child(["-m", "sbcpmu.cli", *argv], capture_output=True)
+
+
+class TestProcess:
+    """The process entry: ``run()`` ends the process without interpreter teardown."""
+
+    def test_good_simulate_and_report_write_all_of_stdout(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        sim = cli_process("simulate", "--config", p)
+        assert (sim.returncode, sim.stderr) == (0, "")
+        lines = sim.stdout.splitlines()
+        assert lines[0] == f"run written to {tmp_path / 'run'}"
+        assert [line.split(":")[0] for line in lines[1:]] == ["grand mean TVE", "FE (expected)"]
+        rep = cli_process("report", tmp_path / "run")
+        assert (rep.returncode, rep.stderr) == (0, "")
+        assert rep.stdout == (tmp_path / "run" / "report.txt").read_text()
+        assert rep.stdout.splitlines()[-1].startswith("FE")
+
+    def test_bad_config_exits_2(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        write_config(p, run={"trials": 0, "seed": 7})
+        proc = cli_process("simulate", "--config", p)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {p}: run.trials: expected an integer >= 1, got 0\n"
+
+    def test_guard_violation_exits_3(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps({"timebase": {"e_r_ppm": {"mean": 500.0, "std": 0.0}}}))
+        write_config(p, chain_profile=str(profile))
+        proc = cli_process("simulate", "--config", p)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and "trial" in proc.stderr
+
+    def test_unwritable_output_exits_4(self, tmp_path):
+        # the run directory would lie below a regular file
+        (tmp_path / "file").write_text("")
+        p = tmp_path / "cfg.json"
+        write_config(p, output_dir=str(tmp_path / "file" / "run"))
+        proc = cli_process("simulate", "--config", p)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    def test_usage_error_exits_2(self):
+        proc = cli_process("simulate")
+        assert proc.returncode == 2
+        assert "the following arguments are required: --config" in proc.stderr
+
+    def test_atexit_callbacks_run(self, tmp_path):
+        rundir = written_run(tmp_path)
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit callback ran')\n"
+            f"sys.argv = ['sbcpmu', 'report', {str(rundir)!r}]\n"
+            "runpy.run_module('sbcpmu.cli', run_name='__main__')\n"
+        )
+        proc = child(["-c", code], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("run: 0123456789ab")
+        assert proc.stdout.endswith("\natexit callback ran\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_4_without_traceback(self, tmp_path, unbuffered):
+        # buffered, the write fails in run()'s flush; unbuffered, in main()'s print
+        rundir = written_run(tmp_path)
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the first write
+        try:
+            proc = child(
+                ["-m", "sbcpmu.cli", "report", rundir],
+                env={"PYTHONUNBUFFERED": "1"} if unbuffered else {},
+                stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (4, "error: [Errno 32] Broken pipe\n")
+
+
+class TestNoThreadOutlivesMain:
+    """``run()`` ends the process with ``os._exit``, which would cut off a live thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr("sbcpmu.mc._workers", lambda blocks: workers)
+        p = tmp_path / "cfg.json"
+        write_config(p, run={"trials": 40, "seed": 7})  # three blocks of trials
+        threads = threading.active_count()
+        assert main(["simulate", "--config", str(p)]) == 0
+        assert threading.active_count() == threads
+
+    def test_characterize_and_report(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text("v_in,v_out,channel,device\n-1,-1,ch0,dev0\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+        rundir = written_run(tmp_path)
+        threads = threading.active_count()
+        argv = ["characterize", "sweep", "--input", str(csv), "--output", str(tmp_path / "f.json")]
+        assert main(argv) == 0
+        assert threading.active_count() == threads
+        assert main(["report", str(rundir)]) == 0
+        assert threading.active_count() == threads
