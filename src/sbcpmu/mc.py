@@ -4,9 +4,9 @@ The TVE of the expected system response (``blocks.expected_response``) with
 its worst-case band over one PPS interval, and the seeded Monte Carlo that
 replays the error chain trial by trial and compares the measured TVE
 statistics against the model.  This module holds the Monte Carlo's whole
-sampled path: the sinusoid tables and ADC pass of the forward chain
-(``_row_tables``, ``_acquire_rows``, ``_convert``), the block buffers they
-and the estimator share (``_Workspace``), and the engine that runs them.
+sampled path: the forward chain's sinusoid tables and ADC pass
+(``_acquire_rows``, ``_convert``), the block buffers it and the estimator
+share (``_Workspace``), and the engine that runs them.
 The Monte Carlo estimates each trial's envelope with the sliding one-cycle
 Fourier estimator (``_FourierPlan``) on the grid ``n*T_s`` the device
 believes in, so acquisition errors appear in the envelope rather than being
@@ -21,7 +21,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -225,29 +225,18 @@ def _table_shape(samples: int) -> tuple:
     return -(-samples // b), b
 
 
-class _Tables(NamedTuple):
-    """The sinusoid tables and ADC factors of rows of trials (``_row_tables``).
-
-    Row ``r``'s samples are ``left[r] @ right[r]``, converted with ``gain[r]``
-    and ``offset[r]``; an array of one row stands for every row.
-    """
-
-    left: np.ndarray  # rows x A x 2: Re(P[a]), -Im(P[a])
-    right: np.ndarray  # rows x 2 x B: Re(Q[b]), Im(Q[b])
-    gain: np.ndarray  # rows x 1: the ADC gain factor 1 + gain_ppm/1e6
-    offset: np.ndarray  # rows x 1: the ADC offset in volts, offset_uv/1e6
-
-
-def _row_tables(
+def _acquire_rows(
     phasor: Phasor, aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps,
-    samples: int,
-) -> _Tables:
-    """The tables of rows of ``samples`` instants ``starts[r] + n*steps[r]``, for ``_acquire_rows``.
+    chain: ChainModel, samples: int, rngs, out: np.ndarray,
+):
+    """The forward chain on rows of ``samples`` instants ``starts[r] + n*steps[r]``, computed in ``out``.
 
     Row ``r`` is scaled by the AAF gain error ``aaf_gain_ppm[r]``, shifted by
-    its phase error ``aaf_phase_urad[r]`` and converted with the ADC gain
-    error ``adc_gain_ppm[r]`` and offset ``adc_offset_uv[r]``.  Each
-    parameter is one value per row or one for every row.
+    its phase error ``aaf_phase_urad[r]`` and converted on the chain's code
+    grid with the ADC gain error ``adc_gain_ppm[r]``, offset
+    ``adc_offset_uv[r]`` and the chain's ADC noise drawn from ``rngs[r]`` (not
+    used for a noise-free chain).  Each parameter is one value per row or one
+    for every row.
 
     The sampled phase is linear in ``n``.  With ``n = a*B + b``
     (``_table_shape``), ``amp*cos(omega*t_n + ph)`` is ``Re(P[a]*Q[b])`` with
@@ -256,47 +245,36 @@ def _row_tables(
     entries per row stand in for a cosine per sample, and
     ``Re(P[a]*Q[b]) = Re(P[a])*Re(Q[b]) - Im(P[a])*Im(Q[b])`` makes each
     row's samples one ``(A x 2) @ (2 x B)`` matrix product.  Every value is
-    computed element by element, so a row's tables have the same bits
-    whichever rows are built with it.
+    computed element by element, so a row's samples have the same bits
+    whichever rows are run with it.
+
+    Each row's matrix product is written straight into ``out`` (rows x A*B
+    floats, overwritten) in one pass that runs without the GIL.  Each row of
+    ``out`` must be contiguous, and the rows may lie at any stride: the
+    rows x A x B reshape is then a view, so the product lands in ``out``.
+    Returns ``(values, clipped)``: the converted samples, a rows x ``samples``
+    view of ``out``, and each row's number of samples clipped at the end codes.
     """
     aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps = (
         np.asarray(values, dtype=float).reshape(-1, 1)
         for values in (aaf_gain_ppm, aaf_phase_urad, adc_gain_ppm, adc_offset_uv, starts, steps)
     )
+    rows = out.shape[0]
     a, b = _table_shape(samples)
     # steady-state filtering: scale the envelope, shift the phase
     amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain_ppm)
     ph = phasor.phase + 1e-6 * aaf_phase_urad
     p = amp * np.exp(1j * (phasor.omega * (starts + (b * np.arange(a)) * steps) + ph))
     q = np.exp(1j * (phasor.omega * (np.arange(b) * steps)))
-    return _Tables(
-        left=np.stack((p.real, -p.imag), axis=-1),
-        right=np.stack((q.real, q.imag), axis=-2),
-        gain=1.0 + 1e-6 * adc_gain_ppm,
-        offset=1e-6 * adc_offset_uv,
-    )
-
-
-def _acquire_rows(tables: _Tables, chain: ChainModel, samples: int, rngs, out: np.ndarray):
-    """The forward chain on rows of ``samples`` instants, from their ``_row_tables``, computed in ``out``.
-
-    Each row's matrix product is written straight into ``out`` (rows x A*B
-    floats, overwritten) in one pass that runs without the GIL, then
-    converted on the chain's code grid with the chain's ADC noise drawn from
-    ``rngs[r]`` (not used for a noise-free chain).  Each row of ``out`` must
-    be contiguous, and the rows may lie at any stride: the rows x A x B
-    reshape is then a view, so the product lands in ``out``.  Returns
-    ``(values, clipped)``: the converted samples, a rows x ``samples`` view
-    of ``out``, and each row's number of samples clipped at the end codes.
-    """
-    rows = out.shape[0]
-    np.matmul(tables.left, tables.right, out=out.reshape(rows, *_table_shape(samples)))
+    left = np.stack((p.real, -p.imag), axis=-1)  # rows x A x 2
+    right = np.stack((q.real, q.imag), axis=-2)  # rows x 2 x B
+    np.matmul(left, right, out=out.reshape(rows, a, b))
     v = out[:, :samples]
     noise = None
     if chain.adc_noise_rms_uv > 0:
         noise_rms = 1e-6 * chain.adc_noise_rms_uv
         noise = np.array([rng.normal(0.0, noise_rms, size=samples) for rng in rngs])
-    saturated = _convert(v, tables.gain, tables.offset, noise, chain)
+    saturated = _convert(v, 1.0 + 1e-6 * adc_gain_ppm, 1e-6 * adc_offset_uv, noise, chain)
     if saturated is None:
         return v, np.zeros(rows, dtype=np.intp)
     return v, np.count_nonzero(saturated, axis=1)
@@ -333,7 +311,10 @@ class McScenario:
     A trial is one PPS-interval sub-sequence.  ``duration`` and ``channels``
     describe the test session: they are checked and never used, and no
     relation to ``trials`` is checked or implied.  Deleting them waits for a
-    change to the benchmark harness, whose input writer sets them.
+    benchmark change: ``perfbench/inputs.py``'s ``simulate_config`` writes
+    the scenario keys ``run.duration_s`` and ``run.channels``, and
+    ``perfbench/make_expected.py``'s ``simulate_result`` passes them to
+    ``McScenario`` as ``duration=`` and ``channels=``.
     """
 
     chain: ChainModel
@@ -543,7 +524,7 @@ class _Draws:
 
 
 class _Engine:
-    """One scenario's trials: drawn in order, then tabulated and run a block at a time by a kernel.
+    """One scenario's trials: drawn in order (``draw``), then run a block at a time (``envelopes``).
 
     What does not change between trials is computed once: the nominal sample
     period, the Fourier plan on the grid ``n*T_s``, the time-base statistics
@@ -585,17 +566,18 @@ class _Engine:
                 chain, scenario.phasor.omega, self.plan.times, scenario.temperature_c
             ).compensation
 
-    def draw(self, start: int, seeds: np.ndarray) -> _Draws:
-        """Trials ``start`` on, one per row of ``seeds`` (``_trial_seeds``), drawn in trial order.
+    def draw(self, start: int, stop: int) -> _Draws:
+        """Trials ``start`` to ``stop - 1``, drawn in trial order.
 
-        Each trial's generator is seeded by (base_seed, trial index) alone and
-        draws five standard normals, then the PLL delay, into its row of
-        ``params``; one pass then scales the normals to the five terms.
-        numpy's ``rng.normal(mean, std)`` is ``mean + std*z`` of the same
-        standard normal ``z``, so each row equals five scalar ``normal`` calls
-        and a ``pll_sample``, bit for bit.  A guard violation names the lowest
-        failing trial.
+        Each trial's generator is seeded by (base_seed, trial index) alone
+        (``_trial_seeds``) and draws five standard normals, then the PLL
+        delay, into its row of ``params``; one pass then scales the normals
+        to the five terms.  numpy's ``rng.normal(mean, std)`` is
+        ``mean + std*z`` of the same standard normal ``z``, so each row equals
+        five scalar ``normal`` calls and a ``pll_sample``, bit for bit.  A
+        guard violation names the lowest failing trial.
         """
+        seeds = _trial_seeds(self.scenario.base_seed, start, stop)
         params = np.empty((len(seeds), 6))
         pll = self.scenario.chain.pll
         rngs = [] if self.scenario.chain.adc_noise_rms_uv > 0 else None
@@ -621,29 +603,23 @@ class _Engine:
             )
         return _Draws(params, rngs, ratios, margins)
 
-    def tables(self, draws: _Draws, lo: int, hi: int) -> _Tables:
-        """The sinusoid tables and ADC factors of rows ``lo`` to ``hi - 1`` of ``draws``, in one pass.
+    def envelopes(self, draws: _Draws, lo: int, hi: int, ws: _Workspace):
+        """The relative envelopes of rows ``lo`` to ``hi - 1`` of ``draws`` (rows x windows, a view of ``ws``) and ADC clips per row.
 
-        Each trial is sampled at its realized instants delay + n*T_s*R.
+        Each trial is sampled at its realized instants delay + n*T_s*R.  The
+        forward chain (with each trial's ADC noise from its generator), the
+        Fourier estimate and, if the scenario compensates, the compensation
+        all run in ``ws``.  Row ``r`` is the envelope of row ``lo + r`` of
+        ``draws`` divided by the reference phasor (times ``K`` when
+        compensating).
         """
+        rows = hi - lo
         aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = draws.params[lo:hi].T
-        return _row_tables(
-            self.scenario.phasor, aaf_gain, aaf_phase, adc_gain, adc_offset, delay,
-            self.sample_period * draws.ratios[lo:hi], self.samples,
-        )
-
-    def envelopes(self, tables: _Tables, rngs, ws: _Workspace):
-        """The relative envelopes of a block's rows (rows x windows, a view of ``ws``) and ADC clips per row.
-
-        The forward chain from the block's ``tables`` (with each trial's ADC
-        noise from ``rngs``, None for a noise-free chain), the Fourier
-        estimate and, if the scenario compensates, the compensation all run
-        in ``ws``.  Row ``r`` is trial ``r``'s envelope divided by the
-        reference phasor (times ``K`` when compensating).
-        """
-        rows = len(tables.gain)
+        rngs = None if draws.rngs is None else draws.rngs[lo:hi]
         values, clipped = _acquire_rows(
-            tables, self.scenario.chain, self.samples, rngs, ws.adc[:rows]
+            self.scenario.phasor, aaf_gain, aaf_phase, adc_gain, adc_offset, delay,
+            self.sample_period * draws.ratios[lo:hi], self.scenario.chain, self.samples, rngs,
+            ws.adc[:rows],
         )
         z = self.plan.rows(values, ws.demod[:rows], ws.csum[:rows])
         if self.compensation is not None:
@@ -667,9 +643,8 @@ def run_trial(scenario: McScenario, trial_index: int):
     """
     _check_seed_int("trial_index", trial_index)
     engine = _Engine(scenario)
-    draws = engine.draw(trial_index, _trial_seeds(scenario.base_seed, trial_index, trial_index + 1))
-    ws = _Workspace(1, engine.samples)
-    z, clipped = engine.envelopes(engine.tables(draws, 0, 1), draws.rngs, ws)
+    draws = engine.draw(trial_index, trial_index + 1)
+    z, clipped = engine.envelopes(draws, 0, 1, _Workspace(1, engine.samples))
     env = z[0] * scenario.phasor.value
     trace = np.empty(z.shape)
     _error_rows(z, trace)
@@ -786,7 +761,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     engine = _Engine(scenario)
     t_in_pps = engine.plan.times
     trials = scenario.trials
-    draws = engine.draw(0, _trial_seeds(scenario.base_seed, 0, trials))
+    draws = engine.draw(0, trials)
     trial_tve = np.empty((trials, t_in_pps.size))
     clipped = np.empty(trials, dtype=np.int64)
     workers = _workers(-(-trials // BLOCK_TRIALS))
@@ -801,9 +776,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
 
     def kernel(start: int):
         stop = min(start + BLOCK_TRIALS, trials)
-        rngs = None if draws.rngs is None else draws.rngs[start:stop]
-        tables = engine.tables(draws, start, stop)
-        z, clipped[start:stop] = engine.envelopes(tables, rngs, workspace())
+        z, clipped[start:stop] = engine.envelopes(draws, start, stop, workspace())
         return _error_rows(z, trial_tve[start:stop])
 
     windows = t_in_pps.size

@@ -32,7 +32,6 @@ from sbcpmu.mc import (
     _acquire_rows,
     _convert,
     _FourierPlan,
-    _row_tables,
     _table_shape,
     _workers,
     DEFAULT_COVERAGE_FACTOR,
@@ -533,7 +532,7 @@ class TestDraw:
         )
         scenario = small_scenario(chain=chain, base_seed=base_seed, temperature_c=temperature)
         engine = mc._Engine(scenario)
-        draws = engine.draw(start, mc._trial_seeds(base_seed, start, start + trials))
+        draws = engine.draw(start, start + trials)
         want, rngs = _scalar_draws(scenario, start, start + trials)
         assert draws.params.tobytes() == want.tobytes()
         ratios = 1.0 + 1e-6 * want[:, 4]
@@ -617,8 +616,7 @@ class TestAcquire:
         p = Phasor(10.0, 0.0, 50.0)
         a, b = _table_shape(5000)
         values, clipped = _acquire_rows(
-            _row_tables(p, 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, 5000), identity_chain(), 5000, [None],
-            np.empty((1, a * b)),
+            p, 0.0, 0.0, 0.0, 0.0, 0.0, 2e-4, identity_chain(), 5000, [None], np.empty((1, a * b))
         )
         assert np.allclose(values[0], p.amplitude * np.cos(p.omega * np.arange(5000) * 2e-4))
         assert clipped[0] == 0
@@ -670,8 +668,8 @@ class TestPhaseTables:
         a, b = _table_shape(samples)
         assert a * b >= samples > (a - 1) * b
         got, clipped = _acquire_rows(
-            _row_tables(p, gains, phases, 0.0, 0.0, starts, steps, samples), identity_chain(),
-            samples, [None] * len(rows), np.empty((len(rows), a * b)),
+            p, gains, phases, 0.0, 0.0, starts, steps, identity_chain(), samples,
+            [None] * len(rows), np.empty((len(rows), a * b)),
         )
         assert got.shape == (len(rows), samples)
         assert not clipped.any()
@@ -691,8 +689,8 @@ class TestPhaseTables:
         def run(adc_gains):
             rows = len(adc_gains)
             values, clipped = _acquire_rows(
-                _row_tables(p, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, samples), chain, samples,
-                [None] * rows, np.empty((rows, a * b)),
+                p, 0.0, 0.0, adc_gains, 250.0, 3e-6, 2e-4, chain, samples, [None] * rows,
+                np.empty((rows, a * b)),
             )
             return values.copy(), clipped
 
@@ -702,12 +700,54 @@ class TestPhaseTables:
         assert clipped[0] == alone_clipped[0] == 0
         # the clipping row, counted from its unclipped codes
         unclipped, _ = _acquire_rows(
-            _row_tables(p, 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, samples), identity_chain(), samples,
-            [None], np.empty((1, a * b)),
+            p, 0.0, 0.0, 2e4, 250.0, 3e-6, 2e-4, identity_chain(), samples, [None],
+            np.empty((1, a * b)),
         )
         codes = np.rint(unclipped[0] / (20.0 / 4096))
         assert clipped[1] == np.count_nonzero((codes < -2048) | (codes > 2047)) > 0
         assert np.abs(both[1]).max() <= 10.0
+
+
+class TestRowsStandAlone:
+    """A row's converted samples and clip count do not depend on the rows run with it."""
+
+    @pytest.mark.parametrize("noise_uv", [0.0, 300.0], ids=["quiet", "adc-noise"])
+    @TABLE_SETTINGS
+    @given(
+        samples=st.sampled_from(SAMPLE_COUNTS),
+        rows=st.lists(
+            st.tuples(
+                st.floats(-2e4, 2e4),  # AAF gain, ppm
+                st.floats(-1e5, 1e5),  # AAF phase, urad
+                st.floats(-2e4, 2e4),  # ADC gain, ppm
+                st.floats(-1e4, 1e4),  # ADC offset, uV
+                st.floats(-1e-3, 1e-3),  # start, s
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),  # (R - 1)*N_s
+            ),
+            min_size=2, max_size=5,
+        ),
+    )
+    def test_block_rows_equal_rows_alone(self, noise_uv, samples, rows):
+        # 9.9 V peaks on a 10 V, 12-bit converter: a row whose gains add up to
+        # about 1 % clips, so blocks mix rows that clip and rows that do not
+        chain = ChainModel(adc_bits=12, adc_vref_v=10.0, adc_noise_rms_uv=noise_uv)
+        p = Phasor(9.9, 0.3, 50.0)
+        *params, guard = (np.array(c) for c in zip(*rows))
+        steps = (1.0 / samples) * (1.0 + guard / samples)
+        a, b = _table_shape(samples)
+
+        def run(lo, hi):
+            rngs = [np.random.default_rng([7, r]) for r in range(lo, hi)]
+            return _acquire_rows(
+                p, *(x[lo:hi] for x in params), steps[lo:hi], chain, samples, rngs,
+                np.empty((hi - lo, a * b)),
+            )
+
+        block, clipped = run(0, len(rows))
+        for r in range(len(rows)):
+            alone, alone_clipped = run(r, r + 1)
+            assert block[r].tobytes() == alone[0].tobytes(), r
+            assert clipped[r] == alone_clipped[0], r
 
 
 class TestSinusoidProduct:
@@ -717,14 +757,14 @@ class TestSinusoidProduct:
         scenario = mc_batch_scenario()
         phasor, chain = scenario.phasor, scenario.chain
         engine = mc._Engine(scenario)
-        draws = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, BLOCK_TRIALS))
+        draws = engine.draw(0, BLOCK_TRIALS)
         aaf_gain, aaf_phase, adc_gain, adc_offset, _, delay = draws.params.T[:, :, None]
         steps = engine.sample_period * draws.ratios[:, None]
         samples = engine.samples
         a, b = _table_shape(samples)
         got, clipped = _acquire_rows(
-            engine.tables(draws, 0, BLOCK_TRIALS), chain, samples, draws.rngs,
-            np.empty((BLOCK_TRIALS, a * b)),
+            phasor, aaf_gain, aaf_phase, adc_gain, adc_offset, delay, steps, chain, samples,
+            draws.rngs, np.empty((BLOCK_TRIALS, a * b)),
         )
         # Re(P[a]*Q[b]) as two broadcast real products and a subtraction
         amp = phasor.amplitude * (1.0 + 1e-6 * aaf_gain)
@@ -797,14 +837,11 @@ class TestStreamedAggregates:
 def _relative_envelopes(scenario):
     """Every trial's relative envelope ``z = env/ref``, each from the kernel on a one-row block."""
     engine = mc._Engine(scenario)
-    draws = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, scenario.trials))
+    draws = engine.draw(0, scenario.trials)
     ws = mc._Workspace(1, engine.samples)
-    return np.array([
-        engine.envelopes(
-            engine.tables(draws, i, i + 1), draws.rngs and draws.rngs[i : i + 1], ws
-        )[0][0].copy()
-        for i in range(scenario.trials)
-    ])
+    return np.array(
+        [engine.envelopes(draws, i, i + 1, ws)[0][0].copy() for i in range(scenario.trials)]
+    )
 
 
 def _block_chains():
@@ -827,10 +864,9 @@ class TestBlockBuffers:
 
     @staticmethod
     def block(scenario, rows):
-        """The engine and a freshly drawn block of ``rows`` trials: its tables and ADC noise generators."""
+        """The engine and a freshly drawn block of ``rows`` trials, with fresh ADC noise generators."""
         engine = mc._Engine(scenario)
-        draws = engine.draw(0, mc._trial_seeds(scenario.base_seed, 0, rows))
-        return engine, engine.tables(draws, 0, rows), draws.rngs
+        return engine, engine.draw(0, rows)
 
     @staticmethod
     def reference_errors(z):
@@ -855,21 +891,21 @@ class TestBlockBuffers:
             chain=_block_chains()[chain], phasor=Phasor(10.0, 0.3, 50.0), trials=rows,
             base_seed=7, compensate=compensate,
         )
-        engine, tables, rngs = self.block(scenario, rows)
+        engine, draws = self.block(scenario, rows)
         ws = mc._Workspace(max(rows, BLOCK_TRIALS), engine.samples)
         ws.demod.fill(np.nan)  # what a previous block would leave, only louder
         ws.csum.fill(np.nan)
-        z, clipped = engine.envelopes(tables, rngs, ws)
+        z, clipped = engine.envelopes(draws, 0, rows, ws)
         tve_rows = np.empty(z.shape)
         sums = mc._error_rows(z, tve_rows)
 
-        engine, tables, rngs = self.block(scenario, rows)
+        engine, draws = self.block(scenario, rows)
         a, b = _table_shape(engine.samples)
         demod = np.empty((rows, engine.samples), dtype=complex)
         separate = SimpleNamespace(
             adc=np.empty((rows, a * b)), demod=demod, csum=np.empty_like(demod)
         )
-        z_ref, clipped_ref = engine.envelopes(tables, rngs, separate)
+        z_ref, clipped_ref = engine.envelopes(draws, 0, rows, separate)
         tve_ref, *sums_ref = self.reference_errors(z_ref)
 
         assert (chain == "end-code-clips") == bool(clipped_ref.any())
@@ -928,7 +964,7 @@ def _traced_peak(scenario):
 
 class TestMemory:
     # tracemalloc peaks over the traces, measured at 5 kHz and 1 s intervals:
-    # 1.565x at 256 trials with 2 workers and 1.30x with 1, below the 1.71x
+    # 1.55x at 256 trials with 2 workers and 1.29x with 1, below the 1.71x
     # that a third, float workspace buffer gives with 2; the draws of every
     # trial, held from the start of a run, add about 100 bytes a trial
     def test_peak_is_bounded_by_the_traces(self):
@@ -940,11 +976,12 @@ class TestMemory:
     @pytest.mark.parametrize("trials", [4 * BLOCK_TRIALS, 16 * BLOCK_TRIALS])
     def test_scratch_does_not_grow_with_trials(self, trials):
         # beyond the traces, one block workspace of two complex (BLOCK_TRIALS,
-        # points) buffers per worker, and the draws and the engine's tables:
-        # 2.27 and 2.32 buffers per worker at 64 and 256 trials with 2 workers
-        # and 2.45 and 2.44 with 1.  The workspaces are freed before the model
-        # curve; its temporaries on top of them gave 2.38 and 2.70, and a
-        # third, float workspace buffer 2.88 and 3.21, both above the bound
+        # points) buffers per worker, and the draws and the running kernels'
+        # tables: 2.21-2.23 and 2.21-2.24 buffers per worker at 64 and 256
+        # trials with 2 workers and 2.35 and 2.37 with 1.  The workspaces are
+        # freed before the model curve; its temporaries on top of them gave
+        # 2.38 and 2.70, and a third, float workspace buffer 2.88 and 3.21,
+        # both above the bound
         r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
         block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
         workers = _workers(-(-trials // BLOCK_TRIALS))

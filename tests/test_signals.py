@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from sbcpmu import mc
 from sbcpmu.blocks import ChainModel, Phasor, TimebaseModel, identity_chain, wrap_phase
 from sbcpmu.errors import ScheduleGuardError
-from sbcpmu.mc import McScenario, _acquire_rows, _row_tables, _table_shape, run_trial
+from sbcpmu.mc import McScenario, _acquire_rows, _table_shape, run_trial
 
 
 class TestPhasor:
@@ -80,14 +80,14 @@ class TestSchedule:
     def test_guard_accepts_paper_deviation(self):
         # |R-1|*N_s = 16e-6*5000 = 0.08 < 1
         engine = self.engine(-16.0)
-        draws = engine.draw(0, mc._trial_seeds(0, 0, 3))
+        draws = engine.draw(0, 3)
         assert draws.guard_margins == pytest.approx([0.08] * 3)
 
     def test_guard_rejects(self):
         # 2.5e-5 * 50000 = 1.25 >= 1
         engine = self.engine(25.0, rate=50000.0)
         with pytest.raises(ScheduleGuardError) as info:
-            engine.draw(4, mc._trial_seeds(0, 4, 6))
+            engine.draw(4, 6)
         assert str(info.value) == (
             "trial 4 aborted: N_s pulse-count approximation invalid: |R-1|*N_s = 1.25 >= 1 "
             "(R=1.000025, N_s=50000); draw = {'aaf_gain_ppm': 0.0, 'aaf_phase_urad': 0.0, "
@@ -106,8 +106,8 @@ def sampled(phasor, start=0.0, ratio=1.0, rate=5000.0, period=1.0):
     samples = round(rate * period)
     a, b = _table_shape(samples)
     values, _ = _acquire_rows(
-        _row_tables(phasor, 0.0, 0.0, 0.0, 0.0, start, ratio / rate, samples), identity_chain(),
-        samples, [None], np.empty((1, a * b)),
+        phasor, 0.0, 0.0, 0.0, 0.0, start, ratio / rate, identity_chain(), samples, [None],
+        np.empty((1, a * b)),
     )
     return values[0]
 
