@@ -384,7 +384,8 @@ def _read_header(path, required: Sequence[str]):
     ``max_rows``, is one more than the line breaks after the header (a last
     line may lack its break).  A row takes one line or more and a blank line
     none, so no more rows follow, and the table is allocated once.  A
-    missing required column is a ``ConfigError``.  A leading byte-order
+    missing required column is a ``ConfigError``.  A repeated name has no
+    index (None): ``_read_table`` refuses to read it.  A leading byte-order
     mark is dropped.  The whole file must be UTF-8 text without a NUL byte
     (it would end a raw-bytes label): else a ``ConfigError``.
     """
@@ -413,7 +414,10 @@ def _read_header(path, required: Sequence[str]):
     missing = [c for c in required if c not in header]
     if missing:
         raise ConfigError(f"{path}: missing required columns: {', '.join(missing)}")
-    return {name: i for i, name in enumerate(header)}, cr, skip, rows  # a repeated name: the last wins
+    index: dict = {}
+    for i, name in enumerate(header):
+        index[name] = None if name in index else i
+    return index, cr, skip, rows
 
 
 def _raw_text(path):
@@ -431,7 +435,8 @@ def _read_table(
     ``max_rows`` its bound: never fewer than the file's rows, or the last
     ones would be dropped without a word.  A cell that does not parse, a row
     without one of the columns and a file without data rows are each a
-    ``ConfigError``.  Blank lines are skipped.
+    ``ConfigError``, and so is a column among them named twice in the
+    header.  Blank lines are skipped.
     ``np.loadtxt`` reads a path with universal newlines, which would turn a
     quoted label's CRLF into LF, where ``csv`` keeps it.  So a file holding a
     carriage return (``cr``) is handed over open through ``_raw_text``; any
@@ -439,6 +444,9 @@ def _read_table(
     than a line at a time.
     """
     names = [*numbers, *labels]
+    for name in names:
+        if index[name] is None:
+            raise ConfigError(f"{path}: column {name!r} appears more than once in the header")
     width = _LABEL_BYTES
     while True:
         dtype = [(n, "f8") for n in numbers] + [(n, f"S{width}") for n in labels]

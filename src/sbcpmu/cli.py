@@ -39,36 +39,27 @@ from .errors import (
 if TYPE_CHECKING:
     from .blocks import ChainModel
 
-# Names this module calls, by the submodule that defines them.  A command binds
-# the names of the submodules it uses into this module when it runs, so each
-# process imports only what its command needs (``report`` needs none).  A name
-# bound before, such as a wrapper set on this module, is the one that is called.
-_LAZY = {
-    "blocks": (
-        "Phasor", "chain_from_json", "chain_to_json", "load_profile", "paper_profile",
-        "save_profile",
-    ),
-    "characterize": (
-        "delay_statistics", "ols_fit", "one_counter_estimate",
-        "read_counter_csv", "read_delay_csv", "read_sweep_csv", "variance_decomposition",
-    ),
-    "mc": ("DEFAULT_COVERAGE_FACTOR", "McScenario", "monte_carlo", "write_run"),
-}
-_SUBMODULE = {name: module for module, names in _LAZY.items() for name in names}
-
 
 def _bind(*modules: str) -> None:
+    """Bind every name in the ``__all__`` of each submodule ``modules`` into this module.
+
+    A command binds the submodules it uses when it runs, so each process
+    imports only what its command needs (``report`` needs none).  A name
+    bound before, such as a wrapper set on this module, is the one that is called.
+    """
     for module in modules:
         loaded = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAZY[module]:
+        for name in loaded.__all__:
             globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name):
-    if name not in _SUBMODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_SUBMODULE[name])
-    return globals()[name]
+    if not name.startswith("_"):  # a private name or a dunder probe (__wrapped__) imports nothing
+        for module in ("blocks", "mc", "characterize"):
+            _bind(module)
+            if name in globals():
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 TVE_LIMIT = 0.01  # steady-state standard limit, fraction
@@ -185,8 +176,6 @@ def _json_sha256(obj) -> str:
 def cmd_simulate(args) -> int:
     from dataclasses import replace
 
-    import numpy as np
-
     _bind("blocks", "mc")
     cfg = load_scenario_config(args.config, vars(args))
     chain = _resolve_profile(cfg["chain_profile"])
@@ -216,33 +205,8 @@ def cmd_simulate(args) -> int:
     except MemoryError as exc:  # numpy refused an array: the grid or the trial count is too large
         raise ConfigError(f"scenario too large to allocate: {exc}") from exc
     write_run(result, cfg["output_dir"])
-    # every key here has its check in _MANIFEST
-    write_json(
-        {
-            "version": __version__,
-            "seed": run["seed"],
-            "scenario": cfg,
-            "scenario_hash": _json_sha256(cfg),
-            "chain_name": chain.name,
-            # a changed profile under the same name shows as another hash
-            "chain_sha256": _json_sha256(chain_to_json(chain)),
-            "compensated": result.compensated,
-            "coverage_factor": DEFAULT_COVERAGE_FACTOR,
-            "fe_hz": result.fe_hz,
-            "grand_mean_tve": result.grand_mean_tve,
-            "max_mean_tve": float(result.mean_tve.max()),  # report's worst point
-            "grand_mean_mag_err": result.grand_mean_mag_err,
-            "grand_mean_phase_err_rad": result.grand_mean_phase_err,
-            "window_gap_s": result.window_gap_s,
-            "trials": result.trials,
-            "saturated_samples": result.saturated_samples,
-            "max_trial_saturated_samples": result.max_trial_saturated_samples,
-            "max_guard_margin": result.max_guard_margin,
-            "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
-        },
-        Path(cfg["output_dir"]) / "manifest.json",
-        sort_keys=True,
-    )
+    manifest = {key: source(cfg, chain, result) for key, (_, source) in _MANIFEST.items()}
+    write_json(manifest, Path(cfg["output_dir"]) / "manifest.json", sort_keys=True)
     print(f"run written to {cfg['output_dir']}")
     print(f"grand mean TVE: {result.grand_mean_tve * 100:.4f} %")
     print(f"FE (expected): {result.fe_hz * 1e6:.1f} uHz")
@@ -470,16 +434,32 @@ def cmd_characterize(args) -> int:
 
 
 # The manifest format: every key ``simulate`` writes, with the check its value
-# must pass in ``report``; the keys ``report`` prints come first, in print order.
+# must pass in ``report`` and its source, a function of the normalized scenario,
+# the chain and the ``McResult``; the keys ``report`` prints come first, in print order.
 _INT, _OBJECT = partial(integer, low=0), partial(of_type, kind=dict)
 _MANIFEST = {
-    "scenario_hash": _TEXT, "chain_sha256": _TEXT, "seed": _INT, "trials": _INT,
-    "compensated": partial(of_type, kind=bool), "saturated_samples": _INT,
-    "max_guard_margin": number, "max_trial_saturated_samples": _INT,
-    "grand_mean_tve": number, "max_mean_tve": number, "fe_hz": number,
-    "version": _TEXT, "scenario": _OBJECT, "chain_name": _TEXT, "coverage_factor": number,
-    "grand_mean_mag_err": number, "grand_mean_phase_err_rad": number, "window_gap_s": number,
-    "versions": _OBJECT,
+    "scenario_hash": (_TEXT, lambda cfg, chain, r: _json_sha256(cfg)),
+    # a changed profile under the same name shows as another hash
+    "chain_sha256": (_TEXT, lambda cfg, chain, r: _json_sha256(chain_to_json(chain))),
+    "seed": (_INT, lambda cfg, chain, r: cfg["run"]["seed"]),
+    "trials": (_INT, lambda cfg, chain, r: r.trials),
+    "compensated": (partial(of_type, kind=bool), lambda cfg, chain, r: r.compensated),
+    "saturated_samples": (_INT, lambda cfg, chain, r: r.saturated_samples),
+    "max_guard_margin": (number, lambda cfg, chain, r: r.max_guard_margin),
+    "max_trial_saturated_samples": (_INT, lambda cfg, chain, r: r.max_trial_saturated_samples),
+    "grand_mean_tve": (number, lambda cfg, chain, r: r.grand_mean_tve),
+    "max_mean_tve": (number, lambda cfg, chain, r: float(r.mean_tve.max())),  # report's worst point
+    "fe_hz": (number, lambda cfg, chain, r: r.fe_hz),
+    "version": (_TEXT, lambda cfg, chain, r: __version__),
+    "scenario": (_OBJECT, lambda cfg, chain, r: cfg),
+    "chain_name": (_TEXT, lambda cfg, chain, r: chain.name),
+    "coverage_factor": (number, lambda cfg, chain, r: DEFAULT_COVERAGE_FACTOR),
+    "grand_mean_mag_err": (number, lambda cfg, chain, r: r.grand_mean_mag_err),
+    "grand_mean_phase_err_rad": (number, lambda cfg, chain, r: r.grand_mean_phase_err),
+    "window_gap_s": (number, lambda cfg, chain, r: r.window_gap_s),
+    "versions": (_OBJECT, lambda cfg, chain, r: {
+        "python": sys.version.split()[0], "numpy": importlib.import_module("numpy").__version__,
+    }),
 }
 
 
@@ -490,7 +470,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"{rundir}: missing manifest.json (not a run directory?)")
     # the manifest alone is read: a key missing or of the wrong JSON type is named
     manifest = of_type(read_json(path), f"{path}: manifest", dict)
-    for key, check in _MANIFEST.items():
+    for key, (check, _) in _MANIFEST.items():
         if key not in manifest:
             raise ConfigError(f"{path}: {key}: missing")
         check(manifest[key], f"{path}: {key}")

@@ -326,6 +326,39 @@ class TestCsvReaders:
         with pytest.raises(ConfigError):
             read_delay_csv(r)
 
+    @pytest.mark.parametrize(
+        "reader, text, column",
+        [
+            (read_sweep_csv, "v_in,v_out,channel,device,v_out\n0,0,a,b,0\n1,1,a,b,2\n2,2,a,b,4\n", "v_out"),
+            (read_counter_csv, "count,device,temperature_c,temperature_c\n2000,dev0,20,35\n", "temperature_c"),
+            (read_delay_csv, "delay_us,profile,delay_us\n6.5,idle,7\n6.5,idle,7\n", "delay_us"),
+            (read_delay_csv, "count,delay_us,profile,count\n659,,idle,1\n659,,idle,1\n", "count"),
+        ],
+        ids=["sweep", "counter", "delay", "delay-both"],
+    )
+    def test_repeated_column_the_reader_uses(self, tmp_path, reader, text, column):
+        # not read from either copy: a file that names a used column twice is ambiguous
+        p = tmp_path / "twice.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            reader(p)
+        assert str(info.value) == f"{p}: column {column!r} appears more than once in the header"
+
+    @pytest.mark.parametrize(
+        "reader, text, want",
+        [
+            (read_sweep_csv, "v_in,note,v_out,channel,device,note,,\n0,x,0,a,b,y,,\n1,x,1,a,b,y,,\n2,x,2,a,b,y,,\n", {("b", "a")}),
+            (read_counter_csv, "count,note,device,note,,\n2000,x,dev0,y,,\n", {(None, "dev0")}),
+            (read_delay_csv, "delay_us,note,profile,note,,\n6.5,x,idle,y,,\n", {"idle"}),
+        ],
+        ids=["sweep", "counter", "delay"],
+    )
+    def test_repeated_column_the_reader_ignores(self, tmp_path, reader, text, want):
+        # two note columns, and the two blank names that trailing commas leave
+        p = tmp_path / "twice.csv"
+        p.write_text(text)
+        assert set(reader(p)) == want
+
 
 # ---------------------------------------------------------------------------
 # The columnar readers against a row-by-row csv.DictReader reference

@@ -16,7 +16,7 @@ import sbcpmu
 from sbcpmu.blocks import Phasor, chain_to_json, paper_profile
 from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
 from sbcpmu.cli import _MANIFEST, _SCENARIO, _json_sha256, build_parser, load_scenario_config, main
-from sbcpmu.mc import McScenario, monte_carlo
+from sbcpmu.mc import DEFAULT_COVERAGE_FACTOR, McScenario, monte_carlo
 
 SRC = str(Path(sbcpmu.__file__).resolve().parents[1])
 
@@ -536,7 +536,7 @@ class TestSimulate:
 
     def test_manifest_holds_the_table_keys(self, tmp_path):
         p = tmp_path / "cfg.json"
-        write_config(p)
+        cfg = write_config(p)
         assert main(["simulate", "--config", str(p), "--seed", "42"]) == 0
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert sorted(manifest) == sorted(_MANIFEST)
@@ -550,6 +550,33 @@ class TestSimulate:
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+        }
+
+        # every value, each computed apart from cli
+        def sha256(obj):
+            return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+        scenario = {**cfg, "pll_profile": None, "temperature_c": None, "run": {**cfg["run"], "seed": 42}}
+        assert manifest == {
+            "version": sbcpmu.__version__,
+            "seed": 42,
+            "scenario": scenario,
+            "scenario_hash": sha256(scenario),
+            "chain_name": paper_profile().name,
+            "chain_sha256": sha256(chain_to_json(paper_profile())),
+            "compensated": r.compensated,
+            "coverage_factor": DEFAULT_COVERAGE_FACTOR,
+            "fe_hz": r.fe_hz,
+            "grand_mean_tve": r.grand_mean_tve,
+            "max_mean_tve": float(r.mean_tve.max()),
+            "grand_mean_mag_err": r.grand_mean_mag_err,
+            "grand_mean_phase_err_rad": r.grand_mean_phase_err,
+            "window_gap_s": r.window_gap_s,
+            "trials": r.trials,
+            "saturated_samples": r.saturated_samples,
+            "max_trial_saturated_samples": r.max_trial_saturated_samples,
+            "max_guard_margin": r.max_guard_margin,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
         }
 
 
@@ -864,6 +891,11 @@ class TestCharacterize:
                 "delay",
                 "count,delay_us,profile\n659,,idle\n659,,idle\n659,,idle\n-659,,cpu\n",
                 "line 5: count must be a finite number >= 0, got -659.0",
+            ),
+            (
+                "sweep",
+                "v_in,v_out,channel,device,v_out\n0,0,ch0,dev0,0\n1,1,ch0,dev0,2\n2,2,ch0,dev0,4\n",
+                "column 'v_out' appears more than once in the header",
             ),
         ],
     )

@@ -289,10 +289,14 @@ def test_test_modules_follow_the_submodules():
     assert sorted(names - submodules - cross_cutting) == []
 
 
-@pytest.mark.parametrize("source", ["sbcpmu.cli", "sbcpmu.mc"])
+@pytest.mark.parametrize("source", ["sbcpmu.cli", "submodule"])
 def test_a_wrapper_set_on_cli_is_what_the_command_calls(tmp_path, source):
-    # an instrumenting wrapper replaces a name where sbcpmu.cli looks it up;
-    # it may read the original from sbcpmu.cli itself or from where it is defined
+    # an instrumenting wrapper, such as perfbench's tracer, replaces a name where
+    # sbcpmu.cli looks it up; it may read the original from sbcpmu.cli itself or
+    # from the submodule that defines it
+    sweep, profile = tmp_path / "sweep.csv", tmp_path / "chain.json"
+    sweep.write_text(CSV_TEXT["sweep"])
+    sbcpmu.save_profile(sbcpmu.paper_profile(), profile)
     code = (
         "import importlib, sys\n"
         "from sbcpmu import cli\n"
@@ -302,11 +306,44 @@ def test_a_wrapper_set_on_cli_is_what_the_command_calls(tmp_path, source):
         "        calls.append(name)\n"
         "        return original(*args, **kwargs)\n"
         "    return traced\n"
-        "source = importlib.import_module(sys.argv[1])\n"
-        "for name in ('monte_carlo', 'write_run'):\n"
+        "defined = {'monte_carlo': 'mc', 'write_run': 'mc', 'load_profile': 'blocks',\n"
+        "           'save_profile': 'blocks', 'read_sweep_csv': 'characterize'}\n"
+        "for name, module in defined.items():\n"
+        "    source = cli if sys.argv[1] == 'sbcpmu.cli' else importlib.import_module(f'sbcpmu.{module}')\n"
         "    setattr(cli, name, wrap(name, getattr(source, name)))\n"
         "assert cli.main(['simulate', '--config', sys.argv[2]]) == 0\n"
+        "argv = ['characterize', 'sweep', '--input', sys.argv[3], '--output', sys.argv[4]]\n"
+        "assert cli.main([*argv, '--merge-into', sys.argv[5]]) == 0\n"
         "print(calls)\n"
     )
-    out = run_python(code, source, write_scenario(tmp_path))
-    assert out.splitlines()[-1] == "['monte_carlo', 'write_run']"
+    out = run_python(code, source, write_scenario(tmp_path), sweep, tmp_path / "frag.json", profile)
+    assert out.splitlines()[-1] == (
+        "['monte_carlo', 'write_run', 'read_sweep_csv', 'load_profile', 'save_profile']"
+    )
+
+
+def test_submodule_names_resolve_on_cli():
+    # sbcpmu.cli binds the __all__ of the submodules its commands use; any of
+    # those names resolves there to the submodule's own object, and an unknown
+    # name raises
+    code = (
+        "import importlib\n"
+        "from sbcpmu import cli\n"
+        "wrong = []\n"
+        "for module in ('blocks', 'mc', 'characterize'):\n"
+        "    loaded = importlib.import_module(f'sbcpmu.{module}')\n"
+        "    wrong += [n for n in loaded.__all__ if getattr(cli, n) is not getattr(loaded, n)]\n"
+        "print(wrong, hasattr(cli, 'no_such_name'))\n"
+    )
+    assert run_python(code).split() == ["[]", "False"]
+
+
+def test_dunder_probe_on_cli_imports_nothing():
+    # inspect.unwrap and the like probe __wrapped__: that must not load a submodule
+    code = (
+        "import sys\n"
+        "from sbcpmu import cli\n"
+        "print(hasattr(cli, '__wrapped__'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sbcpmu')))\n"
+    )
+    assert run_python(code).splitlines() == ["False", "['sbcpmu', 'sbcpmu.cli', 'sbcpmu.errors']"]
