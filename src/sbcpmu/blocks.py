@@ -159,22 +159,16 @@ class TimebaseModel:
     ``e_r_by_temperature`` holds (temperature_c, mean_ppm, std_ppm) rows on a
     strictly increasing temperature grid.  ``overall_mean_ppm`` and
     ``overall_std_ppm`` are the all-conditions statistics used when no
-    temperature is supplied.  ``estimator_std_ppm`` (the one-counter
-    estimator's scatter) and ``board_std_ppm`` (the board-to-board scatter)
-    are recorded characterization results: the Monte Carlo does not draw from
-    them, and nothing in the model reads them.
+    temperature is supplied.
     """
 
     overall_mean_ppm: float
     overall_std_ppm: float
     e_r_by_temperature: tuple = ()
-    estimator_std_ppm: float = 0.0
-    board_std_ppm: float = 0.0
 
     def __post_init__(self):
         rows = tuple((float(t), float(m), float(s)) for t, m, s in self.e_r_by_temperature)
-        _require_finite(ModelParameterError, self, "overall_mean_ppm", "overall_std_ppm",
-                        "estimator_std_ppm", "board_std_ppm")
+        _require_finite(ModelParameterError, self, "overall_mean_ppm", "overall_std_ppm")
         for i, row in enumerate(rows):
             if not all(map(math.isfinite, row)):
                 raise ModelParameterError(f"e_r_by_temperature[{i}] must be finite, got {row}")
@@ -183,9 +177,6 @@ class TimebaseModel:
             raise ModelParameterError("temperature grid must be strictly increasing")
         if any(r[2] < 0 for r in rows) or self.overall_std_ppm < 0:
             raise ModelParameterError("stds must be >= 0")
-        for name in ("estimator_std_ppm", "board_std_ppm"):
-            if getattr(self, name) < 0:
-                raise ModelParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "e_r_by_temperature", rows)
 
     def check_temperature(self, temperature: Optional[float]) -> None:
@@ -247,11 +238,7 @@ class PllDelayModel:
     lie outside ``[min, max]`` when ``std > 0``.  For shifted-gamma they are
     the gamma's own, and a finite ``max`` clips the gamma's tail.  An
     empirical histogram ignores them.  ``drawn_moments`` gives the mean and
-    std of the delays ``pll_sample`` actually draws.  ``mode`` and
-    ``mode_std`` are recorded statistics of a measured sample (its histogram
-    mode and the rms spread about it) that nothing draws from; the mode need
-    only lie in ``[min, max]``, since for a near-symmetric sample it lies
-    above the mean about half the time.
+    std of the delays ``pll_sample`` actually draws.
     """
 
     family: str = "shifted-gamma"
@@ -259,20 +246,16 @@ class PllDelayModel:
     max: float = math.inf
     mean: float = 0.0
     std: float = 0.0
-    mode: Optional[float] = None
-    mode_std: Optional[float] = None
     histogram: Optional[tuple] = None  # (bin_edges, counts)
 
     def __post_init__(self):
         if self.family not in _PLL_FAMILIES:
             raise ModelParameterError(f"unknown delay family {self.family!r}")
-        _require_finite(ModelParameterError, self, "min", "mean", "std", "mode", "mode_std")
+        _require_finite(ModelParameterError, self, "min", "mean", "std")
         if math.isnan(self.max):  # +inf is no bound
             raise ModelParameterError(f"max must be a number or +inf, got {self.max!r}")
         if self.std < 0:
             raise ModelParameterError("std must be >= 0")
-        if self.mode_std is not None and self.mode_std < 0:
-            raise ModelParameterError(f"mode_std must be >= 0, got {_us(self.mode_std)} µs")
         if self.family == "empirical-histogram":
             if self.histogram is None:
                 raise ModelParameterError("empirical-histogram requires bin data")
@@ -303,10 +286,6 @@ class PllDelayModel:
                 )
         elif not (self.min <= self.mean <= self.max):
             raise ModelParameterError(f"need min <= mean <= max, got {lo} / {mean} / {hi} µs")
-        if self.mode is not None and not (self.min <= self.mode <= self.max):
-            raise ModelParameterError(
-                f"need min <= mode <= max, got {lo} / {_us(self.mode)} / {hi} µs"
-            )
         if self.family == "shifted-gamma" and self.std > 0 and self.mean <= self.min:
             raise ModelParameterError(
                 f"shifted-gamma needs mean > min when std > 0, got {mean} / {lo} µs"
@@ -600,10 +579,6 @@ def _pll_to_json(model: PllDelayModel) -> dict:
     }
     if math.isfinite(model.max):
         out["max_us"] = model.max * 1e6
-    if model.mode is not None:
-        out["mode_us"] = model.mode * 1e6
-    if model.mode_std is not None:
-        out["mode_std_us"] = model.mode_std * 1e6
     if model.histogram is not None:
         edges, counts = model.histogram
         out["histogram"] = {"bin_edges_us": [e * 1e6 for e in edges], "counts": list(counts)}
@@ -613,7 +588,7 @@ def _pll_to_json(model: PllDelayModel) -> dict:
 def _pll_from_json(obj, path: str) -> PllDelayModel:
     obj = of_type(obj, path, dict)
 
-    def us(key, default=None):
+    def us(key, default):
         if key not in obj:
             return default
         return number(obj[key], f"{path}.{key}") * 1e-6
@@ -637,8 +612,6 @@ def _pll_from_json(obj, path: str) -> PllDelayModel:
             max=us("max_us", math.inf),
             mean=us("mean_us", 0.0),
             std=us("std_us", 0.0),
-            mode=us("mode_us"),
-            mode_std=us("mode_std_us"),
             histogram=hist,
         )
     except ModelParameterError as exc:
@@ -665,8 +638,6 @@ def chain_to_json(chain: ChainModel) -> dict:
                 "mean": chain.timebase.overall_mean_ppm,
                 "std": chain.timebase.overall_std_ppm,
             },
-            "estimator_std_ppm": chain.timebase.estimator_std_ppm,
-            "board_std_ppm": chain.timebase.board_std_ppm,
             "by_temperature_c": [list(r) for r in chain.timebase.e_r_by_temperature],
         },
         "pll": {
@@ -697,10 +668,6 @@ def chain_from_json(obj) -> ChainModel:
             overall_mean_ppm=e_r.mean,
             overall_std_ppm=e_r.std,
             e_r_by_temperature=tuple(tuple(r) for r in rows),
-            estimator_std_ppm=number(
-                tb.get("estimator_std_ppm", 0.0), "timebase.estimator_std_ppm"
-            ),
-            board_std_ppm=number(tb.get("board_std_ppm", 0.0), "timebase.board_std_ppm"),
         )
     except ModelParameterError as exc:
         raise ConfigError(f"timebase: {exc}") from exc

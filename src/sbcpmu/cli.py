@@ -352,8 +352,7 @@ def _apply_fragment(fragment: dict, chain_json: dict) -> None:
             "mean": gain["grand_mean"],
             "std": gain.get("total_std", 0.0),
         }
-        if "within_std" in gain:
-            chain_json["adc"]["gain_err_within_device_ppm"] = gain["within_std"]
+        chain_json["adc"]["gain_err_within_device_ppm"] = gain.get("within_std")
         chain_json["adc"]["offset_uv"] = {
             "mean": offset["grand_mean"],
             "std": offset.get("total_std", 0.0),
@@ -375,7 +374,7 @@ def _apply_fragment(fragment: dict, chain_json: dict) -> None:
         for name, stats in of_type(fragment["profiles"], "profiles", dict).items():
             stats = of_type(stats, f"profiles.{name}", dict)
             profiles[name] = {"family": "shifted-gamma"}
-            for key in ("min_us", "max_us", "mean_us", "std_us", "mode_us", "mode_std_us"):
+            for key in ("min_us", "max_us", "mean_us", "std_us"):
                 profiles[name][key] = stats[key]
     else:
         raise ConfigError(f"cannot merge fragment of kind {kind!r}")

@@ -278,25 +278,17 @@ class TestPllDelay:
             (dict(min=5e-6, max=9e-6, mean=1e-6), "need min <= mean <= max, got 5 / 1 / 9 µs"),
             (dict(min=100e-6, mean=99e-6), "need min <= mean <= max, got 100 / 99 / inf µs"),
             (
-                dict(min=1e-6, max=6e-6, mean=5e-6, std=1e-6, mode=7e-6),
-                "need min <= mode <= max, got 1 / 7 / 6 µs",
-            ),
-            (
                 dict(min=100e-6, mean=100e-6, std=1e-6),
                 "shifted-gamma needs mean > min when std > 0, got 100 / 100 µs",
             ),
         ],
-        ids=["min-max", "mean-outside", "mean-below-min", "mode", "shifted-gamma"],
+        ids=["min-max", "mean-outside", "mean-below-min", "shifted-gamma"],
     )
     def test_messages_give_microseconds(self, kw, message):
         # as the profile writes them, without the seconds' float noise
         with pytest.raises(ModelParameterError) as info:
             PllDelayModel(**kw)
         assert str(info.value) == message
-
-    def test_mode_above_mean_accepted(self):
-        # a near-symmetric sample's histogram mode lies above its mean about half the time
-        assert PllDelayModel(min=1e-6, mean=5e-6, std=1e-6, mode=7e-6).mode == 7e-6
 
     @staticmethod
     def fixed_delay(delay):
@@ -548,7 +540,11 @@ NAN, INF = math.nan, math.inf
 
 
 class TestNonFiniteParameters:
-    """A model built in code rejects NaN, infinite and out-of-range parameters, naming the field."""
+    """A model built in code rejects NaN, infinite and out-of-range parameters, naming the field.
+
+    A profile that holds a field the model no longer has, whatever its value,
+    is refused naming the key, not read with the key dropped.
+    """
 
     @pytest.mark.parametrize(
         "build, error, message",
@@ -566,10 +562,13 @@ class TestNonFiniteParameters:
                 ModelParameterError, r"e_r_by_temperature\[1\] must be finite, got \(30.0, 1.0, inf\)",
             ),
             (
-                lambda: TimebaseModel(0.0, 0.1, estimator_std_ppm=NAN),
-                ModelParameterError, "estimator_std_ppm",
+                lambda: chain_from_json({"timebase": {"estimator_std_ppm": NAN}}),
+                ConfigError, "timebase.estimator_std_ppm: unknown key",
             ),
-            (lambda: TimebaseModel(0.0, 0.1, board_std_ppm=INF), ModelParameterError, "board_std_ppm"),
+            (
+                lambda: chain_from_json({"timebase": {"board_std_ppm": INF}}),
+                ConfigError, "timebase.board_std_ppm: unknown key",
+            ),
             (
                 lambda: PllDelayModel(min=0.0, mean=1e-5, std=NAN),
                 ModelParameterError, "std must be finite, got nan",
@@ -584,8 +583,8 @@ class TestNonFiniteParameters:
             ),
             (lambda: PllDelayModel(min=-INF), ModelParameterError, "min must be finite"),
             (
-                lambda: PllDelayModel(min=0.0, mean=1e-5, std=1e-6, mode_std=INF),
-                ModelParameterError, "mode_std must be finite",
+                lambda: chain_from_json({"pll": {"delay": {"mode_std_us": INF}}}),
+                ConfigError, "pll.delay.mode_std_us: unknown key",
             ),
             (
                 lambda: PllDelayModel("empirical-histogram", histogram=((0.0, NAN, 2e-6), (1, 1))),
@@ -612,16 +611,20 @@ class TestNonFiniteParameters:
                 ModelParameterError, "adc_noise_rms_uv must be >= 0, got -1.0",
             ),
             (
-                lambda: TimebaseModel(0.0, 0.1, estimator_std_ppm=-1.0),
-                ModelParameterError, "estimator_std_ppm must be >= 0, got -1.0",
+                lambda: chain_from_json({"timebase": {"estimator_std_ppm": -1.0}}),
+                ConfigError, "timebase.estimator_std_ppm: unknown key",
             ),
             (
-                lambda: TimebaseModel(0.0, 0.1, board_std_ppm=-2.0),
-                ModelParameterError, "board_std_ppm must be >= 0, got -2.0",
+                lambda: chain_from_json({"timebase": {"board_std_ppm": -2.0}}),
+                ConfigError, "timebase.board_std_ppm: unknown key",
             ),
             (
-                lambda: PllDelayModel(min=0.0, mean=1e-5, std=1e-6, mode_std=-3e-6),
-                ModelParameterError, "mode_std must be >= 0, got -3 µs",
+                lambda: chain_from_json({"pll": {"profiles": {"io": {"mode_std_us": -3.0}}}}),
+                ConfigError, "pll.profiles.io.mode_std_us: unknown key",
+            ),
+            (
+                lambda: chain_from_json({"pll": {"delay": {"max_us": 50.0, "mode_us": 100.0}}}),
+                ConfigError, "pll.delay.mode_us: unknown key",
             ),
             (
                 # decreasing edges and a count too many: a shifted gamma would ignore them
@@ -634,7 +637,7 @@ class TestNonFiniteParameters:
             "estimator-std", "board-std", "gamma-std", "truncnorm-std", "pll-max", "pll-min",
             "pll-mode-std", "histogram-nan-edge", "histogram-inf-edge", "adc-vref", "adc-within-device", "adc-noise-nan",
             "adc-noise-negative", "estimator-std-negative", "board-std-negative",
-            "pll-mode-std-negative", "histogram-on-shifted-gamma",
+            "pll-mode-std-negative", "pll-mode", "histogram-on-shifted-gamma",
         ],
     )
     def test_rejected(self, build, error, message):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sbcpmu
-from sbcpmu.blocks import Phasor, chain_to_json, paper_profile
+from sbcpmu.blocks import Phasor, chain_from_json, chain_to_json, paper_profile
 from sbcpmu.characterize import SweepRecord, ols_fit, one_counter_estimate
 from sbcpmu.cli import _MANIFEST, _SCENARIO, _json_sha256, build_parser, load_scenario_config, main
 from sbcpmu.mc import DEFAULT_COVERAGE_FACTOR, McScenario, monte_carlo
@@ -407,9 +407,10 @@ class TestSimulate:
                 {"timebase": {"by_temperature_c": [[10.0, -19.0, 2.0], [0.0, -19.9, 2.0]]}},
                 "timebase: temperature grid must be strictly increasing",
             ),
-            (
-                {"pll": {"delay": {"max_us": 50, "mode_us": 100}}},
-                "pll.delay: need min <= mode <= max, got 0 / 100 / 50 µs",
+            # keys that profiles saved by earlier versions held, and nothing read
+            pytest.param(
+                {"pll": {"delay": {"mode_us": 4}}}, "pll.delay.mode_us: unknown key",
+                id="legacy-mode-us",
             ),
             (
                 {"pll": {"delay": {"family": "empirical-histogram", "histogram": {
@@ -440,12 +441,19 @@ class TestSimulate:
                 "pll.profiles.busy: a truncated-normal delay takes no histogram",
                 id="histogram-on-another-family",
             ),
-            (
-                {"timebase": {"estimator_std_ppm": -1}},
-                "timebase: estimator_std_ppm must be >= 0, got -1",
+            pytest.param(
+                {"timebase": {"estimator_std_ppm": 0.98}},
+                "timebase.estimator_std_ppm: unknown key",
+                id="legacy-estimator-std",
             ),
-            ({"timebase": {"board_std_ppm": -2}}, "timebase: board_std_ppm must be >= 0, got -2"),
-            ({"pll": {"delay": {"mode_std_us": -3}}}, "pll.delay: mode_std must be >= 0, got -3 µs"),
+            pytest.param(
+                {"timebase": {"board_std_ppm": 2.72}}, "timebase.board_std_ppm: unknown key",
+                id="legacy-board-std",
+            ),
+            pytest.param(
+                {"pll": {"delay": {"mode_std_us": 0.7}}}, "pll.delay.mode_std_us: unknown key",
+                id="legacy-mode-std-us",
+            ),
         ],
     )
     def test_wrong_shape_chain_profile_exit(self, tmp_path, capsys, profile_json, key_path):
@@ -455,15 +463,6 @@ class TestSimulate:
         write_config(p, chain_profile=str(profile))
         assert main(["simulate", "--config", str(p)]) == 2
         assert f"{profile}: {key_path}" in capsys.readouterr().err
-
-    def test_mode_above_mean_chain_profile(self, tmp_path):
-        # a recorded delay mode may lie above the mean: it need only lie in [min, max],
-        # here [0, inf)
-        p = tmp_path / "cfg.json"
-        profile = tmp_path / "chain.json"
-        profile.write_text(json.dumps({"pll": {"delay": {"mode_us": 100}}}))
-        write_config(p, chain_profile=str(profile))
-        assert main(["simulate", "--config", str(p)]) == 0
 
     def test_manifest_hashes_resolved_chain(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -671,6 +670,26 @@ class TestCharacterize:
             "std": frag["gain_err_ppm"]["total_std"],
         }
         assert merged["gain_err_within_device_ppm"] == frag["gain_err_ppm"]["within_std"]
+
+    def test_one_device_sweep_merge_drops_within_device_spread(self, tmp_path):
+        # one device's channels are its within-device spread: the merged profile holds no stale
+        # split, so the Monte Carlo draws the channel gains from the fitted total
+        gains = {"ch0": 0.9990, "ch1": 1.0004, "ch2": 1.0011}
+        csv = tmp_path / "s.csv"
+        csv.write_text(
+            "v_in,v_out,channel,device\n"
+            + "".join(f"{x},{g * x},{ch},dev0\n" for ch, g in gains.items() for x in (-1, 0, 1, 2))
+        )
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "sweep", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--merge-into", str(profile)]) == 0
+        total_std = json.loads(out.read_text())["gain_err_ppm"]["total_std"]
+        assert total_std == pytest.approx(1e6 * np.std(list(gains.values()), ddof=1), rel=1e-6)
+        merged = chain_from_json(json.loads(profile.read_text()))
+        assert merged.adc_gain_within_device_ppm is None
+        assert merged.sequence_gain_std_ppm() == total_std
 
     def test_sweep_fragment_does_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product of more than 10 000 elements across
@@ -1018,8 +1037,10 @@ class TestCharacterize:
         assert main(args + ["--merge-into", str(profile)]) == 0
         cpu = json.loads(out.read_text())["profiles"]["cpu"]
         assert cpu["mode_us"] > cpu["mean_us"]
+        # the fragment records the mode; the profile takes only what the model reads
         merged = json.loads(profile.read_text())["pll"]["profiles"]["cpu"]
-        assert merged["mode_us"] == pytest.approx(cpu["mode_us"])
+        keys = ("min_us", "max_us", "mean_us", "std_us")
+        assert merged == pytest.approx({"family": "shifted-gamma", **{k: cpu[k] for k in keys}})
 
     def test_merge_into_malformed_profile_exit(self, tmp_path, capsys):
         profile = tmp_path / "chain.json"
@@ -1147,30 +1168,19 @@ class TestProfileCmd:
             "got 8 / 6 / 4 / 5 µs\n"
         )
 
-    @pytest.mark.parametrize(
-        "mode_us, message",
-        [
-            (5.0, None),
-            (2.0, "need min <= mode <= max, got 3 / 2 / 9 µs"),
-            (10.0, "need min <= mode <= max, got 3 / 10 / 9 µs"),
-        ],
-        ids=["above-mean", "below-min", "above-max"],
-    )
-    def test_show_delay_mode(self, tmp_path, capsys, mode_us, message):
+    @pytest.mark.parametrize("key", ["mode_us", "mode_std_us"])
+    def test_show_legacy_delay_key(self, tmp_path, capsys, key):
+        # a delay fragment records these; a profile saved by an earlier version held them
         stats = {
             "family": "shifted-gamma", "min_us": 3.0, "max_us": 9.0,
-            "mean_us": 4.0, "std_us": 0.7, "mode_us": mode_us,
+            "mean_us": 4.0, "std_us": 0.7, key: 3.9,
         }
         profile = tmp_path / "chain.json"
         profile.write_text(json.dumps({"pll": {"profiles": {"rt": stats}}}))
-        code = main(["profile", "show", str(profile)])
+        assert main(["profile", "show", str(profile)]) == 2
         captured = capsys.readouterr()
-        if message is None:
-            assert code == 0
-            assert json.loads(captured.out)["pll"]["profiles"]["rt"] == pytest.approx(stats)
-        else:
-            assert code == 2
-            assert captured.err == f"error: {profile}: pll.profiles.rt: {message}\n"
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {profile}: pll.profiles.rt.{key}: unknown key")
 
     def test_merge_characterize_fragment(self, tmp_path):
         base = tmp_path / "base.json"
@@ -1207,7 +1217,7 @@ class TestProfileCmd:
             assert main(characterize + ["--merge-into", str(out)]) == 0
         fitted = json.loads(frag.read_text())["profiles"]
         merged = json.loads(out.read_text())["pll"]["profiles"]
-        keys = ("min_us", "max_us", "mean_us", "std_us", "mode_us", "mode_std_us")
+        keys = ("min_us", "max_us", "mean_us", "std_us")
         for name in ("cpu", "rt"):
             want = {"family": "shifted-gamma", **{k: fitted[name][k] for k in keys}}
             assert merged[name] == pytest.approx(want)
@@ -1293,7 +1303,7 @@ class TestProfileCmd:
     def test_merge_accepts_new_pll_profile(self, tmp_path):
         stats = {
             "family": "shifted-gamma", "min_us": 3.0, "max_us": 9.0,
-            "mean_us": 4.0, "std_us": 0.7, "mode_us": 3.9, "mode_std_us": 0.7,
+            "mean_us": 4.0, "std_us": 0.7,
         }
         code, out = self.merge(tmp_path, {"pll": {"profiles": {"rt": stats}}})
         assert code == 0

@@ -19,6 +19,8 @@ from sbcpmu.blocks import (
     Phasor,
     PllDelayModel,
     TimebaseModel,
+    chain_from_json,
+    chain_to_json,
     expected_response,
     identity_chain,
     paper_profile,
@@ -336,6 +338,67 @@ class TestModelAgreement:
         # which about 1e-5 is the convention gap: the trials apply the gains
         # as (1+a)(1+b) while the compensation divides by exp(a+b).
         assert np.max(np.abs(r.mean_tve - r.model_tve)) <= 2e-5
+
+
+def _numeric_leaves(node, path=()):
+    """The key paths of every number in a profile's JSON form."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _perturbed(profile: dict, path: tuple) -> dict:
+    """``profile`` with the number at ``path`` moved within its valid range."""
+    out = json.loads(json.dumps(profile))
+    *parents, key = path
+    node = out
+    for k in parents:
+        node = node[k]
+    value = node[key]
+    if isinstance(value, int):  # adc.bits
+        node[key] = value - 1
+    elif key == "max_us":  # a delay's clip: set just above the mean, so that it clips
+        node[key] = node["mean_us"] + 0.01
+    elif path[:3] == ("timebase", "by_temperature_c", 0) and key == 0:
+        # the grid's start moves down, so every grid temperature stays on the grid
+        node[key] = value - 1.0
+    else:
+        node[key] = value + 0.1 * max(abs(value), 1.0)
+    return out
+
+
+def test_every_profile_leaf_is_read():
+    # a profile field that no draw, model curve or FE reads is dead weight in every profile
+    base = chain_to_json(paper_profile())
+    grid = [row[0] for row in base["timebase"]["by_temperature_c"]]
+
+    def outputs(profile, pll_profile, temperature):
+        chain = chain_from_json(profile)
+        if pll_profile is not None:
+            chain = replace(chain, pll=chain.pll_profiles[pll_profile])
+        # at seed 0 every load profile draws a delay above its mean in one of the two trials
+        scenario = small_scenario(chain=chain, trials=2, base_seed=0, temperature_c=temperature)
+        r = monte_carlo(scenario)
+        return r.trial_tve.tobytes(), r.model_tve.tobytes(), r.model_band.tobytes(), r.fe_hz
+
+    def scenarios(path):
+        """The (pll profile, temperature) pairs that can read ``path``, nearest first."""
+        if path[:2] == ("pll", "profiles"):
+            return [(path[2], None)]
+        if path[:2] == ("timebase", "by_temperature_c"):
+            return [(None, t) for t in sorted(grid, key=lambda t: abs(t - grid[path[2]]))]
+        return [(None, None)]
+
+    unread = [
+        ".".join(map(str, path))
+        for path in _numeric_leaves(base)
+        if all(
+            outputs(_perturbed(base, path), *s) == outputs(base, *s) for s in scenarios(path)
+        )
+    ]
+    assert unread == []
 
 
 def _equivalence_scenarios():
