@@ -219,8 +219,9 @@ def cmd_simulate(args) -> int:
 
 
 # The fragment format lives in this section alone: the ``_characterize_*``
-# builders write it from the result types of ``sbcpmu.characterize``, and
-# ``_apply_fragment`` reads back the keys a merge uses.
+# builders write it from the result types of ``sbcpmu.characterize``.  Each
+# fragment's ``profile`` is the partial chain profile it fits, the one part a
+# merge reads; no code reads the other keys back.
 
 
 def _characterize_sweep(path) -> dict:
@@ -259,6 +260,7 @@ def _characterize_sweep(path) -> dict:
         gain_stds.setdefault(device, []).append(fit.gain_std * 1e6)
         offset_stds.setdefault(device, []).append(fit.offset_std * 1e6)
     out = {"kind": "sweep", "per_channel": per_channel}
+    adc: dict = {}
     for key, values, stds in (
         ("gain_err_ppm", gains, gain_stds), ("offset_uv", offsets, offset_stds)
     ):
@@ -278,6 +280,11 @@ def _characterize_sweep(path) -> dict:
                 "grand_mean": float(one.mean()),
                 "total_std": float(one.std(ddof=1)) if one.size > 1 else 0.0,
             }
+        adc[key] = {"mean": out[key]["grand_mean"], "std": out[key]["total_std"]}
+    # null without the nested split: the Monte Carlo then draws the channel gains
+    # from the total, as one device's channels are its within-device spread
+    adc["gain_err_within_device_ppm"] = out["gain_err_ppm"].get("within_std")
+    out["profile"] = {"adc": adc}
     return out
 
 
@@ -300,11 +307,13 @@ def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
         "per_measurement_error_ppm": first.per_measurement_error * 1e6,
         "required_averages": first.required_averages,
     }
-    # each board's mean e_r in ppm by temperature, in file order
+    # each board's mean e_r in ppm, in file order: all of them, and by temperature
+    board_means = [float((res.r_values.mean() - 1.0) * 1e6) for res in results.values()]
     boards: dict = {}
-    for (temperature, _), res in results.items():
+    for (temperature, _), mean in zip(results, board_means):
         if temperature is not None:
-            boards.setdefault(temperature, []).append(float((res.r_values.mean() - 1.0) * 1e6))
+            boards.setdefault(temperature, []).append(mean)
+    rows = []  # the profile's [temperature_c, mean, std] rows
     if boards:
         out["by_temperature_c"] = []
         for temperature in sorted(boards):
@@ -313,13 +322,19 @@ def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
             if len(means) >= 2:
                 entry["e_r_ppm_board_std"] = float(np.std(means, ddof=1))
             out["by_temperature_c"].append(entry)
+            rows.append([temperature, entry["e_r_ppm_mean"], entry.get("e_r_ppm_board_std", 0.0)])
+    e_r = {"mean": out["e_r_ppm_mean"]}
     if len(boards) >= 2:
-        out["e_r_ppm_total_std"] = variance_decomposition(boards, ddof=1).total_std
+        e_r["std"] = out["e_r_ppm_total_std"] = variance_decomposition(boards, ddof=1).total_std
+    elif len(board_means) >= 2:  # one temperature or none: the spread of every board
+        e_r["std"] = out["e_r_ppm_total_std"] = float(np.std(board_means, ddof=1))
+    out["profile"] = {"timebase": {"e_r_ppm": e_r, "by_temperature_c": rows}}
     return out
 
 
 def _characterize_delay(path, known_base: float) -> dict:
     profiles = {}
+    fitted = {}  # the profile's pll.profiles entries
     for profile, samples in sorted(read_delay_csv(path, known_base=known_base).items()):
         try:
             s = delay_statistics(samples)
@@ -335,49 +350,10 @@ def _characterize_delay(path, known_base: float) -> dict:
             "mode_std_us": s.mode_std * 1e6,
             "qq_deviation_us": s.qq_deviation * 1e6,
         }
-    return {"kind": "delay", "profiles": profiles}
-
-
-def _apply_fragment(fragment: dict, chain_json: dict) -> None:
-    """Write the fitted values of a ``characterize`` fragment into a profile's JSON form.
-
-    An object or array the merge reads that has the wrong JSON type is a
-    ``ConfigError`` naming its fragment key; the profile reader checks the numbers.
-    """
-    kind = fragment.get("kind")
-    if kind == "sweep":
-        gain = of_type(fragment["gain_err_ppm"], "gain_err_ppm", dict)
-        offset = of_type(fragment["offset_uv"], "offset_uv", dict)
-        chain_json["adc"]["gain_err_ppm"] = {
-            "mean": gain["grand_mean"],
-            "std": gain.get("total_std", 0.0),
-        }
-        chain_json["adc"]["gain_err_within_device_ppm"] = gain.get("within_std")
-        chain_json["adc"]["offset_uv"] = {
-            "mean": offset["grand_mean"],
-            "std": offset.get("total_std", 0.0),
-        }
-    elif kind == "counter":
-        tb = chain_json["timebase"]
-        tb["e_r_ppm"]["mean"] = fragment["e_r_ppm_mean"]
-        if "e_r_ppm_total_std" in fragment:
-            tb["e_r_ppm"]["std"] = fragment["e_r_ppm_total_std"]
-        if "by_temperature_c" in fragment:
-            rows = of_type(fragment["by_temperature_c"], "by_temperature_c", list)
-            entries = (of_type(e, f"by_temperature_c[{i}]", dict) for i, e in enumerate(rows))
-            tb["by_temperature_c"] = [
-                [e["temperature_c"], e["e_r_ppm_mean"], e.get("e_r_ppm_board_std", 0.0)]
-                for e in entries
-            ]
-    elif kind == "delay":
-        profiles = chain_json.setdefault("pll", {}).setdefault("profiles", {})
-        for name, stats in of_type(fragment["profiles"], "profiles", dict).items():
-            stats = of_type(stats, f"profiles.{name}", dict)
-            profiles[name] = {"family": "shifted-gamma"}
-            for key in ("min_us", "max_us", "mean_us", "std_us"):
-                profiles[name][key] = stats[key]
-    else:
-        raise ConfigError(f"cannot merge fragment of kind {kind!r}")
+        fitted[profile] = {"family": "shifted-gamma"}
+        for key in ("min_us", "max_us", "mean_us", "std_us"):
+            fitted[profile][key] = profiles[profile][key]
+    return {"kind": "delay", "profiles": profiles, "profile": {"pll": {"profiles": fitted}}}
 
 
 def _deep_merge(dst: dict, src: dict) -> None:
@@ -391,19 +367,19 @@ def _deep_merge(dst: dict, src: dict) -> None:
 def _merged(base: dict, fragment, where) -> ChainModel:
     """The chain whose profile form is ``base`` with ``fragment`` merged into it.
 
-    A fragment with a ``kind`` is one ``characterize`` wrote; any other JSON
-    object is a partial profile.  A bad fragment is a ``ConfigError`` naming ``where``.
+    A fragment with a ``kind`` is one ``characterize`` wrote, and its
+    ``profile`` is what is merged; any other JSON object is a partial profile.
+    A bad fragment is a ``ConfigError`` naming ``where`` and the profile path.
     """
     if not isinstance(fragment, dict):
         raise ConfigError(f"{where}: a fragment must be a JSON object")
     try:
         if "kind" in fragment:
-            _apply_fragment(fragment, base)
-        else:
-            _deep_merge(base, fragment)
+            if "profile" not in fragment:  # a fragment from before fragments carried their fit
+                raise ConfigError("profile: missing; run characterize again to write it")
+            fragment = of_type(fragment["profile"], "profile", dict)
+        _deep_merge(base, fragment)
         return chain_from_json(base)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: fragment lacks field {exc}") from exc
     except ConfigError as exc:  # the base loaded, so the fragment is at fault
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -1186,11 +1186,13 @@ class TestProfileCmd:
         base = tmp_path / "base.json"
         base.write_text(json.dumps(chain_to_json(paper_profile())))
         frag = tmp_path / "frag.json"
-        frag.write_text(json.dumps({"kind": "counter", "e_r_ppm_mean": -1.0}))
+        frag.write_text(
+            json.dumps({"kind": "counter", "profile": {"timebase": {"e_r_ppm": {"mean": -1.0}}}})
+        )
         out = tmp_path / "merged.json"
         assert main(["profile", "merge", str(base), str(frag), "--out", str(out)]) == 0
         merged = json.loads(out.read_text())
-        assert merged["timebase"]["e_r_ppm"]["mean"] == -1.0
+        assert merged["timebase"]["e_r_ppm"] == {"mean": -1.0, "std": 3.67}
         assert merged["adc"]["gain_err_ppm"]["mean"] == -4459.0
 
     @pytest.mark.parametrize("command", ["profile-merge", "characterize-merge-into"])
@@ -1247,6 +1249,106 @@ class TestProfileCmd:
         ]
         assert [t for t, _, _ in rows] == [20.0, 40.0]
         assert timebase["by_temperature_c"] == [pytest.approx(row) for row in rows]
+
+    @pytest.mark.parametrize("kind", ["sweep", "counter", "delay"])
+    def test_merge_paths_agree(self, tmp_path, kind):
+        # characterize --merge-into, profile merge of the fragment and profile merge of its
+        # profile saved as a partial profile write the same bytes, and drop no fitted value
+        csv = tmp_path / f"{kind}.csv"
+        if kind == "sweep":  # 2 devices x 2 channels
+            csv.write_text(
+                "v_in,v_out,channel,device\n"
+                + "".join(
+                    f"{x},{g * x + 1e-3 * (d + c) + e},c{c},d{d}\n"
+                    for d, c, g in ((0, 0, 1.0002), (0, 1, 0.9995), (1, 0, 1.0011), (1, 1, 1.0004))
+                    for x, e in zip((-1, 0, 1, 2), (1e-4, -2e-4, 0.0, 1e-4))
+                )
+            )
+        elif kind == "counter":  # 2 temperatures x 2 boards
+            csv.write_text(
+                "count,device,temperature_c\n"
+                + "".join(
+                    f"{c},b{b},{t}\n"
+                    for t in (20.0, 40.0) for b in range(2) for c in (2000 + b, 2001, 2001 - b)
+                )
+            )
+        else:
+            write_delay_csv(csv, {"rt": np.array([4.1, 4.6, 5.2, 4.4]), "io": np.array([6.0, 6.5, 7.3])})
+        base, into = tmp_path / "base.json", tmp_path / "into.json"
+        base.write_text(json.dumps(chain_to_json(paper_profile())))
+        into.write_text(base.read_text())
+        frag, partial = tmp_path / "frag.json", tmp_path / "partial.json"
+        argv = ["characterize", kind, "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--merge-into", str(into)]) == 0
+        fitted = json.loads(frag.read_text())["profile"]
+        partial.write_text(json.dumps(fitted))
+        for source in (frag, partial):
+            out = tmp_path / f"merged-{source.name}"
+            assert main(["profile", "merge", str(base), str(source), "--out", str(out)]) == 0
+            assert out.read_bytes() == into.read_bytes(), source.name
+        merged = flat(json.loads(into.read_text()))
+        for path, value in flat(fitted).items():
+            # the profile reader holds delays in seconds, so µs values may move in the last bit
+            want = pytest.approx(value, rel=1e-12) if path.startswith("pll.") else value
+            assert merged[path] == want, path
+
+    @pytest.mark.parametrize(
+        "temperatures", [("25", "25"), (None, None), ("25", "")], ids=["one", "none", "one-and-blank"]
+    )
+    def test_merge_counter_spread_of_all_boards(self, tmp_path, capsys, temperatures):
+        # two boards at about -5 and +5 ppm (2e6 reference periods per nominal period) at
+        # fewer than two temperatures: the merge writes the sample std of their means, not
+        # the base's 3.67 ppm, and no temperature row of the base survives
+        counts = {"b0": [1999990, 1999991, 1999989], "b1": [2000010, 2000009, 2000011]}
+        csv = tmp_path / "c.csv"
+        if temperatures[0] is None:  # no temperature_c column
+            csv.write_text("count,device\n" + "".join(f"{c},{b}\n" for b in counts for c in counts[b]))
+        else:
+            csv.write_text(
+                "count,device,temperature_c\n"
+                + "".join(f"{c},{b},{t}\n" for b, t in zip(counts, temperatures) for c in counts[b])
+            )
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--nominal-rate-hz", "50", "--merge-into", str(profile)]) == 0
+        fitted = json.loads(frag.read_text())
+        means = [(np.mean(cs) / 2e6 - 1.0) * 1e6 for cs in counts.values()]
+        assert fitted["e_r_ppm_total_std"] == pytest.approx(np.std(means, ddof=1), rel=1e-9)
+        assert fitted["e_r_ppm_total_std"] == pytest.approx(7.07, abs=0.01)
+        timebase = json.loads(profile.read_text())["timebase"]
+        assert timebase["e_r_ppm"] == {
+            "mean": fitted["e_r_ppm_mean"], "std": fitted["e_r_ppm_total_std"],
+        }
+        rows = [
+            [e["temperature_c"], e["e_r_ppm_mean"], e.get("e_r_ppm_board_std", 0.0)]
+            for e in fitted.get("by_temperature_c", [])
+        ]
+        assert timebase["by_temperature_c"] == rows
+        assert len(rows) == (temperatures[0] is not None)
+        if not rows:  # a temperature scenario finds no grid rather than the paper's boards
+            config = tmp_path / "cfg.json"
+            write_config(config, chain_profile=str(profile), temperature_c=20.0)
+            assert main(["simulate", "--config", str(config)]) == 2
+            assert "is off timebase.by_temperature_c (empty)" in capsys.readouterr().err
+
+    def test_merge_counter_one_board_keeps_base_spread(self, tmp_path):
+        # one board fits no spread: the merge keeps the base's e_r std
+        csv = tmp_path / "c.csv"
+        csv.write_text("count,device\n2000,b0\n2001,b0\n2000,b0\n")
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--merge-into", str(profile)]) == 0
+        fitted = json.loads(frag.read_text())
+        assert "e_r_ppm_total_std" not in fitted
+        assert fitted["profile"]["timebase"] == {
+            "e_r_ppm": {"mean": fitted["e_r_ppm_mean"]}, "by_temperature_c": [],
+        }
+        timebase = json.loads(profile.read_text())["timebase"]
+        assert timebase == {"e_r_ppm": {"mean": fitted["e_r_ppm_mean"], "std": 3.67}, "by_temperature_c": []}
 
     def test_merge_rejects_unknown_keys(self, tmp_path, capsys):
         base = tmp_path / "base.json"
@@ -1321,15 +1423,20 @@ class TestProfileCmd:
         "fragment, message",
         [
             (
-                {"kind": "sweep", "gain_err_ppm": 5, "offset_uv": {"grand_mean": 1}},
-                "gain_err_ppm: expected an object, got a number",
+                {"kind": "sweep", "profile": {"adc": {"offset_uv": [1.0]}}},
+                "adc.offset_uv: expected a number, got an array",
             ),
-            ({"kind": "delay", "profiles": [1]}, "profiles: expected an object, got an array"),
             (
-                {"kind": "counter", "e_r_ppm_mean": 1, "by_temperature_c": [1]},
-                "by_temperature_c[0]: expected an object, got a number",
+                {"kind": "delay", "profile": {"pll": {"profiles": [1]}}},
+                "pll.profiles: expected an object, got an array",
             ),
+            (
+                {"kind": "counter", "profile": {"timebase": {"by_temperature_c": [1]}}},
+                "timebase.by_temperature_c[0]: expected an array, got a number",
+            ),
+            ({"kind": "counter", "profile": 5}, "profile: expected an object, got a number"),
         ],
+        ids=["sweep", "delay", "counter", "profile"],
     )
     def test_merge_wrong_fragment_type_exit(self, tmp_path, capsys, fragment, message):
         code, out = self.merge(tmp_path, fragment)
@@ -1340,16 +1447,46 @@ class TestProfileCmd:
     @pytest.mark.parametrize(
         "fragment, message",
         [
-            ({"kind": "spectrum"}, "cannot merge fragment of kind 'spectrum'"),
-            ({"kind": "counter", "by_temperature_c": []}, "fragment lacks field 'e_r_ppm_mean'"),
+            (
+                {"kind": "spectrum", "profile": {"spectrum": {"peak_hz": 50.0}}},
+                "spectrum: unknown key",
+            ),
+            (  # a row without its board std
+                {"kind": "counter", "profile": {"timebase": {"by_temperature_c": [[25.0, -1.0]]}}},
+                "timebase.by_temperature_c[0]: expected [temperature_c, mean_ppm, std_ppm]",
+            ),
+            (  # written before fragments carried the profile they fit
+                {"kind": "counter", "e_r_ppm_mean": -1.0},
+                "profile: missing; run characterize again",
+            ),
         ],
-        ids=["unknown-kind", "lacking-field"],
+        ids=["unknown-kind", "lacking-field", "without-profile"],
     )
     def test_merge_unmergeable_fragment_exit(self, tmp_path, capsys, fragment, message):
         code, out = self.merge(tmp_path, fragment)
         assert code == 2
         assert f"frag.json: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_merge_delay_over_histogram_entry_exit(self, tmp_path, capsys):
+        # a fitted entry overlays its same-named entry key by key, so a base
+        # histogram would be left under a shifted-gamma family: named, not dropped
+        base = chain_to_json(paper_profile())
+        base["pll"]["profiles"]["rt"] = {
+            "family": "empirical-histogram",
+            "histogram": {"bin_edges_us": [4, 5, 6], "counts": [3, 5]},
+        }
+        profile = tmp_path / "base.json"
+        profile.write_text(json.dumps(base))
+        csv = tmp_path / "d.csv"
+        write_delay_csv(csv, {"rt": np.array([4.1, 4.6, 5.2, 4.4])})
+        frag = tmp_path / "frag.json"
+        argv = ["characterize", "delay", "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--merge-into", str(profile)]) == 2
+        assert f"error: {frag}: pll.profiles.rt: a shifted-gamma delay takes no histogram" in (
+            capsys.readouterr().err
+        )
+        assert json.loads(profile.read_text()) == base
 
     def test_merge_malformed_fragment_exit(self, tmp_path, capsys):
         code, out = self.merge(tmp_path, "{bad")

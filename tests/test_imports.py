@@ -204,8 +204,13 @@ def test_profile_merge_loads_no_numpy(tmp_path):
         json.dumps(
             {
                 "kind": "sweep",
-                "gain_err_ppm": {"grand_mean": -4455.0, "total_std": 130.0, "within_std": 20.0},
-                "offset_uv": {"grand_mean": 5.0, "total_std": 1.0},
+                "profile": {
+                    "adc": {
+                        "gain_err_ppm": {"mean": -4455.0, "std": 130.0},
+                        "gain_err_within_device_ppm": 20.0,
+                        "offset_uv": {"mean": 5.0, "std": 1.0},
+                    }
+                },
             }
         )
     )
