@@ -307,7 +307,9 @@ def variance_decomposition(
     the OLS covariance) under the same keys.  With ``ddof=0`` and equal group
     sizes the identity total = mean(within variances) + var(group means)
     matches the pooled population variance exactly; ``ddof=1`` gives unbiased
-    components for small numbers of groups.
+    components for small numbers of groups.  With ``ddof >= 1`` a group of one
+    value holds no within-group spread: the within variance is the mean over
+    the groups of two or more values, and 0 when there are none.
     """
     groups = {k: np.asarray(v, dtype=float) for k, v in groups.items()}
     if not groups or any(v.size == 0 for v in groups.values()):
@@ -316,7 +318,7 @@ def variance_decomposition(
     if len(names) < 2:
         raise ValueError("between-group variance undefined with a single group")
     sizes = np.array([groups[k].size for k in names])
-    if ddof >= sizes.min() and sizes.min() > 1:
+    if np.any((sizes > 1) & (sizes <= ddof)):  # a group of one value has no within term
         raise ValueError("ddof too large for the smallest group")
     means = np.array([groups[k].mean() for k in names])
     within_vars = np.array(
@@ -330,7 +332,8 @@ def variance_decomposition(
         grand_mean = float(np.multiply(weights, means).sum())
         between = float(np.multiply(weights, (means - grand_mean) ** 2).sum())
     else:
-        within = float(within_vars.mean())
+        several = within_vars[sizes > 1]
+        within = float(several.mean()) if several.size else 0.0
         grand_mean = float(means.mean())
         between = float(means.var(ddof=ddof))
     total = within + between

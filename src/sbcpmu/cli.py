@@ -276,14 +276,17 @@ def _characterize_sweep(path) -> dict:
             }
         else:
             (one,) = map(np.asarray, values.values())
-            out[key] = {
-                "grand_mean": float(one.mean()),
-                "total_std": float(one.std(ddof=1)) if one.size > 1 else 0.0,
-            }
-        adc[key] = {"mean": out[key]["grand_mean"], "std": out[key]["total_std"]}
-    # null without the nested split: the Monte Carlo then draws the channel gains
-    # from the total, as one device's channels are its within-device spread
-    adc["gain_err_within_device_ppm"] = out["gain_err_ppm"].get("within_std")
+            out[key] = {"grand_mean": float(one.mean())}
+            if one.size > 1:  # one channel fits no spread, so the base's is kept
+                out[key]["total_std"] = float(one.std(ddof=1))
+        adc[key] = {"mean": out[key]["grand_mean"]}
+        if "total_std" in out[key]:
+            adc[key]["std"] = out[key]["total_std"]
+    # null without a device of two or more channels in the nested split: the Monte
+    # Carlo then draws the channel gains from the total, as one device's channels
+    # are its within-device spread
+    nested = len(gains) >= 2 and max(map(len, gains.values())) >= 2
+    adc["gain_err_within_device_ppm"] = out["gain_err_ppm"]["within_std"] if nested else None
     out["profile"] = {"adc": adc}
     return out
 
@@ -313,7 +316,18 @@ def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
     for (temperature, _), mean in zip(results, board_means):
         if temperature is not None:
             boards.setdefault(temperature, []).append(mean)
-    rows = []  # the profile's [temperature_c, mean, std] rows
+    e_r = {"mean": out["e_r_ppm_mean"]}
+    # the spread of every board; a temperature of one board takes it as its row's
+    # std, unless temperatures of two or more boards give a pooled board spread
+    pooled = None  # a capture of one board fits no spread
+    if len(board_means) >= 2:
+        e_r["std"] = out["e_r_ppm_total_std"] = pooled = float(np.std(board_means, ddof=1))
+    if len(boards) >= 2:  # the nested split over temperatures replaces it
+        dec = variance_decomposition(boards, ddof=1)
+        e_r["std"] = out["e_r_ppm_total_std"] = dec.total_std
+        if max(map(len, boards.values())) >= 2:
+            pooled = dec.within_std
+    rows = []  # the profile's [temperature_c, mean, std] rows; none for one board
     if boards:
         out["by_temperature_c"] = []
         for temperature in sorted(boards):
@@ -322,12 +336,9 @@ def _characterize_counter(path, known_base: float, nominal_rate: float) -> dict:
             if len(means) >= 2:
                 entry["e_r_ppm_board_std"] = float(np.std(means, ddof=1))
             out["by_temperature_c"].append(entry)
-            rows.append([temperature, entry["e_r_ppm_mean"], entry.get("e_r_ppm_board_std", 0.0)])
-    e_r = {"mean": out["e_r_ppm_mean"]}
-    if len(boards) >= 2:
-        e_r["std"] = out["e_r_ppm_total_std"] = variance_decomposition(boards, ddof=1).total_std
-    elif len(board_means) >= 2:  # one temperature or none: the spread of every board
-        e_r["std"] = out["e_r_ppm_total_std"] = float(np.std(board_means, ddof=1))
+            if pooled is not None:
+                std = entry.get("e_r_ppm_board_std", pooled)
+                rows.append([temperature, entry["e_r_ppm_mean"], std])
     out["profile"] = {"timebase": {"e_r_ppm": e_r, "by_temperature_c": rows}}
     return out
 

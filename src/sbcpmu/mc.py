@@ -287,9 +287,10 @@ class _Workspace:
     ``adc``, the first A*B floats of each row of ``csum`` (``_table_shape``),
     is ``_acquire_rows``'s ``out``: it holds the converted samples until
     ``_FourierPlan.rows`` has read them into ``demod``, before it writes
-    ``csum``.  At the end of a run ``demod`` is the column statistics' float
-    scratch.  ``monte_carlo`` gives each kernel thread one workspace of its
-    own, and ``run_trial`` one of a single row.
+    ``csum``, which is then ``_error_rows``'s scratch.  At the end of a run
+    ``demod`` is the column statistics' float scratch.  ``monte_carlo`` gives
+    each kernel thread one workspace of its own, and ``run_trial`` one of a
+    single row.
     """
 
     def __init__(self, rows: int, samples: int):
@@ -644,41 +645,41 @@ def run_trial(scenario: McScenario, trial_index: int):
     _check_seed_int("trial_index", trial_index)
     engine = _Engine(scenario)
     draws = engine.draw(trial_index, trial_index + 1)
-    z, clipped = engine.envelopes(draws, 0, 1, _Workspace(1, engine.samples))
+    ws = _Workspace(1, engine.samples)
+    z, clipped = engine.envelopes(draws, 0, 1, ws)
     env = z[0] * scenario.phasor.value
     trace = np.empty(z.shape)
-    _error_rows(z, trace)
+    _error_rows(z, trace, ws.csum)
     return engine.plan.times, trace[0], env, TrialDraw(*draws.params[0].tolist()), int(clipped[0])
 
 
-def _error_rows(z, tve_rows):
+def _error_rows(z, tve_rows, scratch):
     """Write the TVE of relative envelope rows into ``tve_rows``; return their summed errors.
 
     With ``z = env/ref`` the relative magnitude error is ``|z| - 1``, the
     phase error ``angle(z)`` and the TVE ``|z - 1|``.  The sums are of
-    |relative magnitude error| and |phase error| over the block.  When every
-    real part is positive, the phase error is ``arctan(im/re)``, within an
-    ulp of ``arctan2(im, re)`` and faster; otherwise it is ``arctan2``.  ``z``
-    is overwritten and ``tve_rows`` (C-contiguous floats shaped like ``z``)
-    is the errors' scratch until the TVE is written there last; nothing is
-    allocated.
+    |relative magnitude error| and |phase error| over the block.  A TVE
+    below 1 means ``re > 0`` and a finite ``|im/re| < sqrt(2/re)``: when every
+    TVE is, the phase error is ``arctan(im/re)``, within an ulp of
+    ``arctan2(im, re)`` and faster; otherwise it is ``arctan2``.  ``z`` is
+    only read.  ``scratch``, the block's ``csum`` (C-contiguous complex, at
+    least ``z.size``), holds ``z - 1`` until the TVE is in ``tve_rows``
+    (floats shaped like ``z``), then the errors as floats; nothing is allocated.
     """
-    err = tve_rows  # contiguous, so .sum() adds in the order it would for a fresh array
+    flat = scratch.reshape(-1)
+    np.abs(np.subtract(z, 1.0, out=flat[: z.size].reshape(z.shape)), out=tve_rows)
+    err = flat.view(np.float64)[: z.size].reshape(z.shape)  # contiguous: .sum() adds as for a fresh array
     np.abs(z, out=err)
     err -= 1.0
     np.abs(err, out=err)
     mag_sum = float(err.sum())
-    if z.real.min() > 0:  # every real part positive (and none NaN)
-        with np.errstate(over="ignore"):  # a tiny real part: the ratio is inf, its arctan pi/2
-            np.divide(z.imag, z.real, out=err)
+    if tve_rows.max() < 1:  # not for a NaN
+        np.divide(z.imag, z.real, out=err)
         np.arctan(err, out=err)
     else:
         np.arctan2(z.imag, z.real, out=err)  # np.angle, in place
     np.abs(err, out=err)
-    phase_sum = float(err.sum())
-    z.real -= 1.0
-    np.abs(z, out=tve_rows)
-    return mag_sum, phase_sum
+    return mag_sum, float(err.sum())
 
 
 # kernel threads per run: the count benchmarked; more were never measured, and
@@ -747,11 +748,10 @@ def monte_carlo(scenario: McScenario) -> McResult:
     runs and one block workspace: two complex block buffers, 2.6 MB at
     5 kHz and 1 s PPS intervals.  Each worker thread allocates its own
     workspace at its first task and reuses it for every task after, so no
-    workspace is shared between threads.  The kernels take the ADC samples
-    in ``csum`` and the error scratch in their own ``trial_tve`` rows, and
-    the column statistics take theirs in ``demod``.  The workspaces go with
-    the worker threads when the pool shuts down, before the model curve is
-    built.
+    workspace is shared between threads.  The kernels take the ADC samples,
+    then the error scratch, in ``csum``, and the column statistics take
+    theirs in ``demod``.  The workspaces go with the worker threads when
+    the pool shuts down, before the model curve is built.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -777,7 +777,7 @@ def monte_carlo(scenario: McScenario) -> McResult:
     def kernel(start: int):
         stop = min(start + BLOCK_TRIALS, trials)
         z, clipped[start:stop] = engine.envelopes(draws, start, stop, workspace())
-        return _error_rows(z, trial_tve[start:stop])
+        return _error_rows(z, trial_tve[start:stop], workspace().csum)
 
     windows = t_in_pps.size
     mean_tve = np.empty(windows)

@@ -271,6 +271,21 @@ class TestVarianceDecomposition:
         with pytest.raises(ValueError, match="nonempty"):
             variance_decomposition({"a": [1.0], "b": []})
 
+    def test_one_value_group_adds_no_within_term(self):
+        # with ddof=1 a group of one value has no within-group variance to average in;
+        # its mean still counts between the groups
+        groups = {"a": [1.0, 3.0, 4.0], "b": [2.0, 7.0], "c": [5.0]}
+        d = variance_decomposition(groups, ddof=1)
+        within = np.mean([np.var(groups[k], ddof=1) for k in ("a", "b")])
+        between = np.var([np.mean(v) for v in groups.values()], ddof=1)
+        assert d.within_std == pytest.approx(math.sqrt(within), rel=1e-12)
+        assert d.between_std == pytest.approx(math.sqrt(between), rel=1e-12)
+        assert d.total_std == pytest.approx(math.sqrt(within + between), rel=1e-12)
+        lone = variance_decomposition({"a": [1.0], "b": [4.0]}, ddof=1)
+        assert (lone.within_std, lone.total_std) == (0.0, pytest.approx(math.sqrt(4.5)))
+        with pytest.raises(ValueError, match="ddof too large"):  # b's variance would divide by 0
+            variance_decomposition({"a": [1.0], "b": [4.0, 5.0]}, ddof=2)
+
     def test_table_i_components_recovered(self):
         # nested data at the within/between scale of the ADC gain statistics
         rng = np.random.default_rng(11)

@@ -691,6 +691,38 @@ class TestCharacterize:
         assert merged.adc_gain_within_device_ppm is None
         assert merged.sequence_gain_std_ppm() == total_std
 
+    @pytest.mark.parametrize("devices", [1, 2], ids=["one-channel", "one-channel-devices"])
+    def test_sweep_of_one_channel_devices(self, tmp_path, devices):
+        # one channel fits no spread, so the merge keeps the base's; devices of one channel
+        # each hold no within-device spread, so the merge writes null there, not 0
+        csv = tmp_path / "s.csv"
+        csv.write_text(
+            "v_in,v_out,channel,device\n"
+            + "".join(
+                f"{x},{(1.0 + 2e-4 * d) * x + 1e-3 * d},ch0,dev{d}\n"
+                for d in range(devices) for x in (-1, 0, 1, 2)
+            )
+        )
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        out = tmp_path / "frag.json"
+        argv = ["characterize", "sweep", "--input", str(csv), "--output", str(out)]
+        assert main(argv + ["--merge-into", str(profile)]) == 0
+        frag = json.loads(out.read_text())
+        merged = json.loads(profile.read_text())["adc"]
+        assert merged["gain_err_within_device_ppm"] is None
+        if devices == 1:
+            assert "total_std" not in frag["gain_err_ppm"] and "total_std" not in frag["offset_uv"]
+            assert frag["profile"]["adc"] == {
+                "gain_err_ppm": {"mean": frag["gain_err_ppm"]["grand_mean"]},
+                "gain_err_within_device_ppm": None,
+                "offset_uv": {"mean": frag["offset_uv"]["grand_mean"]},
+            }
+            assert (merged["gain_err_ppm"]["std"], merged["offset_uv"]["std"]) == (134.0, 255.0)
+        else:
+            assert frag["gain_err_ppm"]["within_std"] == 0.0  # the record keeps the split as fitted
+            assert merged["gain_err_ppm"]["std"] == frag["gain_err_ppm"]["total_std"] > 0
+
     def test_sweep_fragment_does_not_depend_on_blas_threads(self, tmp_path):
         # OpenBLAS splits a dot product of more than 10 000 elements across
         # threads, which changes its rounding; the fit must not use one
@@ -1321,8 +1353,10 @@ class TestProfileCmd:
         assert timebase["e_r_ppm"] == {
             "mean": fitted["e_r_ppm_mean"], "std": fitted["e_r_ppm_total_std"],
         }
+        # a temperature of one board (b0 at 25 C beside a blank b1) takes the spread of every board
+        spread = fitted["e_r_ppm_total_std"]
         rows = [
-            [e["temperature_c"], e["e_r_ppm_mean"], e.get("e_r_ppm_board_std", 0.0)]
+            [e["temperature_c"], e["e_r_ppm_mean"], e.get("e_r_ppm_board_std", spread)]
             for e in fitted.get("by_temperature_c", [])
         ]
         assert timebase["by_temperature_c"] == rows
@@ -1349,6 +1383,57 @@ class TestProfileCmd:
         }
         timebase = json.loads(profile.read_text())["timebase"]
         assert timebase == {"e_r_ppm": {"mean": fitted["e_r_ppm_mean"], "std": 3.67}, "by_temperature_c": []}
+
+    def test_merge_counter_one_board_temperature_takes_pooled_spread(self, tmp_path):
+        # boards at -5 and +5 ppm at 0 C and -5 ppm alone at 25 C: the 25 C row takes the
+        # pooled board spread of 0 C, 7.071 ppm, and that board adds no zero within-variance
+        # to the total, 7.906 ppm
+        ppm = {("0", "b0"): -5, ("0", "b1"): 5, ("25", "b2"): -5}
+        csv = tmp_path / "c.csv"
+        csv.write_text(
+            "count,device,temperature_c\n"
+            + "".join(f"{2_000_000 + 2 * e},{b},{t}\n" * 10_000 for (t, b), e in ppm.items())
+        )
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--nominal-rate-hz", "50", "--merge-into", str(profile)]) == 0
+        fitted = json.loads(frag.read_text())
+        assert [e.get("e_r_ppm_board_std") for e in fitted["by_temperature_c"]] == [
+            pytest.approx(math.sqrt(50.0), rel=1e-9), None,
+        ]
+        timebase = json.loads(profile.read_text())["timebase"]
+        assert timebase["by_temperature_c"] == [
+            [0.0, pytest.approx(0.0, abs=1e-9), pytest.approx(math.sqrt(50.0), rel=1e-9)],
+            [25.0, pytest.approx(-5.0, rel=1e-9), pytest.approx(math.sqrt(50.0), rel=1e-9)],
+        ]
+        # within 50 ppm^2 from 0 C alone, between 12.5 ppm^2 of the means 0 and -5
+        assert fitted["e_r_ppm_total_std"] == pytest.approx(math.sqrt(62.5), rel=1e-9)
+        assert timebase["e_r_ppm"]["std"] == fitted["e_r_ppm_total_std"]
+
+    def test_merge_counter_one_board_at_a_temperature(self, tmp_path, capsys):
+        # one board fits no spread even at a temperature: no rows, the base's e_r std is
+        # kept, and a temperature scenario on the merged profile finds no grid
+        csv = tmp_path / "c.csv"
+        csv.write_text("count,device,temperature_c\n2000,b0,25\n2001,b0,25\n2000,b0,25\n")
+        profile = tmp_path / "chain.json"
+        profile.write_text(json.dumps(chain_to_json(paper_profile())))
+        frag = tmp_path / "frag.json"
+        argv = ["characterize", "counter", "--input", str(csv), "--output", str(frag)]
+        assert main(argv + ["--merge-into", str(profile)]) == 0
+        fitted = json.loads(frag.read_text())
+        assert fitted["by_temperature_c"] == [
+            {"temperature_c": 25.0, "e_r_ppm_mean": fitted["e_r_ppm_mean"]}
+        ]
+        assert fitted["profile"]["timebase"]["by_temperature_c"] == []
+        timebase = json.loads(profile.read_text())["timebase"]
+        assert timebase == {"e_r_ppm": {"mean": fitted["e_r_ppm_mean"], "std": 3.67}, "by_temperature_c": []}
+        config = tmp_path / "cfg.json"
+        write_config(config, chain_profile=str(profile))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config), "--temperature-c", "25"]) == 2
+        assert "is off timebase.by_temperature_c (empty)" in capsys.readouterr().err
 
     def test_merge_rejects_unknown_keys(self, tmp_path, capsys):
         base = tmp_path / "base.json"

@@ -888,13 +888,17 @@ class TestStreamedAggregates:
         assert abs(r.grand_mean_phase_err - want) <= self.ULPS * math.ulp(want)
 
     def test_tiny_positive_real_part_warns_nothing(self):
-        # im/re overflows to +-inf, whose arctan is +-pi/2, without a RuntimeWarning
-        z = np.array([[1e-310 + 1j, 5e-324 - 2j, 1.0 + 1e-300j, 0.5 + 0.5j]])
-        want = float(np.abs(np.angle(z)).mean())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, phase_sum = mc._error_rows(z.copy(), np.empty(z.shape))
-        assert abs(phase_sum / z.size - want) <= self.ULPS * math.ulp(want)
+        # a real part so tiny that im/re would overflow gives a TVE >= 1, so arctan2 runs;
+        # with every TVE below 1, |im/re| < sqrt(2/re) stays finite under arctan(im/re)
+        for z in (
+            np.array([[1e-310 + 1j, 5e-324 - 2j, 1.0 + 1e-300j, 0.5 + 0.5j]]),
+            np.array([[1e-10 + 1e-5j, 1e-10 - 1e-5j, 1.0 + 1e-300j, 0.5 + 0.5j]]),
+        ):
+            want = float(np.abs(np.angle(z)).mean())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, phase_sum = mc._error_rows(z, np.empty(z.shape), np.empty(z.shape, dtype=complex))
+            assert abs(phase_sum / z.size - want) <= self.ULPS * math.ulp(want)
 
 
 def _relative_envelopes(scenario):
@@ -920,9 +924,9 @@ def _block_chains():
 class TestBlockBuffers:
     """A block run in one workspace's two buffers gives the bits of fresh, separate arrays.
 
-    The engine writes the ADC samples into ``csum``'s memory and takes the
-    error scratch in the block's own TVE rows; the reference gives
-    ``_acquire_rows``, ``demod``, ``csum`` and the errors an array each.
+    The engine writes the ADC samples into ``csum``'s memory and, once the
+    envelope is in ``demod``, takes the error scratch there too; the reference
+    gives ``_acquire_rows``, ``demod``, ``csum`` and the errors an array each.
     """
 
     @staticmethod
@@ -933,18 +937,11 @@ class TestBlockBuffers:
 
     @staticmethod
     def reference_errors(z):
-        """The TVE rows and summed errors of relative envelopes ``z``, in a scratch array of their own."""
-        err = np.abs(z)
-        err -= 1.0
-        np.abs(err, out=err)
-        mag_sum = float(err.sum())
-        if z.real.min() > 0:
-            with np.errstate(over="ignore"):
-                err = np.arctan(z.imag / z.real)
-        else:
-            err = np.arctan2(z.imag, z.real)
-        phase_sum = float(np.abs(err).sum())
-        return np.abs(z - 1.0), mag_sum, phase_sum
+        """The TVE rows and summed errors of relative envelopes ``z``, each in an array of its own."""
+        tve = np.abs(z - 1.0)
+        mag_sum = float(np.abs(np.abs(z) - 1.0).sum())
+        phase = np.arctan(z.imag / z.real) if tve.max() < 1 else np.arctan2(z.imag, z.real)
+        return tve, mag_sum, float(np.abs(phase).sum())
 
     @pytest.mark.parametrize("compensate", [False, True], ids=["plain", "compensated"])
     @pytest.mark.parametrize("chain", _block_chains().keys())
@@ -960,7 +957,7 @@ class TestBlockBuffers:
         ws.csum.fill(np.nan)
         z, clipped = engine.envelopes(draws, 0, rows, ws)
         tve_rows = np.empty(z.shape)
-        sums = mc._error_rows(z, tve_rows)
+        sums = mc._error_rows(z, tve_rows, ws.csum)
 
         engine, draws = self.block(scenario, rows)
         a, b = _table_shape(engine.samples)
@@ -975,6 +972,23 @@ class TestBlockBuffers:
         assert clipped.tobytes() == clipped_ref.tobytes()
         assert tve_rows.tobytes() == tve_ref.tobytes()
         assert [s.hex() for s in sums] == [s.hex() for s in sums_ref]
+
+    @pytest.mark.parametrize("block", ["compensated", "left-of-imaginary-axis"])
+    def test_errors_leave_the_envelope_intact(self, block):
+        # z is only read, on the arctan(im/re) path and on the arctan2 path
+        paper = paper_profile()
+        if block == "compensated":
+            scenario = small_scenario(trials=BLOCK_TRIALS, base_seed=7, compensate=True)
+        else:  # a 2 rad AAF phase puts every Re(z) below 0
+            chain = replace(paper, aaf_phase_urad=GaussianTerm(2e6, paper.aaf_phase_urad.std))
+            scenario = small_scenario(chain=chain, trials=BLOCK_TRIALS, base_seed=12345)
+        engine, draws = self.block(scenario, BLOCK_TRIALS)
+        ws = mc._Workspace(BLOCK_TRIALS, engine.samples)
+        z, _ = engine.envelopes(draws, 0, BLOCK_TRIALS, ws)
+        assert (np.abs(z - 1.0).max() < 1) == (block == "compensated")  # the arctan(im/re) path
+        before = z.copy()
+        mc._error_rows(z, np.empty(z.shape), ws.csum)
+        assert z.tobytes() == before.tobytes()
 
 
 def _bits(value):
