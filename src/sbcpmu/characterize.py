@@ -225,6 +225,8 @@ def _median(samples: np.ndarray) -> float:
 def _histogram_mode(samples: np.ndarray) -> float:
     """Mode as the center of the tallest Freedman-Diaconis bin.
 
+    The bin count is capped at the sample count: more bins cannot locate a
+    mode, and one far outlier would otherwise ask for billions of them.
     Ties are broken toward the bin nearest the sample median.
     """
     q75, q25 = _quantiles(samples, (0.75, 0.25))
@@ -232,7 +234,7 @@ def _histogram_mode(samples: np.ndarray) -> float:
     if iqr == 0 or np.ptp(samples) == 0:
         return _median(samples)
     width = 2.0 * iqr / samples.size ** (1.0 / 3.0)
-    n_bins = max(1, math.ceil(np.ptp(samples) / width))
+    n_bins = max(1, math.ceil(min(np.ptp(samples) / width, samples.size)))
     counts, edges = np.histogram(samples, bins=n_bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
     best = counts.max()

@@ -399,12 +399,15 @@ def cmd_characterize(args) -> int:
     positive(args.known_base_hz, "--known-base-hz")
     positive(args.nominal_rate_hz, "--nominal-rate-hz")
     _bind("blocks", "characterize")
-    if args.kind == "sweep":
-        fragment = _characterize_sweep(args.input)
-    elif args.kind == "counter":
-        fragment = _characterize_counter(args.input, args.known_base_hz, args.nominal_rate_hz)
-    else:
-        fragment = _characterize_delay(args.input, args.known_base_hz)
+    try:
+        if args.kind == "sweep":
+            fragment = _characterize_sweep(args.input)
+        elif args.kind == "counter":
+            fragment = _characterize_counter(args.input, args.known_base_hz, args.nominal_rate_hz)
+        else:
+            fragment = _characterize_delay(args.input, args.known_base_hz)
+    except MemoryError as exc:  # numpy refused an array the capture asks for, e.g. its widest cell
+        raise ConfigError(f"--input {args.input}: too large to allocate: {exc}") from exc
     write_json(fragment, args.output, sort_keys=True)
     if args.merge_into:
         chain = _merged(chain_to_json(load_profile(args.merge_into)), fragment, args.output)

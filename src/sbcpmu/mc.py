@@ -287,8 +287,7 @@ class _Workspace:
     ``adc``, the first A*B floats of each row of ``csum`` (``_table_shape``),
     is ``_acquire_rows``'s ``out``: it holds the converted samples until
     ``_FourierPlan.rows`` has read them into ``demod``, before it writes
-    ``csum``, which is then ``_error_rows``'s scratch.  At the end of a run
-    ``demod`` is the column statistics' float scratch.  ``monte_carlo`` gives
+    ``csum``, which is then ``_error_rows``'s scratch.  ``monte_carlo`` gives
     each kernel thread one workspace of its own, and ``run_trial`` one of a
     single row.
     """
@@ -696,34 +695,27 @@ def _workers(blocks: int) -> int:
     return min(_MAX_WORKERS, cpus, blocks)
 
 
-def _column_stats(rows: np.ndarray, mean: np.ndarray, std, scratch: np.ndarray) -> None:
-    """Write each column's mean of ``rows`` into ``mean`` and, unless ``std`` is None, its ddof-1 std.
+def _column_std(rows: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Each column's ddof-1 std of ``rows`` (C-contiguous, two rows or more) about ``mean``.
 
-    ``rows`` is a slice of at least two columns of a C-contiguous array (one
-    column alone would be summed pairwise).  Each column is then summed row
-    by row, the order in which ``np.add.reduce(axis=0)`` adds the rows of the
-    whole array, so the results equal ``mean(axis=0)`` and
-    ``std(axis=0, ddof=1)`` of the whole array bit for bit.  The squared
-    deviations are formed a chunk of rows at a time in ``scratch``
-    (contiguous floats, at least two rows' worth), below the running sum
-    in its first row, so the std needs no full-size temporary.
+    ``mean`` is ``rows.mean(axis=0)``.  ``np.add.reduce(axis=0)`` adds the
+    rows of a C-contiguous array one after another, so the squared
+    deviations are formed ``BLOCK_TRIALS`` rows at a time below a running sum
+    in the first row of a small buffer: each column is summed in numpy's
+    order, the result equals ``rows.std(axis=0, ddof=1)`` bit for bit, and
+    no full-size temporary is made.
     """
-    n, columns = rows.shape
-    np.add.reduce(rows, axis=0, out=mean)
-    mean /= n
-    if std is None:
-        return
-    buf = scratch.reshape(-1)[: scratch.size // columns * columns].reshape(-1, columns)
-    buf[0] = 0.0
-    chunk = buf.shape[0] - 1
-    for start in range(0, n, chunk):
-        d = buf[1 : 1 + min(chunk, n - start)]
-        np.subtract(rows[start : start + chunk], mean, out=d)
+    n = rows.shape[0]
+    buf = np.zeros((1 + min(BLOCK_TRIALS, n), rows.shape[1]))
+    std = np.empty_like(mean)
+    for start in range(0, n, BLOCK_TRIALS):
+        d = buf[1 : 1 + min(BLOCK_TRIALS, n - start)]
+        np.subtract(rows[start : start + BLOCK_TRIALS], mean, out=d)
         d *= d
         np.add.reduce(buf[: 1 + d.shape[0]], axis=0, out=std)
         buf[0] = std
     std /= n - 1
-    np.sqrt(std, out=std)
+    return np.sqrt(std, out=std)
 
 
 def monte_carlo(scenario: McScenario) -> McResult:
@@ -739,19 +731,18 @@ def monte_carlo(scenario: McScenario) -> McResult:
     compensation and errors, each a pass over the whole block; it writes its
     TVE rows straight into ``trial_tve`` and returns its summed magnitude and
     phase errors, which are added in block order, so every result is bit for
-    bit the same for any number of workers.  The column mean and std of the
-    traces are then taken on the same workers, a slice of columns each,
-    while the calling thread takes the grand mean.
+    bit the same for any number of workers.  Once every kernel has returned,
+    the calling thread takes the traces' column mean and std and their
+    grand mean.
     Memory is the float64 per-trial traces, about 100 bytes of seeds and
     draws per trial (and its generator, about 0.75 kB, for a chain with ADC
     noise), and per worker one block's tables (about 36 kB) while its kernel
     runs and one block workspace: two complex block buffers, 2.6 MB at
     5 kHz and 1 s PPS intervals.  Each worker thread allocates its own
     workspace at its first task and reuses it for every task after, so no
-    workspace is shared between threads.  The kernels take the ADC samples,
-    then the error scratch, in ``csum``, and the column statistics take
-    theirs in ``demod``.  The workspaces go with the worker threads when
-    the pool shuts down, before the model curve is built.
+    workspace is shared between threads.  The workspaces go with the worker
+    threads when the pool shuts down, before the statistics and the model
+    curve are taken.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -769,39 +760,23 @@ def monte_carlo(scenario: McScenario) -> McResult:
     # MemoryError reaches the caller through the task's future
     local = threading.local()
 
-    def workspace() -> _Workspace:
+    def kernel(start: int):
         if not hasattr(local, "ws"):
             local.ws = _Workspace(min(BLOCK_TRIALS, trials), engine.samples)
-        return local.ws
-
-    def kernel(start: int):
         stop = min(start + BLOCK_TRIALS, trials)
-        z, clipped[start:stop] = engine.envelopes(draws, start, stop, workspace())
-        return _error_rows(z, trial_tve[start:stop], workspace().csum)
+        z, clipped[start:stop] = engine.envelopes(draws, start, stop, local.ws)
+        return _error_rows(z, trial_tve[start:stop], local.ws.csum)
 
-    windows = t_in_pps.size
-    mean_tve = np.empty(windows)
-    spread = np.zeros(windows)
-
-    def column_stats(columns: slice):
-        std = spread[columns] if trials > 1 else None
-        scratch = workspace().demod.view(np.float64)
-        _column_stats(trial_tve[:, columns], mean_tve[columns], std, scratch)
-
-    # slices of at least two columns, unless there is only one
-    parts = max(1, min(workers, windows // 2))
-    edges = [windows * i // parts for i in range(parts + 1)]
     mag_err_sum = phase_err_sum = 0.0
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for mag, phase in pool.map(kernel, range(0, trials, BLOCK_TRIALS)):
             mag_err_sum += mag
             phase_err_sum += phase
-        stats = [pool.submit(column_stats, slice(*edges[i : i + 2])) for i in range(parts)]
-        grand_mean_tve = float(trial_tve.mean())
-        for future in stats:
-            future.result()
-    # the pool's threads have exited with their workspaces: the model curve's
-    # temporaries do not sit on top of them
+    # the pool's threads have exited with their workspaces: the statistics'
+    # and the model curve's temporaries do not sit on top of them
+    mean_tve = trial_tve.mean(axis=0)
+    spread = _column_std(trial_tve, mean_tve) if trials > 1 else np.zeros_like(mean_tve)
+    grand_mean_tve = float(trial_tve.mean())
 
     k = DEFAULT_COVERAGE_FACTOR
     curve = model_curve(

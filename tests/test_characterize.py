@@ -192,6 +192,13 @@ class TestDelayStatistics:
             math.sqrt(np.mean((np.array([1, 1, 1, 2.0]) - s.mode) ** 2)), rel=0.5
         )
 
+    def test_far_outlier_caps_the_bins(self):
+        # Freedman-Diaconis would ask for about 2e10 bins; at most one a sample
+        # is taken, so the 100 clustered delays share the first bin
+        samples = np.concatenate((np.linspace(4.9e-6, 5.1e-6, 100), [5e3]))
+        s = delay_statistics(samples)
+        assert s.minimum <= s.mode < s.minimum + (s.maximum - s.minimum) / samples.size
+
     def test_qq_deviation_small_for_normal(self):
         rng = np.random.default_rng(8)
         s = delay_statistics(rng.normal(5e-6, 1e-6, 5000))

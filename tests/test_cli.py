@@ -627,6 +627,34 @@ class TestCharacterize:
         assert frag["profiles"]["idle"]["mean_us"] == pytest.approx(6.59, abs=0.15)
         assert frag["profiles"]["idle"]["n"] == 1000
 
+    def test_delay_with_a_far_outlier(self, tmp_path):
+        # one 5e9 us row among 100 delays near 5 us: the mode's histogram has at
+        # most one bin a sample, not the 2e10 Freedman-Diaconis would ask for
+        csv = tmp_path / "d.csv"
+        delays = [f"{5.0 + 0.01 * i}" for i in range(100)] + ["5000000000"]
+        csv.write_text("delay_us,profile\n" + "".join(f"{d},idle\n" for d in delays))
+        out = tmp_path / "frag.json"
+        assert main(["characterize", "delay", "--input", str(csv), "--output", str(out)]) == 0
+        stats = json.loads(out.read_text())["profiles"]["idle"]
+        assert math.isfinite(stats["mode_us"])
+        assert stats["min_us"] <= stats["mode_us"] <= stats["max_us"]
+
+    def test_capture_too_large_to_allocate_exit(self, tmp_path, capsys, monkeypatch):
+        # numpy's refusal of an array the capture asks for, such as the text
+        # cells widened to one very long label, is a config error naming --input
+        def refuse(path):
+            raise MemoryError("Unable to allocate 55.9 GiB")
+
+        monkeypatch.setattr("sbcpmu.cli.read_sweep_csv", refuse, raising=False)
+        csv = tmp_path / "s.csv"
+        csv.write_text("v_in,v_out,channel,device\n0,0,ch0,dev0\n1,1,ch0,dev0\n")
+        out = tmp_path / "frag.json"
+        assert main(["characterize", "sweep", "--input", str(csv), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --input {csv}: too large to allocate: Unable to allocate 55.9 GiB\n"
+        )
+        assert not out.exists()
+
     def test_sweep_decomposition(self, tmp_path):
         # 2 devices x 2 channels: the fragment carries the nested decomposition
         rows = {

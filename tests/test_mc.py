@@ -1041,9 +1041,9 @@ def _traced_peak(scenario):
 
 class TestMemory:
     # tracemalloc peaks over the traces, measured at 5 kHz and 1 s intervals:
-    # 1.55x at 256 trials with 2 workers and 1.29x with 1, below the 1.71x
-    # that a third, float workspace buffer gives with 2; the draws of every
-    # trial, held from the start of a run, add about 100 bytes a trial
+    # 1.54-1.55x at 256 trials with 2 workers and 1.28x with 1, below the
+    # 1.71x that a third, float workspace buffer gives with 2; the draws of
+    # every trial, held from the start of a run, add about 100 bytes a trial
     def test_peak_is_bounded_by_the_traces(self):
         # 256 reference trials: the engine keeps the float64 result rows plus
         # one block workspace per worker, never every trial's complex envelope
@@ -1054,11 +1054,11 @@ class TestMemory:
     def test_scratch_does_not_grow_with_trials(self, trials):
         # beyond the traces, one block workspace of two complex (BLOCK_TRIALS,
         # points) buffers per worker, and the draws and the running kernels'
-        # tables: 2.21-2.23 and 2.21-2.24 buffers per worker at 64 and 256
-        # trials with 2 workers and 2.35 and 2.37 with 1.  The workspaces are
-        # freed before the model curve; its temporaries on top of them gave
-        # 2.38 and 2.70, and a third, float workspace buffer 2.88 and 3.21,
-        # both above the bound
+        # tables: 2.18 and 2.21 buffers per worker at 64 and 256 trials with
+        # 2 workers and 2.28 and 2.31 with 1.  The workspaces are freed before
+        # the statistics and the model curve; the curve's temporaries on top
+        # of them gave 2.38 and 2.70, and a third, float workspace buffer 2.88
+        # and 3.21, both above the bound
         r, peak = _traced_peak(small_scenario(trials=trials, base_seed=0, compensate=True))
         block = BLOCK_TRIALS * r.t_in_pps.size * np.dtype(complex).itemsize
         workers = _workers(-(-trials // BLOCK_TRIALS))
